@@ -45,6 +45,8 @@ from .response import cooperativity, dip_metrics, spectrum
 from .spectral import sweep_eigs, sweep_petermann
 
 MAX_REL_ERR_LIMIT = 1e-5
+# Largest --g-points / --omega-points accepted; grids are allocated whole.
+MAX_GRID_POINTS = 100_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,14 +124,6 @@ def _timestamp() -> str:
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     epoch = int(raw) if raw and raw.strip().isdigit() else int(time.time())
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _threads() -> int:
-    raw = os.environ.get("EPRENORM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> RunManifest:
@@ -225,8 +219,8 @@ def cmd_ep(args) -> int:
 
 
 def _g_grid(args):
-    if args.g_points < 2:
-        raise ConfigError("--g-points must be at least 2")
+    if not 2 <= args.g_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--g-points must be between 2 and {MAX_GRID_POINTS}")
     if not args.g_max > args.g_min:
         raise ConfigError("--g-max must exceed --g-min")
     if args.g_min < 0:
@@ -238,11 +232,9 @@ def _g_grid(args):
 def cmd_eigs(args) -> int:
     """Continuity-matched eigenvalue branches versus coupling."""
     p, d = load_config(args.config)
-    delta = _resolve_delta(p, args.delta_mode)
     _, grid_rad = _g_grid(args)
-    rows = sweep_eigs(
-        p, delta, grid_rad, markovian_ref=args.markovian_ref, threads=_threads()
-    )
+    delta = _resolve_delta(p, args.delta_mode)
+    rows = sweep_eigs(p, delta, grid_rad, markovian_ref=args.markovian_ref)
     grid_meta = {
         "g_min_khz": args.g_min,
         "g_max_khz": args.g_max,
@@ -289,18 +281,18 @@ def _branch_roles(row, omega_c_hz: float):
 def cmd_petermann(args) -> int:
     """Petermann factors of the three branches versus coupling."""
     p, d = load_config(args.config)
+    _, grid_rad = _g_grid(args)
     if args.delta_mode == "both":
         calibrations = [("markovian", -p.omega_m), ("exact", solve_exact_ep(p).delta_ep)]
     else:
         calibrations = [(args.delta_mode, _resolve_delta(p, args.delta_mode))]
-    _, grid_rad = _g_grid(args)
     omega_c_hz = rad_to_hz(p.omega_c)
 
     columns = ["g_khz"]
     per_cal_rows = []
     deltas = {}
     for label, delta in calibrations:
-        rows = sweep_petermann(p, delta, grid_rad, threads=_threads())
+        rows = sweep_petermann(p, delta, grid_rad)
         suffix = "" if len(calibrations) == 1 else f"_{label.split(':')[0]}"
         columns += [
             f"k_plus{suffix}",
@@ -357,8 +349,8 @@ def cmd_spectrum(args) -> int:
     numerically exact ones.
     """
     p, d = load_config(args.config)
-    if args.omega_points < 1:
-        raise ConfigError("--omega-points must be at least 1")
+    if not 1 <= args.omega_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--omega-points must be between 1 and {MAX_GRID_POINTS}")
     if not args.omega_max > args.omega_min:
         raise ConfigError("--omega-max must exceed --omega-min")
     omegas = [

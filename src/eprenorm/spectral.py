@@ -1,27 +1,33 @@
 """Eigendecomposition of the drift matrices with paired left/right
 eigenvectors, Petermann factors, and coupling/detuning sweeps.
 
-Right eigenvectors come from explicit null-space construction (row cross
-products for 3x3, the adjugate-row formula for 2x2) with an
-inverse-iteration fallback near rank deficiency.  Left eigenvectors are
-right eigenvectors of the adjoint matrix, paired greedily by conjugated
-eigenvalue.  The Petermann factor of a paired mode is
+Everything runs through one batched core on an (N, n, n) stack, n = 2 or 3.
+Eigenvalues of the stack and of its adjoint come from a single
+np.linalg.eigvals call.  Right eigenvectors come from explicit null-space
+construction (the largest row cross product of M - lam for 3x3, the
+adjugate-row formula for 2x2), written out with array slicing for all rows
+and modes at once.  Where even the largest candidate is below
+CROSS_NORM_RTOL * |M|_F^2 (rank <= 1, e.g. decoupled or diagonal matrices)
+that (row, mode) is masked and recomputed by inverse iteration on its own.
+Left eigenvectors are right eigenvectors of the adjoint, paired greedily by
+conjugated eigenvalue.  The Petermann factor of a paired mode is
 
     K = (<L|L> <R|R>) / |<L|R>|^2
 
 which is unity for a normal mode and diverges at an exceptional point.
+eigensystem is the core on a batch of one; a sweep is one core call over
+its whole coupling grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
-from .charpoly import CubicPoly, cubic_roots
+from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
 from .model import DriftMatrix, DriveParams, SystemParams, drift_markovian, drift_nonmarkovian, rad_to_hz
 
 # |<L|R>|^2 below this fraction of <L|L><R|R> counts as numerically divergent.
@@ -31,6 +37,10 @@ PAIRING_RTOL = 1e-3
 DEGENERACY_RTOL = 1e-3
 # Cross-product candidates below this fraction of |M|_F^2 trigger inverse iteration.
 CROSS_NORM_RTOL = 1e-12
+# Imaginary parts within this fraction of max|lam| count as tied when ordering modes.
+IMAG_TIE_RTOL = 1e-9
+
+_PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -65,31 +75,13 @@ class SweepRow:
     markovian_hz: tuple | None = None
 
 
-def _eigenvalues(arr: np.ndarray):
-    """Eigenvalues sorted by (Im, Re): quadratic formula or companion cubic."""
-    n = arr.shape[0]
-    if n == 2:
-        tr = arr[0, 0] + arr[1, 1]
-        det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-        disc = np.sqrt(complex(tr * tr - 4.0 * det))
-        lams = [complex((tr - disc) / 2.0), complex((tr + disc) / 2.0)]
-        lams.sort(key=lambda z: (z.imag, z.real))
-        return tuple(lams)
-    tr = complex(np.trace(arr))
-    tr2 = complex(np.trace(arr @ arr))
-    det = complex(np.linalg.det(arr))
-    q = CubicPoly(c2=-tr, c1=(tr * tr - tr2) / 2.0, c0=-det)
-    return cubic_roots(q)
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Unit norm with the largest entry rotated to the positive real axis."""
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot != 0:
-        v = v * (pivot.conjugate() / abs(pivot))
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 0 else v
+def _sorted_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix ordered by (Im, Re), near-equal Im counting as tied."""
+    lams = np.linalg.eigvals(stack)
+    lams = np.take_along_axis(lams, np.argsort(lams.imag, axis=-1), axis=-1)
+    tol = IMAG_TIE_RTOL * np.abs(lams).max(axis=-1, keepdims=True)
+    tier = np.cumsum(np.diff(lams.imag, axis=-1, prepend=lams.imag[:, :1]) > tol, axis=-1)
+    return np.take_along_axis(lams, np.lexsort((lams.real, tier), axis=-1), axis=-1)
 
 
 def _inverse_iteration(b: np.ndarray, scale: float) -> np.ndarray:
@@ -110,100 +102,113 @@ def _inverse_iteration(b: np.ndarray, scale: float) -> np.ndarray:
     return v
 
 
-def _null_vector(arr: np.ndarray, lam: complex) -> np.ndarray:
-    """Right eigenvector of arr at lam via explicit null-space formulas."""
-    n = arr.shape[0]
-    b = arr - lam * np.eye(n)
-    fro = float(np.linalg.norm(arr))
+def _null_vectors(arr: np.ndarray, lams: np.ndarray, fro: np.ndarray) -> np.ndarray:
+    """Phase-fixed unit right eigenvectors, shape (N, mode, component)."""
+    n = arr.shape[-1]
+    b = arr[:, None] - lams[..., None, None] * np.eye(n)
     if n == 2:
-        cands = [
-            np.array([b[0, 1], -b[0, 0]], dtype=complex),
-            np.array([b[1, 1], -b[1, 0]], dtype=complex),
-        ]
+        cands = np.stack([b[..., 1], -b[..., 0]], axis=-1)
     else:
-        cands = [
-            np.cross(b[i], b[j])
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        ]
-    norms = [float(np.linalg.norm(c)) for c in cands]
-    best = int(np.argmax(norms))
-    if norms[best] < CROSS_NORM_RTOL * fro**2:
-        return _fix_phase(_inverse_iteration(b, fro))
-    return _fix_phase(cands[best])
+        x, y = b[..., [0, 0, 1], :], b[..., [1, 2, 2], :]
+        fwd, bwd = [1, 2, 0], [2, 0, 1]
+        cands = x[..., fwd] * y[..., bwd] - x[..., bwd] * y[..., fwd]
+    norms = np.linalg.norm(cands, axis=-1)
+    best = norms.argmax(axis=-1)[..., None]
+    vecs = np.take_along_axis(cands, best[..., None], axis=-2)[..., 0, :]
+    small = np.take_along_axis(norms, best, axis=-1)[..., 0] < CROSS_NORM_RTOL * fro[:, None] ** 2
+    for row, mode in zip(*np.nonzero(small)):
+        vecs[row, mode] = _inverse_iteration(b[row, mode], fro[row])
+
+    # Unit norm with the largest entry rotated to the positive real axis.
+    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-1)[..., None], axis=-1)
+    mag = np.abs(pivot)
+    vecs = vecs * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0)
+    nrm = np.linalg.norm(vecs, axis=-1, keepdims=True)
+    return np.divide(vecs, nrm, out=vecs, where=nrm > 0)
 
 
-def _petermann_value(right, left):
-    """Petermann factor and underflow flag from one left/right pair."""
-    rvec = np.asarray(right, dtype=complex)
-    lvec = np.asarray(left, dtype=complex)
-    rr = float(np.vdot(rvec, rvec).real)
-    ll = float(np.vdot(lvec, lvec).real)
-    lr_sq = abs(np.vdot(lvec, rvec)) ** 2
-    if lr_sq < DIVERGENT_OVERLAP_RTOL * ll * rr:
-        if lr_sq == 0.0:
-            return math.inf, True
-        return float(ll * rr / lr_sq), True
-    return float(ll * rr / lr_sq), False
+def _petermann_values(right: np.ndarray, left: np.ndarray):
+    """Petermann factors and underflow flags of paired vectors (..., component)."""
+    rr = np.einsum("...i,...i->...", right.conj(), right).real
+    ll = np.einsum("...i,...i->...", left.conj(), left).real
+    lr_sq = np.abs(np.einsum("...i,...i->...", left.conj(), right)) ** 2
+    with np.errstate(divide="ignore"):
+        k = np.where(lr_sq == 0.0, np.inf, ll * rr / lr_sq)
+    return k, lr_sq < DIVERGENT_OVERLAP_RTOL * ll * rr
+
+
+def _eigensystems(arr: np.ndarray):
+    """Batched core: (lams, rights, lefts, petermann, divergent, defective).
+
+    Modes of each row are ordered as by _sorted_eigvals; vectors have shape
+    (N, mode, component), the rest (N, mode).  A mode is flagged defective
+    when its left/right pairing distance is anomalous or when another
+    eigenvalue sits within a relative gap of 1e-3, both signatures of a
+    nearby coalescence.
+    """
+    n_rows, n = arr.shape[:2]
+    rows = np.arange(n_rows)
+    adj = arr.conj().swapaxes(-1, -2)
+    both = _sorted_eigvals(np.concatenate([arr, adj]))
+    lams, mus = both[:n_rows], both[n_rows:]
+    fro = np.linalg.norm(arr, axis=(-2, -1))
+
+    # Pair each eigenvalue, in mode order, with the nearest unused conjugated adjoint eigenvalue.
+    dist = np.abs(mus.conj()[:, None, :] - lams[:, :, None])
+    pick = np.zeros((n_rows, n), dtype=int)
+    used = np.zeros((n_rows, n), dtype=bool)
+    for i in range(n):
+        pick[:, i] = np.where(used, np.inf, dist[:, i]).argmin(axis=-1)
+        used[rows, pick[:, i]] = True
+    match_dist = np.take_along_axis(dist, pick[..., None], axis=-1)[..., 0]
+
+    rights = _null_vectors(arr, lams, fro)
+    lefts = _null_vectors(adj, np.take_along_axis(mus, pick, axis=-1), fro)
+
+    gaps = np.abs(lams[:, :, None] - lams[:, None, :])
+    spread = gaps.max(axis=(-2, -1))
+    spread = np.where(spread > 0, spread, fro)
+    defective = match_dist > PAIRING_RTOL * spread[:, None]
+
+    # Near-degenerate pairs are defective even when the pairing is clean.
+    iu, ju = np.triu_indices(n, 1)
+    closest = gaps[:, iu, ju].argmin(axis=-1)
+    i, j = iu[closest], ju[closest]
+    scale = np.abs(lams).max(axis=-1)
+    near = (scale > 0) & (gaps[rows, i, j] < DEGENERACY_RTOL * scale)
+    defective[rows[near], i[near]] = True
+    defective[rows[near], j[near]] = True
+
+    k, underflow = _petermann_values(rights, lefts)
+    return lams, rights, lefts, k, underflow | defective, defective
 
 
 def petermann(mode: EigenMode) -> float:
     """Recompute the Petermann factor of a paired mode from its vectors."""
-    return _petermann_value(mode.right, mode.left)[0]
+    right = np.asarray(mode.right, dtype=complex)[None, None]
+    left = np.asarray(mode.left, dtype=complex)[None, None]
+    return float(_petermann_values(right, left)[0][0, 0])
 
 
 def eigensystem(m: DriftMatrix):
     """Full eigendecomposition with paired left/right vectors.
 
-    Modes come back ordered by eigenvalue (imaginary part, then real part).
-    A mode is flagged defective when its left/right pairing distance is
-    anomalous or when another eigenvalue sits within a relative gap of
-    1e-3, both signatures of a nearby coalescence.
+    Modes come back ordered by eigenvalue (imaginary part, then real part;
+    imaginary parts within 1e-9 max|lam| count as equal).  See _eigensystems
+    for the defective flag.
     """
-    arr = m.as_array()
-    adj = arr.conj().T
-    lams = _eigenvalues(arr)
-    mus = _eigenvalues(adj)
-
-    rights = [_null_vector(arr, lam) for lam in lams]
-
-    # Pair each eigenvalue with the nearest conjugated adjoint eigenvalue.
-    pool = list(range(len(mus)))
-    match_dist = []
-    lefts = []
-    for lam in lams:
-        j = min(pool, key=lambda k: abs(mus[k].conjugate() - lam))
-        pool.remove(j)
-        match_dist.append(abs(mus[j].conjugate() - lam))
-        lefts.append(_null_vector(adj, mus[j]))
-
-    spread = max(
-        (abs(a - b) for a in lams for b in lams), default=0.0
-    ) or float(np.linalg.norm(arr))
-    defective = [d > PAIRING_RTOL * spread for d in match_dist]
-
-    # Near-degenerate pairs are defective even when the pairing is clean.
-    scale = max(abs(lam) for lam in lams)
-    if scale > 0 and len(lams) > 1:
-        pairs = [(i, j) for i in range(len(lams)) for j in range(i + 1, len(lams))]
-        i, j = min(pairs, key=lambda ij: abs(lams[ij[0]] - lams[ij[1]]))
-        if abs(lams[i] - lams[j]) < DEGENERACY_RTOL * scale:
-            defective[i] = True
-            defective[j] = True
-
-    modes = []
-    for lam, rvec, lvec, dflag in zip(lams, rights, lefts, defective):
-        k, underflow = _petermann_value(rvec, lvec)
-        modes.append(
-            EigenMode(
-                lam=lam,
-                right=tuple(rvec),
-                left=tuple(lvec),
-                petermann=k,
-                divergent=underflow or dflag,
-                defective=dflag,
-            )
+    lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(m.as_array()[None]))
+    return [
+        EigenMode(
+            lam=complex(lams[i]),
+            right=tuple(rights[i]),
+            left=tuple(lefts[i]),
+            petermann=float(ks[i]),
+            divergent=bool(divergent[i]),
+            defective=bool(defective[i]),
         )
-    return modes
+        for i in range(len(lams))
+    ]
 
 
 def petermann_at(p: SystemParams, d: DriveParams):
@@ -211,70 +216,63 @@ def petermann_at(p: SystemParams, d: DriveParams):
     return tuple(mode.petermann for mode in eigensystem(drift_nonmarkovian(p, d)))
 
 
-def _match_order(prev, new):
-    """Permutation of new minimizing total distance to prev (branch tracking)."""
-    best = min(
-        permutations(range(len(new))),
-        key=lambda perm: sum(abs(new[perm[i]] - prev[i]) for i in range(len(prev))),
-    )
-    return best
+def _drift_stack(drift, p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
+    """drift(p, (delta, g)) for every g of the grid; the drift is linear in g."""
+    m0 = drift(p, DriveParams(delta=delta, g=0.0)).as_array()
+    dm = drift(p, DriveParams(delta=delta, g=1.0)).as_array() - m0
+    return m0 + gs[:, None, None] * dm
 
 
-def _modes_at(p: SystemParams, delta: float, g: float):
-    return eigensystem(drift_nonmarkovian(p, DriveParams(delta=delta, g=g)))
+def _continuity_order(lams: np.ndarray) -> np.ndarray:
+    """Per-row mode indices that continue each branch from the row before.
+
+    Every adjacent pair of raw rows gets the permutation minimizing the total
+    distance to the previous row; composing these along the grid orders each
+    row relative to its own raw layout (branch tracking).
+    """
+    perms = _PERMS[lams.shape[1]]
+    cost = np.abs(lams[1:, perms] - lams[:-1, None, :]).sum(axis=-1)
+    steps = perms[cost.argmin(axis=-1)]
+    return np.array(list(accumulate(steps, lambda order, step: step[order], initial=perms[0])))
 
 
-def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, threads: int):
-    gs = [float(g) for g in g_grid]
+def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool):
+    gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mode_lists = list(pool.map(lambda g: _modes_at(p, delta, g), gs))
-    else:
-        mode_lists = [_modes_at(p, delta, g) for g in gs]
-
-    rows = []
-    prev = None
-    prev_mk = None
-    for g, modes in zip(gs, mode_lists):
-        lams = [mode.lam for mode in modes]
-        if prev is not None:
-            order = _match_order(prev, lams)
-            modes = [modes[k] for k in order]
-            lams = [mode.lam for mode in modes]
-        prev = lams
-
-        mk_hz = None
-        if markovian_ref:
-            mk = list(_eigenvalues(drift_markovian(p, DriveParams(delta=delta, g=g)).as_array()))
-            if prev_mk is not None:
-                order = _match_order(prev_mk, mk)
-                mk = [mk[k] for k in order]
-            prev_mk = mk
-            mk_hz = tuple(rad_to_hz(lam) for lam in mk)
-
-        rows.append(
-            SweepRow(
-                coord_hz=rad_to_hz(g),
-                lambdas_hz=tuple(rad_to_hz(lam) for lam in lams),
-                petermann=tuple(mode.petermann for mode in modes),
-                divergent=tuple(mode.divergent for mode in modes),
-                markovian_hz=mk_hz,
-            )
+    if np.any(gs < 0):
+        raise ValueError("coupling g must be non-negative")
+    lams, _, _, ks, divergent, _ = _eigensystems(_drift_stack(drift_nonmarkovian, p, delta, gs))
+    order = _continuity_order(lams)
+    lams_hz = rad_to_hz(np.take_along_axis(lams, order, axis=-1)).tolist()
+    ks = np.take_along_axis(ks, order, axis=-1).tolist()
+    divergent = np.take_along_axis(divergent, order, axis=-1).tolist()
+    mk_hz = [None] * len(gs)
+    if markovian_ref:
+        mk = _sorted_eigvals(_drift_stack(drift_markovian, p, delta, gs))
+        mk = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
+        mk_hz = [tuple(row) for row in mk.tolist()]
+    return [
+        SweepRow(
+            coord_hz=g_hz,
+            lambdas_hz=tuple(lams_hz[i]),
+            petermann=tuple(ks[i]),
+            divergent=tuple(divergent[i]),
+            markovian_hz=mk_hz[i],
         )
-    return rows
+        for i, g_hz in enumerate(rad_to_hz(gs).tolist())
+    ]
 
 
-def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False, threads: int = 1):
+def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False):
     """Eigenvalue branches vs coupling at fixed detuning, continuity-matched.
 
     With markovian_ref, each row also carries the two eigenvalues of the
     memoryless two-mode block for side-by-side comparison.
     """
-    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref, threads=threads)
+    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref)
 
 
-def sweep_petermann(p: SystemParams, delta: float, g_grid, threads: int = 1):
+def sweep_petermann(p: SystemParams, delta: float, g_grid):
     """Petermann factors vs coupling at fixed detuning (same row layout)."""
-    return _sweep(p, delta, g_grid, markovian_ref=False, threads=threads)
+    return _sweep(p, delta, g_grid, markovian_ref=False)

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from eprenorm import ConfigError, DEFAULT_VALUES_HZ, load_config, rad_to_hz
-from eprenorm.cli import main
+from eprenorm.cli import MAX_GRID_POINTS, main
 
 
 def _write(tmp_path, text, name="params.ini"):
@@ -97,9 +98,7 @@ def test_cli_output_bytes_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["eigs", "--g-points", "25", "--markovian-ref"]
-    monkeypatch.delenv("EPRENORM_THREADS", raising=False)
     assert main(["--out", str(a)] + args) == 0
-    monkeypatch.setenv("EPRENORM_THREADS", "4")
     assert main(["--out", str(b)] + args) == 0
 
     def payload(path):
@@ -247,6 +246,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--quiet", "eigs", "--g-points", "3", "--delta-mode", "bogus"]) == 1
     overdamped = _write(tmp_path, "[cavity]\nkappa_hz = 1e3\n")
     assert main(["--config", overdamped, "--quiet", "ep"]) == 2
+
+
+def test_cli_grid_size_bound(capsys):
+    """Oversized grids are rejected at the boundary, before any allocation."""
+    huge = str(10**9)
+    t0 = time.perf_counter()
+    assert main(["--quiet", "eigs", "--g-points", huge]) == 1
+    assert main(["--quiet", "petermann", "--g-points", huge]) == 1
+    assert main(["--quiet", "spectrum", "--omega-points", huge]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert f"--g-points must be between 2 and {MAX_GRID_POINTS}" in err
+    assert f"--omega-points must be between 1 and {MAX_GRID_POINTS}" in err
 
 
 def test_cli_subprocess_entry():

@@ -1,6 +1,7 @@
 """Eigenvector pairing, Petermann factors, and coupling sweeps."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from eprenorm import (
     petermann_at,
     rad_to_hz,
     solve_exact_ep,
+    spectral,
     sweep_eigs,
     sweep_petermann,
 )
@@ -245,15 +247,134 @@ def test_petermann_peak_sharpens_under_refinement(params):
     assert peaks[-1] > 1e6
 
 
-def test_sweep_threads_deterministic(params):
+def _row_matches_pointwise(lams_hz, ks, divs, modes):
+    """Each pointwise mode has a row entry with the same eigenvalue, K and flag."""
+    assert len(lams_hz) == len(modes)
+    lams = [hz_to_rad(lam) for lam in lams_hz]
+    scale = max(abs(lam) for lam in lams)
+    unused = set(range(len(lams)))
+    for mode in modes:
+        k = min(unused, key=lambda idx: abs(lams[idx] - mode.lam))
+        unused.remove(k)
+        assert abs(lams[k] - mode.lam) <= 1e-12 * scale
+        assert divs[k] == mode.divergent
+        if mode.petermann < 1e4:
+            assert abs(ks[k] - mode.petermann) <= 1e-9 * mode.petermann
+
+
+def test_sweep_rows_match_pointwise_eigensystem(params):
+    """The batched sweep reproduces per-point eigensystem calls, the EP included."""
+    sol = solve_exact_ep(params)
+    grid = np.linspace(sol.g_ep - hz_to_rad(5e3), sol.g_ep + hz_to_rad(5e3), 41)
+    grid = np.sort(np.append(grid, sol.g_ep))
+    for delta in (-params.omega_m, sol.delta_ep):
+        pet = sweep_petermann(params, delta, grid)
+        eig = sweep_eigs(params, delta, grid, markovian_ref=True)
+        for g, row_p, row_e in zip(grid, pet, eig):
+            modes = eigensystem(drift_nonmarkovian(params, DriveParams(delta=delta, g=g)))
+            _row_matches_pointwise(row_p.lambdas_hz, row_p.petermann, row_p.divergent, modes)
+            _row_matches_pointwise(row_e.lambdas_hz, row_e.petermann, row_e.divergent, modes)
+            mk_modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=g)))
+            mk_rad = [hz_to_rad(lam) for lam in row_e.markovian_hz]
+            scale = max(abs(lam) for lam in mk_rad)
+            assert sorted(mk_rad, key=lambda z: (z.real, z.imag)) == pytest.approx(
+                sorted((m.lam for m in mk_modes), key=lambda z: (z.real, z.imag)),
+                rel=0, abs=1e-12 * scale,
+            )
+    assert any(any(row.divergent) for row in pet)
+
+
+def test_sweep_continuity_matches_rowwise_reference(params):
+    """Composed adjacent-row permutations equal greedy row-by-row tracking."""
+    grid = np.linspace(0.0, 2.0 * params.omega_m, 201)
+    delta = -params.omega_m * 1.01
+    rows = sweep_eigs(params, delta, grid, markovian_ref=True)
+    prev = prev_mk = None
+    for g, row in zip(grid, rows):
+        d = DriveParams(delta=delta, g=g)
+        for lams_hz, drift, last in (
+            (row.lambdas_hz, drift_nonmarkovian, prev),
+            (row.markovian_hz, drift_markovian, prev_mk),
+        ):
+            lams = [mode.lam for mode in eigensystem(drift(params, d))]
+            if last is not None:
+                lams = min(
+                    (list(perm) for perm in itertools.permutations(lams)),
+                    key=lambda perm: sum(abs(a - b) for a, b in zip(perm, last)),
+                )
+            got = [hz_to_rad(lam) for lam in lams_hz]
+            scale = max(abs(lam) for lam in lams)
+            assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, lams))
+            if drift is drift_nonmarkovian:
+                prev = lams
+            else:
+                prev_mk = lams
+    # the branches really do reorder along this grid
+    assert any(
+        sorted(range(3), key=lambda i: (row.lambdas_hz[i].imag, row.lambdas_hz[i].real)) != [0, 1, 2]
+        for row in rows
+    )
+
+
+def test_continuity_order_follows_crossing_branches():
+    """Branch 2 crosses branch 1 and then branch 0 in imaginary part; tracking
+    from imaginary-sorted rows must recover all three branches."""
+    t = np.linspace(0.0, 1.0, 61)
+    branches = np.stack([0.0 * t, 1.0 + 1j * np.ones_like(t), 2.0 + 1j * (2.0 - 3.0 * t)], axis=-1)
+    raw = np.take_along_axis(branches, np.argsort(branches.imag, axis=-1), axis=-1)
+    tracked = np.take_along_axis(raw, spectral._continuity_order(raw), axis=-1)
+    np.testing.assert_array_equal(tracked, branches)
+
+
+def test_two_mode_modes_ordered_by_real_part_below_ep(params):
+    """At delta = -omega_m below the EP both two-mode eigenvalues have
+    Im = -omega_m; the tie is broken by the real part, not by rounding."""
     mk = markovian_ep(params)
-    grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 25)
-    assert sweep_eigs(params, mk.delta_ep, grid, markovian_ref=True) == sweep_eigs(
-        params, mk.delta_ep, grid, markovian_ref=True, threads=4
-    )
-    assert sweep_petermann(params, mk.delta_ep, grid) == sweep_petermann(
-        params, mk.delta_ep, grid, threads=4
-    )
+    delta = -params.omega_m
+    for g_hz in (10e3, 30e3, 40e3, 45e3, 48e3):
+        modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=hz_to_rad(g_hz))))
+        assert modes[0].lam.real < modes[1].lam.real
+        grid = np.linspace(hz_to_rad(g_hz), mk.g_ep, 5)
+        first = sweep_eigs(params, delta, grid, markovian_ref=True)[0].markovian_hz
+        assert first[0].real < first[1].real
+
+
+def test_batched_fallback_rows_match_single_rows(params, monkeypatch):
+    """Rank-deficient rows (every cross product vanishes) take the inverse-
+    iteration fallback inside a batch without disturbing the regular rows."""
+    lam, mu = -1.0 + 2.0j, -3.0 + 0.5j
+    degenerate = np.diag([lam, lam, mu])
+    drift = [
+        drift_nonmarkovian(params, DriveParams(delta=-params.omega_m, g=g)).as_array()
+        for g in (0.0, hz_to_rad(30e3), hz_to_rad(49e3))
+    ]
+    stack = np.array([degenerate, drift[0], np.diag([mu, lam, lam]), drift[1], drift[2]])
+
+    calls = []
+    original = spectral._inverse_iteration
+
+    def counting(b, scale):
+        calls.append(b)
+        return original(b, scale)
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", counting)
+    lams, rights, lefts, ks, divs, defs = spectral._eigensystems(stack)
+    monkeypatch.undo()
+    assert len(calls) >= 4
+
+    for row, arr in enumerate(stack):
+        modes = eigensystem(DriftMatrix(dim=3, entries=tuple(tuple(r) for r in arr)))
+        fro = float(np.linalg.norm(arr))
+        for i, mode in enumerate(modes):
+            assert abs(lams[row, i] - mode.lam) <= 1e-14 * fro
+            assert np.allclose(rights[row, i], mode.right, rtol=0, atol=1e-12)
+            assert np.allclose(lefts[row, i], mode.left, rtol=0, atol=1e-12)
+            assert ks[row, i] == pytest.approx(mode.petermann, rel=1e-12)
+            assert (divs[row, i], defs[row, i]) == (mode.divergent, mode.defective)
+            for vec, mat, val in ((rights, arr, mode.lam), (lefts, arr.conj().T, np.conj(mode.lam))):
+                v = vec[row, i]
+                assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+                assert np.linalg.norm(mat @ v - val * v) < 1e-9 * fro
 
 
 def test_petermann_moderate_away_from_ep(params):
