@@ -145,6 +145,17 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: a number that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _resolve_delta(p: SystemParams, mode: str) -> float:
     """Detuning in rad/s for a --delta-mode token."""
     if mode == "markovian":
@@ -153,9 +164,9 @@ def _resolve_delta(p: SystemParams, mode: str) -> float:
         return solve_exact_ep(p).delta_ep
     if mode.startswith("value:"):
         try:
-            return hz_to_rad(float(mode[len("value:"):]) * 1e3)
-        except ValueError:
-            raise ConfigError(f"bad --delta-mode value: {mode!r}") from None
+            return hz_to_rad(_finite_float(mode[len("value:"):]) * 1e3)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"bad --delta-mode value {mode!r}: {exc}") from None
     raise ConfigError(f"unknown --delta-mode: {mode!r} (use markovian, exact or value:<kHz>)")
 
 
@@ -353,13 +364,9 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--omega-points must be between 1 and {MAX_GRID_POINTS}")
     if not args.omega_max > args.omega_min:
         raise ConfigError("--omega-max must exceed --omega-min")
-    omegas = [
-        hz_to_rad(k * 1e3)
-        for k in np.linspace(args.omega_min, args.omega_max, args.omega_points)
-    ]
+    omegas = hz_to_rad(np.linspace(args.omega_min, args.omega_max, args.omega_points) * 1e3)
 
     mk = markovian_ep(p)
-    mk_points = spectrum(p, mk.drive, omegas, markovian=True)
     mk_dip = dip_metrics(p, mk.drive, markovian=True)
     footer = [
         f"# dip.markovian.omega_min_khz = {_fmt(_khz(mk_dip.omega_min))}",
@@ -369,16 +376,15 @@ def cmd_spectrum(args) -> int:
     summary = {
         "dip_markovian": {"omega_min_khz": _khz(mk_dip.omega_min), "r_sq_min": mk_dip.r_sq_min}
     }
-    series = [mk_points]
+    series = [spectrum(p, mk.drive, omegas, markovian=True).r_sq]
 
     exact = None
     if not args.markovian_only:
         exact = solve_exact_ep(p)
-        nm_points = spectrum(p, exact.drive, omegas, markovian=False)
         nm_dip = dip_metrics(p, exact.drive, markovian=False)
         coop = cooperativity(p, exact.drive)
         columns.append("r_sq_nonmarkovian")
-        series.append(nm_points)
+        series.append(spectrum(p, exact.drive, omegas, markovian=False).r_sq)
         footer += [
             f"# dip.nonmarkovian.omega_min_khz = {_fmt(_khz(nm_dip.omega_min))}",
             f"# dip.nonmarkovian.r_sq_min = {_fmt(nm_dip.r_sq_min)}",
@@ -399,11 +405,7 @@ def cmd_spectrum(args) -> int:
     }
     manifest = _manifest(args, p, d, grid_meta)
 
-    data = []
-    for k, omega in enumerate(omegas):
-        cells = [_fmt(_khz(omega))]
-        cells += [_fmt(pts[k].r_sq) for pts in series]
-        data.append(cells)
+    data = [[_fmt(c) for c in cells] for cells in zip(_khz(omegas), *series)]
     if args.json:
         payload = {
             "columns": columns,
@@ -423,8 +425,9 @@ def cmd_embedcheck(args) -> int:
     dt = args.dt if args.dt is not None else 1.0 / (100.0 * p.omega_m)
     init_ab = (1.0, 1.0)
 
-    max_rel_err = compare_embeddings(p, d, init_ab, t_final, dt)
+    # The order check runs first: its up-front step bound covers the dt/4 run.
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final, dt)
+    max_rel_err = compare_embeddings(p, d, init_ab, t_final, dt)
     kernel_err = kernel_fourier_error(p)
     passed = max_rel_err <= MAX_REL_ERR_LIMIT
 
@@ -469,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep.set_defaults(func=cmd_ep)
 
     def add_g_flags(sp, delta_default):
-        sp.add_argument("--g-min", type=float, default=40.0, help="sweep start (kHz)")
-        sp.add_argument("--g-max", type=float, default=60.0, help="sweep end (kHz)")
+        sp.add_argument("--g-min", type=_finite_float, default=40.0, help="sweep start (kHz)")
+        sp.add_argument("--g-max", type=_finite_float, default=60.0, help="sweep end (kHz)")
         sp.add_argument("--g-points", type=int, default=401, help="grid size")
         sp.add_argument(
             "--delta-mode",
@@ -492,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     pet.set_defaults(func=cmd_petermann)
 
     spec = sub.add_parser("spectrum", help="reflection spectra and dip metrics")
-    spec.add_argument("--omega-min", type=float, default=900.0, help="probe start (kHz)")
-    spec.add_argument("--omega-max", type=float, default=1100.0, help="probe end (kHz)")
+    spec.add_argument("--omega-min", type=_finite_float, default=900.0, help="probe start (kHz)")
+    spec.add_argument("--omega-max", type=_finite_float, default=1100.0, help="probe end (kHz)")
     spec.add_argument("--omega-points", type=int, default=2001, help="grid size")
     spec.add_argument(
         "--markovian-only", action="store_true", help="emit only the memoryless curve"
@@ -501,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.set_defaults(func=cmd_spectrum)
 
     emb = sub.add_parser("embedcheck", help="memory-embedding cross-validation")
-    emb.add_argument("--t-final", type=float, default=None, help="integration horizon (s)")
-    emb.add_argument("--dt", type=float, default=None, help="integrator step (s)")
+    emb.add_argument("--t-final", type=_finite_float, default=None, help="integration horizon (s)")
+    emb.add_argument("--dt", type=_finite_float, default=None, help="integrator step (s)")
     emb.set_defaults(func=cmd_embedcheck)
     return parser
 

@@ -14,6 +14,7 @@ parameter set; unknown sections or keys are rejected rather than ignored.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 
 from .errors import ConfigError
@@ -50,6 +51,8 @@ def load_config(path: str | None = None):
                     raise ConfigError(
                         f"{path}: key {key} in [{section}] is not a number: {raw!r}"
                     ) from exc
+                if not math.isfinite(values[section][key]):
+                    raise ConfigError(f"{path}: key {key} in [{section}] must be finite: {raw!r}")
     try:
         p = SystemParams.from_hz(
             freq_hz=values["mechanics"]["freq_hz"],

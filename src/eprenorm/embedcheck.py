@@ -25,6 +25,9 @@ from .model import DriveParams, SystemParams, memory_kernel_smooth, spectral_den
 
 # Resolution requirement: at least 50 steps per fastest period/decay.
 MAX_DT_FRACTION = 1.0 / 50.0
+# Largest step count of one run (the dt/4 run of convergence_order included);
+# trajectories are allocated whole, 48 bytes per step.
+MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -47,58 +50,50 @@ class Trajectory:
             raise ValueError("one amplitude row per time sample")
 
 
-def _check_step(p: SystemParams, t_final: float, dt: float):
-    if t_final <= 0.0:
+def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
+    """Validate a fixed-step run and return its step count (at least 1)."""
+    if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
     if dt > limit:
         raise StepTooLarge(f"dt = {dt!r} exceeds resolution limit {limit!r}")
+    steps = t_final / dt
+    if not steps < MAX_STEPS + 0.5:
+        raise ValueError(f"t_final/dt = {steps:.6g} steps exceed the bound of {MAX_STEPS}"
+                         " (the order check runs at dt/4)")
+    return max(1, int(round(steps)))
 
 
-def _rk4(f, y0, n_steps: int, dt: float):
-    """Classical fixed-step 4th-order integration over tuples of complexes."""
-    half = dt / 2.0
-    sixth = dt / 6.0
-    y = y0
-    out = [y0]
-    for _ in range(n_steps):
-        k1 = f(y)
-        k2 = f(tuple(a + half * b for a, b in zip(y, k1)))
-        k3 = f(tuple(a + half * b for a, b in zip(y, k2)))
-        k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
-        y = tuple(
-            a + sixth * (b + 2.0 * c + 2.0 * d + e)
-            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        )
-        out.append(y)
-    return out
+def _rk4_propagate(arr, y0, n_steps: int, dt: float) -> Trajectory:
+    """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k.
 
-
-def _trajectory(states, n_steps: int, dt: float) -> Trajectory:
+    For a constant linear generator the four RK4 stages collapse exactly
+    into the stability polynomial P = sum_{j<=4} (h*arr)^j / j!, so P is
+    formed once (Horner form) and each step is one matrix-vector product.
+    """
+    ha = dt * np.array(arr, dtype=complex)
+    eye = np.eye(3)
+    prop = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    amps = np.empty((n_steps + 1, 3), dtype=complex)
+    amps[0] = y0
+    for k in range(n_steps):
+        np.dot(prop, amps[k], out=amps[k + 1])
     times = np.arange(n_steps + 1, dtype=float) * dt
-    return Trajectory(times=times, amps=np.array(states, dtype=complex))
+    return Trajectory(times=times, amps=amps)
 
 
 def integrate_pseudomode(
     p: SystemParams, d: DriveParams, init, t_final: float, dt: float
 ) -> Trajectory:
     """Integrate the three-mode system (a, b, c) from init with fixed-step RK4."""
-    _check_step(p, t_final, dt)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = _check_step(p, t_final, dt)
     ca = 1j * d.delta - p.kappa / 2.0
     cb = -(1j * p.omega_m + p.gamma / 2.0)
     ig = 1j * d.g
-    gc = p.g_c
-    oc = p.omega_c
-
-    def rhs(y):
-        a, b, c = y
-        return (ca * a - ig * b, -ig * a + cb * b - gc * c, -gc * b - oc * c)
-
-    y0 = (complex(init[0]), complex(init[1]), complex(init[2]))
-    return _trajectory(_rk4(rhs, y0, n_steps, dt), n_steps, dt)
+    arr = ((ca, -ig, 0.0), (-ig, cb, -p.g_c), (0.0, -p.g_c, -p.omega_c))
+    return _rk4_propagate(arr, (init[0], init[1], init[2]), n_steps, dt)
 
 
 def integrate_nonmarkovian(
@@ -109,20 +104,12 @@ def integrate_nonmarkovian(
     The returned third column is the accumulator u, which maps onto the
     auxiliary mode as c = -g_c * u.
     """
-    _check_step(p, t_final, dt)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = _check_step(p, t_final, dt)
     ca = 1j * d.delta - p.kappa / 2.0
     cb = -(1j * p.omega_m + p.gamma / 2.0)
     ig = 1j * d.g
-    mem = p.gamma * p.omega_c / 2.0
-    oc = p.omega_c
-
-    def rhs(y):
-        a, b, u = y
-        return (ca * a - ig * b, -ig * a + cb * b + mem * u, -oc * u + b)
-
-    y0 = (complex(init_ab[0]), complex(init_ab[1]), 0.0j)
-    return _trajectory(_rk4(rhs, y0, n_steps, dt), n_steps, dt)
+    arr = ((ca, -ig, 0.0), (-ig, cb, p.gamma * p.omega_c / 2.0), (0.0, 1.0, -p.omega_c))
+    return _rk4_propagate(arr, (init_ab[0], init_ab[1], 0.0), n_steps, dt)
 
 
 def compare_embeddings(
@@ -149,7 +136,9 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float, dt:
 
     Returns (order, ratio) with ratio = |y_dt - y_dt/2| / |y_dt/2 - y_dt/4|
     and order = log2(ratio); a clean 4th-order scheme gives ratio near 16.
+    The finest run is checked against MAX_STEPS before any run starts.
     """
+    _check_step(p, t_final, dt / 4.0)
     ends = [
         integrate_pseudomode(p, d, init, t_final, dt / k).amps[-1] for k in (1, 2, 4)
     ]

@@ -17,7 +17,8 @@ kept as separate fields so their agreement stays testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,21 +46,27 @@ class Susceptibilities:
 
 
 @dataclass(frozen=True)
-class SpectrumPoint:
-    """Reflection response at one probe frequency.
+class Spectrum:
+    """Reflection response over probe frequencies, one array entry per omega.
 
     r is the susceptibility-sum form and s_aa the D-form of the same
     amplitude; both are retained so the algebraic identity between them can
-    be checked downstream.  singular marks a probe frequency where the
+    be checked downstream.  singular marks probe frequencies where the
     common denominator vanished; amplitudes are NaN there.
     """
 
-    omega: float
-    r: complex
-    r_sq: float
-    s_aa: complex
-    s_axi: complex
-    singular: bool = False
+    omega: np.ndarray
+    r: np.ndarray
+    r_sq: np.ndarray
+    s_aa: np.ndarray
+    s_axi: np.ndarray
+    singular: np.ndarray
+
+    def __iter__(self):
+        """Rows in grid order, as named tuples with the field names above."""
+        names = [f.name for f in fields(self)]
+        row = namedtuple("SpectrumRow", names)
+        return map(row._make, zip(*(getattr(self, n).tolist() for n in names)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,8 @@ class Cooperativity:
     c_eff: float
 
 
-def susceptibilities(p: SystemParams, d: DriveParams, omega: float) -> Susceptibilities:
-    """Inverse susceptibilities and derived response quantities at omega."""
+def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
+    """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
     chi_a_inv = p.kappa / 2.0 - 1j * (omega + d.delta)
     chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
     chi_c_inv = p.omega_c - 1j * omega
@@ -95,47 +102,43 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega: float) -> Susceptib
     )
 
 
-def reflection(p: SystemParams, d: DriveParams, omega: float, markovian: bool = False) -> SpectrumPoint:
-    """Reflection amplitude of the one-sided cavity at one probe frequency.
+def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectrum:
+    """Reflection of the one-sided cavity, elementwise over real omega.
 
     With markovian set, the bare mechanical susceptibility replaces the
     bath-dressed one and the noise transfer reduces to the white-noise
-    amplitude sqrt(gamma).
+    amplitude sqrt(gamma).  Probe frequencies where |D| < 1e-12*kappa*omega_m
+    come back flagged singular, with NaN amplitudes.
     """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     s = susceptibilities(p, d, omega)
     chi_m_inv = s.chi_b_inv if markovian else s.chi_b_eff_inv
     eta = math.sqrt(p.gamma) if markovian else s.eta
     d_denom = s.chi_a_inv * chi_m_inv + d.g**2
-    if abs(d_denom) < 1e-12 * p.kappa * p.omega_m:
+    singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_aa = 1.0 - p.kappa * chi_m_inv / d_denom
+        r = np.where(chi_m_inv == 0, s_aa, 1.0 - p.kappa / (s.chi_a_inv + d.g**2 / chi_m_inv))
+        s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
+    nan = complex(math.nan, math.nan)
+    r, s_aa, s_axi = (np.where(singular, nan, v) for v in (r, s_aa, s_axi))
+    return Spectrum(omega, r, np.abs(r) ** 2, s_aa, s_axi, singular)
+
+
+def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = False) -> Spectrum:
+    """Reflection over a probe grid in one array pass; singular points come back flagged."""
+    return _reflect(p, d, omega_grid, markovian)
+
+
+def reflection(p: SystemParams, d: DriveParams, omega: float, markovian: bool = False) -> Spectrum:
+    """The one-point case of spectrum, holding Python scalars instead of arrays.
+
+    Raises SingularDenominator where the common denominator vanishes.
+    """
+    pt = _reflect(p, d, omega, markovian)
+    if pt.singular[0]:
         raise SingularDenominator(f"response denominator vanishes at omega = {omega!r}")
-    s_aa = 1.0 - p.kappa * chi_m_inv / d_denom
-    if chi_m_inv == 0:
-        r = s_aa
-    else:
-        r = 1.0 - p.kappa / (s.chi_a_inv + d.g**2 / chi_m_inv)
-    s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
-    return SpectrumPoint(omega=omega, r=r, r_sq=abs(r) ** 2, s_aa=s_aa, s_axi=s_axi)
-
-
-def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = False):
-    """Pointwise reflection over a probe grid; singular points come back flagged."""
-    nan = float("nan")
-    points = []
-    for omega in omega_grid:
-        try:
-            points.append(reflection(p, d, float(omega), markovian=markovian))
-        except SingularDenominator:
-            points.append(
-                SpectrumPoint(
-                    omega=float(omega),
-                    r=complex(nan, nan),
-                    r_sq=nan,
-                    s_aa=complex(nan, nan),
-                    s_axi=complex(nan, nan),
-                    singular=True,
-                )
-            )
-    return points
+    return Spectrum(*(getattr(pt, f.name).item() for f in fields(pt)))
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -175,13 +178,14 @@ def dip_metrics(p: SystemParams, d: DriveParams, markovian: bool = False) -> Dip
     if half_width == 0.0:
         return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq(p.omega_m))
     grid = np.linspace(p.omega_m - half_width, p.omega_m + half_width, DIP_COARSE_POINTS)
-    values = [r_sq(float(w)) for w in grid]
+    coarse = _reflect(p, d, grid, markovian)
+    values = np.where(coarse.singular, math.inf, coarse.r_sq)
     k = int(np.argmin(values))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
     omega_min, r_min = _golden_min(r_sq, lo, hi, DIP_XTOL_GAMMAS * p.gamma)
     if values[k] < r_min:
-        omega_min, r_min = float(grid[k]), values[k]
+        omega_min, r_min = float(grid[k]), float(values[k])
     return DipMetrics(omega_min=omega_min, r_sq_min=r_min)
 
 

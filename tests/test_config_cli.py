@@ -261,6 +261,64 @@ def test_cli_grid_size_bound(capsys):
     assert f"--omega-points must be between 1 and {MAX_GRID_POINTS}" in err
 
 
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "ini, argv",
+    [
+        ("[bath]\ncutoff_hz = inf\n", ["spectrum"]),
+        ("[mechanics]\ngamma_hz = inf\n", ["ep"]),
+        ("[drive]\ncoupling_hz = inf\n", ["ep"]),
+        ("[drive]\ncoupling_hz = inf\n", ["spectrum"]),
+        ("[drive]\ncoupling_hz = inf\n", ["embedcheck"]),
+        ("[cavity]\nkappa_hz = nan\n", ["ep"]),
+        ("[drive]\ndetuning_hz = -inf\n", ["petermann", "--g-points", "3"]),
+        (None, ["spectrum", "--omega-max", "inf"]),
+        (None, ["spectrum", "--omega-min", "nan"]),
+        (None, ["embedcheck", "--t-final", "inf"]),
+        (None, ["embedcheck", "--dt", "nan"]),
+        (None, ["eigs", "--g-max", "inf"]),
+        (None, ["eigs", "--g-points", "3", "--delta-mode", "value:-inf"]),
+    ],
+    ids=[
+        "cutoff_inf-spectrum",
+        "gamma_inf-ep",
+        "coupling_inf-ep",
+        "coupling_inf-spectrum",
+        "coupling_inf-embedcheck",
+        "kappa_nan-ep",
+        "detuning_neginf-petermann",
+        "omega_max_inf",
+        "omega_min_nan",
+        "t_final_inf",
+        "dt_nan",
+        "g_max_inf",
+        "delta_mode_value_neginf",
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, ini, argv):
+    """Non-finite config values and float flags exit 1 with a clear message."""
+    config = [] if ini is None else ["--config", _write(tmp_path, ini)]
+    assert _exit_code([*config, "--quiet", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+def test_cli_embedcheck_step_bound(capsys):
+    """A tiny --dt exits 1 at once, before anything is integrated."""
+    t0 = time.perf_counter()
+    assert main(["--quiet", "embedcheck", "--dt", "1e-15"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert "steps" in capsys.readouterr().err
+
+
 def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "eprenorm", "--quiet", "ep"],

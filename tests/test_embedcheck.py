@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eprenorm import embedcheck
 from eprenorm import (
     DriveParams,
     StepTooLarge,
@@ -31,6 +32,83 @@ def _propagated(arr, y0, times):
     w, v = np.linalg.eig(arr)
     coef = np.linalg.solve(v, np.asarray(y0, dtype=complex))
     return np.array([v @ (np.exp(w * t) * coef) for t in times])
+
+
+def _rk4_stagewise(rhs, y0, n_steps, dt):
+    """Reference: classical four-stage RK4 over tuples of complexes."""
+    y = tuple(complex(v) for v in y0)
+    out = [y]
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(tuple(a + dt / 2.0 * b for a, b in zip(y, k1)))
+        k3 = rhs(tuple(a + dt / 2.0 * b for a, b in zip(y, k2)))
+        k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
+        y = tuple(
+            a + dt / 6.0 * (b + 2.0 * c + 2.0 * d + e)
+            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+        )
+        out.append(y)
+    return np.array(out)
+
+
+def test_propagator_matches_stagewise_rk4(params, drive):
+    """Both integrators reproduce stage-wise RK4 over the whole trajectory.
+
+    The propagator changes only the rounding order, so the relative
+    deviation stays at accumulated round-off, far below 1e-12.
+    """
+    dt = _default_dt(params)
+    t_final = 10.0 / params.kappa
+    n_steps = int(round(t_final / dt))
+    ca = 1j * drive.delta - params.kappa / 2.0
+    cb = -(1j * params.omega_m + params.gamma / 2.0)
+    ig = 1j * drive.g
+    gc = params.g_c
+    oc = params.omega_c
+    mem = params.gamma * params.omega_c / 2.0
+
+    def rhs_pseudomode(y):
+        a, b, c = y
+        return (ca * a - ig * b, -ig * a + cb * b - gc * c, -gc * b - oc * c)
+
+    def rhs_accumulator(y):
+        a, b, u = y
+        return (ca * a - ig * b, -ig * a + cb * b + mem * u, -oc * u + b)
+
+    cases = [
+        (integrate_pseudomode(params, drive, (1.0, 0.5 - 0.5j, 0.25j), t_final, dt),
+         _rk4_stagewise(rhs_pseudomode, (1.0, 0.5 - 0.5j, 0.25j), n_steps, dt)),
+        (integrate_nonmarkovian(params, drive, (1.0, 0.5 - 0.5j), t_final, dt),
+         _rk4_stagewise(rhs_accumulator, (1.0, 0.5 - 0.5j, 0.0), n_steps, dt)),
+    ]
+    for traj, ref in cases:
+        assert traj.amps.shape == ref.shape == (n_steps + 1, 3)
+        scale = float(np.max(np.linalg.norm(ref, axis=1)))
+        err = float(np.max(np.linalg.norm(traj.amps - ref, axis=1)))
+        assert err <= 1e-12 * scale
+
+
+def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch):
+    """Runs over MAX_STEPS fail before any trajectory is allocated; the
+    dt/4 run of convergence_order counts toward the bound."""
+
+    def no_integration(*args):
+        raise AssertionError("integration started despite the step bound")
+
+    dt = _default_dt(params)
+    too_long = (embedcheck.MAX_STEPS + 1) * dt
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", no_integration)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_pseudomode(params, drive, (1.0, 0.0, 0.0), too_long, dt)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_nonmarkovian(params, drive, (1.0, 0.0), math.inf, dt)
+    with pytest.raises(ValueError, match="steps"):
+        compare_embeddings(params, drive, (1.0, 0.0), too_long, dt)
+
+    monkeypatch.setattr(embedcheck, "integrate_pseudomode", no_integration)
+    coarse_ok = (embedcheck.MAX_STEPS // 4 + 1) * dt
+    with pytest.raises(ValueError, match="steps"):
+        convergence_order(params, drive, (1.0, 0.0, 0.0), coarse_ok, dt)
 
 
 def test_zero_initial_state_stays_zero(params, drive):

@@ -111,10 +111,49 @@ def test_spectrum_flags_singular_rows(params):
     p0 = dataclasses.replace(params, gamma=0.0)
     d0 = DriveParams(delta=-params.omega_m, g=0.0)
     grid = [params.omega_m - params.kappa, params.omega_m, params.omega_m + params.kappa]
-    pts = spectrum(p0, d0, grid, markovian=True)
-    assert [pt.singular for pt in pts] == [False, True, False]
-    assert math.isnan(pts[1].r_sq)
-    assert not math.isnan(pts[0].r_sq) and not math.isnan(pts[2].r_sq)
+    spec = spectrum(p0, d0, grid, markovian=True)
+    assert spec.singular.tolist() == [False, True, False]
+    assert math.isnan(spec.r_sq[1])
+    assert not math.isnan(spec.r_sq[0]) and not math.isnan(spec.r_sq[2])
+
+
+def test_spectrum_arrays_match_pointwise_reflection():
+    """Each Spectrum entry equals the scalar one-point evaluation, and the
+    singular mask is exactly the set where scalar reflection raises."""
+    rng = np.random.default_rng(4011)
+    cases = []
+    for _ in range(6):
+        p = draw_system(rng)
+        cases += [
+            (p, draw_drive(rng, p), False),
+            (p, solve_exact_ep(p).drive, False),
+            (p, markovian_ep(p).drive, True),
+        ]
+        # memoryless and uncoupled: D = 0 at omega_m, and one ulp above it
+        # |D| is below the singular threshold without being zero
+        p0 = dataclasses.replace(p, gamma=0.0)
+        cases.append((p0, DriveParams(delta=-p.omega_m, g=0.0), True))
+    n_singular = 0
+    for p, d, markov in cases:
+        grid = np.linspace(0.5 * p.omega_m, 1.5 * p.omega_m, 40)
+        grid = np.append(grid, [p.omega_m, np.nextafter(p.omega_m, np.inf)])
+        spec = spectrum(p, d, grid, markovian=markov)
+        assert spec.omega.tolist() == grid.tolist()
+        for k, w in enumerate(grid):
+            try:
+                pt = reflection(p, d, float(w), markovian=markov)
+            except SingularDenominator:
+                assert spec.singular[k]
+                assert np.isnan(spec.r[k]) and np.isnan(spec.r_sq[k])
+                n_singular += 1
+                continue
+            assert not spec.singular[k]
+            for name in ("r", "s_aa", "s_axi"):
+                want = getattr(pt, name)
+                got = getattr(spec, name)[k]
+                assert abs(got - want) <= 4e-16 * max(1.0, abs(want))
+            assert spec.r_sq[k] == pytest.approx(pt.r_sq, rel=1e-15, abs=1e-15)
+    assert n_singular == 12
 
 
 def test_reflection_unit_magnitude_without_coupling(params):
@@ -130,8 +169,8 @@ def test_spectrum_single_dip_and_depths(params):
     sol = solve_exact_ep(params)
     mk = markovian_ep(params)
     grid = hz_to_rad(np.linspace(900e3, 1100e3, 2001))
-    pts = spectrum(params, sol.drive, grid)
-    vals = [pt.r_sq for pt in pts]
+    spec = spectrum(params, sol.drive, grid)
+    vals = spec.r_sq
     minima = [
         i
         for i in range(1, len(vals) - 1)
@@ -143,7 +182,7 @@ def test_spectrum_single_dip_and_depths(params):
     dip_nm = dip_metrics(params, sol.drive)
     dip_mk = dip_metrics(params, mk.drive, markovian=True)
     assert dip_mk.r_sq_min < dip_nm.r_sq_min
-    assert max(abs(pt.r - pt.s_aa) for pt in pts) < 1e-12
+    assert np.max(np.abs(spec.r - spec.s_aa)) < 1e-12
 
 
 def test_dip_metrics_values(params):
