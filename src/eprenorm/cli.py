@@ -7,13 +7,17 @@ branches vs coupling), petermann (mode-nonorthogonality sweep), spectrum
 
 All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
-timestamp honors SOURCE_DATE_EPOCH.  Exit codes: 0 success, 1 invalid
-configuration or arguments, 2 solver failure, 3 failed numerical check.
+timestamp honors SOURCE_DATE_EPOCH.  Every artifact goes through _emit, and
+JSON is laid out exactly as json.dumps(doc, indent=2, sort_keys=True).
+main(argv) may be called repeatedly in one process; the parser is built on
+the first call and reused.  Exit codes: 0 success, 1 invalid configuration
+or arguments, 2 solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -91,7 +96,7 @@ class RunManifest:
             f"# timestamp = {self.timestamp}",
             f"# out = {self.out_path or '-'}",
         ]
-        lines += [f"# {key} = {_fmt(value)}" for key, value in sorted(self.params_hz.items())]
+        lines += [f"# {key} = {value:.12g}" for key, value in sorted(self.params_hz.items())]
         lines += [f"# grid.{key} = {value}" for key, value in sorted(self.grid.items())]
         return lines
 
@@ -104,20 +109,6 @@ class RunManifest:
             "version": self.version,
             "timestamp": self.timestamp,
         }
-
-
-def _fmt(value) -> str:
-    return format(float(value), ".12g")
-
-
-def _fmt17(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def _timestamp() -> str:
@@ -137,7 +128,52 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> RunManifest:
     )
 
 
-def _emit(args, text: str):
+def _json_rows(cells, width: int) -> str:
+    """The "rows" value of an indent=2 document, from row-major cell texts.
+
+    Each cell becomes float(text); the C encoder writes them all as
+    [[a, b], [c, d]], whose item separators are then re-laid as the indented
+    layout at nesting level 1.  Cells are numbers only, so ", " and "], ["
+    occur nowhere else, and non-finite values become null.
+    """
+    flat = json.dumps(list(zip(*[iter(map(float, cells))] * width)))
+    if flat == "[]":
+        return flat
+    flat = flat.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+    body = flat[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+    return f"[\n    [\n      {body}\n    ]\n  ]"
+
+
+def _emit(args, manifest: RunManifest, columns=None, data=None, footer=(), summary=None):
+    """Write one artifact to --out or stdout (nothing with --quiet).
+
+    Text: the manifest comment block; with columns, a CSV header and one
+    line per row of the (rows, columns) array data; then the footer lines.
+    JSON: {"manifest", "columns", "rows", **summary}, byte for byte
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n".  Each table cell is
+    printed once as format(x, ".12g"); its JSON value is float() of that
+    text, null if not finite.
+    """
+    if columns is not None:
+        flat = np.asarray(data, dtype=float).ravel().tolist()
+        cells = list(map(format, flat, repeat(".12g")))
+    if args.json:
+        doc = {"manifest": manifest.to_dict(), **(summary or {})}
+        if columns is not None:
+            doc["columns"] = list(columns)
+        parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+                 for key, value in doc.items()}
+        if columns is not None:
+            parts["rows"] = _json_rows(cells, len(columns))
+        text = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
+        text = f"{{\n{text}\n}}\n"
+    else:
+        lines = manifest.comment_lines()
+        if columns is not None:
+            lines.append(",".join(columns))
+            lines += map(",".join, zip(*[iter(cells)] * len(columns)))
+        lines += footer
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -170,27 +206,9 @@ def _resolve_delta(p: SystemParams, mode: str) -> float:
     raise ConfigError(f"unknown --delta-mode: {mode!r} (use markovian, exact or value:<kHz>)")
 
 
-def _khz(value_rad: float) -> float:
+def _khz(value_rad):
+    """kHz of an angular frequency (scalar or array)."""
     return rad_to_hz(value_rad) / 1e3
-
-
-def _csv(manifest: RunManifest, columns, rows, footer=()):
-    lines = manifest.comment_lines()
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(row))
-    lines += footer
-    return "\n".join(lines) + "\n"
-
-
-def _json_doc(manifest: RunManifest, payload: dict) -> str:
-    return json.dumps({"manifest": manifest.to_dict(), **payload}, indent=2, sort_keys=True) + "\n"
-
-
-def _kv_report(manifest: RunManifest, pairs) -> str:
-    lines = manifest.comment_lines()
-    lines += [f"{key} = {value}" for key, value in pairs]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_ep(args) -> int:
@@ -202,48 +220,47 @@ def cmd_ep(args) -> int:
     cert = certify_order_two(p, exact)
     manifest = _manifest(args, p, d, grid={})
 
-    table = [
-        ("markovian_delta_khz", _khz(mk.delta_ep)),
-        ("markovian_g_khz", _khz(mk.g_ep)),
-        ("perturbative_delta_khz", _khz(pert.delta_ep)),
-        ("perturbative_g_khz", _khz(pert.g_ep)),
-        ("shift_delta_khz", _khz(pert.delta_ep - mk.delta_ep)),
-        ("shift_g_khz", _khz(pert.g_ep - mk.g_ep)),
-        ("exact_delta_khz", _khz(exact.delta_ep)),
-        ("exact_g_khz", _khz(exact.g_ep)),
-        ("lambda_ep_re_khz", _khz(exact.lambda_ep.real)),
-        ("lambda_ep_im_khz", _khz(exact.lambda_ep.imag)),
-        ("lambda_3_re_khz", _khz(exact.lambda_3.real)),
-        ("lambda_3_im_khz", _khz(exact.lambda_3.imag)),
-        ("residual_p", exact.residual_p),
-        ("residual_dp", exact.residual_dp),
-        ("second_deriv_mag", exact.second_deriv_mag),
-        ("certificate_p_mag", cert.p_mag),
-        ("certificate_dp_mag", cert.dp_mag),
-        ("certificate_ddp_mag", cert.ddp_mag),
-    ]
-    if args.json:
-        _emit(args, _json_doc(manifest, {"ep": {key: value for key, value in table}}))
-    else:
-        _emit(args, _kv_report(manifest, [(key, _fmt17(value)) for key, value in table]))
+    table = {
+        "markovian_delta_khz": _khz(mk.delta_ep),
+        "markovian_g_khz": _khz(mk.g_ep),
+        "perturbative_delta_khz": _khz(pert.delta_ep),
+        "perturbative_g_khz": _khz(pert.g_ep),
+        "shift_delta_khz": _khz(pert.delta_ep - mk.delta_ep),
+        "shift_g_khz": _khz(pert.g_ep - mk.g_ep),
+        "exact_delta_khz": _khz(exact.delta_ep),
+        "exact_g_khz": _khz(exact.g_ep),
+        "lambda_ep_re_khz": _khz(exact.lambda_ep.real),
+        "lambda_ep_im_khz": _khz(exact.lambda_ep.imag),
+        "lambda_3_re_khz": _khz(exact.lambda_3.real),
+        "lambda_3_im_khz": _khz(exact.lambda_3.imag),
+        "residual_p": exact.residual_p,
+        "residual_dp": exact.residual_dp,
+        "second_deriv_mag": exact.second_deriv_mag,
+        "certificate_p_mag": cert.p_mag,
+        "certificate_dp_mag": cert.dp_mag,
+        "certificate_ddp_mag": cert.ddp_mag,
+    }
+    footer = [f"{key} = {value:.17g}" for key, value in table.items()]
+    _emit(args, manifest, footer=footer, summary={"ep": table})
     return EXIT_OK
 
 
 def _g_grid(args):
+    """Coupling grid of a sweep: (rad/s array, kHz column)."""
     if not 2 <= args.g_points <= MAX_GRID_POINTS:
         raise ConfigError(f"--g-points must be between 2 and {MAX_GRID_POINTS}")
     if not args.g_max > args.g_min:
         raise ConfigError("--g-max must exceed --g-min")
     if args.g_min < 0:
         raise ConfigError("--g-min must be non-negative")
-    khz = np.linspace(args.g_min, args.g_max, args.g_points)
-    return khz, [hz_to_rad(k * 1e3) for k in khz]
+    grid_rad = hz_to_rad(np.linspace(args.g_min, args.g_max, args.g_points) * 1e3)
+    return grid_rad, _khz(grid_rad)
 
 
 def cmd_eigs(args) -> int:
     """Continuity-matched eigenvalue branches versus coupling."""
     p, d = load_config(args.config)
-    _, grid_rad = _g_grid(args)
+    grid_rad, g_khz = _g_grid(args)
     delta = _resolve_delta(p, args.delta_mode)
     rows = sweep_eigs(p, delta, grid_rad, markovian_ref=args.markovian_ref)
     grid_meta = {
@@ -251,27 +268,17 @@ def cmd_eigs(args) -> int:
         "g_max_khz": args.g_max,
         "g_points": args.g_points,
         "delta_mode": args.delta_mode,
-        "delta_khz": _fmt(_khz(delta)),
+        "delta_khz": f"{_khz(delta):.12g}",
     }
     manifest = _manifest(args, p, d, grid_meta)
 
     columns = ["g_khz", "re_l1_khz", "re_l2_khz", "re_l3_khz", "im_l1_khz", "im_l2_khz", "im_l3_khz"]
+    lams = [np.array([row.lambdas_hz for row in rows])]
     if args.markovian_ref:
         columns += ["mk_re_l1_khz", "mk_re_l2_khz", "mk_im_l1_khz", "mk_im_l2_khz"]
-    data = []
-    for row in rows:
-        cells = [row.coord_hz / 1e3]
-        cells += [lam.real / 1e3 for lam in row.lambdas_hz]
-        cells += [lam.imag / 1e3 for lam in row.lambdas_hz]
-        if args.markovian_ref:
-            cells += [lam.real / 1e3 for lam in row.markovian_hz]
-            cells += [lam.imag / 1e3 for lam in row.markovian_hz]
-        data.append([_fmt(c) for c in cells])
-    if args.json:
-        payload = {"columns": columns, "rows": [[float(c) for c in row] for row in data]}
-        _emit(args, _json_doc(manifest, payload))
-    else:
-        _emit(args, _csv(manifest, columns, data))
+        lams.append(np.array([row.markovian_hz for row in rows]))
+    parts = [part for lam in lams for part in (lam.real / 1e3, lam.imag / 1e3)]
+    _emit(args, manifest, columns, np.column_stack([g_khz, *parts]))
     return EXIT_OK
 
 
@@ -292,30 +299,12 @@ def _branch_roles(row, omega_c_hz: float):
 def cmd_petermann(args) -> int:
     """Petermann factors of the three branches versus coupling."""
     p, d = load_config(args.config)
-    _, grid_rad = _g_grid(args)
+    grid_rad, g_khz = _g_grid(args)
     if args.delta_mode == "both":
         calibrations = [("markovian", -p.omega_m), ("exact", solve_exact_ep(p).delta_ep)]
     else:
         calibrations = [(args.delta_mode, _resolve_delta(p, args.delta_mode))]
     omega_c_hz = rad_to_hz(p.omega_c)
-
-    columns = ["g_khz"]
-    per_cal_rows = []
-    deltas = {}
-    for label, delta in calibrations:
-        rows = sweep_petermann(p, delta, grid_rad)
-        suffix = "" if len(calibrations) == 1 else f"_{label.split(':')[0]}"
-        columns += [
-            f"k_plus{suffix}",
-            f"k_minus{suffix}",
-            f"k_3{suffix}",
-            f"div_plus{suffix}",
-            f"div_minus{suffix}",
-            f"div_3{suffix}",
-        ]
-        roles = _branch_roles(rows[0], omega_c_hz)
-        per_cal_rows.append((rows, roles))
-        deltas[label] = delta
 
     grid_meta = {
         "g_min_khz": args.g_min,
@@ -323,32 +312,22 @@ def cmd_petermann(args) -> int:
         "g_points": args.g_points,
         "delta_mode": args.delta_mode,
     }
-    for label, delta in deltas.items():
-        grid_meta[f"delta_khz.{label.split(':')[0]}"] = _fmt(_khz(delta))
+    columns = ["g_khz"]
+    blocks = [g_khz[:, None]]
+    for label, delta in calibrations:
+        rows = sweep_petermann(p, delta, grid_rad)
+        name = label.split(":")[0]
+        suffix = "" if len(calibrations) == 1 else f"_{name}"
+        columns += [
+            f"{col}{suffix}"
+            for col in ("k_plus", "k_minus", "k_3", "div_plus", "div_minus", "div_3")
+        ]
+        roles = list(_branch_roles(rows[0], omega_c_hz))
+        blocks.append(np.array([row.petermann for row in rows])[:, roles])
+        blocks.append(np.array([row.divergent for row in rows], dtype=float)[:, roles])
+        grid_meta[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
     manifest = _manifest(args, p, d, grid_meta)
-
-    data = []
-    for kik, _g in enumerate(grid_rad):
-        cells = [_fmt(rad_to_hz(_g) / 1e3)]
-        for rows, (i_plus, i_minus, i_pseudo) in per_cal_rows:
-            row = rows[kik]
-            cells += [
-                _fmt(row.petermann[i_plus]),
-                _fmt(row.petermann[i_minus]),
-                _fmt(row.petermann[i_pseudo]),
-                str(int(row.divergent[i_plus])),
-                str(int(row.divergent[i_minus])),
-                str(int(row.divergent[i_pseudo])),
-            ]
-        data.append(cells)
-    if args.json:
-        payload = {
-            "columns": columns,
-            "rows": [[_json_safe(float(c)) for c in row] for row in data],
-        }
-        _emit(args, _json_doc(manifest, payload))
-    else:
-        _emit(args, _csv(manifest, columns, data))
+    _emit(args, manifest, columns, np.hstack(blocks))
     return EXIT_OK
 
 
@@ -368,34 +347,29 @@ def cmd_spectrum(args) -> int:
 
     mk = markovian_ep(p)
     mk_dip = dip_metrics(p, mk.drive, markovian=True)
-    footer = [
-        f"# dip.markovian.omega_min_khz = {_fmt(_khz(mk_dip.omega_min))}",
-        f"# dip.markovian.r_sq_min = {_fmt(mk_dip.r_sq_min)}",
-    ]
     columns = ["omega_khz", "r_sq_markovian"]
     summary = {
         "dip_markovian": {"omega_min_khz": _khz(mk_dip.omega_min), "r_sq_min": mk_dip.r_sq_min}
     }
-    series = [spectrum(p, mk.drive, omegas, markovian=True).r_sq]
+    series = [_khz(omegas), spectrum(p, mk.drive, omegas, markovian=True).r_sq]
 
-    exact = None
     if not args.markovian_only:
         exact = solve_exact_ep(p)
         nm_dip = dip_metrics(p, exact.drive, markovian=False)
         coop = cooperativity(p, exact.drive)
         columns.append("r_sq_nonmarkovian")
         series.append(spectrum(p, exact.drive, omegas, markovian=False).r_sq)
-        footer += [
-            f"# dip.nonmarkovian.omega_min_khz = {_fmt(_khz(nm_dip.omega_min))}",
-            f"# dip.nonmarkovian.r_sq_min = {_fmt(nm_dip.r_sq_min)}",
-            f"# cooperativity.c = {_fmt(coop.c)}",
-            f"# cooperativity.c_eff = {_fmt(coop.c_eff)}",
-        ]
         summary["dip_nonmarkovian"] = {
             "omega_min_khz": _khz(nm_dip.omega_min),
             "r_sq_min": nm_dip.r_sq_min,
         }
         summary["cooperativity"] = {"c": coop.c, "c_eff": coop.c_eff}
+    # The CSV footer repeats the summary with dotted keys (dip_markovian -> dip.markovian).
+    footer = [
+        f"# {key.replace('_', '.', 1)}.{name} = {value:.12g}"
+        for key, block in summary.items()
+        for name, value in block.items()
+    ]
 
     grid_meta = {
         "omega_min_khz": args.omega_min,
@@ -404,17 +378,7 @@ def cmd_spectrum(args) -> int:
         "markovian_only": int(args.markovian_only),
     }
     manifest = _manifest(args, p, d, grid_meta)
-
-    data = [[_fmt(c) for c in cells] for cells in zip(_khz(omegas), *series)]
-    if args.json:
-        payload = {
-            "columns": columns,
-            "rows": [[_json_safe(float(c)) for c in row] for row in data],
-            "summary": summary,
-        }
-        _emit(args, _json_doc(manifest, payload))
-    else:
-        _emit(args, _csv(manifest, columns, data, footer=footer))
+    _emit(args, manifest, columns, np.column_stack(series), footer, {"summary": summary})
     return EXIT_OK
 
 
@@ -429,31 +393,25 @@ def cmd_embedcheck(args) -> int:
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final, dt)
     max_rel_err = compare_embeddings(p, d, init_ab, t_final, dt)
     kernel_err = kernel_fourier_error(p)
-    passed = max_rel_err <= MAX_REL_ERR_LIMIT
+    status = "PASS" if max_rel_err <= MAX_REL_ERR_LIMIT else "FAIL"
 
-    grid_meta = {"t_final_s": _fmt(t_final), "dt_s": _fmt(dt)}
-    manifest = _manifest(args, p, d, grid_meta)
-    pairs = [
-        ("max_rel_err", _fmt17(max_rel_err)),
-        ("order_estimate", _fmt(order)),
-        ("order_ratio", _fmt(ratio)),
-        ("kernel_fourier_err", _fmt17(kernel_err)),
-        ("status", "PASS" if passed else "FAIL"),
+    manifest = _manifest(args, p, d, {"t_final_s": f"{t_final:.12g}", "dt_s": f"{dt:.12g}"})
+    footer = [
+        f"max_rel_err = {max_rel_err:.17g}",
+        f"order_estimate = {order:.12g}",
+        f"order_ratio = {ratio:.12g}",
+        f"kernel_fourier_err = {kernel_err:.17g}",
+        f"status = {status}",
     ]
-    if args.json:
-        payload = {
-            "embedcheck": {
-                "max_rel_err": max_rel_err,
-                "order_estimate": _json_safe(order),
-                "order_ratio": _json_safe(ratio),
-                "kernel_fourier_err": kernel_err,
-                "status": "PASS" if passed else "FAIL",
-            }
-        }
-        _emit(args, _json_doc(manifest, payload))
-    else:
-        _emit(args, _kv_report(manifest, pairs))
-    return EXIT_OK if passed else EXIT_CHECK
+    report = {
+        "max_rel_err": max_rel_err,
+        "order_estimate": order if math.isfinite(order) else None,
+        "order_ratio": ratio if math.isfinite(ratio) else None,
+        "kernel_fourier_err": kernel_err,
+        "status": status,
+    }
+    _emit(args, manifest, footer=footer, summary={"embedcheck": report})
+    return EXIT_OK if status == "PASS" else EXIT_CHECK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ep = sub.add_parser("ep", help="exceptional-point coordinate table")
-    ep.set_defaults(func=cmd_ep)
+    sub.add_parser("ep", help="exceptional-point coordinate table")
 
     def add_g_flags(sp, delta_default):
         sp.add_argument("--g-min", type=_finite_float, default=40.0, help="sweep start (kHz)")
@@ -488,11 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the two-mode reference eigenvalues",
     )
-    eigs.set_defaults(func=cmd_eigs)
 
     pet = sub.add_parser("petermann", help="Petermann factors vs coupling")
     add_g_flags(pet, "exact")
-    pet.set_defaults(func=cmd_petermann)
 
     spec = sub.add_parser("spectrum", help="reflection spectra and dip metrics")
     spec.add_argument("--omega-min", type=_finite_float, default=900.0, help="probe start (kHz)")
@@ -501,20 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument(
         "--markovian-only", action="store_true", help="emit only the memoryless curve"
     )
-    spec.set_defaults(func=cmd_spectrum)
 
     emb = sub.add_parser("embedcheck", help="memory-embedding cross-validation")
     emb.add_argument("--t-final", type=_finite_float, default=None, help="integration horizon (s)")
     emb.add_argument("--dt", type=_finite_float, default=None, help="integrator step (s)")
-    emb.set_defaults(func=cmd_embedcheck)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main() reuses: built on its first call, never changed after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # Looked up per call, so a rebinding of cli.cmd_* (tracing, tests) takes effect.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, StepTooLarge, ValueError) as exc:
         sys.stderr.write(f"eprenorm: error: {exc}\n")
         return EXIT_USAGE

@@ -90,6 +90,14 @@ class OrderCertificate:
     ddp_mag: float
 
 
+def _require_markovian_ep(p: SystemParams) -> None:
+    """Raise NoMarkovianEp unless kappa > gamma (both EP solvers start from that EP)."""
+    if p.kappa <= p.gamma:
+        raise NoMarkovianEp(
+            f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
+        )
+
+
 def markovian_ep(p: SystemParams) -> EpSolution:
     """Closed-form exceptional point of the memoryless two-mode block.
 
@@ -97,10 +105,7 @@ def markovian_ep(p: SystemParams) -> EpSolution:
     (lam + kappa/2 - i*delta)(lam + gamma/2 + i*omega_m) + G^2, whose double
     root the returned lambda_ep is.
     """
-    if p.kappa <= p.gamma:
-        raise NoMarkovianEp(
-            f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
-        )
+    _require_markovian_ep(p)
     delta = -p.omega_m
     g = (p.kappa - p.gamma) / 4.0
     lam = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
@@ -256,10 +261,7 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     (real positive coupling, real negative detuning) are rejected; among
     several admissible solutions the slowest-decaying one wins.
     """
-    if p.kappa <= p.gamma:
-        raise NoMarkovianEp(
-            f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
-        )
+    _require_markovian_ep(p)
     if seed is None:
         seed = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,13 @@ def hz_to_rad(value_hz: float) -> float:
 def rad_to_hz(value_rad: float) -> float:
     """Angular frequency (rad/s) to ordinary frequency (Hz)."""
     return value_rad / TWO_PI
+
+
+def _require_finite(params) -> None:
+    """ValueError naming every field of a parameter dataclass that is inf or nan."""
+    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,7 @@ class SystemParams:
     omega_c: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.omega_m > 0 and self.kappa > 0 and self.omega_c > 0):
             raise ValueError("omega_m, kappa and omega_c must be strictly positive")
         if self.gamma < 0:
@@ -91,6 +99,7 @@ class DriveParams:
     g: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.g < 0:
             raise ValueError("coupling g must be non-negative")
 

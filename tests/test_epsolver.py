@@ -68,6 +68,17 @@ def test_markovian_requires_kappa_above_gamma():
         solve_exact_ep(p)
 
 
+@pytest.mark.parametrize("kappa_hz", [1.0e3, 5.0e3], ids=["below", "equal"])
+def test_kappa_gamma_guard_message(kappa_hz):
+    """Both solvers refuse kappa <= gamma with the same message."""
+    p = SystemParams.from_hz(1.0e6, kappa_hz, 5.0e3, 1.0e6)
+    expected = f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
+    for solver in (markovian_ep, solve_exact_ep):
+        with pytest.raises(NoMarkovianEp) as info:
+            solver(p)
+        assert str(info.value) == expected
+
+
 def test_mech_renorm_closed_form(params):
     r = mech_renorm(params)
     den = params.omega_c**2 + params.omega_m**2

@@ -69,6 +69,23 @@ def test_drive_validation():
     DriveParams(delta=1.0, g=0.0)  # blue detuning and zero drive are allowed
 
 
+_GOOD_SYSTEM = dict(omega_m=6.28e6, kappa=1.26e6, gamma=3.1e4, omega_c=6.28e6)
+_GOOD_DRIVE = dict(delta=-6.28e6, g=3.0e5)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(SystemParams, key) for key in _GOOD_SYSTEM] + [(DriveParams, key) for key in _GOOD_DRIVE],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_params_reject_non_finite(cls, field, value):
+    """Library callers get a ValueError naming the field, not a later solver failure."""
+    good = _GOOD_SYSTEM if cls is SystemParams else _GOOD_DRIVE
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**{**good, field: value})
+
+
 def test_drive_hz_roundtrip(drive):
     d = drive.as_hz_dict()
     assert d["drive.detuning_hz"] == pytest.approx(-1e6, rel=1e-12)
