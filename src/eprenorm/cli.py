@@ -262,7 +262,7 @@ def cmd_eigs(args) -> int:
     p, d = load_config(args.config)
     grid_rad, g_khz = _g_grid(args)
     delta = _resolve_delta(p, args.delta_mode)
-    rows = sweep_eigs(p, delta, grid_rad, markovian_ref=args.markovian_ref)
+    sweep = sweep_eigs(p, delta, grid_rad, markovian_ref=args.markovian_ref)
     grid_meta = {
         "g_min_khz": args.g_min,
         "g_max_khz": args.g_max,
@@ -273,26 +273,26 @@ def cmd_eigs(args) -> int:
     manifest = _manifest(args, p, d, grid_meta)
 
     columns = ["g_khz", "re_l1_khz", "re_l2_khz", "re_l3_khz", "im_l1_khz", "im_l2_khz", "im_l3_khz"]
-    lams = [np.array([row.lambdas_hz for row in rows])]
+    lams = [sweep.lambdas_hz]
     if args.markovian_ref:
         columns += ["mk_re_l1_khz", "mk_re_l2_khz", "mk_im_l1_khz", "mk_im_l2_khz"]
-        lams.append(np.array([row.markovian_hz for row in rows]))
+        lams.append(sweep.markovian_hz)
     parts = [part for lam in lams for part in (lam.real / 1e3, lam.imag / 1e3)]
     _emit(args, manifest, columns, np.column_stack([g_khz, *parts]))
     return EXIT_OK
 
 
-def _branch_roles(row, omega_c_hz: float):
-    """Indices (plus, minus, pseudo) for one continuity-ordered row.
+def _branch_roles(lams_hz, omega_c_hz: float):
+    """Indices (plus, minus, pseudo) for one continuity-ordered row of eigenvalues.
 
     The branch tracking the eliminated bath mode is the one nearest
     -Omega_c; of the two hybrid branches, the slower-decaying one (larger
     real part) is labeled plus.
     """
-    idx = list(range(len(row.lambdas_hz)))
-    pseudo = min(idx, key=lambda i: abs(row.lambdas_hz[i] + omega_c_hz))
+    idx = list(range(len(lams_hz)))
+    pseudo = min(idx, key=lambda i: abs(lams_hz[i] + omega_c_hz))
     hybrids = [i for i in idx if i != pseudo]
-    hybrids.sort(key=lambda i: row.lambdas_hz[i].real, reverse=True)
+    hybrids.sort(key=lambda i: lams_hz[i].real, reverse=True)
     return hybrids[0], hybrids[1], pseudo
 
 
@@ -315,16 +315,15 @@ def cmd_petermann(args) -> int:
     columns = ["g_khz"]
     blocks = [g_khz[:, None]]
     for label, delta in calibrations:
-        rows = sweep_petermann(p, delta, grid_rad)
+        sweep = sweep_petermann(p, delta, grid_rad)
         name = label.split(":")[0]
         suffix = "" if len(calibrations) == 1 else f"_{name}"
         columns += [
             f"{col}{suffix}"
             for col in ("k_plus", "k_minus", "k_3", "div_plus", "div_minus", "div_3")
         ]
-        roles = list(_branch_roles(rows[0], omega_c_hz))
-        blocks.append(np.array([row.petermann for row in rows])[:, roles])
-        blocks.append(np.array([row.divergent for row in rows], dtype=float)[:, roles])
+        roles = _branch_roles(sweep.lambdas_hz[0].tolist(), omega_c_hz)
+        blocks += [sweep.petermann[:, roles], sweep.divergent[:, roles]]
         grid_meta[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
     manifest = _manifest(args, p, d, grid_meta)
     _emit(args, manifest, columns, np.hstack(blocks))

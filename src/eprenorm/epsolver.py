@@ -164,20 +164,27 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
     )
 
 
+def _double_root(p: SystemParams, lam: complex):
+    """(g_sq, lam + kappa/2 + g*h/(g^2 + g_c^2)) at lam, or None where g^2 + g_c^2 vanishes."""
+    fac = factors(p, lam)
+    den = fac.g**2 + p.g_c**2
+    scale = max(abs(lam), p.omega_c) ** 2
+    if abs(den) < 1e-12 * scale:
+        return None
+    return fac.h**2 / den, lam + p.kappa / 2.0 + fac.g * fac.h / den
+
+
 def ep_candidates(p: SystemParams, lam: complex):
     """Drive coordinates (g_sq, delta) that make lam a double root.
 
     Both returns are complex in general; lam is an admissible coalescence
     frequency only when g_sq is real positive and delta is real negative.
     """
-    fac = factors(p, lam)
-    den = fac.g**2 + p.g_c**2
-    scale = max(abs(lam), p.omega_c) ** 2
-    if abs(den) < 1e-12 * scale:
+    coords = _double_root(p, lam)
+    if coords is None:
         raise DegenerateDenominator(f"g(lam)^2 + g_c^2 vanishes at lam = {lam!r}")
-    g_sq = fac.h**2 / den
-    delta = -1j * (lam + p.kappa / 2.0 + fac.g * fac.h / den)
-    return g_sq, delta
+    g_sq, shifted = coords
+    return g_sq, -1j * shifted
 
 
 def _reality_residuals(p: SystemParams, x: float, y: float):
@@ -188,15 +195,11 @@ def _reality_residuals(p: SystemParams, x: float, y: float):
     of the detuning expression before the -i factor.  Both carry rad/s
     units, which keeps a single omega_m-relative convergence test honest.
     """
-    lam = complex(x, y)
-    fac = factors(p, lam)
-    den = fac.g**2 + p.g_c**2
-    scale = max(abs(lam), p.omega_c) ** 2
-    if abs(den) < 1e-12 * scale:
+    coords = _double_root(p, complex(x, y))
+    if coords is None:
         return None
-    r1 = cmath.sqrt(fac.h**2 / den).imag
-    r2 = (lam + p.kappa / 2.0 + fac.g * fac.h / den).real
-    return r1, r2
+    g_sq, shifted = coords
+    return cmath.sqrt(g_sq).imag, shifted.real
 
 
 def _newton_from_seed(p: SystemParams, seed: complex):

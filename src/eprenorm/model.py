@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-def hz_to_rad(value_hz: float) -> float:
-    """Ordinary frequency (Hz) to angular frequency (rad/s)."""
+def hz_to_rad(value_hz: complex | np.ndarray) -> complex | np.ndarray:
+    """Ordinary frequency (Hz) to angular frequency (rad/s): a scalar, or an array elementwise."""
     return TWO_PI * value_hz
 
 
-def rad_to_hz(value_rad: float) -> float:
-    """Angular frequency (rad/s) to ordinary frequency (Hz)."""
+def rad_to_hz(value_rad: complex | np.ndarray) -> complex | np.ndarray:
+    """Angular frequency (rad/s) to ordinary frequency (Hz): a scalar, or an array elementwise."""
     return value_rad / TWO_PI
 
 
@@ -31,6 +33,19 @@ def _require_finite(params) -> None:
     bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be finite")
+
+
+def _array_rows(table):
+    """Rows of a dataclass of equal-length arrays, built lazily in array order.
+
+    Each row is a named tuple with the dataclass's field names holding
+    Python scalars (lists for multi-column fields); a field that is None
+    reads as None in every row.
+    """
+    names = [f.name for f in fields(table)]
+    row = namedtuple(f"{type(table).__name__}Row", names)
+    columns = [getattr(table, name) for name in names]
+    return map(row._make, zip(*(repeat(None) if col is None else col.tolist() for col in columns)))
 
 
 @dataclass(frozen=True)
@@ -114,23 +129,6 @@ class DriveParams:
         }
 
 
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Dense complex drift generator in the ordered mode basis (a, b[, c])."""
-
-    dim: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
-            raise ValueError("entries must form a dim x dim matrix")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
-
-
 def spectral_density(p: SystemParams, omega: float) -> float:
     """Bath spectral function gamma * w^2 / (w^2 + Omega_c^2), even in w."""
     w2 = omega * omega
@@ -147,25 +145,25 @@ def memory_kernel_smooth(p: SystemParams, t: float) -> float:
     return -(p.gamma * p.omega_c / 2.0) * math.exp(-p.omega_c * abs(t))
 
 
-def drift_markovian(p: SystemParams, d: DriveParams) -> DriftMatrix:
-    """Two-mode drift with memoryless mechanical damping."""
-    return DriftMatrix(
-        dim=2,
-        entries=(
-            (1j * d.delta - p.kappa / 2.0, -1j * d.g),
-            (-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0)),
-        ),
+def drift_markovian(p: SystemParams, d: DriveParams) -> np.ndarray:
+    """Two-mode drift (2x2 complex array) with memoryless mechanical damping."""
+    return np.array(
+        [
+            [1j * d.delta - p.kappa / 2.0, -1j * d.g],
+            [-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0)],
+        ],
+        dtype=complex,
     )
 
 
-def drift_nonmarkovian(p: SystemParams, d: DriveParams) -> DriftMatrix:
-    """Three-mode drift with the auxiliary bath mode c appended to (a, b)."""
+def drift_nonmarkovian(p: SystemParams, d: DriveParams) -> np.ndarray:
+    """Three-mode drift (3x3 complex array), auxiliary bath mode c appended to (a, b)."""
     gc = p.g_c
-    return DriftMatrix(
-        dim=3,
-        entries=(
-            (1j * d.delta - p.kappa / 2.0, -1j * d.g, 0.0 + 0.0j),
-            (-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0), complex(-gc)),
-            (0.0 + 0.0j, complex(-gc), complex(-p.omega_c)),
-        ),
+    return np.array(
+        [
+            [1j * d.delta - p.kappa / 2.0, -1j * d.g, 0.0],
+            [-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0), -gc],
+            [0.0, -gc, -p.omega_c],
+        ],
+        dtype=complex,
     )

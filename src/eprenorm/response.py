@@ -17,14 +17,13 @@ kept as separate fields so their agreement stays testable.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .epsolver import mech_renorm
 from .errors import SingularDenominator
-from .model import DriveParams, SystemParams
+from .model import DriveParams, SystemParams, _array_rows
 
 # Coarse dip search grid and golden-section frequency resolution (in gamma).
 DIP_WINDOW_GAMMAS = 25.0
@@ -64,9 +63,7 @@ class Spectrum:
 
     def __iter__(self):
         """Rows in grid order, as named tuples with the field names above."""
-        names = [f.name for f in fields(self)]
-        row = namedtuple("SpectrumRow", names)
-        return map(row._make, zip(*(getattr(self, n).tolist() for n in names)))
+        return _array_rows(self)
 
 
 @dataclass(frozen=True)

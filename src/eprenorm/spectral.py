@@ -28,7 +28,7 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
-from .model import DriftMatrix, DriveParams, SystemParams, drift_markovian, drift_nonmarkovian, rad_to_hz
+from .model import DriveParams, SystemParams, _array_rows, drift_markovian, drift_nonmarkovian, rad_to_hz
 
 # |<L|R>|^2 below this fraction of <L|L><R|R> counts as numerically divergent.
 DIVERGENT_OVERLAP_RTOL = 1e-30
@@ -61,18 +61,24 @@ class EigenMode:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One sweep grid point: coordinate, continuity-ordered branches, factors.
+class Sweep:
+    """A coupling sweep as column arrays, one row per grid point.
 
-    All frequencies are reported in Hz (cycles), converted exactly once from
-    the internal rad/s representation when the row is assembled.
+    coord_hz (N,) holds the grid; lambdas_hz, petermann and divergent are
+    (N, 3) with columns ordered by branch continuity; markovian_hz (N, 2)
+    holds the memoryless two-mode eigenvalues, or is None when not asked
+    for.  Frequencies are in Hz (cycles), converted once from rad/s.
+    Iterating yields one named-tuple row per grid point with these fields.
     """
 
-    coord_hz: float
-    lambdas_hz: tuple
-    petermann: tuple
-    divergent: tuple
-    markovian_hz: tuple | None = None
+    coord_hz: np.ndarray
+    lambdas_hz: np.ndarray
+    petermann: np.ndarray
+    divergent: np.ndarray
+    markovian_hz: np.ndarray | None = None
+
+    def __iter__(self):
+        return _array_rows(self)
 
 
 def _sorted_eigvals(stack: np.ndarray) -> np.ndarray:
@@ -190,14 +196,17 @@ def petermann(mode: EigenMode) -> float:
     return float(_petermann_values(right, left)[0][0, 0])
 
 
-def eigensystem(m: DriftMatrix):
-    """Full eigendecomposition with paired left/right vectors.
+def eigensystem(m):
+    """Full eigendecomposition of a 2x2 or 3x3 matrix with paired left/right vectors.
 
     Modes come back ordered by eigenvalue (imaginary part, then real part;
     imaginary parts within 1e-9 max|lam| count as equal).  See _eigensystems
-    for the defective flag.
+    for the defective flag.  Raises ValueError for any other shape.
     """
-    lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(m.as_array()[None]))
+    arr = np.asarray(m, dtype=complex)
+    if arr.shape not in ((2, 2), (3, 3)):
+        raise ValueError(f"eigensystem needs a 2x2 or 3x3 matrix, got shape {arr.shape}")
+    lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
     return [
         EigenMode(
             lam=complex(lams[i]),
@@ -218,8 +227,8 @@ def petermann_at(p: SystemParams, d: DriveParams):
 
 def _drift_stack(drift, p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
     """drift(p, (delta, g)) for every g of the grid; the drift is linear in g."""
-    m0 = drift(p, DriveParams(delta=delta, g=0.0)).as_array()
-    dm = drift(p, DriveParams(delta=delta, g=1.0)).as_array() - m0
+    m0 = drift(p, DriveParams(delta=delta, g=0.0))
+    dm = drift(p, DriveParams(delta=delta, g=1.0)) - m0
     return m0 + gs[:, None, None] * dm
 
 
@@ -236,7 +245,7 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     return np.array(list(accumulate(steps, lambda order, step: step[order], initial=perms[0])))
 
 
-def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool):
+def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
     gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
@@ -244,35 +253,28 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool):
         raise ValueError("coupling g must be non-negative")
     lams, _, _, ks, divergent, _ = _eigensystems(_drift_stack(drift_nonmarkovian, p, delta, gs))
     order = _continuity_order(lams)
-    lams_hz = rad_to_hz(np.take_along_axis(lams, order, axis=-1)).tolist()
-    ks = np.take_along_axis(ks, order, axis=-1).tolist()
-    divergent = np.take_along_axis(divergent, order, axis=-1).tolist()
-    mk_hz = [None] * len(gs)
+    mk_hz = None
     if markovian_ref:
         mk = _sorted_eigvals(_drift_stack(drift_markovian, p, delta, gs))
-        mk = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
-        mk_hz = [tuple(row) for row in mk.tolist()]
-    return [
-        SweepRow(
-            coord_hz=g_hz,
-            lambdas_hz=tuple(lams_hz[i]),
-            petermann=tuple(ks[i]),
-            divergent=tuple(divergent[i]),
-            markovian_hz=mk_hz[i],
-        )
-        for i, g_hz in enumerate(rad_to_hz(gs).tolist())
-    ]
+        mk_hz = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
+    return Sweep(
+        coord_hz=rad_to_hz(gs),
+        lambdas_hz=rad_to_hz(np.take_along_axis(lams, order, axis=-1)),
+        petermann=np.take_along_axis(ks, order, axis=-1),
+        divergent=np.take_along_axis(divergent, order, axis=-1),
+        markovian_hz=mk_hz,
+    )
 
 
-def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False):
+def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False) -> Sweep:
     """Eigenvalue branches vs coupling at fixed detuning, continuity-matched.
 
-    With markovian_ref, each row also carries the two eigenvalues of the
-    memoryless two-mode block for side-by-side comparison.
+    With markovian_ref, the Sweep also carries the two eigenvalues of the
+    memoryless two-mode block at each grid point, for side-by-side comparison.
     """
     return _sweep(p, delta, g_grid, markovian_ref=markovian_ref)
 
 
-def sweep_petermann(p: SystemParams, delta: float, g_grid):
-    """Petermann factors vs coupling at fixed detuning (same row layout)."""
+def sweep_petermann(p: SystemParams, delta: float, g_grid) -> Sweep:
+    """Petermann factors vs coupling at fixed detuning (markovian_hz is None)."""
     return _sweep(p, delta, g_grid, markovian_ref=False)

@@ -236,7 +236,7 @@ def test_criterion_10_randomized_invariants(capsys):
         for _ in range(n):
             p = draw_system(rng)
             d = draw_drive(rng, p)
-            m = drift_nonmarkovian(p, d).as_array()
+            m = drift_nonmarkovian(p, d)
             scale = max(p.omega_m, p.kappa, p.omega_c, abs(d.delta))
             for _ in range(50):
                 lam = complex(rng.normal(scale=scale), rng.normal(scale=scale))
@@ -269,7 +269,7 @@ def test_criterion_10_randomized_invariants(capsys):
             d = draw_drive(rng, p)
             q = char_cubic(p, d)
             roots = cubic_roots(q)
-            m = drift_nonmarkovian(p, d).as_array()
+            m = drift_nonmarkovian(p, d)
             scale = max(abs(r) for r in roots)
             assert abs(sum(roots) - np.trace(m)) <= 1e-9 * scale
             pair = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
@@ -300,7 +300,7 @@ def test_criterion_10_randomized_invariants(capsys):
                 key=lambda z: (z.imag, z.real),
             )
             lams2 = sorted(
-                (complex(z) for z in np.linalg.eigvals(drift_markovian(p, d).as_array())),
+                (complex(z) for z in np.linalg.eigvals(drift_markovian(p, d))),
                 key=lambda z: (z.imag, z.real),
             )
             expected = sorted(lams2 + [complex(-p.omega_c)], key=lambda z: (z.imag, z.real))

@@ -59,7 +59,7 @@ def test_self_energy_value_and_pole(params):
 def test_char_cubic_matches_determinant(params, drive):
     """Coefficient route equals det(lam*I - M) and the factor route."""
     q = char_cubic(params, drive)
-    m = drift_nonmarkovian(params, drive).as_array()
+    m = drift_nonmarkovian(params, drive)
     scale = max(params.omega_m, params.kappa, params.omega_c, abs(drive.delta))
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -80,7 +80,7 @@ def test_char_cubic_random_draws():
         p = draw_system(rng)
         d = draw_drive(rng, p)
         q = char_cubic(p, d)
-        m = drift_nonmarkovian(p, d).as_array()
+        m = drift_nonmarkovian(p, d)
         scale = max(p.omega_m, p.kappa, p.omega_c, abs(d.delta))
         lam = complex(rng.normal(scale=scale), rng.normal(scale=scale))
         det = complex(np.linalg.det(lam * np.eye(3) - m))
@@ -93,7 +93,7 @@ def test_schur_identity_draws():
     for _ in range(30):
         p = draw_system(rng)
         d = draw_drive(rng, p)
-        m = drift_nonmarkovian(p, d).as_array()
+        m = drift_nonmarkovian(p, d)
         scale = max(p.omega_m, p.kappa, p.omega_c, abs(d.delta))
         lam = complex(rng.normal(scale=scale), rng.normal(scale=scale))
         if abs(lam + p.omega_c) < 1e-3 * p.omega_c:

@@ -132,7 +132,7 @@ def test_endpoint_matches_dense_propagator(params, drive):
     dt = _default_dt(params)
     y0 = (1.0, 0.5 - 0.5j, 0.25j)
     traj = integrate_pseudomode(params, drive, y0, 10.0 / params.kappa, dt)
-    arr = drift_nonmarkovian(params, drive).as_array()
+    arr = drift_nonmarkovian(params, drive)
     exact = _propagated(arr, y0, [traj.times[-1]])[0]
     assert float(np.linalg.norm(traj.amps[-1] - exact)) < 1e-6 * float(
         np.linalg.norm(exact)
@@ -182,7 +182,7 @@ def test_memoryless_limit_reduces_to_two_modes(params, drive):
     p0 = dataclasses.replace(params, gamma=0.0)
     dt = _default_dt(p0)
     traj = integrate_nonmarkovian(p0, drive, (1.0, -0.5j), 10.0 / p0.kappa, dt)
-    arr = drift_markovian(p0, drive).as_array()
+    arr = drift_markovian(p0, drive)
     exact = _propagated(arr, (1.0, -0.5j), [traj.times[-1]])[0]
     assert float(np.linalg.norm(traj.amps[-1, :2] - exact)) < 1e-6 * float(
         np.linalg.norm(exact)
@@ -200,8 +200,8 @@ def test_fast_bath_approaches_renormalized_markovian():
 
     ren = mech_renorm(p)
     p_ren = dataclasses.replace(p, omega_m=ren.omega_eff, gamma=ren.gamma_eff)
-    ref_ren = _propagated(drift_markovian(p_ren, d).as_array(), (1.0, 1.0), traj.times)
-    ref_bare = _propagated(drift_markovian(p, d).as_array(), (1.0, 1.0), traj.times)
+    ref_ren = _propagated(drift_markovian(p_ren, d), (1.0, 1.0), traj.times)
+    ref_bare = _propagated(drift_markovian(p, d), (1.0, 1.0), traj.times)
 
     scale = float(np.max(np.linalg.norm(ref_ren, axis=1)))
     err_ren = float(np.max(np.linalg.norm(traj.amps[:, :2] - ref_ren, axis=1))) / scale

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_system
 from eprenorm import (
@@ -185,7 +187,7 @@ def test_exact_ep_coalescence_of_drift_eigenvalues(params):
     from eprenorm import drift_nonmarkovian
 
     sol = solve_exact_ep(params)
-    m = drift_nonmarkovian(params, sol.drive).as_array()
+    m = drift_nonmarkovian(params, sol.drive)
     eigs = sorted(np.linalg.eigvals(m), key=lambda z: abs(z - sol.lambda_ep))
     assert abs(eigs[0] - sol.lambda_ep) < 1e-4 * abs(sol.lambda_ep)
     assert abs(eigs[1] - sol.lambda_ep) < 1e-4 * abs(sol.lambda_ep)
@@ -268,6 +270,24 @@ def test_residual_invariant_random_draws():
         certify_order_two(p, sol)
         done += 1
     assert done >= 15
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    kappa_rel=_log_uniform(1e-3, 0.5),
+    gamma_rel=_log_uniform(1e-3, 0.5),
+    cutoff_rel=_log_uniform(0.1, 10.0),
+)
+def test_exact_ep_converges_and_certifies(kappa_rel, gamma_rel, cutoff_rel):
+    """kappa / omega_m, gamma / kappa and Omega_c / omega_m drawn log-uniformly."""
+    omega_m = TWO_PI * 1e6
+    kappa = kappa_rel * omega_m
+    p = SystemParams(omega_m=omega_m, kappa=kappa, gamma=gamma_rel * kappa, omega_c=cutoff_rel * omega_m)
+    certify_order_two(p, solve_exact_ep(p))
 
 
 def test_certify_exact_passes(params):

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import draw_drive, draw_system
 from eprenorm import (
-    DriftMatrix,
     DriveParams,
     SystemParams,
     drift_markovian,
@@ -116,7 +115,7 @@ def test_memory_kernel_shape(params):
 
 
 def test_drift_markovian_entries(params, drive):
-    m = drift_markovian(params, drive).as_array()
+    m = drift_markovian(params, drive)
     assert m.shape == (2, 2)
     assert m[0, 0] == 1j * drive.delta - params.kappa / 2.0
     assert m[0, 1] == -1j * drive.g
@@ -125,9 +124,9 @@ def test_drift_markovian_entries(params, drive):
 
 
 def test_drift_nonmarkovian_entries(params, drive):
-    m = drift_nonmarkovian(params, drive).as_array()
+    m = drift_nonmarkovian(params, drive)
     assert m.shape == (3, 3)
-    m2 = drift_markovian(params, drive).as_array()
+    m2 = drift_markovian(params, drive)
     assert np.array_equal(m[:2, :2], m2)
     assert m[0, 2] == 0.0 and m[2, 0] == 0.0
     assert m[1, 2] == -params.g_c
@@ -140,15 +139,9 @@ def test_drift_trace(params, drive):
     for _ in range(20):
         p = draw_system(rng)
         d = draw_drive(rng, p)
-        tr = np.trace(drift_nonmarkovian(p, d).as_array())
+        tr = np.trace(drift_nonmarkovian(p, d))
         expect = (
             1j * d.delta - p.kappa / 2.0 - 1j * p.omega_m - p.gamma / 2.0 - p.omega_c
         )
         assert abs(tr - expect) <= 1e-12 * abs(expect)
 
-
-def test_drift_matrix_validation():
-    with pytest.raises(ValueError):
-        DriftMatrix(dim=4, entries=tuple(tuple(0.0 for _ in range(4)) for _ in range(4)))
-    with pytest.raises(ValueError):
-        DriftMatrix(dim=2, entries=((1.0, 2.0),))

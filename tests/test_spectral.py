@@ -9,7 +9,6 @@ import pytest
 
 from conftest import draw_drive, draw_system
 from eprenorm import (
-    DriftMatrix,
     DriveParams,
     char_cubic,
     cubic_roots,
@@ -36,13 +35,10 @@ def _hybrid_indices(lams_hz, cutoff_hz):
 
 def test_diagonal_matrix_modes():
     diag = (-1.0 + 2.0j, -2.0 - 1.0j, -3.0 + 0.5j)
-    m = DriftMatrix(
-        dim=3,
-        entries=(
-            (diag[0], 0.0j, 0.0j),
-            (0.0j, diag[1], 0.0j),
-            (0.0j, 0.0j, diag[2]),
-        ),
+    m = (
+        (diag[0], 0.0j, 0.0j),
+        (0.0j, diag[1], 0.0j),
+        (0.0j, 0.0j, diag[2]),
     )
     modes = eigensystem(m)
     assert len(modes) == 3
@@ -58,7 +54,7 @@ def test_diagonal_matrix_modes():
 
 def test_eigenvector_residuals(params):
     mk = markovian_ep(params)
-    arr = drift_nonmarkovian(params, mk.drive).as_array()
+    arr = drift_nonmarkovian(params, mk.drive)
     fro = float(np.linalg.norm(arr))
     modes = eigensystem(drift_nonmarkovian(params, mk.drive))
     for mode in modes:
@@ -87,7 +83,7 @@ def test_normal_matrix_has_unit_petermann():
     for _ in range(10):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = (h + h.conj().T) / 2.0
-        m = DriftMatrix(dim=3, entries=tuple(tuple(row) for row in (-1j * h)))
+        m = -1j * h
         for mode in eigensystem(m):
             assert abs(mode.petermann - 1.0) < 1e-10
 
@@ -172,7 +168,7 @@ def test_biorthogonality_random_draws():
 
 
 def test_eigenvalue_sum_and_product(params, drive):
-    arr = drift_nonmarkovian(params, drive).as_array()
+    arr = drift_nonmarkovian(params, drive)
     lams = [mode.lam for mode in eigensystem(drift_nonmarkovian(params, drive))]
     scale = max(abs(lam) for lam in lams)
     tr = complex(np.trace(arr))
@@ -335,7 +331,7 @@ def test_two_mode_modes_ordered_by_real_part_below_ep(params):
         modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=hz_to_rad(g_hz))))
         assert modes[0].lam.real < modes[1].lam.real
         grid = np.linspace(hz_to_rad(g_hz), mk.g_ep, 5)
-        first = sweep_eigs(params, delta, grid, markovian_ref=True)[0].markovian_hz
+        first = sweep_eigs(params, delta, grid, markovian_ref=True).markovian_hz[0]
         assert first[0].real < first[1].real
 
 
@@ -345,7 +341,7 @@ def test_batched_fallback_rows_match_single_rows(params, monkeypatch):
     lam, mu = -1.0 + 2.0j, -3.0 + 0.5j
     degenerate = np.diag([lam, lam, mu])
     drift = [
-        drift_nonmarkovian(params, DriveParams(delta=-params.omega_m, g=g)).as_array()
+        drift_nonmarkovian(params, DriveParams(delta=-params.omega_m, g=g))
         for g in (0.0, hz_to_rad(30e3), hz_to_rad(49e3))
     ]
     stack = np.array([degenerate, drift[0], np.diag([mu, lam, lam]), drift[1], drift[2]])
@@ -363,7 +359,7 @@ def test_batched_fallback_rows_match_single_rows(params, monkeypatch):
     assert len(calls) >= 4
 
     for row, arr in enumerate(stack):
-        modes = eigensystem(DriftMatrix(dim=3, entries=tuple(tuple(r) for r in arr)))
+        modes = eigensystem(arr)
         fro = float(np.linalg.norm(arr))
         for i, mode in enumerate(modes):
             assert abs(lams[row, i] - mode.lam) <= 1e-14 * fro
@@ -409,6 +405,12 @@ def test_peak_heights_on_coarse_and_fine_grids(params):
         for row in red
     )
     assert k_red >= 1e6
+
+
+def test_eigensystem_rejects_non_square_input():
+    for bad in (np.zeros((4, 4)), ((1.0, 2.0),)):
+        with pytest.raises(ValueError):
+            eigensystem(bad)
 
 
 def test_sweep_rejects_short_grid(params):
