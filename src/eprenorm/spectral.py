@@ -1,20 +1,22 @@
-"""Eigendecomposition of the drift matrices with paired left/right
-eigenvectors, Petermann factors, and coupling/detuning sweeps.
+"""Eigendecomposition of the complex-symmetric drift matrices, Petermann
+factors, and coupling/detuning sweeps.
 
-Everything runs through one batched core on an (N, n, n) stack, n = 2 or 3.
-Eigenvalues of the stack and of its adjoint come from a single
-np.linalg.eigvals call.  Right eigenvectors come from explicit null-space
-construction (the largest row cross product of M - lam for 3x3, the
-adjugate-row formula for 2x2), written out with array slicing for all rows
-and modes at once.  Where even the largest candidate is below
-CROSS_NORM_RTOL * |M|_F^2 (rank <= 1, e.g. decoupled or diagonal matrices)
-that (row, mode) is masked and recomputed by inverse iteration on its own.
-Left eigenvectors are right eigenvectors of the adjoint, paired greedily by
-conjugated eigenvalue.  The Petermann factor of a paired mode is
+Every drift the package builds satisfies M = M^T (the couplings are -ig/-ig
+and -g_c/-g_c), so M^H = conj(M) and the left eigenvector of each mode is
+the conjugate of its right one.  Everything runs through one batched core
+on an (N, n, n) stack, n = 2 or 3: one np.linalg.eigvals call over the
+stack, then right eigenvectors from explicit null-space construction (the
+largest row cross product of M - lam for 3x3, the adjugate-row formula for
+2x2), written out with array slicing for all rows and modes at once.  Where
+even the largest candidate is below CROSS_NORM_RTOL * |M|_F^2 (rank <= 1,
+e.g. decoupled or diagonal matrices) that (row, mode) is masked and
+recomputed by inverse iteration on its own.  With L = conj(R) the Petermann
+factor of a mode is
 
-    K = (<L|L> <R|R>) / |<L|R>|^2
+    K = (<L|L> <R|R>) / |<L|R>|^2 = <R|R>^2 / |R^T R|^2
 
-which is unity for a normal mode and diverges at an exceptional point.
+(Siegman, PRA 39, 1253 (1989); Berry, J. Mod. Opt. 50, 63 (2003)), which
+is unity for a normal mode and diverges at an exceptional point.
 eigensystem is the core on a batch of one; a sweep is one core call over
 its whole coupling grid.
 """
@@ -32,8 +34,7 @@ from .model import DriveParams, SystemParams, _array_rows, drift_markovian, drif
 
 # |<L|R>|^2 below this fraction of <L|L><R|R> counts as numerically divergent.
 DIVERGENT_OVERLAP_RTOL = 1e-30
-# Pairing / degeneracy thresholds for the defective flag.
-PAIRING_RTOL = 1e-3
+# Eigenvalue gaps below this fraction of max|lam| flag both modes defective.
 DEGENERACY_RTOL = 1e-3
 # Cross-product candidates below this fraction of |M|_F^2 trigger inverse iteration.
 CROSS_NORM_RTOL = 1e-12
@@ -45,8 +46,9 @@ _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One eigenvalue with paired right/left eigenvectors and Petermann factor.
+    """One eigenvalue with its right/left eigenvectors and Petermann factor.
 
+    left is conj(right), the left eigenvector of a complex-symmetric matrix.
     divergent marks a Petermann factor at or beyond double-precision reach
     (overlap underflow or a defective pair); the finite computed value is
     still reported so log-scale consumers have a number to plot.
@@ -134,7 +136,7 @@ def _null_vectors(arr: np.ndarray, lams: np.ndarray, fro: np.ndarray) -> np.ndar
 
 
 def _petermann_values(right: np.ndarray, left: np.ndarray):
-    """Petermann factors and underflow flags of paired vectors (..., component)."""
+    """Petermann factors and underflow flags of right/left vectors (..., component)."""
     rr = np.einsum("...i,...i->...", right.conj(), right).real
     ll = np.einsum("...i,...i->...", left.conj(), left).real
     lr_sq = np.abs(np.einsum("...i,...i->...", left.conj(), right)) ** 2
@@ -147,41 +149,24 @@ def _eigensystems(arr: np.ndarray):
     """Batched core: (lams, rights, lefts, petermann, divergent, defective).
 
     Modes of each row are ordered as by _sorted_eigvals; vectors have shape
-    (N, mode, component), the rest (N, mode).  A mode is flagged defective
-    when its left/right pairing distance is anomalous or when another
-    eigenvalue sits within a relative gap of 1e-3, both signatures of a
-    nearby coalescence.
+    (N, mode, component), the rest (N, mode).  Every matrix of the stack is
+    complex-symmetric, so lefts = conj(rights).  The closest pair of
+    eigenvalues in a row is flagged defective when its gap is below
+    DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; a
+    defective mode also counts as divergent.
     """
-    n_rows, n = arr.shape[:2]
-    rows = np.arange(n_rows)
-    adj = arr.conj().swapaxes(-1, -2)
-    both = _sorted_eigvals(np.concatenate([arr, adj]))
-    lams, mus = both[:n_rows], both[n_rows:]
-    fro = np.linalg.norm(arr, axis=(-2, -1))
+    lams = _sorted_eigvals(arr)
+    rights = _null_vectors(arr, lams, np.linalg.norm(arr, axis=(-2, -1)))
+    lefts = rights.conj()
 
-    # Pair each eigenvalue, in mode order, with the nearest unused conjugated adjoint eigenvalue.
-    dist = np.abs(mus.conj()[:, None, :] - lams[:, :, None])
-    pick = np.zeros((n_rows, n), dtype=int)
-    used = np.zeros((n_rows, n), dtype=bool)
-    for i in range(n):
-        pick[:, i] = np.where(used, np.inf, dist[:, i]).argmin(axis=-1)
-        used[rows, pick[:, i]] = True
-    match_dist = np.take_along_axis(dist, pick[..., None], axis=-1)[..., 0]
-
-    rights = _null_vectors(arr, lams, fro)
-    lefts = _null_vectors(adj, np.take_along_axis(mus, pick, axis=-1), fro)
-
-    gaps = np.abs(lams[:, :, None] - lams[:, None, :])
-    spread = gaps.max(axis=(-2, -1))
-    spread = np.where(spread > 0, spread, fro)
-    defective = match_dist > PAIRING_RTOL * spread[:, None]
-
-    # Near-degenerate pairs are defective even when the pairing is clean.
-    iu, ju = np.triu_indices(n, 1)
-    closest = gaps[:, iu, ju].argmin(axis=-1)
+    rows = np.arange(arr.shape[0])
+    iu, ju = np.triu_indices(arr.shape[-1], 1)
+    gaps = np.abs(lams[:, iu] - lams[:, ju])
+    closest = gaps.argmin(axis=-1)
     i, j = iu[closest], ju[closest]
     scale = np.abs(lams).max(axis=-1)
-    near = (scale > 0) & (gaps[rows, i, j] < DEGENERACY_RTOL * scale)
+    near = (scale > 0) & (gaps[rows, closest] < DEGENERACY_RTOL * scale)
+    defective = np.zeros(lams.shape, dtype=bool)
     defective[rows[near], i[near]] = True
     defective[rows[near], j[near]] = True
 
@@ -190,22 +175,27 @@ def _eigensystems(arr: np.ndarray):
 
 
 def petermann(mode: EigenMode) -> float:
-    """Recompute the Petermann factor of a paired mode from its vectors."""
+    """Recompute the Petermann factor of a mode from its right and left vectors."""
     right = np.asarray(mode.right, dtype=complex)[None, None]
     left = np.asarray(mode.left, dtype=complex)[None, None]
     return float(_petermann_values(right, left)[0][0, 0])
 
 
 def eigensystem(m):
-    """Full eigendecomposition of a 2x2 or 3x3 matrix with paired left/right vectors.
+    """Full eigendecomposition of a complex-symmetric 2x2 or 3x3 matrix.
 
     Modes come back ordered by eigenvalue (imaginary part, then real part;
-    imaginary parts within 1e-9 max|lam| count as equal).  See _eigensystems
-    for the defective flag.  Raises ValueError for any other shape.
+    imaginary parts within 1e-9 max|lam| count as equal), each with its right
+    vector and left = conj(right).  See _eigensystems for the defective flag.
+    Raises ValueError for any other shape and for a matrix that is not
+    exactly symmetric (M != M^T).
     """
     arr = np.asarray(m, dtype=complex)
     if arr.shape not in ((2, 2), (3, 3)):
         raise ValueError(f"eigensystem needs a 2x2 or 3x3 matrix, got shape {arr.shape}")
+    # equal_nan: a NaN entry is not an asymmetry; eigvals rejects non-finite input itself.
+    if not np.array_equal(arr, arr.T, equal_nan=True):
+        raise ValueError("eigensystem: the matrix must be symmetric (M == M^T)")
     lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
     return [
         EigenMode(

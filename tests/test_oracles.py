@@ -1,7 +1,8 @@
 """Oracles that share no code with the package: the exceptional point solved
-at 40 digits in mpmath, and the characteristic cubic expanded in sympy.
+at 40 digits in mpmath, the characteristic cubic expanded in sympy, and the
+Petermann factor from a general dense eigendecomposition.
 
-Both write the three-mode drift matrix out from the physics, in the mode
+Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
 
     M = [[i delta - kappa/2,  -i g,                      0       ],
@@ -15,7 +16,7 @@ import pytest
 import sympy as sp
 
 from conftest import draw_drive, draw_system
-from eprenorm import SystemParams, char_cubic, solve_exact_ep
+from eprenorm import SystemParams, char_cubic, eigensystem, hz_to_rad, solve_exact_ep, sweep_petermann
 
 ORACLE_DPS = 40
 DRAW_SEEDS = range(6)
@@ -116,3 +117,73 @@ def test_char_cubic_matches_sympy_determinant(params, drive):
             ref = [complex(c(p.omega_m, p.kappa, p.gamma, p.omega_c, d.delta, d.g)) for c in coeffs]
         for power, (got, want) in enumerate(zip((q.c2, q.c1, q.c0), ref), start=1):
             assert abs(got - want) <= 1e-13 * scale**power
+
+
+# The dense oracle loses accuracy as K grows; compare only below this K.
+K_ORACLE_MAX = 1e4
+
+
+def _eig_petermann(m):
+    """Eigenvalues and K_i = |col_i(V)|^2 |row_i(V^-1)|^2 of a general eigendecomposition.
+
+    Row i of V^-1 is the left eigenvector biorthonormal to column i of V, so
+    this is <L|L><R|R>/|<L|R>|^2 with no symmetry assumed.
+    """
+    w, v = np.linalg.eig(m)
+    return w, np.linalg.norm(v, axis=0) ** 2 * np.linalg.norm(np.linalg.inv(v), axis=1) ** 2
+
+
+def _drift(p: SystemParams, delta: float, g: float):
+    g_c = np.sqrt(p.gamma * p.omega_c / 2)
+    return np.array(
+        [
+            [1j * delta - p.kappa / 2, -1j * g, 0],
+            [-1j * g, -(1j * p.omega_m + p.gamma / 2), -g_c],
+            [0, -g_c, -p.omega_c],
+        ]
+    )
+
+
+def _assert_petermann_matches(lams, ks, m):
+    """Every oracle mode below K_ORACLE_MAX has a mode in (lams, ks) with the same K to 1e-9."""
+    w, k_ref = _eig_petermann(m)
+    lams = np.asarray(lams)
+    compared = []
+    for lam, k in zip(w, k_ref):
+        if k >= K_ORACLE_MAX:
+            continue
+        i = int(np.argmin(np.abs(lams - lam)))
+        assert abs(ks[i] - k) <= 1e-9 * k
+        compared.append(k)
+    return compared
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_petermann_matches_dense_oracle_on_symmetric_draws(n):
+    rng = np.random.default_rng(61 + n)
+    compared = []
+    for _ in range(200):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = (a + a.T) / 2
+        modes = eigensystem(m)
+        lams, ks = zip(*((mode.lam, mode.petermann) for mode in modes))
+        compared += _assert_petermann_matches(lams, ks, m)
+    assert len(compared) >= 190 * n
+    assert max(compared) > 10.0
+
+
+def test_petermann_sweep_through_ep_matches_dense_oracle(params):
+    """Both calibrations, g from 0 to 1.5 g_ep with the exact EP on the grid."""
+    sol = solve_exact_ep(params)
+    grid = np.concatenate([np.linspace(0.0, 1.5, 61), np.linspace(0.99, 1.01, 41)]) * sol.g_ep
+    grid = np.sort(np.append(grid, sol.g_ep))
+    peaks = []
+    for delta in (-params.omega_m, sol.delta_ep):
+        sweep = sweep_petermann(params, delta, grid)
+        compared = []
+        for g, lams_hz, ks in zip(grid, sweep.lambdas_hz, sweep.petermann):
+            compared += _assert_petermann_matches(hz_to_rad(lams_hz), ks, _drift(params, delta, g))
+        assert len(compared) >= 2 * len(grid)
+        peaks.append(max(compared))
+    # the memoryless calibration keeps K moderate; the exact one reaches far up the peak
+    assert peaks[0] > 10.0 and peaks[1] > 500.0

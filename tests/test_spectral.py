@@ -1,4 +1,4 @@
-"""Eigenvector pairing, Petermann factors, and coupling sweeps."""
+"""Complex-symmetric eigensystems, Petermann factors, and coupling sweeps."""
 
 import dataclasses
 import itertools
@@ -81,9 +81,8 @@ def test_two_mode_block_defective_at_coalescence(params):
 def test_normal_matrix_has_unit_petermann():
     rng = np.random.default_rng(101)
     for _ in range(10):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = (h + h.conj().T) / 2.0
-        m = -1j * h
+        s = rng.normal(size=(3, 3))
+        m = -1j * ((s + s.T) / 2.0)
         for mode in eigensystem(m):
             assert abs(mode.petermann - 1.0) < 1e-10
 
@@ -411,6 +410,36 @@ def test_eigensystem_rejects_non_square_input():
     for bad in (np.zeros((4, 4)), ((1.0, 2.0),)):
         with pytest.raises(ValueError):
             eigensystem(bad)
+
+
+def test_eigensystem_rejects_non_symmetric_input(params, drive):
+    rng = np.random.default_rng(101)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    anti_hermitian = -1j * (h + h.conj().T) / 2.0
+    nudged = drift_nonmarkovian(params, drive)
+    nudged[1, 2] = np.nextafter(nudged[1, 2].real, 0.0)
+    for bad in (anti_hermitian, nudged):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            eigensystem(bad)
+
+
+def _is_symmetric(m):
+    return np.array_equal(m, m.swapaxes(-1, -2))
+
+
+def test_drift_builders_are_exactly_symmetric(params, drive):
+    """The core takes left = conj(right), which holds only for M == M^T."""
+    rng = np.random.default_rng(29)
+    cases = [(params, drive)]
+    for _ in range(40):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    for p, d in cases:
+        assert _is_symmetric(drift_markovian(p, d))
+        assert _is_symmetric(drift_nonmarkovian(p, d))
+        gs = np.linspace(0.0, 3.0 * d.g, 17)
+        for drift in (drift_markovian, drift_nonmarkovian):
+            assert _is_symmetric(spectral._drift_stack(drift, p, d.delta, gs))
 
 
 def test_sweep_rejects_short_grid(params):
