@@ -25,16 +25,11 @@ POLE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class CubicPoly:
-    """Monic cubic c3*x^3 + c2*x^2 + c1*x + c0 with c3 fixed at one."""
+    """Monic cubic x^3 + c2*x^2 + c1*x + c0."""
 
     c2: complex
     c1: complex
     c0: complex
-    c3: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.c3 != 1.0:
-            raise ValueError("cubic must be monic (c3 == 1)")
 
     def __call__(self, lam: complex) -> complex:
         return ((lam + self.c2) * lam + self.c1) * lam + self.c0

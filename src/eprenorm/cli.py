@@ -5,13 +5,18 @@ branches vs coupling), petermann (mode-nonorthogonality sweep), spectrum
 (reflection spectra plus dip and cooperativity summaries) and embedcheck
 (integrator cross-validation of the memory embedding).
 
+Each subcommand cmd_<name>(args, p, d) only computes its Table: grid
+metadata, columns, data, footer, summary and exit code.  main() alone loads
+the configuration, stamps the manifest, writes the artifact through _emit
+and maps errors to exit codes.
+
 All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
-timestamp honors SOURCE_DATE_EPOCH.  Every artifact goes through _emit, and
-JSON is laid out exactly as json.dumps(doc, indent=2, sort_keys=True).
-main(argv) may be called repeatedly in one process; the parser is built on
-the first call and reused.  Exit codes: 0 success, 1 invalid configuration
-or arguments, 2 solver failure, 3 failed numerical check.
+timestamp honors SOURCE_DATE_EPOCH.  JSON is laid out exactly as
+json.dumps(doc, indent=2, sort_keys=True).  main(argv) may be called
+repeatedly in one process; the parser is built on the first call and
+reused.  Exit codes: 0 success, 1 invalid configuration, arguments, output
+path or SOURCE_DATE_EPOCH, 2 solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,18 +38,7 @@ from . import __version__
 from .config import load_config
 from .embedcheck import compare_embeddings, convergence_order, kernel_fourier_error
 from .epsolver import certify_order_two, markovian_ep, perturbative_ep, solve_exact_ep
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    NoConvergence,
-    NoMarkovianEp,
-    NonPhysicalEp,
-    OrderCheckFailed,
-    PolePseudomode,
-    SingularDenominator,
-    StepTooLarge,
-    ToolkitError,
-)
+from .errors import ConfigError, OrderCheckFailed, SolverFailure, ToolkitError
 from .model import DriveParams, SystemParams, hz_to_rad, rad_to_hz
 from .response import cooperativity, dip_metrics, spectrum
 from .spectral import sweep_eigs, sweep_petermann
@@ -52,20 +46,13 @@ from .spectral import sweep_eigs, sweep_petermann
 MAX_REL_ERR_LIMIT = 1e-5
 # Largest --g-points / --omega-points accepted; grids are allocated whole.
 MAX_GRID_POINTS = 100_000
+# Largest SOURCE_DATE_EPOCH: 9999-12-31T23:59:59Z, the last second with a 4-digit year.
+MAX_EPOCH = 253_402_300_799
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
-
-_SOLVER_ERRORS = (
-    NoMarkovianEp,
-    NoConvergence,
-    NonPhysicalEp,
-    SingularDenominator,
-    PolePseudomode,
-    DegenerateDenominator,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,55 +64,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every emitted artifact."""
+class Table(NamedTuple):
+    """One subcommand's result: what _emit writes and the exit code main returns."""
 
-    command: str
-    params_hz: dict
     grid: dict
-    out_path: str | None
-    version: str
-    timestamp: str
-
-    def comment_lines(self):
-        lines = [
-            "# eprenorm manifest",
-            f"# version = {self.version}",
-            f"# command = {self.command}",
-            f"# timestamp = {self.timestamp}",
-            f"# out = {self.out_path or '-'}",
-        ]
-        lines += [f"# {key} = {value:.12g}" for key, value in sorted(self.params_hz.items())]
-        lines += [f"# grid.{key} = {value}" for key, value in sorted(self.grid.items())]
-        return lines
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "params_hz": dict(sorted(self.params_hz.items())),
-            "grid": dict(sorted(self.grid.items())),
-            "out": self.out_path,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+    columns: list | None = None
+    data: np.ndarray | None = None
+    footer: list | tuple = ()
+    summary: dict | None = None
+    code: int = EXIT_OK
 
 
-def _timestamp() -> str:
+def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
+    """Provenance block of every artifact, stamped at SOURCE_DATE_EPOCH or else now."""
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     epoch = int(raw) if raw and raw.strip().isdigit() else int(time.time())
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        params_hz={**p.as_hz_dict(), **d.as_hz_dict()},
-        grid=grid,
-        out_path=args.out,
-        version=__version__,
-        timestamp=_timestamp(),
-    )
+    if epoch > MAX_EPOCH:
+        raise ConfigError(f"SOURCE_DATE_EPOCH={raw.strip()} is out of range (at most {MAX_EPOCH})")
+    return {
+        "command": args.command,
+        "params_hz": {**p.as_hz_dict(), **d.as_hz_dict()},
+        "grid": grid,
+        "out": args.out,
+        "version": __version__,
+        "timestamp": datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    }
 
 
 def _json_rows(cells, width: int) -> str:
@@ -144,11 +107,13 @@ def _json_rows(cells, width: int) -> str:
     return f"[\n    [\n      {body}\n    ]\n  ]"
 
 
-def _emit(args, manifest: RunManifest, columns=None, data=None, footer=(), summary=None):
+def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None):
     """Write one artifact to --out or stdout (nothing with --quiet).
 
-    Text: the manifest comment block; with columns, a CSV header and one
-    line per row of the (rows, columns) array data; then the footer lines.
+    Text: the manifest as "# key = value" comment lines (parameters at 12
+    significant digits, grid entries as "# grid.key"); with columns, a CSV
+    header and one line per row of the (rows, columns) array data; then the
+    footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
     json.dumps(doc, indent=2, sort_keys=True) + "\\n".  Each table cell is
     printed once as format(x, ".12g"); its JSON value is float() of that
@@ -158,7 +123,7 @@ def _emit(args, manifest: RunManifest, columns=None, data=None, footer=(), summa
         flat = np.asarray(data, dtype=float).ravel().tolist()
         cells = list(map(format, flat, repeat(".12g")))
     if args.json:
-        doc = {"manifest": manifest.to_dict(), **(summary or {})}
+        doc = {"manifest": manifest, **(summary or {})}
         if columns is not None:
             doc["columns"] = list(columns)
         parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -168,7 +133,13 @@ def _emit(args, manifest: RunManifest, columns=None, data=None, footer=(), summa
         text = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
         text = f"{{\n{text}\n}}\n"
     else:
-        lines = manifest.comment_lines()
+        lines = [
+            "# eprenorm manifest",
+            *(f"# {key} = {manifest[key]}" for key in ("version", "command", "timestamp")),
+            f"# out = {manifest['out'] or '-'}",
+            *(f"# {key} = {value:.12g}" for key, value in sorted(manifest["params_hz"].items())),
+            *(f"# grid.{key} = {value}" for key, value in sorted(manifest["grid"].items())),
+        ]
         if columns is not None:
             lines.append(",".join(columns))
             lines += map(",".join, zip(*[iter(cells)] * len(columns)))
@@ -211,14 +182,12 @@ def _khz(value_rad):
     return rad_to_hz(value_rad) / 1e3
 
 
-def cmd_ep(args) -> int:
+def cmd_ep(args, p: SystemParams, d: DriveParams) -> Table:
     """Markovian, perturbative and exact EP coordinates plus the order check."""
-    p, d = load_config(args.config)
     mk = markovian_ep(p)
     pert = perturbative_ep(p)
     exact = solve_exact_ep(p)
     cert = certify_order_two(p, exact)
-    manifest = _manifest(args, p, d, grid={})
 
     table = {
         "markovian_delta_khz": _khz(mk.delta_ep),
@@ -241,36 +210,30 @@ def cmd_ep(args) -> int:
         "certificate_ddp_mag": cert.ddp_mag,
     }
     footer = [f"{key} = {value:.17g}" for key, value in table.items()]
-    _emit(args, manifest, footer=footer, summary={"ep": table})
-    return EXIT_OK
+    return Table({}, footer=footer, summary={"ep": table})
 
 
-def _g_grid(args):
-    """Coupling grid of a sweep: (rad/s array, kHz column)."""
-    if not 2 <= args.g_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"--g-points must be between 2 and {MAX_GRID_POINTS}")
-    if not args.g_max > args.g_min:
-        raise ConfigError("--g-max must exceed --g-min")
-    if args.g_min < 0:
+def _grid(args, axis: str, min_points: int):
+    """The --<axis>-min/-max/-points grid: (rad/s array, kHz column, manifest grid)."""
+    lo, hi, n = (getattr(args, f"{axis}_{key}") for key in ("min", "max", "points"))
+    if not min_points <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"--{axis}-points must be between {min_points} and {MAX_GRID_POINTS}")
+    if not hi > lo:
+        raise ConfigError(f"--{axis}-max must exceed --{axis}-min")
+    # Couplings are magnitudes; probe frequencies may be negative.
+    if axis == "g" and lo < 0:
         raise ConfigError("--g-min must be non-negative")
-    grid_rad = hz_to_rad(np.linspace(args.g_min, args.g_max, args.g_points) * 1e3)
-    return grid_rad, _khz(grid_rad)
+    grid_rad = hz_to_rad(np.linspace(lo, hi, n) * 1e3)
+    meta = {f"{axis}_min_khz": lo, f"{axis}_max_khz": hi, f"{axis}_points": n}
+    return grid_rad, _khz(grid_rad), meta
 
 
-def cmd_eigs(args) -> int:
+def cmd_eigs(args, p: SystemParams, d: DriveParams) -> Table:
     """Continuity-matched eigenvalue branches versus coupling."""
-    p, d = load_config(args.config)
-    grid_rad, g_khz = _g_grid(args)
+    grid_rad, g_khz, grid = _grid(args, "g", 2)
     delta = _resolve_delta(p, args.delta_mode)
     sweep = sweep_eigs(p, delta, grid_rad, markovian_ref=args.markovian_ref)
-    grid_meta = {
-        "g_min_khz": args.g_min,
-        "g_max_khz": args.g_max,
-        "g_points": args.g_points,
-        "delta_mode": args.delta_mode,
-        "delta_khz": f"{_khz(delta):.12g}",
-    }
-    manifest = _manifest(args, p, d, grid_meta)
+    grid.update(delta_mode=args.delta_mode, delta_khz=f"{_khz(delta):.12g}")
 
     columns = ["g_khz", "re_l1_khz", "re_l2_khz", "re_l3_khz", "im_l1_khz", "im_l2_khz", "im_l3_khz"]
     lams = [sweep.lambdas_hz]
@@ -278,8 +241,7 @@ def cmd_eigs(args) -> int:
         columns += ["mk_re_l1_khz", "mk_re_l2_khz", "mk_im_l1_khz", "mk_im_l2_khz"]
         lams.append(sweep.markovian_hz)
     parts = [part for lam in lams for part in (lam.real / 1e3, lam.imag / 1e3)]
-    _emit(args, manifest, columns, np.column_stack([g_khz, *parts]))
-    return EXIT_OK
+    return Table(grid, columns, np.column_stack([g_khz, *parts]))
 
 
 def _branch_roles(lams_hz, omega_c_hz: float):
@@ -296,22 +258,13 @@ def _branch_roles(lams_hz, omega_c_hz: float):
     return hybrids[0], hybrids[1], pseudo
 
 
-def cmd_petermann(args) -> int:
+def cmd_petermann(args, p: SystemParams, d: DriveParams) -> Table:
     """Petermann factors of the three branches versus coupling."""
-    p, d = load_config(args.config)
-    grid_rad, g_khz = _g_grid(args)
-    if args.delta_mode == "both":
-        calibrations = [("markovian", -p.omega_m), ("exact", solve_exact_ep(p).delta_ep)]
-    else:
-        calibrations = [(args.delta_mode, _resolve_delta(p, args.delta_mode))]
-    omega_c_hz = rad_to_hz(p.omega_c)
+    grid_rad, g_khz, grid = _grid(args, "g", 2)
+    modes = ["markovian", "exact"] if args.delta_mode == "both" else [args.delta_mode]
+    calibrations = [(mode, _resolve_delta(p, mode)) for mode in modes]
 
-    grid_meta = {
-        "g_min_khz": args.g_min,
-        "g_max_khz": args.g_max,
-        "g_points": args.g_points,
-        "delta_mode": args.delta_mode,
-    }
+    grid["delta_mode"] = args.delta_mode
     columns = ["g_khz"]
     blocks = [g_khz[:, None]]
     for label, delta in calibrations:
@@ -322,27 +275,21 @@ def cmd_petermann(args) -> int:
             f"{col}{suffix}"
             for col in ("k_plus", "k_minus", "k_3", "div_plus", "div_minus", "div_3")
         ]
-        roles = _branch_roles(sweep.lambdas_hz[0].tolist(), omega_c_hz)
+        roles = _branch_roles(sweep.lambdas_hz[0].tolist(), rad_to_hz(p.omega_c))
         blocks += [sweep.petermann[:, roles], sweep.divergent[:, roles]]
-        grid_meta[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
-    manifest = _manifest(args, p, d, grid_meta)
-    _emit(args, manifest, columns, np.hstack(blocks))
-    return EXIT_OK
+        grid[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
+    return Table(grid, columns, np.hstack(blocks))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
     """Reflection spectra with dip metrics and cooperativity summaries.
 
     Each curve is evaluated at its own exceptional point: the memoryless
     model at the closed-form coordinates, the bath-dressed model at the
     numerically exact ones.
     """
-    p, d = load_config(args.config)
-    if not 1 <= args.omega_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"--omega-points must be between 1 and {MAX_GRID_POINTS}")
-    if not args.omega_max > args.omega_min:
-        raise ConfigError("--omega-max must exceed --omega-min")
-    omegas = hz_to_rad(np.linspace(args.omega_min, args.omega_max, args.omega_points) * 1e3)
+    omegas, omega_khz, grid = _grid(args, "omega", 1)
+    grid["markovian_only"] = int(args.markovian_only)
 
     mk = markovian_ep(p)
     mk_dip = dip_metrics(p, mk.drive, markovian=True)
@@ -350,7 +297,7 @@ def cmd_spectrum(args) -> int:
     summary = {
         "dip_markovian": {"omega_min_khz": _khz(mk_dip.omega_min), "r_sq_min": mk_dip.r_sq_min}
     }
-    series = [_khz(omegas), spectrum(p, mk.drive, omegas, markovian=True).r_sq]
+    series = [omega_khz, spectrum(p, mk.drive, omegas, markovian=True).r_sq]
 
     if not args.markovian_only:
         exact = solve_exact_ep(p)
@@ -369,32 +316,20 @@ def cmd_spectrum(args) -> int:
         for key, block in summary.items()
         for name, value in block.items()
     ]
-
-    grid_meta = {
-        "omega_min_khz": args.omega_min,
-        "omega_max_khz": args.omega_max,
-        "omega_points": args.omega_points,
-        "markovian_only": int(args.markovian_only),
-    }
-    manifest = _manifest(args, p, d, grid_meta)
-    _emit(args, manifest, columns, np.column_stack(series), footer, {"summary": summary})
-    return EXIT_OK
+    return Table(grid, columns, np.column_stack(series), footer, {"summary": summary})
 
 
-def cmd_embedcheck(args) -> int:
+def cmd_embedcheck(args, p: SystemParams, d: DriveParams) -> Table:
     """Cross-validate the auxiliary-mode embedding against direct convolution."""
-    p, d = load_config(args.config)
     t_final = args.t_final if args.t_final is not None else 20.0 / p.kappa
     dt = args.dt if args.dt is not None else 1.0 / (100.0 * p.omega_m)
-    init_ab = (1.0, 1.0)
 
     # The order check runs first: its up-front step bound covers the dt/4 run.
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final, dt)
-    max_rel_err = compare_embeddings(p, d, init_ab, t_final, dt)
+    max_rel_err = compare_embeddings(p, d, (1.0, 1.0), t_final, dt)
     kernel_err = kernel_fourier_error(p)
     status = "PASS" if max_rel_err <= MAX_REL_ERR_LIMIT else "FAIL"
 
-    manifest = _manifest(args, p, d, {"t_final_s": f"{t_final:.12g}", "dt_s": f"{dt:.12g}"})
     footer = [
         f"max_rel_err = {max_rel_err:.17g}",
         f"order_estimate = {order:.12g}",
@@ -409,8 +344,12 @@ def cmd_embedcheck(args) -> int:
         "kernel_fourier_err": kernel_err,
         "status": status,
     }
-    _emit(args, manifest, footer=footer, summary={"embedcheck": report})
-    return EXIT_OK if status == "PASS" else EXIT_CHECK
+    return Table(
+        {"t_final_s": f"{t_final:.12g}", "dt_s": f"{dt:.12g}"},
+        footer=footer,
+        summary={"embedcheck": report},
+        code=EXIT_OK if status == "PASS" else EXIT_CHECK,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--omega-min", type=_finite_float, default=900.0, help="probe start (kHz)")
     spec.add_argument("--omega-max", type=_finite_float, default=1100.0, help="probe end (kHz)")
     spec.add_argument("--omega-points", type=int, default=2001, help="grid size")
-    spec.add_argument(
-        "--markovian-only", action="store_true", help="emit only the memoryless curve"
-    )
+    spec.add_argument("--markovian-only", action="store_true", help="emit only the memoryless curve")
 
     emb = sub.add_parser("embedcheck", help="memory-embedding cross-validation")
     emb.add_argument("--t-final", type=_finite_float, default=None, help="integration horizon (s)")
@@ -473,19 +410,20 @@ def main(argv=None) -> int:
     # Looked up per call, so a rebinding of cli.cmd_* (tracing, tests) takes effect.
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
-    except (ConfigError, StepTooLarge, ValueError) as exc:
-        sys.stderr.write(f"eprenorm: error: {exc}\n")
-        return EXIT_USAGE
-    except _SOLVER_ERRORS as exc:
+        p, d = load_config(args.config)
+        table = command(args, p, d)
+        manifest = _manifest(args, p, d, table.grid)
+        _emit(args, manifest, table.columns, table.data, table.footer, table.summary)
+    except SolverFailure as exc:
         sys.stderr.write(f"eprenorm: solver failure: {exc}\n")
         return EXIT_SOLVER
     except OrderCheckFailed as exc:
         sys.stderr.write(f"eprenorm: check failure: {exc}\n")
         return EXIT_CHECK
-    except ToolkitError as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         sys.stderr.write(f"eprenorm: error: {exc}\n")
         return EXIT_USAGE
+    return table.code
 
 
 if __name__ == "__main__":

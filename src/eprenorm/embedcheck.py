@@ -28,6 +28,9 @@ MAX_DT_FRACTION = 1.0 / 50.0
 # Largest step count of one run (the dt/4 run of convergence_order included);
 # trajectories are allocated whole, 48 bytes per step.
 MAX_STEPS = 200_000
+# Fourier kernel check: trapezoid nodes over [-KERNEL_WINDOW, KERNEL_WINDOW] * Omega_c.
+KERNEL_POINTS = 40001
+KERNEL_WINDOW = 50.0
 
 
 @dataclass(frozen=True)
@@ -150,22 +153,20 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float, dt:
     return math.log2(ratio), ratio
 
 
-def kernel_fourier_error(p: SystemParams, t: float | None = None,
-                         n_points: int = 40001, window: float = 50.0) -> float:
+def kernel_fourier_error(p: SystemParams) -> float:
     """Consistency of the smooth memory kernel with the bath spectral function.
 
     Numerically inverts K_smooth(t) = (1/2pi) int (I(|w|) - gamma) e^{-iwt} dw
-    over [-window*Omega_c, window*Omega_c] by the trapezoid rule (the flat
-    gamma part is the local delta contribution and is subtracted before
-    transforming) and returns the deviation from the closed form relative to
-    the kernel amplitude gamma*Omega_c/2.
+    at t = 1/Omega_c over [-KERNEL_WINDOW*Omega_c, KERNEL_WINDOW*Omega_c] by
+    the trapezoid rule (the flat gamma part is the local delta contribution
+    and is subtracted before transforming) and returns the deviation from the
+    closed form relative to the kernel amplitude gamma*Omega_c/2.
     """
-    if t is None:
-        t = 1.0 / p.omega_c
+    t = 1.0 / p.omega_c
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
-    omega = np.linspace(-window * p.omega_c, window * p.omega_c, n_points)
+    omega = np.linspace(-KERNEL_WINDOW * p.omega_c, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS)
     integrand = (spectral_density(p, np.abs(omega)) - p.gamma) * np.exp(-1j * omega * t)
     smooth = complex(np.trapezoid(integrand, omega)) / (2.0 * math.pi)
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

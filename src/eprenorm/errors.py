@@ -9,23 +9,27 @@ class ConfigError(ToolkitError):
     """Invalid or unreadable configuration input."""
 
 
-class PolePseudomode(ToolkitError):
+class SolverFailure(ToolkitError):
+    """A solver found no usable answer for valid input (CLI exit code 2)."""
+
+
+class PolePseudomode(SolverFailure):
     """Evaluation requested at the eliminated pseudomode pole lambda = -Omega_c."""
 
 
-class DegenerateDenominator(ToolkitError):
+class DegenerateDenominator(SolverFailure):
     """g(lambda)^2 + g_c^2 vanished; the double-root parametrization is singular."""
 
 
-class NoMarkovianEp(ToolkitError):
+class NoMarkovianEp(SolverFailure):
     """kappa <= gamma: the memoryless system admits no exceptional point."""
 
 
-class NoConvergence(ToolkitError):
+class NoConvergence(SolverFailure):
     """Newton iteration failed to converge after all restarts."""
 
 
-class NonPhysicalEp(ToolkitError):
+class NonPhysicalEp(SolverFailure):
     """Solver converged, but no root satisfies g^2 > 0 and -delta > 0."""
 
 
@@ -40,7 +44,7 @@ class OrderCheckFailed(ToolkitError):
         super().__init__(message + detail if message else detail)
 
 
-class SingularDenominator(ToolkitError):
+class SingularDenominator(SolverFailure):
     """Response denominator D(omega) vanished (instability or pole)."""
 
 

@@ -187,14 +187,16 @@ def eigensystem(m):
     Modes come back ordered by eigenvalue (imaginary part, then real part;
     imaginary parts within 1e-9 max|lam| count as equal), each with its right
     vector and left = conj(right).  See _eigensystems for the defective flag.
-    Raises ValueError for any other shape and for a matrix that is not
-    exactly symmetric (M != M^T).
+    Raises ValueError for any other shape, for an inf or nan entry and for a
+    matrix that is not exactly symmetric (M != M^T).
     """
     arr = np.asarray(m, dtype=complex)
     if arr.shape not in ((2, 2), (3, 3)):
         raise ValueError(f"eigensystem needs a 2x2 or 3x3 matrix, got shape {arr.shape}")
-    # equal_nan: a NaN entry is not an asymmetry; eigvals rejects non-finite input itself.
-    if not np.array_equal(arr, arr.T, equal_nan=True):
+    if not np.isfinite(arr).all():
+        raise ValueError("eigensystem: the matrix entries must be finite")
+    # Entries are finite here, so bitwise equality is the whole symmetry test.
+    if not np.array_equal(arr, arr.T):
         raise ValueError("eigensystem: the matrix must be symmetric (M == M^T)")
     lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
     return [

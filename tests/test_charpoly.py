@@ -36,7 +36,8 @@ def test_cubic_poly_matches_polyval():
 
 
 def test_cubic_poly_must_be_monic():
-    with pytest.raises(ValueError):
+    # The cubic is monic by construction: there is no leading coefficient to set.
+    with pytest.raises(TypeError):
         CubicPoly(c2=0.0, c1=0.0, c0=0.0, c3=2.0)
 
 

@@ -14,26 +14,35 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 40.0, 1e-7, 2.5e15, 1e1
 
 
 def _manifest(out_path):
-    return cli.RunManifest(
-        command="eigs",
-        params_hz={"cavity.kappa_hz": 2.0e5, "mechanics.freq_hz": 1.0e6},
-        grid={"g_points": 3, "delta_mode": 'value:"x"\\'},
-        out_path=out_path,
-        version="0.0",
-        timestamp="2025-08-25T00:00:00Z",
-    )
+    return {
+        "command": "eigs",
+        "params_hz": {"mechanics.freq_hz": 1.0e6, "cavity.kappa_hz": 2.0e5},
+        "grid": {"g_points": 3, "delta_mode": 'value:"x"\\'},
+        "out": out_path,
+        "version": "0.0",
+        "timestamp": "2025-08-25T00:00:00Z",
+    }
 
 
 def _reference(manifest, columns, data, footer, summary, as_json):
     """The artifact built cell by cell with the standard library only."""
     if as_json:
-        doc = {"manifest": manifest.to_dict(), **summary}
+        doc = {"manifest": manifest, **summary}
         if columns is not None:
             cells = [[float(format(float(x), ".12g")) for x in row] for row in data]
             doc["columns"] = columns
             doc["rows"] = [[x if math.isfinite(x) else None for x in row] for row in cells]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = manifest.comment_lines()
+    lines = [
+        "# eprenorm manifest",
+        f"# version = {manifest['version']}",
+        f"# command = {manifest['command']}",
+        f"# timestamp = {manifest['timestamp']}",
+        f"# out = {manifest['out'] or '-'}",
+    ]
+    params = sorted(manifest["params_hz"].items())
+    lines += [f"# {key} = {format(value, '.12g')}" for key, value in params]
+    lines += [f"# grid.{key} = {value}" for key, value in sorted(manifest["grid"].items())]
     if columns is not None:
         lines.append(",".join(columns))
         lines += [",".join(format(float(x), ".12g") for x in row) for row in data]

@@ -319,6 +319,32 @@ def test_cli_embedcheck_step_bound(capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "out, epoch, error",
+    [
+        ("missing_dir/x.csv", "1756080000", "[Errno 2] No such file or directory"),
+        (".", "1756080000", "[Errno 21] Is a directory"),
+        (None, "100000000000000000000", "SOURCE_DATE_EPOCH=100000000000000000000 is out of range"),
+        (None, "300000000000", "SOURCE_DATE_EPOCH=300000000000 is out of range"),
+        (None, "253402300799", None),
+    ],
+    ids=["out_missing_dir", "out_is_directory", "epoch_overflow", "epoch_past_9999", "epoch_last"],
+)
+def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch, error):
+    """An unwritable --out path or a SOURCE_DATE_EPOCH past 9999-12-31T23:59:59Z
+    exits 1 with a one-line message instead of a traceback."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    argv = ["ep"] if out is None else ["--out", str(tmp_path / out), "ep"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 0 and "# timestamp = 9999-12-31T23:59:59Z\n" in captured.out
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"eprenorm: error: {error}")
+        assert captured.err.count("\n") == 1
+
+
 def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "eprenorm", "--quiet", "ep"],

@@ -423,6 +423,16 @@ def test_eigensystem_rejects_non_symmetric_input(params, drive):
             eigensystem(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_eigensystem_rejects_non_finite_input(params, drive, value):
+    on_diagonal = np.diag([value, 1.0])
+    off_diagonal = drift_nonmarkovian(params, drive)
+    off_diagonal[0, 2] = off_diagonal[2, 0] = value
+    for bad in (on_diagonal, off_diagonal):
+        with pytest.raises(ValueError, match="must be finite"):
+            eigensystem(bad)
+
+
 def _is_symmetric(m):
     return np.array_equal(m, m.swapaxes(-1, -2))
 
