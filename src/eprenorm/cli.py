@@ -77,10 +77,11 @@ class Table(NamedTuple):
 
 def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
     """Provenance block of every artifact, stamped at SOURCE_DATE_EPOCH or else now."""
-    raw = os.environ.get("SOURCE_DATE_EPOCH")
-    epoch = int(raw) if raw and raw.strip().isdigit() else int(time.time())
-    if epoch > MAX_EPOCH:
-        raise ConfigError(f"SOURCE_DATE_EPOCH={raw.strip()} is out of range (at most {MAX_EPOCH})")
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "").strip()
+    digits = raw.isascii() and raw.isdigit()
+    if digits and (len(raw.lstrip("0")) > len(str(MAX_EPOCH)) or int(raw) > MAX_EPOCH):
+        raise ConfigError(f"SOURCE_DATE_EPOCH={raw} is out of range (at most {MAX_EPOCH})")
+    epoch = int(raw) if digits else int(time.time())
     return {
         "command": args.command,
         "params_hz": {**p.as_hz_dict(), **d.as_hz_dict()},

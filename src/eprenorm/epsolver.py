@@ -10,7 +10,9 @@ coalescence frequency lambda, the drive coordinates follow algebraically as
 and lambda itself is fixed by requiring both to be real.  That reduces the
 search to two real unknowns (x, y) = (Re lambda, Im lambda) with residuals
 R1 = Im sqrt(g_sq) and R2 = Re[lambda + kappa/2 + g*h/(g^2+g_c^2)], solved
-by a damped Newton iteration seeded at the memoryless coalescence value.
+by one damped Newton iteration seeded at the memoryless coalescence value.
+Both bracketed expressions are holomorphic in lambda, so the Jacobian of
+(R1, R2) follows from their complex derivatives by Cauchy-Riemann.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .charpoly import CubicPoly, char_cubic, cubic_roots, factors, third_root_viete
+from .charpoly import char_cubic, cubic_roots, factors, third_root_viete
 from .errors import (
     DegenerateDenominator,
     NoConvergence,
@@ -33,12 +35,10 @@ KIND_MARKOVIAN = "markovian"
 KIND_PERTURBATIVE = "perturbative"
 KIND_EXACT = "exact"
 
-# Newton controls for solve_exact_ep.
-FD_STEP_REL = 1e-6
-RESIDUAL_RTOL = 1e-12
+# Newton controls for solve_exact_ep; STEP_RTOL is relative to |lambda|.
+STEP_RTOL = 1e-8
 MAX_ITER = 100
 MAX_HALVINGS = 30
-RESTART_FRACTIONS = (0.01, 0.02, 0.05)
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,22 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
 
 
 def _double_root(p: SystemParams, lam: complex):
-    """(g_sq, lam + kappa/2 + g*h/(g^2 + g_c^2)) at lam, or None where g^2 + g_c^2 vanishes."""
+    """(g_sq, t, g_sq', t') at lam, or None where den = g^2 + g_c^2 vanishes.
+
+    g_sq = h^2/den and t = lam + kappa/2 + g*h/den; the derivatives in lam
+    use f' = g' = 1, h' = f + g and den' = 2g.
+    """
     fac = factors(p, lam)
     den = fac.g**2 + p.g_c**2
     scale = max(abs(lam), p.omega_c) ** 2
     if abs(den) < 1e-12 * scale:
         return None
-    return fac.h**2 / den, lam + p.kappa / 2.0 + fac.g * fac.h / den
+    g_sq = fac.h**2 / den
+    gh = fac.g * fac.h / den
+    dh = fac.f + fac.g
+    d_g_sq = 2.0 * (fac.h * dh - fac.g * g_sq) / den
+    dt = 1.0 + (fac.h + fac.g * dh - 2.0 * fac.g * gh) / den
+    return g_sq, lam + p.kappa / 2.0 + gh, d_g_sq, dt
 
 
 def ep_candidates(p: SystemParams, lam: complex):
@@ -183,111 +192,73 @@ def ep_candidates(p: SystemParams, lam: complex):
     coords = _double_root(p, lam)
     if coords is None:
         raise DegenerateDenominator(f"g(lam)^2 + g_c^2 vanishes at lam = {lam!r}")
-    g_sq, shifted = coords
+    g_sq, shifted, _, _ = coords
     return g_sq, -1j * shifted
 
 
-def _reality_residuals(p: SystemParams, x: float, y: float):
-    """Residuals (R1, R2) whose common zero is an exceptional point.
+def _residual_norm(coords) -> float:
+    """|(Im sqrt(g_sq), Re t)| for a _double_root result, inf for None."""
+    if coords is None:
+        return math.inf
+    return math.hypot(cmath.sqrt(coords[0]).imag, coords[1].real)
 
-    R1 = Im sqrt(g_sq) vanishes only for real non-negative g_sq, so it
-    enforces reality and sign of the coupling at once; R2 is the real part
-    of the detuning expression before the -i factor.  Both carry rad/s
-    units, which keeps a single omega_m-relative convergence test honest.
+
+def _newton(p: SystemParams, lam: complex):
+    """Damped Newton on (R1, R2) = (Im sqrt(g_sq), Re t) from lam; returns lam or None.
+
+    R1 = 0 only for real non-negative g_sq, i.e. a real coupling.  With
+    s = sqrt(g_sq) and s' = g_sq' / (2 s), Cauchy-Riemann gives
+    dR/dx = (Im s', Re t') and dR/dy = (Re s', -Im t').  A step within
+    STEP_RTOL * |lam| ends the iteration; it is kept only if it does not
+    raise the residual norm, so an exact seed stays exact.
     """
-    coords = _double_root(p, complex(x, y))
+    coords = _double_root(p, lam)
     if coords is None:
         return None
-    g_sq, shifted = coords
-    return cmath.sqrt(g_sq).imag, shifted.real
-
-
-def _newton_from_seed(p: SystemParams, seed: complex):
-    """Damped Newton on the reality residuals; returns lam or None."""
-    x, y = seed.real, seed.imag
-    tol = RESIDUAL_RTOL * p.omega_m
-    res = _reality_residuals(p, x, y)
-    if res is None:
-        return None
+    norm = _residual_norm(coords)
     for _ in range(MAX_ITER):
-        r1, r2 = res
-        if abs(r1) < tol and abs(r2) < tol:
-            return complex(x, y)
-        step = FD_STEP_REL * max(math.hypot(x, y), p.omega_c)
-        rx = _reality_residuals(p, x + step, y)
-        ry = _reality_residuals(p, x, y + step)
-        if rx is None or ry is None:
+        g_sq, t, d_g_sq, dt = coords
+        s = cmath.sqrt(g_sq)
+        if s == 0.0:
             return None
-        j11 = (rx[0] - r1) / step
-        j12 = (ry[0] - r1) / step
-        j21 = (rx[1] - r2) / step
-        j22 = (ry[1] - r2) / step
-        det = j11 * j22 - j12 * j21
+        ds = d_g_sq / (2.0 * s)
+        r1, r2 = s.imag, t.real
+        det = -(ds.real * dt.real + ds.imag * dt.imag)
         if det == 0.0 or not math.isfinite(det):
             return None
-        dx = (j12 * r2 - j22 * r1) / det
-        dy = (j21 * r1 - j11 * r2) / det
-
-        base_norm = math.hypot(r1, r2)
-        scale_t = 1.0
-        accepted = None
+        step = complex(r1 * dt.imag + r2 * ds.real, r1 * dt.real - r2 * ds.imag) / det
+        if abs(step) <= STEP_RTOL * abs(lam):
+            return lam + step if _residual_norm(_double_root(p, lam + step)) <= norm else lam
         for _ in range(MAX_HALVINGS + 1):
-            trial = _reality_residuals(p, x + scale_t * dx, y + scale_t * dy)
-            if trial is not None and math.hypot(*trial) < base_norm:
-                accepted = trial
+            coords = _double_root(p, lam + step)
+            trial_norm = _residual_norm(coords)
+            if trial_norm < norm:
                 break
-            scale_t /= 2.0
-        if accepted is None:
+            step /= 2.0
+        else:
             return None
-        x += scale_t * dx
-        y += scale_t * dy
-        res = accepted
-    r1, r2 = res
-    if abs(r1) < tol and abs(r2) < tol:
-        return complex(x, y)
+        lam, norm = lam + step, trial_norm
     return None
-
-
-def _restart_seeds(seed: complex):
-    for frac in RESTART_FRACTIONS:
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                yield complex(seed.real * (1.0 + sx * frac), seed.imag * (1.0 + sy * frac))
 
 
 def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     """Numerically exact exceptional point of the full three-mode cubic.
 
-    Seeds the Newton iteration at the memoryless coalescence value (or the
-    caller's seed), restarting from percent-level perturbed seeds on
-    failure.  Converged frequencies failing the physicality selection
-    (real positive coupling, real negative detuning) are rejected; among
-    several admissible solutions the slowest-decaying one wins.
+    Runs one Newton iteration from the memoryless coalescence value (or the
+    caller's seed) until its step falls within STEP_RTOL * |lambda|, so the
+    coordinates carry full double precision.  Raises NoConvergence if the
+    iteration fails and NonPhysicalEp if it lands on a double root without
+    a real positive coupling and a real negative detuning.
     """
     _require_markovian_ep(p)
     if seed is None:
         seed = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
-
-    physical = []
-    converged_any = False
-    for trial_seed in (seed, *_restart_seeds(seed)):
-        lam = _newton_from_seed(p, trial_seed)
-        if lam is None:
-            continue
-        converged_any = True
-        g_sq, delta = ep_candidates(p, lam)
-        if g_sq.real <= 0.0 or delta.real >= 0.0:
-            continue
-        physical.append(lam)
-        if trial_seed == seed:
-            break
-    if not physical:
-        if converged_any:
-            raise NonPhysicalEp("all converged double roots fail the physicality selection")
-        raise NoConvergence("Newton iteration failed from all seeds")
-
-    lam = max(physical, key=lambda z: z.real)
+    lam = _newton(p, seed)
+    if lam is None:
+        raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
     g_sq, delta_c = ep_candidates(p, lam)
+    if g_sq.real <= 0.0 or delta_c.real >= 0.0:
+        raise NonPhysicalEp(f"double root at lambda = {lam!r} fails the physicality selection")
     delta = delta_c.real
     g = cmath.sqrt(g_sq).real
     q = char_cubic(p, DriveParams(delta=delta, g=g))

@@ -26,7 +26,7 @@ class NoMarkovianEp(SolverFailure):
 
 
 class NoConvergence(SolverFailure):
-    """Newton iteration failed to converge after all restarts."""
+    """Newton iteration failed to converge from its seed."""
 
 
 class NonPhysicalEp(SolverFailure):

@@ -1,9 +1,11 @@
 """Config resolution and the command-line interface (in-process and one subprocess)."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -320,25 +322,38 @@ def test_cli_embedcheck_step_bound(capsys):
 
 
 @pytest.mark.parametrize(
-    "out, epoch, error",
+    "out, epoch, error, stamp",
     [
-        ("missing_dir/x.csv", "1756080000", "[Errno 2] No such file or directory"),
-        (".", "1756080000", "[Errno 21] Is a directory"),
-        (None, "100000000000000000000", "SOURCE_DATE_EPOCH=100000000000000000000 is out of range"),
-        (None, "300000000000", "SOURCE_DATE_EPOCH=300000000000 is out of range"),
-        (None, "253402300799", None),
+        ("missing_dir/x.csv", "1756080000", "[Errno 2] No such file or directory", None),
+        (".", "1756080000", "[Errno 21] Is a directory", None),
+        (None, "100000000000000000000", "SOURCE_DATE_EPOCH=100000000000000000000 is out of range", None),
+        (None, "300000000000", "SOURCE_DATE_EPOCH=300000000000 is out of range", None),
+        (None, "9" * 5000, f"SOURCE_DATE_EPOCH={'9' * 5000} is out of range", None),
+        (None, "253402300799", None, "9999-12-31T23:59:59Z"),
+        (None, "\u00b2", None, "1970-01-01T00:00:00Z"),
     ],
-    ids=["out_missing_dir", "out_is_directory", "epoch_overflow", "epoch_past_9999", "epoch_last"],
+    ids=[
+        "out_missing_dir",
+        "out_is_directory",
+        "epoch_overflow",
+        "epoch_past_9999",
+        "epoch_5000_digits",
+        "epoch_last",
+        "epoch_superscript_two",
+    ],
 )
-def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch, error):
+def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch, error, stamp):
     """An unwritable --out path or a SOURCE_DATE_EPOCH past 9999-12-31T23:59:59Z
-    exits 1 with a one-line message instead of a traceback."""
+    exits 1 with a one-line message instead of a traceback; a value that is
+    not ASCII digits is ignored like any other non-number, so the stamp falls
+    back to the current time (pinned to 0 here)."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(time, "time", lambda: 0.0)
     argv = ["ep"] if out is None else ["--out", str(tmp_path / out), "ep"]
     code = main(argv)
     captured = capsys.readouterr()
     if error is None:
-        assert code == 0 and "# timestamp = 9999-12-31T23:59:59Z\n" in captured.out
+        assert code == 0 and f"# timestamp = {stamp}\n" in captured.out
     else:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"eprenorm: error: {error}")
@@ -346,11 +361,15 @@ def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch,
 
 
 def test_cli_subprocess_entry():
+    """`python -m eprenorm` runs from a checkout: src/ goes first on the child's PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "eprenorm", "--quiet", "ep"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == ""

@@ -16,6 +16,7 @@ from eprenorm import (
     KIND_EXACT,
     KIND_MARKOVIAN,
     KIND_PERTURBATIVE,
+    NoConvergence,
     NoMarkovianEp,
     OrderCheckFailed,
     SystemParams,
@@ -201,6 +202,20 @@ def test_exact_ep_custom_seed(params):
     assert abs(sol.lambda_ep - ref.lambda_ep) < 1e-10 * abs(ref.lambda_ep)
     assert abs(sol.delta_ep - ref.delta_ep) < 1e-10 * abs(ref.delta_ep)
     assert abs(sol.g_ep - ref.g_ep) < 1e-10 * ref.g_ep
+
+
+@pytest.mark.parametrize("where", ["pole", "zero"])
+def test_exact_ep_single_seed_fails(params, where):
+    """Newton runs from the caller's seed alone, and no perturbed seed is tried
+    instead: on the pole of g_sq there is nothing to iterate from, and on a
+    zero of g_sq (lam = -i omega_m without memory) sqrt(g_sq) has no derivative."""
+    if where == "pole":
+        p, seed = params, complex(-params.omega_c, params.g_c)
+    else:
+        p = dataclasses.replace(params, gamma=0.0)
+        seed = -1j * p.omega_m
+    with pytest.raises(NoConvergence):
+        solve_exact_ep(p, seed=seed)
 
 
 def test_exact_ep_memoryless_equals_markovian(params):
