@@ -323,7 +323,7 @@ def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
 def cmd_embedcheck(args, p: SystemParams, d: DriveParams) -> Table:
     """Cross-validate the auxiliary-mode embedding against direct convolution."""
     t_final = args.t_final if args.t_final is not None else 20.0 / p.kappa
-    dt = args.dt if args.dt is not None else 1.0 / (100.0 * p.omega_m)
+    dt = args.dt if args.dt is not None else 1.0 / (100.0 * max(p.omega_m, p.omega_c))
 
     # The order check runs first: its up-front step bound covers the dt/4 run.
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final, dt)

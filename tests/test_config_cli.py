@@ -226,6 +226,17 @@ def test_cli_embedcheck_report(tmp_path):
     assert float(kv["kernel_fourier_err"]) < 1e-4
 
 
+def test_cli_embedcheck_default_step_follows_fastest_rate(tmp_path):
+    """With a bath cutoff above twice the mechanical frequency the default
+    step still meets the resolution limit; at this resolution the order
+    estimate is rounding-limited, so only the status is checked."""
+    path = _write(tmp_path, "[bath]\ncutoff_hz = 3e6\n")
+    out = tmp_path / "embed.txt"
+    assert main(["--config", path, "--out", str(out), "embedcheck"]) == 0
+    kv = _kv_lines(out.read_text())
+    assert kv["status"] == "PASS"
+
+
 def test_cli_memoryless_config_collapses_exact_onto_markovian(tmp_path):
     path = _write(tmp_path, "[mechanics]\ngamma_hz = 0\n")
     out = tmp_path / "ep0.txt"

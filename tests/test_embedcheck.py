@@ -88,6 +88,52 @@ def test_propagator_matches_stagewise_rk4(params, drive):
         assert err <= 1e-12 * scale
 
 
+@pytest.mark.parametrize(
+    "n_steps",
+    [1, embedcheck.BLOCK - 1, embedcheck.BLOCK, embedcheck.BLOCK + 1, 2 * embedcheck.BLOCK + 1],
+    ids=["one", "block-1", "block", "block+1", "2block+1"],
+)
+def test_block_edges_match_stagewise_rk4(params, drive, n_steps):
+    """Blocked propagation matches stage-wise RK4 for a single step, a
+    short last block and exact multiples of the block, and keeps a zero
+    state exactly zero."""
+    dt = _default_dt(params)
+    t_final = n_steps * dt
+    ca = 1j * drive.delta - params.kappa / 2.0
+    cb = -(1j * params.omega_m + params.gamma / 2.0)
+    ig = 1j * drive.g
+    gc = params.g_c
+    oc = params.omega_c
+    mem = params.gamma * params.omega_c / 2.0
+
+    def rhs_pseudomode(y):
+        a, b, c = y
+        return (ca * a - ig * b, -ig * a + cb * b - gc * c, -gc * b - oc * c)
+
+    def rhs_accumulator(y):
+        a, b, u = y
+        return (ca * a - ig * b, -ig * a + cb * b + mem * u, -oc * u + b)
+
+    cases = [
+        (integrate_pseudomode(params, drive, (1.0, 0.5 - 0.5j, 0.25j), t_final, dt),
+         _rk4_stagewise(rhs_pseudomode, (1.0, 0.5 - 0.5j, 0.25j), n_steps, dt)),
+        (integrate_nonmarkovian(params, drive, (1.0, 0.5 - 0.5j), t_final, dt),
+         _rk4_stagewise(rhs_accumulator, (1.0, 0.5 - 0.5j, 0.0), n_steps, dt)),
+    ]
+    for traj, ref in cases:
+        assert traj.amps.shape == ref.shape == (n_steps + 1, 3)
+        assert np.array_equal(traj.times, np.arange(n_steps + 1) * dt)
+        scale = float(np.max(np.linalg.norm(ref, axis=1)))
+        err = float(np.max(np.linalg.norm(traj.amps - ref, axis=1)))
+        assert err <= 1e-12 * scale
+
+    zero_pm = integrate_pseudomode(params, drive, (0.0, 0.0, 0.0), t_final, dt)
+    zero_direct = integrate_nonmarkovian(params, drive, (0.0, 0.0), t_final, dt)
+    for traj in (zero_pm, zero_direct):
+        assert traj.amps.shape == (n_steps + 1, 3)
+        assert np.all(traj.amps == 0.0)
+
+
 def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch):
     """Runs over MAX_STEPS fail before any trajectory is allocated; the
     dt/4 run of convergence_order counts toward the bound."""
