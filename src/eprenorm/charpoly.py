@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolePseudomode
-from .model import DriveParams, SystemParams
+from .model import DriveParams, SystemParams, drift_markovian
 
 # Relative cutoff below which lambda counts as sitting on the pseudomode pole.
 POLE_RTOL = 1e-9
@@ -114,18 +114,14 @@ def cubic_roots(q: CubicPoly):
 
 
 def schur_effective_block(p: SystemParams, d: DriveParams, lam: complex) -> np.ndarray:
-    """Reduced 2x2 drift block with the self-energy on the mechanical entry.
+    """Reduced 2x2 drift block: drift_markovian plus the self-energy at [1, 1].
 
     Satisfies det(lam*I - M) = (lam + Omega_c) * det(lam*I2 - M_eff(lam)).
     """
     sigma = self_energy(p, lam)
-    return np.array(
-        [
-            [1j * d.delta - p.kappa / 2.0, -1j * d.g],
-            [-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0) + sigma],
-        ],
-        dtype=complex,
-    )
+    block = drift_markovian(p, d)
+    block[1, 1] += sigma
+    return block
 
 
 def third_root_viete(p: SystemParams, delta: float, lambda_ep: complex) -> complex:

@@ -224,6 +224,10 @@ def _grid(args, axis: str, min_points: int):
     # Couplings are magnitudes; probe frequencies may be negative.
     if axis == "g" and lo < 0:
         raise ConfigError("--g-min must be non-negative")
+    bounds = {f"--{axis}-min": lo, f"--{axis}-max": hi, f"the --{axis}-min/max span": hi - lo}
+    for flag, value in bounds.items():
+        if not math.isfinite(hz_to_rad(value * 1e3)):
+            raise ConfigError(f"{flag} = {value!r} kHz is not finite in rad/s")
     grid_rad = hz_to_rad(np.linspace(lo, hi, n) * 1e3)
     meta = {f"{axis}_min_khz": lo, f"{axis}_max_khz": hi, f"{axis}_points": n}
     return grid_rad, _khz(grid_rad), meta
@@ -289,6 +293,9 @@ def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
     model at the closed-form coordinates, the bath-dressed model at the
     numerically exact ones.
     """
+    if not args.markovian_only and p.gamma <= 0.0:
+        raise ConfigError("mechanics.gamma_hz must be > 0 for the cooperativity summary"
+                          " (--markovian-only emits the memoryless curve alone)")
     omegas, omega_khz, grid = _grid(args, "omega", 1)
     grid["markovian_only"] = int(args.markovian_only)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepTooLarge
-from .model import DriveParams, SystemParams, memory_kernel_smooth, spectral_density
+from .model import DriveParams, SystemParams, drift_nonmarkovian, memory_kernel_smooth, spectral_density
 
 # Resolution requirement: at least 50 steps per fastest period/decay.
 MAX_DT_FRACTION = 1.0 / 50.0
@@ -85,7 +85,7 @@ def _rk4_propagate(arr, y0, n_steps: int, dt: float) -> Trajectory:
     stack viewed as a (3B, 3) matrix.  Only the rounding order differs from
     stepping P one row at a time.
     """
-    ha = dt * np.array(arr, dtype=complex)
+    ha = dt * arr
     eye = np.eye(3)
     block = min(BLOCK, n_steps)
     pows = np.empty((block, 3, 3), dtype=complex)
@@ -110,11 +110,7 @@ def integrate_pseudomode(
 ) -> Trajectory:
     """Integrate the three-mode system (a, b, c) from init with fixed-step RK4."""
     n_steps = _check_step(p, t_final, dt)
-    ca = 1j * d.delta - p.kappa / 2.0
-    cb = -(1j * p.omega_m + p.gamma / 2.0)
-    ig = 1j * d.g
-    arr = ((ca, -ig, 0.0), (-ig, cb, -p.g_c), (0.0, -p.g_c, -p.omega_c))
-    return _rk4_propagate(arr, (init[0], init[1], init[2]), n_steps, dt)
+    return _rk4_propagate(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n_steps, dt)
 
 
 def integrate_nonmarkovian(
@@ -123,13 +119,14 @@ def integrate_nonmarkovian(
     """Integrate the two-mode system with the memory convolution held in u.
 
     The returned third column is the accumulator u, which maps onto the
-    auxiliary mode as c = -g_c * u.
+    auxiliary mode as c = -g_c * u.  The generator is drift_nonmarkovian with
+    its two bath couplings replaced by the accumulator's: gamma*Omega_c/2
+    feeding u into b, and 1 feeding b into u.
     """
     n_steps = _check_step(p, t_final, dt)
-    ca = 1j * d.delta - p.kappa / 2.0
-    cb = -(1j * p.omega_m + p.gamma / 2.0)
-    ig = 1j * d.g
-    arr = ((ca, -ig, 0.0), (-ig, cb, p.gamma * p.omega_c / 2.0), (0.0, 1.0, -p.omega_c))
+    arr = drift_nonmarkovian(p, d)
+    arr[1, 2] = p.gamma * p.omega_c / 2.0
+    arr[2, 1] = 1.0
     return _rk4_propagate(arr, (init_ab[0], init_ab[1], 0.0), n_steps, dt)
 
 

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .charpoly import char_cubic, cubic_roots, factors, third_root_viete
+from .charpoly import CubicPoly, char_cubic, cubic_roots, factors, third_root_viete
 from .errors import (
     DegenerateDenominator,
     NoConvergence,
@@ -90,12 +90,9 @@ class OrderCertificate:
     ddp_mag: float
 
 
-def _require_markovian_ep(p: SystemParams) -> None:
-    """Raise NoMarkovianEp unless kappa > gamma (both EP solvers start from that EP)."""
-    if p.kappa <= p.gamma:
-        raise NoMarkovianEp(
-            f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
-        )
+def _magnitudes(q: CubicPoly, lam: complex):
+    """(|q|, |q'|, |q''|) at lam, in EpSolution's and OrderCertificate's field order."""
+    return abs(q(lam)), abs(q.deriv(lam)), abs(q.deriv2(lam))
 
 
 def markovian_ep(p: SystemParams) -> EpSolution:
@@ -103,9 +100,11 @@ def markovian_ep(p: SystemParams) -> EpSolution:
 
     Residuals are evaluated against the reduced quadratic
     (lam + kappa/2 - i*delta)(lam + gamma/2 + i*omega_m) + G^2, whose double
-    root the returned lambda_ep is.
+    root the returned lambda_ep is.  Raises NoMarkovianEp unless kappa > gamma;
+    the other two EP routes start from this one and share that guard.
     """
-    _require_markovian_ep(p)
+    if p.kappa <= p.gamma:
+        raise NoMarkovianEp(f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}")
     delta = -p.omega_m
     g = (p.kappa - p.gamma) / 4.0
     lam = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
@@ -136,32 +135,27 @@ def mech_renorm(p: SystemParams) -> MechRenorm:
 
 
 def perturbative_ep(p: SystemParams) -> EpSolution:
-    """Memoryless exceptional point plus the leading corrections in gamma.
+    """Memoryless exceptional point at the renormalized mechanics of mech_renorm.
 
-    lambda_ep is taken as the midpoint of the two closest roots of the full
-    cubic at the shifted coordinates; residuals are against the full cubic
-    and are expected small but nonzero.
+    The coordinates are markovian_ep's, delta = -omega_m and
+    g = (kappa - gamma)/4, with omega_m -> omega_eff and gamma -> gamma_eff,
+    which carries the leading corrections in gamma.  lambda_ep is taken as
+    the midpoint of the two closest roots of the full cubic at these
+    coordinates; residuals are against the full cubic and are expected
+    small but nonzero.
     """
-    base = markovian_ep(p)
-    den = p.omega_c**2 + p.omega_m**2
-    delta = base.delta_ep + p.omega_m * p.gamma * p.omega_c / (2.0 * den)
-    g = base.g_ep + p.gamma * p.omega_c**2 / (4.0 * den)
+    markovian_ep(p)  # the kappa > gamma guard
+    ren = mech_renorm(p)
+    delta = -ren.omega_eff
+    g = (p.kappa - ren.gamma_eff) / 4.0
 
     q = char_cubic(p, DriveParams(delta=delta, g=g))
     roots = cubic_roots(q)
     pairs = ((0, 1), (0, 2), (1, 2))
     i, j = min(pairs, key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
     lam = (roots[i] + roots[j]) / 2.0
-    return EpSolution(
-        lambda_ep=lam,
-        delta_ep=delta,
-        g_ep=g,
-        lambda_3=third_root_viete(p, delta, lam),
-        residual_p=abs(q(lam)),
-        residual_dp=abs(q.deriv(lam)),
-        second_deriv_mag=abs(q.deriv2(lam)),
-        kind=KIND_PERTURBATIVE,
-    )
+    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *_magnitudes(q, lam),
+                      kind=KIND_PERTURBATIVE)
 
 
 def _double_root(p: SystemParams, lam: complex):
@@ -250,9 +244,8 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     iteration fails and NonPhysicalEp if it lands on a double root without
     a real positive coupling and a real negative detuning.
     """
-    _require_markovian_ep(p)
-    if seed is None:
-        seed = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
+    mk = markovian_ep(p)
+    seed = mk.lambda_ep if seed is None else seed
     lam = _newton(p, seed)
     if lam is None:
         raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
@@ -261,17 +254,8 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
         raise NonPhysicalEp(f"double root at lambda = {lam!r} fails the physicality selection")
     delta = delta_c.real
     g = cmath.sqrt(g_sq).real
-    q = char_cubic(p, DriveParams(delta=delta, g=g))
-    return EpSolution(
-        lambda_ep=lam,
-        delta_ep=delta,
-        g_ep=g,
-        lambda_3=third_root_viete(p, delta, lam),
-        residual_p=abs(q(lam)),
-        residual_dp=abs(q.deriv(lam)),
-        second_deriv_mag=abs(q.deriv2(lam)),
-        kind=KIND_EXACT,
-    )
+    mags = _magnitudes(char_cubic(p, DriveParams(delta=delta, g=g)), lam)
+    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *mags, kind=KIND_EXACT)
 
 
 def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> OrderCertificate:
@@ -282,11 +266,8 @@ def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> O
     invariant under rescaling all rates; |p''| itself must clear the floor
     1e-3 * s that separates order two from order three.
     """
-    q = char_cubic(p, DriveParams(delta=sol.delta_ep, g=sol.g_ep))
     lam = sol.lambda_ep
-    cert = OrderCertificate(
-        p_mag=abs(q(lam)), dp_mag=abs(q.deriv(lam)), ddp_mag=abs(q.deriv2(lam))
-    )
+    cert = OrderCertificate(*_magnitudes(char_cubic(p, sol.drive), lam))
     s = max(abs(lam), p.omega_m)
     ddp_floor = 1e-3 * s
     ddp_eff = max(cert.ddp_mag, ddp_floor)

@@ -76,7 +76,7 @@ class SystemParams:
             warnings.warn(
                 "omega_m does not dominate kappa and gamma; "
                 "outside the resolved-sideband regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -145,19 +145,8 @@ def memory_kernel_smooth(p: SystemParams, t: float) -> float:
     return -(p.gamma * p.omega_c / 2.0) * math.exp(-p.omega_c * abs(t))
 
 
-def drift_markovian(p: SystemParams, d: DriveParams) -> np.ndarray:
-    """Two-mode drift (2x2 complex array) with memoryless mechanical damping."""
-    return np.array(
-        [
-            [1j * d.delta - p.kappa / 2.0, -1j * d.g],
-            [-1j * d.g, -(1j * p.omega_m + p.gamma / 2.0)],
-        ],
-        dtype=complex,
-    )
-
-
 def drift_nonmarkovian(p: SystemParams, d: DriveParams) -> np.ndarray:
-    """Three-mode drift (3x3 complex array), auxiliary bath mode c appended to (a, b)."""
+    """Three-mode drift (3x3 complex array), auxiliary bath mode c bordered onto (a, b)."""
     gc = p.g_c
     return np.array(
         [
@@ -167,3 +156,11 @@ def drift_nonmarkovian(p: SystemParams, d: DriveParams) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def drift_markovian(p: SystemParams, d: DriveParams) -> np.ndarray:
+    """Two-mode drift (2x2 complex array) with memoryless mechanical damping.
+
+    It is the (a, b) block of drift_nonmarkovian: the bath mode only borders it.
+    """
+    return drift_nonmarkovian(p, d)[:2, :2]

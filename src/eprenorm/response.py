@@ -165,22 +165,20 @@ def dip_metrics(p: SystemParams, d: DriveParams, markovian: bool = False) -> Dip
     denominator vanishes are skipped as candidates.
     """
 
-    def r_sq(omega: float) -> float:
-        try:
-            return reflection(p, d, omega, markovian=markovian).r_sq
-        except SingularDenominator:
-            return math.inf
+    def r_sq(omega):
+        """|r|^2 elementwise over omega, inf where the response denominator vanishes."""
+        pts = _reflect(p, d, omega, markovian)
+        return np.where(pts.singular, math.inf, pts.r_sq)
 
     half_width = DIP_WINDOW_GAMMAS * p.gamma
     if half_width == 0.0:
-        return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq(p.omega_m))
+        return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq(p.omega_m).item())
     grid = np.linspace(p.omega_m - half_width, p.omega_m + half_width, DIP_COARSE_POINTS)
-    coarse = _reflect(p, d, grid, markovian)
-    values = np.where(coarse.singular, math.inf, coarse.r_sq)
+    values = r_sq(grid)
     k = int(np.argmin(values))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
-    omega_min, r_min = _golden_min(r_sq, lo, hi, DIP_XTOL_GAMMAS * p.gamma)
+    omega_min, r_min = _golden_min(lambda x: r_sq(x).item(), lo, hi, DIP_XTOL_GAMMAS * p.gamma)
     if values[k] < r_min:
         omega_min, r_min = float(grid[k]), float(values[k])
     return DipMetrics(omega_min=omega_min, r_sq_min=r_min)

@@ -71,6 +71,8 @@ class Sweep:
     holds the memoryless two-mode eigenvalues, or is None when not asked
     for.  Frequencies are in Hz (cycles), converted once from rad/s.
     Iterating yields one named-tuple row per grid point with these fields.
+    Continuity does not define branch labels at a coalescence, so past an
+    EP two branches' labels can swap on a last-bit change of the inputs.
     """
 
     coord_hz: np.ndarray

@@ -247,6 +247,18 @@ def test_cli_memoryless_config_collapses_exact_onto_markovian(tmp_path):
     assert float(kv["shift_delta_khz"]) == 0.0
 
 
+def test_cli_spectrum_at_zero_gamma_names_the_input(tmp_path, capsys):
+    """Plain spectrum at gamma = 0 exits 1 naming the config key; --markovian-only runs."""
+    path = _write(tmp_path, "[mechanics]\ngamma_hz = 0\n")
+    argv = ["--config", path, "--quiet", "spectrum", "--omega-points", "5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "mechanics.gamma_hz must be > 0" in err[0]
+    assert "--markovian-only" in err[0]
+    assert main([*argv, "--markovian-only"]) == 0
+
+
 def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["ep", "--bogus-flag"])
@@ -298,6 +310,9 @@ def _exit_code(argv):
         (None, ["embedcheck", "--dt", "nan"]),
         (None, ["eigs", "--g-max", "inf"]),
         (None, ["eigs", "--g-points", "3", "--delta-mode", "value:-inf"]),
+        (None, ["spectrum", "--omega-max", "1e306"]),
+        (None, ["eigs", "--g-max", "1e306"]),
+        (None, ["spectrum", "--omega-min=-2e304", "--omega-max", "2e304"]),
     ],
     ids=[
         "cutoff_inf-spectrum",
@@ -313,6 +328,9 @@ def _exit_code(argv):
         "dt_nan",
         "g_max_inf",
         "delta_mode_value_neginf",
+        "omega_max_overflows_rad",
+        "g_max_overflows_rad",
+        "omega_span_overflows_rad",
     ],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, ini, argv):

@@ -1,6 +1,7 @@
 """Exceptional-point solvers: closed form, perturbative shift, exact Newton."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -73,10 +74,11 @@ def test_markovian_requires_kappa_above_gamma():
 
 @pytest.mark.parametrize("kappa_hz", [1.0e3, 5.0e3], ids=["below", "equal"])
 def test_kappa_gamma_guard_message(kappa_hz):
-    """Both solvers refuse kappa <= gamma with the same message."""
+    """Every EP route refuses kappa <= gamma with markovian_ep's message, seeded or not."""
     p = SystemParams.from_hz(1.0e6, kappa_hz, 5.0e3, 1.0e6)
     expected = f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}"
-    for solver in (markovian_ep, solve_exact_ep):
+    seeded_exact = functools.partial(solve_exact_ep, seed=-1j * p.omega_m)
+    for solver in (markovian_ep, perturbative_ep, solve_exact_ep, seeded_exact):
         with pytest.raises(NoMarkovianEp) as info:
             solver(p)
         assert str(info.value) == expected
@@ -285,6 +287,21 @@ def test_residual_invariant_random_draws():
         certify_order_two(p, sol)
         done += 1
     assert done >= 15
+
+
+def test_residuals_are_the_certificate_magnitudes(params):
+    """An EP's (residual_p, residual_dp, second_deriv_mag) equal its certificate's magnitudes."""
+    rng = np.random.default_rng(5)
+    draws = [draw_system(rng) for _ in range(10)]
+    cases = [(p, solve_exact_ep(p), 1e-8) for p in [params, *draws]]
+    cases.append((params, perturbative_ep(params), 1e-2))
+    for p, sol, rtol in cases:
+        cert = certify_order_two(p, sol, rtol=rtol)
+        assert (sol.residual_p, sol.residual_dp, sol.second_deriv_mag) == (
+            cert.p_mag,
+            cert.dp_mag,
+            cert.ddp_mag,
+        )
 
 
 def _log_uniform(lo, hi):

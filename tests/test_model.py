@@ -50,8 +50,10 @@ def test_pseudomode_coupling_value(params):
 
 
 def test_unresolved_sideband_warns():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         SystemParams(omega_m=1.0, kappa=2.0, gamma=0.1, omega_c=1.0)
+    # The warning points at the constructing line, not into the dataclass __init__.
+    assert record[0].filename == __file__
 
 
 def test_from_hz_dict_roundtrip(params):
