@@ -25,8 +25,8 @@ from .model import DriveParams, SystemParams, drift_nonmarkovian, memory_kernel_
 
 # Resolution requirement: at least 50 steps per fastest period/decay.
 MAX_DT_FRACTION = 1.0 / 50.0
-# Largest step count of one run (the dt/4 run of convergence_order included);
-# trajectories are allocated whole, 56 bytes per step (48 of amps, 8 of times).
+# Largest step count of one run; trajectories are allocated whole, 56 bytes
+# per step (48 of amps, 8 of times).
 MAX_STEPS = 200_000
 # Propagator powers P, P^2, ..., P^BLOCK held per run: each Python step fills
 # up to BLOCK trajectory rows.  The (BLOCK, 3, 3) stack is a fixed extra
@@ -59,7 +59,8 @@ class Trajectory:
 
 
 def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
-    """Validate a fixed-step run and return its step count (at least 1)."""
+    """Validate a fixed-step run of n = ceil(t_final/dt) steps of t_final/n and return n;
+    a quotient up to 1e-12 (relative) above a whole number is rounding and keeps it."""
     if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if not dt > 0.0:
@@ -67,15 +68,14 @@ def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
     limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
     if dt > limit:
         raise StepTooLarge(f"dt = {dt!r} exceeds resolution limit {limit!r}")
-    steps = t_final / dt
-    if not steps < MAX_STEPS + 0.5:
-        raise ValueError(f"t_final/dt = {steps:.6g} steps exceed the bound of {MAX_STEPS}"
-                         " (the order check runs at dt/4)")
-    return max(1, int(round(steps)))
+    steps = t_final / dt * (1.0 - 1e-12)
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_final/dt = {t_final / dt:.6g} steps exceed the bound of {MAX_STEPS}")
+    return max(1, math.ceil(steps))
 
 
-def _rk4_propagate(arr, y0, n_steps: int, dt: float) -> Trajectory:
-    """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k.
+def _rk4_propagate(arr, y0, n_steps: int, t_final: float) -> Trajectory:
+    """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps.
 
     For a constant linear generator the four RK4 stages collapse exactly
     into the stability polynomial P = sum_{j<=4} (h*arr)^j / j!, formed once
@@ -85,7 +85,7 @@ def _rk4_propagate(arr, y0, n_steps: int, dt: float) -> Trajectory:
     stack viewed as a (3B, 3) matrix.  Only the rounding order differs from
     stepping P one row at a time.
     """
-    ha = dt * arr
+    ha = (t_final / n_steps) * arr
     eye = np.eye(3)
     block = min(BLOCK, n_steps)
     pows = np.empty((block, 3, 3), dtype=complex)
@@ -101,7 +101,7 @@ def _rk4_propagate(arr, y0, n_steps: int, dt: float) -> Trajectory:
     for k in range(0, n_steps, block):
         m = min(block, n_steps - k)
         np.dot(stacked[: 3 * m], amps[k], out=flat[3 * (k + 1) : 3 * (k + m + 1)])
-    times = np.arange(n_steps + 1, dtype=float) * dt
+    times = np.linspace(0.0, t_final, n_steps + 1)
     return Trajectory(times=times, amps=amps)
 
 
@@ -110,7 +110,7 @@ def integrate_pseudomode(
 ) -> Trajectory:
     """Integrate the three-mode system (a, b, c) from init with fixed-step RK4."""
     n_steps = _check_step(p, t_final, dt)
-    return _rk4_propagate(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n_steps, dt)
+    return _rk4_propagate(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n_steps, t_final)
 
 
 def integrate_nonmarkovian(
@@ -127,7 +127,7 @@ def integrate_nonmarkovian(
     arr = drift_nonmarkovian(p, d)
     arr[1, 2] = p.gamma * p.omega_c / 2.0
     arr[2, 1] = 1.0
-    return _rk4_propagate(arr, (init_ab[0], init_ab[1], 0.0), n_steps, dt)
+    return _rk4_propagate(arr, (init_ab[0], init_ab[1], 0.0), n_steps, t_final)
 
 
 def compare_embeddings(
@@ -149,16 +149,21 @@ def compare_embeddings(
     return worst / scale
 
 
-def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float, dt: float):
-    """Observed integrator order from endpoint self-differences at dt, dt/2, dt/4.
+def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
+    """Observed integrator order from endpoint self-differences at h, h/2, h/4.
 
-    Returns (order, ratio) with ratio = |y_dt - y_dt/2| / |y_dt/2 - y_dt/4|
-    and order = log2(ratio); a clean 4th-order scheme gives ratio near 16.
-    The finest run is checked against MAX_STEPS before any run starts.
+    The device sets h = t_final/n, n the fewest steps within the resolution
+    limit L; the runs take n, 2n and 4n steps to t_final, the 4n run checked
+    against MAX_STEPS before any starts.  Returns (order, ratio) with ratio =
+    |y_h - y_h/2| / |y_h/2 - y_h/4| and order = log2(ratio), near 4 for RK4.
     """
-    _check_step(p, t_final, dt / 4.0)
+    limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
+    n = _check_step(p, t_final, limit)
+    if t_final / n > limit:  # a quotient snapped down leaves h just above L
+        n += 1
+    _check_step(p, t_final, t_final / (4 * n))
     ends = [
-        integrate_pseudomode(p, d, init, t_final, dt / k).amps[-1] for k in (1, 2, 4)
+        integrate_pseudomode(p, d, init, t_final, t_final / (k * n)).amps[-1] for k in (1, 2, 4)
     ]
     d1 = float(np.linalg.norm(ends[0] - ends[1]))
     d2 = float(np.linalg.norm(ends[1] - ends[2]))

@@ -8,6 +8,7 @@ happens exactly once, at that boundary, through hz_to_rad / rad_to_hz.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -48,6 +49,18 @@ def _array_rows(table):
     return map(row._make, zip(*(repeat(None) if col is None else col.tolist() for col in columns)))
 
 
+def _caller_stacklevel() -> int:
+    """warnings.warn stacklevel, from the calling function, of the first frame
+    outside this module and the dataclass-generated __init__, so a warning
+    names the line that built the parameters (directly or through from_hz)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and (
+        frame.f_code.co_filename == __file__ or frame.f_code is SystemParams.__init__.__code__
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Bare physical rates of the optomechanical system plus its bath.
@@ -76,7 +89,7 @@ class SystemParams:
             warnings.warn(
                 "omega_m does not dominate kappa and gamma; "
                 "outside the resolved-sideband regime",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property

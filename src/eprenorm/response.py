@@ -88,13 +88,15 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
     chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
     chi_c_inv = p.omega_c - 1j * omega
     chi_b_eff_inv = chi_b_inv - p.g_c**2 / chi_c_inv
+    with np.errstate(over="ignore"):  # the product overflows to inf past |omega| ~ 1e154
+        d_denom = chi_a_inv * chi_b_eff_inv + d.g**2
     return Susceptibilities(
         omega=omega,
         chi_a_inv=chi_a_inv,
         chi_b_inv=chi_b_inv,
         chi_b_eff_inv=chi_b_eff_inv,
         chi_c_inv=chi_c_inv,
-        d_denom=chi_a_inv * chi_b_eff_inv + d.g**2,
+        d_denom=d_denom,
         eta=-math.sqrt(p.gamma) * 1j * omega / chi_c_inv,
     )
 
@@ -111,9 +113,9 @@ def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectru
     s = susceptibilities(p, d, omega)
     chi_m_inv = s.chi_b_inv if markovian else s.chi_b_eff_inv
     eta = math.sqrt(p.gamma) if markovian else s.eta
-    d_denom = s.chi_a_inv * chi_m_inv + d.g**2
-    singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_denom = s.chi_a_inv * chi_m_inv + d.g**2
+        singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
         s_aa = 1.0 - p.kappa * chi_m_inv / d_denom
         r = np.where(chi_m_inv == 0, s_aa, 1.0 - p.kappa / (s.chi_a_inv + d.g**2 / chi_m_inv))
         s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom

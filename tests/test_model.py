@@ -54,6 +54,9 @@ def test_unresolved_sideband_warns():
         SystemParams(omega_m=1.0, kappa=2.0, gamma=0.1, omega_c=1.0)
     # The warning points at the constructing line, not into the dataclass __init__.
     assert record[0].filename == __file__
+    with pytest.warns(UserWarning) as record:
+        SystemParams.from_hz(freq_hz=1.0, kappa_hz=2.0, gamma_hz=0.1, cutoff_hz=1.0)
+    assert record[0].filename == __file__
 
 
 def test_from_hz_dict_roundtrip(params):
