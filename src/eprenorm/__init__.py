@@ -10,146 +10,22 @@ embedding by direct integration of the memory convolution.
 
 __version__ = "0.1.0"
 
-from .charpoly import (
-    CubicPoly,
-    FactorTriple,
-    char_cubic,
-    cubic_roots,
-    factors,
-    schur_effective_block,
-    self_energy,
-    third_root_viete,
-)
-from .config import DEFAULT_VALUES_HZ, load_config
-from .embedcheck import (
-    Trajectory,
-    compare_embeddings,
-    convergence_order,
-    integrate_nonmarkovian,
-    integrate_pseudomode,
-    kernel_fourier_error,
-)
-from .epsolver import (
-    KIND_EXACT,
-    KIND_MARKOVIAN,
-    KIND_PERTURBATIVE,
-    EpSolution,
-    MechRenorm,
-    OrderCertificate,
-    certify_order_two,
-    ep_candidates,
-    markovian_ep,
-    mech_renorm,
-    perturbative_ep,
-    solve_exact_ep,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    NoConvergence,
-    NoMarkovianEp,
-    NonPhysicalEp,
-    OrderCheckFailed,
-    PolePseudomode,
-    SingularDenominator,
-    StepTooLarge,
-    ToolkitError,
-)
-from .model import (
-    TWO_PI,
-    DriveParams,
-    SystemParams,
-    drift_markovian,
-    drift_nonmarkovian,
-    hz_to_rad,
-    memory_kernel_smooth,
-    rad_to_hz,
-    spectral_density,
-)
-from .response import (
-    Cooperativity,
-    DipMetrics,
-    Spectrum,
-    Susceptibilities,
-    cooperativity,
-    dip_metrics,
-    reflection,
-    spectrum,
-    susceptibilities,
-)
-from .spectral import (
-    EigenMode,
-    Sweep,
-    eigensystem,
-    petermann,
-    petermann_at,
-    sweep_eigs,
-    sweep_petermann,
-)
+from .charpoly import schur_effective_block
+from .config import load_config
+from .embedcheck import compare_embeddings, convergence_order
+from .epsolver import certify_order_two, markovian_ep, mech_renorm, perturbative_ep, solve_exact_ep
+from .model import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian
+from .response import Spectrum, cooperativity, dip_metrics, reflection, spectrum
+from .spectral import Sweep, eigensystem, petermann_at, sweep_eigs, sweep_petermann
 
+# README's "Library use", one line per step; every other public name is
+# imported from its own module.
 __all__ = [
     "__version__",
-    "ConfigError",
-    "Cooperativity",
-    "CubicPoly",
-    "DEFAULT_VALUES_HZ",
-    "DegenerateDenominator",
-    "DipMetrics",
-    "DriveParams",
-    "EigenMode",
-    "EpSolution",
-    "FactorTriple",
-    "KIND_EXACT",
-    "KIND_MARKOVIAN",
-    "KIND_PERTURBATIVE",
-    "MechRenorm",
-    "NoConvergence",
-    "NoMarkovianEp",
-    "NonPhysicalEp",
-    "OrderCertificate",
-    "OrderCheckFailed",
-    "PolePseudomode",
-    "SingularDenominator",
-    "Spectrum",
-    "StepTooLarge",
-    "Susceptibilities",
-    "Sweep",
-    "SystemParams",
-    "TWO_PI",
-    "ToolkitError",
-    "Trajectory",
-    "certify_order_two",
-    "char_cubic",
-    "compare_embeddings",
-    "convergence_order",
-    "cooperativity",
-    "cubic_roots",
-    "dip_metrics",
-    "drift_markovian",
-    "drift_nonmarkovian",
-    "eigensystem",
-    "ep_candidates",
-    "factors",
-    "hz_to_rad",
-    "integrate_nonmarkovian",
-    "integrate_pseudomode",
-    "kernel_fourier_error",
-    "load_config",
-    "markovian_ep",
-    "mech_renorm",
-    "memory_kernel_smooth",
-    "perturbative_ep",
-    "petermann",
-    "petermann_at",
-    "rad_to_hz",
-    "reflection",
-    "schur_effective_block",
-    "self_energy",
-    "solve_exact_ep",
-    "spectral_density",
-    "spectrum",
-    "susceptibilities",
-    "sweep_eigs",
-    "sweep_petermann",
-    "third_root_viete",
+    "SystemParams", "DriveParams", "load_config",  # inputs
+    "drift_markovian", "drift_nonmarkovian", "schur_effective_block", "mech_renorm",  # model
+    "markovian_ep", "perturbative_ep", "solve_exact_ep", "certify_order_two",  # the EP shift
+    "eigensystem", "petermann_at", "sweep_eigs", "sweep_petermann", "Sweep",  # Petermann factors
+    "spectrum", "reflection", "Spectrum", "dip_metrics", "cooperativity",  # the OMIT dip
+    "compare_embeddings", "convergence_order",  # the embedding self-check
 ]

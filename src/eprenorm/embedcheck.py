@@ -74,6 +74,22 @@ def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
+def _order_steps(p: SystemParams, t_final: float) -> int:
+    """n of the order check, whose runs take n, 2n and 4n steps to t_final:
+    the fewest steps within the resolution limit L.  Raises ValueError naming
+    the check when 4n exceeds MAX_STEPS, so it fails before any run starts."""
+    limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
+    if t_final / limit > MAX_STEPS:  # n alone is over the bound, and ceil(inf) overflows
+        n = t_final / limit
+    else:
+        n = _check_step(p, t_final, limit)
+        if t_final / n > limit:  # a quotient snapped down leaves h just above L
+            n += 1
+    if 4 * n > MAX_STEPS:
+        raise ValueError(f"order check: 4n = {4 * n:.6g} steps exceed the bound of {MAX_STEPS}")
+    return n
+
+
 def _rk4_propagate(arr, y0, n_steps: int, t_final: float) -> Trajectory:
     """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps.
 
@@ -157,11 +173,7 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
     against MAX_STEPS before any starts.  Returns (order, ratio) with ratio =
     |y_h - y_h/2| / |y_h/2 - y_h/4| and order = log2(ratio), near 4 for RK4.
     """
-    limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
-    n = _check_step(p, t_final, limit)
-    if t_final / n > limit:  # a quotient snapped down leaves h just above L
-        n += 1
-    _check_step(p, t_final, t_final / (4 * n))
+    n = _order_steps(p, t_final)
     ends = [
         integrate_pseudomode(p, d, init, t_final, t_final / (k * n)).amps[-1] for k in (1, 2, 4)
     ]

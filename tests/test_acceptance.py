@@ -11,30 +11,28 @@ import time
 
 import numpy as np
 
-from conftest import draw_drive, draw_system
+from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
-    char_cubic,
     cooperativity,
-    cubic_roots,
     dip_metrics,
     drift_markovian,
     drift_nonmarkovian,
     eigensystem,
-    hz_to_rad,
     markovian_ep,
     mech_renorm,
     perturbative_ep,
-    petermann,
-    rad_to_hz,
     reflection,
     schur_effective_block,
     solve_exact_ep,
-    susceptibilities,
     sweep_eigs,
     sweep_petermann,
 )
+from eprenorm.charpoly import char_cubic, cubic_roots
 from eprenorm.cli import main
+from eprenorm.model import hz_to_rad, rad_to_hz
+from eprenorm.response import susceptibilities
+from eprenorm.spectral import petermann
 
 # Coordinates of the exact exceptional point at the default parameter set,
 # pinned to full double precision (same values as in test_epsolver).

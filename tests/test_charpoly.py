@@ -5,20 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_drive, draw_system
-from eprenorm import (
+from draws import draw_drive, draw_system
+from eprenorm import DriveParams, drift_nonmarkovian, schur_effective_block, solve_exact_ep
+from eprenorm.charpoly import (
     CubicPoly,
-    DriveParams,
-    PolePseudomode,
     char_cubic,
     cubic_roots,
-    drift_nonmarkovian,
     factors,
-    schur_effective_block,
     self_energy,
-    solve_exact_ep,
     third_root_viete,
 )
+from eprenorm.errors import PolePseudomode
 
 
 def test_cubic_poly_matches_polyval():

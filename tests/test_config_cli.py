@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from eprenorm import ConfigError, DEFAULT_VALUES_HZ, embedcheck, load_config, rad_to_hz
+from eprenorm import embedcheck, load_config
 from eprenorm.cli import MAX_GRID_POINTS, main
+from eprenorm.config import DEFAULT_VALUES_HZ
+from eprenorm.errors import ConfigError
+from eprenorm.model import rad_to_hz
 
 
 def _write(tmp_path, text, name="params.ini"):
@@ -376,6 +379,20 @@ def test_cli_embedcheck_step_bound(capsys, monkeypatch):
     assert main(["--quiet", "embedcheck", "--dt", "1e-15"]) == 1
     assert time.perf_counter() - t0 < 5.0
     assert "steps" in capsys.readouterr().err
+
+
+def test_cli_embedcheck_order_step_bound(capsys, monkeypatch):
+    """A horizon whose order check would need 4n = 240000 steps exits 1 with
+    a message naming that check, before the comparison integrates."""
+
+    def no_integration(*args):
+        raise AssertionError("integration started despite the step bound")
+
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", no_integration)
+    assert main(["--quiet", "embedcheck", "--t-final", "0.00019098593171027443"]) == 1
+    err = capsys.readouterr().err
+    assert "order check: 4n = 240000 steps exceed the bound of 200000" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

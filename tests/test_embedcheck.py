@@ -6,22 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_drive, draw_system
-from eprenorm import embedcheck
+from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
-    StepTooLarge,
     SystemParams,
-    Trajectory,
     compare_embeddings,
     convergence_order,
     drift_markovian,
-    hz_to_rad,
+    embedcheck,
+    mech_renorm,
+)
+from eprenorm.embedcheck import (
+    Trajectory,
     integrate_nonmarkovian,
     integrate_pseudomode,
     kernel_fourier_error,
-    mech_renorm,
 )
+from eprenorm.errors import StepTooLarge
+from eprenorm.model import hz_to_rad
 
 
 def _default_dt(p):

@@ -9,29 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_system
+from draws import draw_system
 from eprenorm import (
-    DegenerateDenominator,
     DriveParams,
-    EpSolution,
-    KIND_EXACT,
-    KIND_MARKOVIAN,
-    KIND_PERTURBATIVE,
-    NoConvergence,
-    NoMarkovianEp,
-    OrderCheckFailed,
     SystemParams,
-    TWO_PI,
     certify_order_two,
-    char_cubic,
-    cubic_roots,
-    ep_candidates,
-    hz_to_rad,
     markovian_ep,
     mech_renorm,
     perturbative_ep,
     solve_exact_ep,
 )
+from eprenorm.charpoly import char_cubic, cubic_roots
+from eprenorm.epsolver import (
+    EpSolution,
+    KIND_EXACT,
+    KIND_MARKOVIAN,
+    KIND_PERTURBATIVE,
+    ep_candidates,
+)
+from eprenorm.errors import DegenerateDenominator, NoConvergence, NoMarkovianEp, OrderCheckFailed
+from eprenorm.model import TWO_PI, hz_to_rad
 
 # High-precision coordinates of the exact exceptional point at the default
 # parameter set, used as a regression pin (independently cross-checked by

@@ -5,17 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_drive, draw_system
-from eprenorm import (
-    DriveParams,
-    SystemParams,
-    drift_markovian,
-    drift_nonmarkovian,
-    hz_to_rad,
-    memory_kernel_smooth,
-    rad_to_hz,
-    spectral_density,
-)
+from draws import draw_drive, draw_system
+from eprenorm import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian
+from eprenorm.model import hz_to_rad, memory_kernel_smooth, rad_to_hz, spectral_density
 
 TWO_PI = 2.0 * math.pi
 

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import draw_drive, draw_system
-from eprenorm import SystemParams, char_cubic, eigensystem, hz_to_rad, solve_exact_ep, sweep_petermann
+from draws import draw_drive, draw_system
+from eprenorm import SystemParams, eigensystem, solve_exact_ep, sweep_petermann
+from eprenorm.charpoly import char_cubic
+from eprenorm.model import hz_to_rad
 
 ORACLE_DPS = 40
 DRAW_SEEDS = range(6)

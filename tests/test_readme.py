@@ -1,16 +1,53 @@
-"""The README's library example runs against the current API."""
+"""The README's library section runs against, and documents, the package root."""
 
+import ast
 import re
+import types
 from pathlib import Path
+
+import eprenorm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_library_use_runs(capsys):
+def _library_use():
+    """(prose, code blocks) of README's "Library use" section."""
     section = re.search(r"^## Library use\n(.*?)(?=^## |\Z)", README.read_text(), re.M | re.S)
     assert section is not None
-    blocks = re.findall(r"^```python\n(.*?)^```", section.group(1), re.M | re.S)
+    code_block = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+    blocks = code_block.findall(section.group(1))
     assert blocks
-    for code in blocks:
+    return code_block.sub("", section.group(1)), blocks
+
+
+def test_readme_library_use_runs(capsys):
+    for code in _library_use()[1]:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def test_root_exports_exactly_the_documented_names():
+    prose, blocks = _library_use()
+    mentioned = set()
+    for text in [*re.findall(r"`([^`]*)`", prose), *blocks]:
+        mentioned.update(re.findall(r"\w+", text))
+    exported = set(eprenorm.__all__) - {"__version__"}
+    assert "__version__" in eprenorm.__all__
+    assert sorted(exported - mentioned) == []
+
+    imported = {
+        alias.name
+        for code in blocks
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "eprenorm"
+        for alias in node.names
+    }
+    assert imported
+    assert sorted(imported - exported) == []
+
+    public = {
+        name
+        for name, value in vars(eprenorm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == exported

@@ -6,23 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_drive, draw_system
+from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
-    SingularDenominator,
-    char_cubic,
     cooperativity,
-    cubic_roots,
     dip_metrics,
-    hz_to_rad,
     markovian_ep,
     mech_renorm,
-    rad_to_hz,
     reflection,
     solve_exact_ep,
     spectrum,
-    susceptibilities,
 )
+from eprenorm.charpoly import char_cubic, cubic_roots
+from eprenorm.errors import SingularDenominator
+from eprenorm.model import hz_to_rad, rad_to_hz
+from eprenorm.response import susceptibilities
 
 
 def test_susceptibilities_closed_forms(params, drive):

@@ -7,24 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_drive, draw_system
+from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
-    char_cubic,
-    cubic_roots,
     drift_markovian,
     drift_nonmarkovian,
     eigensystem,
-    hz_to_rad,
     markovian_ep,
-    petermann,
     petermann_at,
-    rad_to_hz,
     solve_exact_ep,
     spectral,
     sweep_eigs,
     sweep_petermann,
 )
+from eprenorm.charpoly import char_cubic, cubic_roots
+from eprenorm.model import hz_to_rad, rad_to_hz
+from eprenorm.spectral import petermann
 
 
 def _hybrid_indices(lams_hz, cutoff_hz):
