@@ -36,7 +36,9 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .embedcheck import _order_steps, compare_embeddings, convergence_order, kernel_fourier_error
+from .embedcheck import (
+    MAX_DT_FRACTION, _order_steps, compare_embeddings, convergence_order, kernel_fourier_error
+)
 from .epsolver import certify_order_two, markovian_ep, perturbative_ep, solve_exact_ep
 from .errors import ConfigError, OrderCheckFailed, SolverFailure, ToolkitError
 from .model import DriveParams, SystemParams, hz_to_rad, rad_to_hz
@@ -329,11 +331,12 @@ def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
 
 def cmd_embedcheck(args, p: SystemParams, d: DriveParams) -> Table:
     """Cross-validate the auxiliary-mode embedding against direct convolution:
-    --dt sets the comparison's step only, the order check runs at L, L/2 and
-    L/4 from the resolution limit L, and every run ends at t_final.  A horizon
-    too long for either check fails before anything integrates."""
+    --dt sets the comparison's step only (default L/2), the order check runs
+    at L, L/2 and L/4 from the resolution limit L, and every run ends at
+    t_final.  A horizon too long for either check fails before anything
+    integrates."""
     t_final = args.t_final if args.t_final is not None else 20.0 / p.kappa
-    dt = args.dt if args.dt is not None else 1.0 / (100.0 * max(p.omega_m, p.omega_c))
+    dt = args.dt if args.dt is not None else MAX_DT_FRACTION / (2.0 * max(p.omega_m, p.omega_c))
     _order_steps(p, t_final)
     max_rel_err = compare_embeddings(p, d, (1.0, 1.0), t_final, dt)
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final)

@@ -4,14 +4,11 @@ factors, and coupling/detuning sweeps.
 Every drift the package builds satisfies M = M^T (the couplings are -ig/-ig
 and -g_c/-g_c), so M^H = conj(M) and the left eigenvector of each mode is
 the conjugate of its right one.  Everything runs through one batched core
-on an (N, n, n) stack, n = 2 or 3: one np.linalg.eigvals call over the
-stack, then right eigenvectors from explicit null-space construction (the
-largest row cross product of M - lam for 3x3, the adjugate-row formula for
-2x2), written out with array slicing for all rows and modes at once.  Where
-even the largest candidate is below CROSS_NORM_RTOL * |M|_F^2 (rank <= 1,
-e.g. decoupled or diagonal matrices) that (row, mode) is masked and
-recomputed by inverse iteration on its own.  With L = conj(R) the Petermann
-factor of a mode is
+on an (N, n, n) stack, n = 2 or 3: one np.linalg.eig call (LAPACK zgeev,
+which balances and scales each matrix) gives the eigenvalues and the right
+eigenvectors of every row, and one ordering rule puts the modes of each row
+in (Im, Re) order.  Each right vector has unit norm and its largest-magnitude
+entry real and positive.  With L = conj(R) the Petermann factor of a mode is
 
     K = (<L|L> <R|R>) / |<L|R>|^2 = <R|R>^2 / |R^T R|^2
 
@@ -23,7 +20,6 @@ its whole coupling grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 
@@ -36,8 +32,6 @@ from .model import DriveParams, SystemParams, _array_rows, drift_markovian, drif
 DIVERGENT_OVERLAP_RTOL = 1e-30
 # Eigenvalue gaps below this fraction of max|lam| flag both modes defective.
 DEGENERACY_RTOL = 1e-3
-# Cross-product candidates below this fraction of |M|_F^2 trigger inverse iteration.
-CROSS_NORM_RTOL = 1e-12
 # Imaginary parts within this fraction of max|lam| count as tied when ordering modes.
 IMAG_TIE_RTOL = 1e-9
 
@@ -84,56 +78,14 @@ class Sweep:
         return _array_rows(self)
 
 
-def _sorted_eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix ordered by (Im, Re), near-equal Im counting as tied."""
-    lams = np.linalg.eigvals(stack)
-    lams = np.take_along_axis(lams, np.argsort(lams.imag, axis=-1), axis=-1)
+def _mode_order(lams: np.ndarray) -> np.ndarray:
+    """Per-row mode indices ordering lams (N, n) by (Im, Re), near-equal Im counting as tied."""
+    by_imag = np.argsort(lams.imag, axis=-1)
+    imag = np.take_along_axis(lams.imag, by_imag, axis=-1)
     tol = IMAG_TIE_RTOL * np.abs(lams).max(axis=-1, keepdims=True)
-    tier = np.cumsum(np.diff(lams.imag, axis=-1, prepend=lams.imag[:, :1]) > tol, axis=-1)
-    return np.take_along_axis(lams, np.lexsort((lams.real, tier), axis=-1), axis=-1)
-
-
-def _inverse_iteration(b: np.ndarray, scale: float) -> np.ndarray:
-    """Few rounds of regularized inverse iteration for a near-null vector."""
-    n = b.shape[0]
-    eps = 1e-12 * max(scale, 1.0)
-    v = np.ones(n, dtype=complex) / math.sqrt(n)
-    for _ in range(3):
-        try:
-            w = np.linalg.solve(b + eps * np.eye(n), v)
-        except np.linalg.LinAlgError:
-            eps *= 1e3
-            continue
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            break
-        v = w / nrm
-    return v
-
-
-def _null_vectors(arr: np.ndarray, lams: np.ndarray, fro: np.ndarray) -> np.ndarray:
-    """Phase-fixed unit right eigenvectors, shape (N, mode, component)."""
-    n = arr.shape[-1]
-    b = arr[:, None] - lams[..., None, None] * np.eye(n)
-    if n == 2:
-        cands = np.stack([b[..., 1], -b[..., 0]], axis=-1)
-    else:
-        x, y = b[..., [0, 0, 1], :], b[..., [1, 2, 2], :]
-        fwd, bwd = [1, 2, 0], [2, 0, 1]
-        cands = x[..., fwd] * y[..., bwd] - x[..., bwd] * y[..., fwd]
-    norms = np.linalg.norm(cands, axis=-1)
-    best = norms.argmax(axis=-1)[..., None]
-    vecs = np.take_along_axis(cands, best[..., None], axis=-2)[..., 0, :]
-    small = np.take_along_axis(norms, best, axis=-1)[..., 0] < CROSS_NORM_RTOL * fro[:, None] ** 2
-    for row, mode in zip(*np.nonzero(small)):
-        vecs[row, mode] = _inverse_iteration(b[row, mode], fro[row])
-
-    # Unit norm with the largest entry rotated to the positive real axis.
-    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-1)[..., None], axis=-1)
-    mag = np.abs(pivot)
-    vecs = vecs * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0)
-    nrm = np.linalg.norm(vecs, axis=-1, keepdims=True)
-    return np.divide(vecs, nrm, out=vecs, where=nrm > 0)
+    tier = np.cumsum(np.diff(imag, axis=-1, prepend=imag[:, :1]) > tol, axis=-1)
+    real = np.take_along_axis(lams.real, by_imag, axis=-1)
+    return np.take_along_axis(by_imag, np.lexsort((real, tier), axis=-1), axis=-1)
 
 
 def _petermann_values(right: np.ndarray):
@@ -148,15 +100,21 @@ def _petermann_values(right: np.ndarray):
 def _eigensystems(arr: np.ndarray):
     """Batched core: (lams, rights, petermann, divergent, defective).
 
-    Modes of each row are ordered as by _sorted_eigvals; rights have shape
-    (N, mode, component), the rest (N, mode).  Every matrix of the stack is
+    One np.linalg.eig call over the stack; the modes of each row are put in
+    _mode_order.  rights have shape (N, mode, component), the rest (N, mode).
+    Each right vector is LAPACK's unit vector with its largest-magnitude entry
+    rotated to the positive real axis.  Every matrix of the stack is
     complex-symmetric, so the left vectors are conj(rights).  The closest pair of
     eigenvalues in a row is flagged defective when its gap is below
     DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; a
     defective mode also counts as divergent.
     """
-    lams = _sorted_eigvals(arr)
-    rights = _null_vectors(arr, lams, np.linalg.norm(arr, axis=(-2, -1)))
+    lams, vecs = np.linalg.eig(arr)
+    order = _mode_order(lams)
+    lams = np.take_along_axis(lams, order, axis=-1)
+    rights = np.take_along_axis(vecs.swapaxes(-2, -1), order[..., None], axis=-2)
+    pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
+    rights = rights * (pivot.conj() / np.abs(pivot))
 
     rows = np.arange(arr.shape[0])
     iu, ju = np.triu_indices(arr.shape[-1], 1)
@@ -244,7 +202,8 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
     order = _continuity_order(lams)
     mk_hz = None
     if markovian_ref:
-        mk = _sorted_eigvals(_drift_stack(drift_markovian, p, delta, gs))
+        mk = np.linalg.eigvals(_drift_stack(drift_markovian, p, delta, gs))
+        mk = np.take_along_axis(mk, _mode_order(mk), axis=-1)
         mk_hz = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
     return Sweep(
         coord_hz=rad_to_hz(gs),

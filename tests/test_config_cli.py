@@ -285,6 +285,23 @@ def test_cli_spectrum_far_probe_runs_clean(tmp_path, omega_max):
     assert [row[1:] for row in rows[1:]] == [[1.0, 1.0], [1.0, 1.0]]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["petermann", "--delta-mode", "markovian"], ["eigs"]])
+def test_cli_far_coupling_runs_clean(tmp_path, command):
+    """Couplings up to 1e300 kHz dwarf every other rate: both commands exit 0
+    without numpy overflow warnings, and the modes are normal (K = 1, no flag)."""
+    out = tmp_path / "far.json"
+    argv = ["--out", str(out), "--json", *command, "--g-min", "1e70", "--g-max", "1e300", "--g-points", "3"]
+    assert main(argv) == 0
+    table = json.loads(out.read_text())
+    if command[0] == "petermann":
+        for name, *column in zip(table["columns"], *table["rows"]):
+            if name.startswith("k_"):
+                assert column == pytest.approx([1.0] * 3, rel=1e-12)
+            elif name.startswith("div_"):
+                assert column == [0.0] * 3
+
+
 def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["ep", "--bogus-flag"])

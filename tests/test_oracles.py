@@ -1,6 +1,7 @@
 """Oracles that share no code with the package: the exceptional point solved
 at 40 digits in mpmath, the characteristic cubic expanded in sympy, and the
-Petermann factor from a general dense eigendecomposition.
+Petermann factor from a general dense eigendecomposition and, up the EP's
+peak, from 60-digit mpmath eigenvectors.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
@@ -189,3 +190,39 @@ def test_petermann_sweep_through_ep_matches_dense_oracle(params):
         peaks.append(max(compared))
     # the memoryless calibration keeps K moderate; the exact one reaches far up the peak
     assert peaks[0] > 10.0 and peaks[1] > 500.0
+
+
+MP_EIG_DPS = 60
+
+
+def _mp_petermann(m):
+    """Eigenvalues and K_i = <L|L><R|R>/|<L|R>|^2 from MP_EIG_DPS-digit left and right eigenvectors."""
+    with mp.workdps(MP_EIG_DPS):
+        lams, lefts, rights = mp.eig(mp.matrix(m.tolist()), left=True, right=True)
+        n = len(lams)
+        ks = []
+        for i in range(n):
+            ll = sum(abs(lefts[i, j]) ** 2 for j in range(n))
+            rr = sum(abs(rights[j, i]) ** 2 for j in range(n))
+            lr = abs(sum(lefts[i, j] * rights[j, i] for j in range(n))) ** 2
+            ks.append(float(ll * rr / lr))
+        return np.array([complex(lam) for lam in lams]), np.array(ks)
+
+
+def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
+    """Above K_ORACLE_MAX the dense oracle runs out of digits; 60-digit
+    eigenvectors carry K to 5e8 along delta_ep.  The package's K error grows
+    as eps * K^2 (the eigenvector condition number times K); the worst case
+    measured on this path is 51 eps K^2."""
+    sol = solve_exact_ep(params)
+    offsets = np.logspace(-9, -2, 15)
+    eps = np.finfo(float).eps
+    k_max = 0.0
+    for g in sol.g_ep * np.concatenate([1.0 - offsets, 1.0 + offsets]):
+        m = _drift(params, sol.delta_ep, g)
+        lams_mp, ks_mp = _mp_petermann(m)
+        for mode in eigensystem(m):
+            k_mp = ks_mp[np.argmin(np.abs(lams_mp - mode.lam))]
+            assert abs(mode.petermann - k_mp) <= 1e3 * eps * k_mp**2
+            k_max = max(k_max, k_mp)
+    assert k_max > 1e8
