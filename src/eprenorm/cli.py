@@ -13,10 +13,16 @@ and maps errors to exit codes.
 All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
 timestamp honors SOURCE_DATE_EPOCH.  JSON is laid out exactly as
-json.dumps(doc, indent=2, sort_keys=True).  main(argv) may be called
-repeatedly in one process; the parser is built on the first call and
-reused.  Exit codes: 0 success, 1 invalid configuration, arguments, output
-path or SOURCE_DATE_EPOCH, 2 solver failure, 3 failed numerical check.
+json.dumps(doc, indent=2, sort_keys=True).  Each table cell is formatted
+once, as its ".12g" text: CSV prints that text, and JSON lays the same text
+out as json.dumps would print float(text).  No float is parsed back: a
+decimal of at most 15 significant digits round-trips exactly through a
+double, so repr(float(text)) has the text's own digits and only a few
+layout fixups remain (listed at _json_rows).  --quiet without --out builds
+no artifact.  main(argv) may be called repeatedly in one process; the
+parser is built on the first call and reused.  Exit codes: 0 success, 1
+invalid configuration, arguments, output path or SOURCE_DATE_EPOCH, 2
+solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
@@ -94,24 +100,45 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
     }
 
 
-def _json_rows(cells, width: int) -> str:
-    """The "rows" value of an indent=2 document, from row-major cell texts.
+def _json_cell(text: str) -> str:
+    """JSON form of a ".12g" text that is not plain fixed notation with a point."""
+    if "e" not in text:
+        # inf, -inf and nan end in f or n; anything else is a whole number.
+        return "null" if text[-1] in "fn" else text + ".0"
+    exponent = int(text[text.index("e") + 1 :])
+    if 12 <= exponent <= 15 or exponent < -307:
+        return repr(float(text))
+    return text
 
-    Each cell becomes float(text); the C encoder writes them all as
-    [[a, b], [c, d]], whose item separators are then re-laid as the indented
-    layout at nesting level 1.  Cells are numbers only, so ", " and "], ["
-    occur nowhere else, and non-finite values become null.
+
+def _json_rows(cells, width: int) -> str:
+    """The "rows" value of an indent=2 document, from row-major ".12g" cell texts.
+
+    Each cell's JSON value is float(text), written as json.dumps writes it
+    (repr), or null if not finite.  A ".12g" text has at most 12
+    significant digits, and every decimal with at most 15 is recovered
+    exactly from its double, so repr(float(text)) has the digits of the
+    text itself and only the layout can differ.  The text is thus its own
+    JSON form, except that:
+    - inf, -inf and nan become null;
+    - a text with no point and no exponent gains ".0" (40 -> 40.0, -0 -> -0.0);
+    - exponents 12 to 15 take repr(float(text)), because ".12g" switches
+      to e-notation at 1e12 where repr waits until 1e16;
+    - so do exponents below -307, where a double may be subnormal and
+      carry fewer than 12 digits.
+    The common case, a text with a point and no exponent, is kept as is
+    after two substring tests; _json_cell handles the rest.
     """
-    flat = json.dumps(list(zip(*[iter(map(float, cells))] * width)))
-    if flat == "[]":
-        return flat
-    flat = flat.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
-    body = flat[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+    if not cells:
+        return "[]"
+    texts = [t if "." in t and "e" not in t else _json_cell(t) for t in cells]
+    rows = map(",\n      ".join, zip(*[iter(texts)] * width))
+    body = "\n    ],\n    [\n      ".join(rows)
     return f"[\n    [\n      {body}\n    ]\n  ]"
 
 
 def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None):
-    """Write one artifact to --out or stdout (nothing with --quiet).
+    """Write one artifact to --out or stdout; with --quiet and no --out, build nothing.
 
     Text: the manifest as "# key = value" comment lines (parameters at 12
     significant digits, grid entries as "# grid.key"); with columns, a CSV
@@ -119,9 +146,12 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
     json.dumps(doc, indent=2, sort_keys=True) + "\\n".  Each table cell is
-    printed once as format(x, ".12g"); its JSON value is float() of that
-    text, null if not finite.
+    printed once as format(x, ".12g"); that one text is the CSV cell, and
+    _json_rows lays it out as the JSON value float(text), null if not
+    finite, without converting it back to a float.
     """
+    if args.quiet and not args.out:
+        return
     if columns is not None:
         flat = np.asarray(data, dtype=float).ravel().tolist()
         cells = list(map(format, flat, repeat(".12g")))
@@ -151,7 +181,7 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-    elif not args.quiet:
+    else:
         sys.stdout.write(text)
 
 

@@ -33,7 +33,8 @@ MAX_STEPS = 200_000
 # 9 * 16 * BLOCK bytes.  Rounding grows as BLOCK shrinks, and past 64 the
 # power build costs runs of 1,000-4,000 steps more than the shorter loop saves.
 BLOCK = 64
-# Fourier kernel check: trapezoid nodes over [-KERNEL_WINDOW, KERNEL_WINDOW] * Omega_c.
+# Fourier kernel check: trapezoid nodes over [-KERNEL_WINDOW, KERNEL_WINDOW] * Omega_c, an
+# odd count so that w = 0 is one; the even integrand is summed over the half with w >= 0.
 KERNEL_POINTS = 40001
 KERNEL_WINDOW = 50.0
 
@@ -193,12 +194,20 @@ def kernel_fourier_error(p: SystemParams) -> float:
     the trapezoid rule (the flat gamma part is the local delta contribution
     and is subtracted before transforming) and returns the deviation from the
     closed form relative to the kernel amplitude gamma*Omega_c/2.
+
+    The spectral function enters at |w| (and spectral_density depends on w
+    only through w^2), so I(|w|) - gamma is even: the sin(wt) half of the
+    exponential is odd and cancels over the symmetric window, node by node,
+    and the cos(wt) half is even.  The full-line rule is therefore evaluated
+    as (1/pi) times the same rule, at the same node spacing, over
+    [0, KERNEL_WINDOW*Omega_c] of (I(w) - gamma) cos(wt): KERNEL_POINTS // 2
+    + 1 real nodes (KERNEL_POINTS is odd, so w = 0 is a node of both).
     """
     t = 1.0 / p.omega_c
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
-    omega = np.linspace(-KERNEL_WINDOW * p.omega_c, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS)
-    integrand = (spectral_density(p, np.abs(omega)) - p.gamma) * np.exp(-1j * omega * t)
-    smooth = complex(np.trapezoid(integrand, omega)) / (2.0 * math.pi)
+    omega = np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1)
+    integrand = (spectral_density(p, omega) - p.gamma) * np.cos(omega * t)
+    smooth = float(np.trapezoid(integrand, omega)) / math.pi
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

@@ -97,6 +97,61 @@ def test_emitter_cells_are_twelve_digit_text(tmp_path, capsys):
     assert rows[8][0] == "1e+16" and rows[7][0] == "2.5e+15"
 
 
+def _adversarial_cells():
+    """Values whose ".12g" texts take every branch of the JSON cell layout.
+
+    Random magnitudes from subnormal to near overflow, integers up to 1e15,
+    signed zeros and non-finite values, every power of ten, and the
+    neighbours (nextafter and ".12g" rounding) of each point where ".12g"
+    or repr changes notation or a double turns subnormal.  The count is a
+    multiple of 1 * 3 * 13, so every width tested divides it.
+    """
+    rng = np.random.default_rng(14)
+    n = 15_000
+    anchors = [1e-5, 1e-4, *(10.0 ** np.arange(11, 18)), 1e-307, 1e-308]
+    near = []
+    for anchor in anchors:
+        # x * (1 - 5e-13) is where ".12g" rounds up to the anchor's text.
+        for x in (anchor, anchor * (1.0 - 5e-13)):
+            for toward in (0.0, math.inf):
+                step = x
+                for _ in range(3):
+                    step = np.nextafter(step, toward)
+                    near.append(step)
+            near.append(x)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-320.0, 308.0, n) * rng.choice([-1.0, 1.0], n),
+        rng.integers(-(10**15), 10**15, n, endpoint=True).astype(float),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324],
+        10.0 ** np.arange(-323.0, 309.0),
+        near,
+        np.negative(near),
+    ])
+    rng.shuffle(values)
+    return values[: len(values) // 39 * 39]
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+@pytest.mark.parametrize("width", [1, 3, 13])
+def test_emitter_adversarial_cells_match_reference(tmp_path, capsys, width, as_json):
+    """JSON cells laid out from their ".12g" texts equal json.dumps of float()
+    of those texts, and CSV cells equal format(x, ".12g"), byte for byte."""
+    data = _adversarial_cells().reshape(-1, width)
+    columns = [f"col_{j}" for j in range(width)]
+    text, reference = _emitted(tmp_path, capsys, None, as_json, columns, data, (), {})
+    assert text == reference
+
+
+def test_quiet_without_out_builds_nothing(capsys, monkeypatch):
+    def no_rows(cells, width):
+        raise AssertionError("rows built for an artifact --quiet discards")
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    monkeypatch.setattr(cli, "_json_rows", no_rows)
+    assert cli.main(["--quiet", "--json", "spectrum"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -105,8 +160,9 @@ def test_emitter_cells_are_twelve_digit_text(tmp_path, capsys):
         ["petermann", "--g-points", "7", "--delta-mode", "both"],
         ["spectrum", "--omega-points", "21"],
         ["spectrum", "--omega-points", "1", "--omega-min", "1000", "--omega-max", "1001"],
+        ["embedcheck", "--t-final", "2e-6"],
     ],
-    ids=["ep", "eigs", "petermann", "spectrum", "spectrum_one_point"],
+    ids=["ep", "eigs", "petermann", "spectrum", "spectrum_one_point", "embedcheck"],
 )
 def test_cli_json_is_canonical_layout(capsys, monkeypatch, argv):
     """Every subcommand's JSON re-encodes to itself under indent=2, sort_keys."""

@@ -23,7 +23,7 @@ from eprenorm.embedcheck import (
     kernel_fourier_error,
 )
 from eprenorm.errors import StepTooLarge
-from eprenorm.model import hz_to_rad
+from eprenorm.model import hz_to_rad, memory_kernel_smooth, spectral_density
 
 
 def _default_dt(p):
@@ -294,6 +294,23 @@ def test_kernel_fourier_consistency(params):
     assert kernel_fourier_error(params) < 1e-4
     p0 = dataclasses.replace(params, gamma=0.0)
     assert kernel_fourier_error(p0) == 0.0
+
+
+def _kernel_error_full_line(p):
+    """The kernel check as the complex trapezoid rule over the whole window."""
+    t = 1.0 / p.omega_c
+    w = embedcheck.KERNEL_WINDOW * p.omega_c
+    omega = np.linspace(-w, w, embedcheck.KERNEL_POINTS)
+    integrand = (spectral_density(p, np.abs(omega)) - p.gamma) * np.exp(-1j * omega * t)
+    smooth = complex(np.trapezoid(integrand, omega)) / (2.0 * math.pi)
+    return abs(smooth - memory_kernel_smooth(p, t)) / (p.gamma * p.omega_c / 2.0)
+
+
+def test_kernel_check_on_the_half_line_matches_the_full_line(params):
+    """Folding the even integrand onto w >= 0 changes the check only by rounding."""
+    rng = np.random.default_rng(14)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        assert math.isclose(kernel_fourier_error(p), _kernel_error_full_line(p), rel_tol=1e-10)
 
 
 def test_trajectory_validation():
