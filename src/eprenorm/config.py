@@ -34,15 +34,20 @@ def load_config(path: str | None = None):
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        # No header can name the default section "", so [DEFAULT] is an unknown section.
+        parser = configparser.ConfigParser(default_section="")
         try:
-            parser.read(path)
+            with open(path, encoding="utf-8") as handle:
+                parser.read_file(handle)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         for section in parser.sections():
             if section not in values:
                 raise ConfigError(f"{path}: unknown section [{section}]")
-            for key, raw in parser[section].items():
+            # raw: a % in a value is literal text, not interpolation syntax.
+            for key, raw in parser.items(section, raw=True):
                 if key not in values[section]:
                     raise ConfigError(f"{path}: unknown key {key} in [{section}]")
                 try:

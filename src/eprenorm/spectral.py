@@ -36,6 +36,11 @@ DEGENERACY_RTOL = 1e-3
 IMAG_TIE_RTOL = 1e-9
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
+# _COMPOSE[n][i][j] indexes _PERMS[n][j][_PERMS[n][i]]: order i, then step j (0 is the identity).
+_COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, p in _PERMS.items()}
+_PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
+# _PAIR_MODES[n][q, m]: mode m is one of the two modes of pair q of _PAIRS[n].
+_PAIR_MODES = {n: (np.arange(n) == i[:, None]) | (np.arange(n) == j[:, None]) for n, (i, j) in _PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -116,16 +121,12 @@ def _eigensystems(arr: np.ndarray):
     pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
     rights = rights * (pivot.conj() / np.abs(pivot))
 
-    rows = np.arange(arr.shape[0])
-    iu, ju = np.triu_indices(arr.shape[-1], 1)
+    iu, ju = _PAIRS[arr.shape[-1]]
     gaps = np.abs(lams[:, iu] - lams[:, ju])
     closest = gaps.argmin(axis=-1)
-    i, j = iu[closest], ju[closest]
     scale = np.abs(lams).max(axis=-1)
-    near = (scale > 0) & (gaps[rows, closest] < DEGENERACY_RTOL * scale)
-    defective = np.zeros(lams.shape, dtype=bool)
-    defective[rows[near], i[near]] = True
-    defective[rows[near], j[near]] = True
+    near = (scale > 0) & (gaps[np.arange(len(gaps)), closest] < DEGENERACY_RTOL * scale)
+    defective = _PAIR_MODES[arr.shape[-1]][closest] & near[:, None]
 
     k, underflow = _petermann_values(rights)
     return lams, rights, k, underflow | defective, defective
@@ -184,12 +185,14 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
 
     Every adjacent pair of raw rows gets the permutation minimizing the total
     distance to the previous row; composing these along the grid orders each
-    row relative to its own raw layout (branch tracking).
+    row relative to its own raw layout (branch tracking).  The steps are
+    composed as indices into _PERMS through the _COMPOSE table.
     """
-    perms = _PERMS[lams.shape[1]]
-    cost = np.abs(lams[1:, perms] - lams[:-1, None, :]).sum(axis=-1)
-    steps = perms[cost.argmin(axis=-1)]
-    return np.array(list(accumulate(steps, lambda order, step: step[order], initial=perms[0])))
+    n = lams.shape[1]
+    perms, compose = _PERMS[n], _COMPOSE[n]
+    dist = np.abs(lams[1:, :, None] - lams[:-1, None, :])
+    steps = dist[:, perms, np.arange(n)].sum(axis=-1).argmin(axis=-1).tolist()
+    return perms[list(accumulate(steps, lambda order, step: compose[order][step], initial=0))]
 
 
 def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eprenorm import embedcheck, load_config
+from eprenorm import config, embedcheck, load_config
 from eprenorm.cli import MAX_GRID_POINTS, main
 from eprenorm.config import DEFAULT_VALUES_HZ
 from eprenorm.errors import ConfigError
@@ -449,6 +449,52 @@ def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch,
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"eprenorm: error: {error}")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ini, message",
+    [
+        ("[mechanics]\nfreq_hz = %(x)s\n", "key freq_hz in [mechanics] is not a number: '%(x)s'"),
+        ("[mechanics]\nfreq_hz = 1e6%\n", "key freq_hz in [mechanics] is not a number: '1e6%'"),
+        ("[DEFAULT]\nfreq_hz = 2e6\n", "unknown section [DEFAULT]"),
+        ("[DEFAULT]\n[cavity]\nkappa_hz = 0.25e6\n", "unknown section [DEFAULT]"),
+        ("[DEFAULT]\nfreq_hz = 2e6\n[cavity]\nkappa_hz = 0.25e6\n", "unknown section [DEFAULT]"),
+        (b"[mechanics]\nfreq_hz = 2e6\xff\n", "cannot read config file"),
+    ],
+    ids=[
+        "interpolation",
+        "trailing_percent",
+        "default_only",
+        "default_empty",
+        "default_with_section",
+        "not_utf8",
+    ],
+)
+def test_cli_config_text_errors_name_the_path(tmp_path, capsys, ini, message):
+    """A % is literal text, [DEFAULT] is an unknown section and undecodable
+    bytes are a read error: each exits 1 with one line naming the file."""
+    path = tmp_path / "params.ini"
+    path.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
+    assert main(["--config", str(path), "ep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eprenorm: error: {path}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_cli_unreadable_config_exits_1(tmp_path, capsys, monkeypatch):
+    """A config file that exists but cannot be opened is an error, not the defaults."""
+    path = _write(tmp_path, "[mechanics]\nfreq_hz = 2e6\n")
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr(config, "open", denied, raising=False)
+    assert main(["--config", path, "ep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eprenorm: error: {path}: cannot read config file: ")
+    assert "Permission denied" in captured.err
 
 
 def test_cli_subprocess_entry():

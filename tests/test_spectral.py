@@ -317,6 +317,48 @@ def test_continuity_order_follows_crossing_branches():
     np.testing.assert_array_equal(tracked, branches)
 
 
+def _continuity_reference(lams):
+    """Branch tracking as permutation arrays composed one step at a time."""
+    perms = np.array(list(itertools.permutations(range(lams.shape[1]))))
+    cost = np.abs(lams[1:, perms] - lams[:-1, None, :]).sum(axis=-1)
+    steps = perms[cost.argmin(axis=-1)]
+    return np.array(list(itertools.accumulate(steps, lambda order, step: step[order], initial=perms[0])))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_composition_table_composes_permutations(n):
+    perms, table = spectral._PERMS[n], spectral._COMPOSE[n]
+    np.testing.assert_array_equal(perms[0], np.arange(n))
+    for i, j in itertools.product(range(len(perms)), repeat=2):
+        np.testing.assert_array_equal(perms[table[i][j]], perms[j][perms[i]])
+
+
+def test_continuity_order_matches_array_composition_on_random_stacks():
+    """Random stacks, exact ties included (rounded values, duplicated columns)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        for n_rows, n in itertools.product(range(2, 61), (2, 3)):
+            lams = rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+            duplicated = lams.copy()
+            duplicated[:, -1] = duplicated[:, 0]
+            for stack in (lams, np.round(lams), duplicated):
+                np.testing.assert_array_equal(spectral._continuity_order(stack), _continuity_reference(stack))
+
+
+def test_continuity_order_matches_array_composition_on_sweeps(params):
+    """The two calibrations' three-mode and two-mode sweeps, defaults and random devices."""
+    rng = np.random.default_rng(77)
+    for p in [params] + [draw_system(rng) for _ in range(20)]:
+        mk = markovian_ep(p)
+        gs = np.linspace(0.8 * mk.g_ep, 1.2 * mk.g_ep, 401)
+        for delta in (mk.delta_ep, solve_exact_ep(p).delta_ep):
+            lams = spectral._eigensystems(spectral._drift_stack(drift_nonmarkovian, p, delta, gs))[0]
+            two = np.linalg.eigvals(spectral._drift_stack(drift_markovian, p, delta, gs))
+            two = np.take_along_axis(two, spectral._mode_order(two), axis=-1)
+            for stack in (lams, two):
+                np.testing.assert_array_equal(spectral._continuity_order(stack), _continuity_reference(stack))
+
+
 def test_two_mode_modes_ordered_by_real_part_below_ep(params):
     """At delta = -omega_m below the EP both two-mode eigenvalues have
     Im = -omega_m; the tie is broken by the real part, not by rounding."""
@@ -356,6 +398,49 @@ def test_batched_rank_deficient_rows_match_single_rows(params):
                 v = vec[row, i]
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-12
                 assert np.linalg.norm(mat @ v - val * v) < 1e-9 * fro
+
+
+def _defective_reference(lams):
+    """Defective flags set by stores into zeros at the closest pair of each row."""
+    rows = np.arange(lams.shape[0])
+    iu, ju = np.triu_indices(lams.shape[-1], 1)
+    gaps = np.abs(lams[:, iu] - lams[:, ju])
+    closest = gaps.argmin(axis=-1)
+    i, j = iu[closest], ju[closest]
+    scale = np.abs(lams).max(axis=-1)
+    near = (scale > 0) & (gaps[rows, closest] < spectral.DEGENERACY_RTOL * scale)
+    defective = np.zeros(lams.shape, dtype=bool)
+    defective[rows[near], i[near]] = True
+    defective[rows[near], j[near]] = True
+    return defective
+
+
+def test_defective_flags_match_store_reference(params):
+    """Rank-deficient rows, rows at the exact EP and random symmetric draws."""
+    lam, mu = -1.0 + 2.0j, -3.0 + 0.5j
+    drift = [
+        drift_nonmarkovian(params, DriveParams(delta=-params.omega_m, g=g))
+        for g in (0.0, hz_to_rad(49e3))
+    ]
+    degenerate = [np.diag([lam, lam, mu]), np.diag([mu, lam, lam]), np.zeros((3, 3))]
+    stacks = [np.array([degenerate[0], drift[0], degenerate[1], drift[1], degenerate[2]])]
+    rng = np.random.default_rng(5)
+    devices = [params] + [draw_system(rng) for _ in range(10)]
+    at_ep = [(solve_exact_ep(p), markovian_ep(p)) for p in devices]
+    stacks.append(np.array([drift_nonmarkovian(p, ex.drive) for p, (ex, _) in zip(devices, at_ep)]))
+    stacks.append(np.array([drift_markovian(p, mk.drive) for p, (_, mk) in zip(devices, at_ep)]))
+    for n in (2, 3):
+        a = rng.normal(size=(200, n, n)) + 1j * rng.normal(size=(200, n, n))
+        sym = a + a.swapaxes(-2, -1)
+        near = np.diag(np.array([1.0, 1.0, 2.0][:n], dtype=complex)) + 1e-3 * sym
+        stacks += [sym, near]
+    flagged = 0
+    for stack in stacks:
+        lams, _, _, divergent, defective = spectral._eigensystems(stack)
+        np.testing.assert_array_equal(defective, _defective_reference(lams))
+        assert not (defective & ~divergent).any()
+        flagged += int(defective.any(axis=-1).sum())
+    assert flagged > 20
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
