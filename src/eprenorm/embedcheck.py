@@ -91,22 +91,49 @@ def _order_steps(p: SystemParams, t_final: float) -> int:
     return n
 
 
+def _stability_polynomial(arr, n_steps, t_final: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = arr @ y, h = t_final/n_steps, as a matrix.
+
+    For a constant linear generator the four RK4 stages collapse exactly
+    into the stability polynomial P = sum_{j<=4} (h*arr)^j / j! (Horner
+    form), so a step is y_{k+1} = P @ y_k.  An (m, 1, 1) array of step
+    counts gives the (m, 3, 3) stack of their P, each bit-identical to the
+    call with that count alone.
+    """
+    ha = (t_final / n_steps) * arr
+    eye = np.eye(3)
+    return eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+
+
+def _order_endpoints(arr, y0, n: int, t_final: float) -> np.ndarray:
+    """Last rows of the n-, 2n- and 4n-step RK4 runs to t_final, as a (3, 3) array,
+    without stepping: row k is P_{h/2^k}^{2^k n} @ y0, h = t_final/n.
+
+    The stack P_h, P_{h/2}^2, P_{h/4}^4 (each advances by h) is raised to the
+    n-th power by repeated squaring, O(log n) batched 3x3 products
+    (np.linalg.matrix_power).  Its squarings start from the products that
+    matrix_power(P_{h/2^k}, 2^k n) makes first, so each row has the bits of that
+    power; only the rounding order differs from stepping.
+    """
+    pows = _stability_polynomial(arr, np.array([1, 2, 4])[:, None, None] * n, t_final)
+    pows[1] = pows[1] @ pows[1]
+    pows[2] = pows[2] @ pows[2]
+    pows[2] = pows[2] @ pows[2]
+    return np.linalg.matrix_power(pows, n) @ np.asarray(y0, dtype=complex)
+
+
 def _rk4_propagate(arr, y0, n_steps: int, t_final: float) -> Trajectory:
     """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps.
 
-    For a constant linear generator the four RK4 stages collapse exactly
-    into the stability polynomial P = sum_{j<=4} (h*arr)^j / j!, formed once
-    (Horner form).  The powers P, P^2, ..., P^B (B = min(BLOCK, n_steps))
+    P (_stability_polynomial) is formed once.  The powers P, P^2, ..., P^B (B = min(BLOCK, n_steps))
     are then stacked once, and each block of up to B rows is
     y_{k+j} = P^j @ y_k for j = 1..B: one matrix-vector product with the
     stack viewed as a (3B, 3) matrix.  Only the rounding order differs from
     stepping P one row at a time.
     """
-    ha = (t_final / n_steps) * arr
-    eye = np.eye(3)
     block = min(BLOCK, n_steps)
     pows = np.empty((block, 3, 3), dtype=complex)
-    pows[0] = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    pows[0] = _stability_polynomial(arr, n_steps, t_final)
     # One factor of P at a time.  Doubling (P^2h = P^h @ P^h) is faster but
     # adds the rounding of P^h twice over; its endpoints erred five times more.
     for j in range(1, block):
@@ -170,14 +197,14 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
     """Observed integrator order from endpoint self-differences at h, h/2, h/4.
 
     The device sets h = t_final/n, n the fewest steps within the resolution
-    limit L; the runs take n, 2n and 4n steps to t_final, the 4n run checked
-    against MAX_STEPS before any starts.  Returns (order, ratio) with ratio =
-    |y_h - y_h/2| / |y_h/2 - y_h/4| and order = log2(ratio), near 4 for RK4.
+    limit L; the three-mode runs take m = n, 2n and 4n steps to t_final, the
+    4n run checked against MAX_STEPS before any work starts.  Each endpoint
+    is P^m @ init (_order_endpoints), so no trajectory is stepped or stored.
+    Returns (order, ratio) with ratio = |y_h - y_h/2| / |y_h/2 - y_h/4| and
+    order = log2(ratio), near 4 for RK4.
     """
     n = _order_steps(p, t_final)
-    ends = [
-        integrate_pseudomode(p, d, init, t_final, t_final / (k * n)).amps[-1] for k in (1, 2, 4)
-    ]
+    ends = _order_endpoints(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n, t_final)
     d1 = float(np.linalg.norm(ends[0] - ends[1]))
     d2 = float(np.linalg.norm(ends[1] - ends[2]))
     if d2 == 0.0:

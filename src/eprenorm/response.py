@@ -82,14 +82,30 @@ class Cooperativity:
     c_eff: float
 
 
-def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
-    """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
+def _inverse_chis(p: SystemParams, d: DriveParams, omega):
+    """chi_a^-1, chi_b^-1, chi_c^-1 and chi_b,eff^-1, elementwise in omega."""
     chi_a_inv = p.kappa / 2.0 - 1j * (omega + d.delta)
     chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
     chi_c_inv = p.omega_c - 1j * omega
-    chi_b_eff_inv = chi_b_inv - p.g_c**2 / chi_c_inv
-    with np.errstate(over="ignore"):  # the product overflows to inf past |omega| ~ 1e154
-        d_denom = chi_a_inv * chi_b_eff_inv + d.g**2
+    return chi_a_inv, chi_b_inv, chi_c_inv, chi_b_inv - p.g_c**2 / chi_c_inv
+
+
+def _denominator(chi_a_inv, chi_m_inv, g: float):
+    """D = chi_a^-1 * chi_m^-1 + G^2; the product overflows to inf past |omega| ~ 1e154,
+    so callers hold np.errstate(over="ignore")."""
+    return chi_a_inv * chi_m_inv + g**2
+
+
+def _d_form(p: SystemParams, chi_m_inv, d_denom):
+    """The D-form of the reflection amplitude, 1 - kappa * chi_m^-1 / D."""
+    return 1.0 - p.kappa * chi_m_inv / d_denom
+
+
+def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
+    """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
+    chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv = _inverse_chis(p, d, omega)
+    with np.errstate(over="ignore"):
+        d_denom = _denominator(chi_a_inv, chi_b_eff_inv, d.g)
     return Susceptibilities(
         omega=omega,
         chi_a_inv=chi_a_inv,
@@ -101,6 +117,30 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
     )
 
 
+def _response(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool):
+    """The reflection core over a 1-d array of real omega: (chi_c^-1, chi_m^-1, D,
+    singular mask, susceptibility-sum r), each computed once.  chi_m^-1 is the bare
+    (markovian) or bath-dressed mechanical inverse susceptibility.  r is unmasked;
+    where chi_m^-1 = 0 it takes the D-form, whose value (1 for G != 0) the sum form
+    cannot reach through G^2 / 0."""
+    chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv = _inverse_chis(p, d, omega)
+    chi_m_inv = chi_b_inv if markovian else chi_b_eff_inv
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_denom = _denominator(chi_a_inv, chi_m_inv, d.g)
+        singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
+        r = 1.0 - p.kappa / (chi_a_inv + d.g**2 / chi_m_inv)
+        at_zero = chi_m_inv == 0
+        if at_zero.any():
+            r[at_zero] = _d_form(p, chi_m_inv[at_zero], d_denom[at_zero])
+    return chi_c_inv, chi_m_inv, d_denom, singular, r
+
+
+def _r_sq(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool) -> np.ndarray:
+    """|r|^2 over a 1-d array of real omega, inf where the response denominator vanishes."""
+    *_, singular, r = _response(p, d, omega, markovian)
+    return np.where(singular, math.inf, np.abs(r) ** 2)
+
+
 def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectrum:
     """Reflection of the one-sided cavity, elementwise over real omega.
 
@@ -110,14 +150,10 @@ def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectru
     come back flagged singular, with NaN amplitudes.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    s = susceptibilities(p, d, omega)
-    chi_m_inv = s.chi_b_inv if markovian else s.chi_b_eff_inv
-    eta = math.sqrt(p.gamma) if markovian else s.eta
+    chi_c_inv, chi_m_inv, d_denom, singular, r = _response(p, d, omega, markovian)
+    eta = math.sqrt(p.gamma) if markovian else -math.sqrt(p.gamma) * 1j * omega / chi_c_inv
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_denom = s.chi_a_inv * chi_m_inv + d.g**2
-        singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
-        s_aa = 1.0 - p.kappa * chi_m_inv / d_denom
-        r = np.where(chi_m_inv == 0, s_aa, 1.0 - p.kappa / (s.chi_a_inv + d.g**2 / chi_m_inv))
+        s_aa = _d_form(p, chi_m_inv, d_denom)
         s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
     nan = complex(math.nan, math.nan)
     r, s_aa, s_axi = (np.where(singular, nan, v) for v in (r, s_aa, s_axi))
@@ -159,6 +195,12 @@ def _golden_min(f, a: float, b: float, xtol: float):
     return x, f(x)
 
 
+def _dip_grid(p: SystemParams) -> np.ndarray:
+    """The coarse dip scan, DIP_COARSE_POINTS over omega_m +/- DIP_WINDOW_GAMMAS*gamma."""
+    half_width = DIP_WINDOW_GAMMAS * p.gamma
+    return np.linspace(p.omega_m - half_width, p.omega_m + half_width, DIP_COARSE_POINTS)
+
+
 def dip_metrics(p: SystemParams, d: DriveParams, markovian: bool = False) -> DipMetrics:
     """Depth and location of the reflection dip near the mechanical resonance.
 
@@ -167,20 +209,17 @@ def dip_metrics(p: SystemParams, d: DriveParams, markovian: bool = False) -> Dip
     denominator vanishes are skipped as candidates.
     """
 
-    def r_sq(omega):
-        """|r|^2 elementwise over omega, inf where the response denominator vanishes."""
-        pts = _reflect(p, d, omega, markovian)
-        return np.where(pts.singular, math.inf, pts.r_sq)
+    def r_sq_at(omega: float) -> float:
+        return _r_sq(p, d, np.array([omega], dtype=float), markovian).item()
 
-    half_width = DIP_WINDOW_GAMMAS * p.gamma
-    if half_width == 0.0:
-        return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq(p.omega_m).item())
-    grid = np.linspace(p.omega_m - half_width, p.omega_m + half_width, DIP_COARSE_POINTS)
-    values = r_sq(grid)
+    if p.gamma == 0.0:
+        return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq_at(p.omega_m))
+    grid = _dip_grid(p)
+    values = _r_sq(p, d, grid, markovian)
     k = int(np.argmin(values))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
-    omega_min, r_min = _golden_min(lambda x: r_sq(x).item(), lo, hi, DIP_XTOL_GAMMAS * p.gamma)
+    omega_min, r_min = _golden_min(r_sq_at, lo, hi, DIP_XTOL_GAMMAS * p.gamma)
     if values[k] < r_min:
         omega_min, r_min = float(grid[k]), float(values[k])
     return DipMetrics(omega_min=omega_min, r_sq_min=r_min)

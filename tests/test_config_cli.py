@@ -54,7 +54,7 @@ def test_load_config_defaults():
 
 def test_load_config_shipped_file_matches_defaults():
     p_def, d_def = load_config(None)
-    p, d = load_config("configs/default.ini")
+    p, d = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
     assert p == p_def and d == d_def
 
 

@@ -13,6 +13,7 @@ from eprenorm import (
     compare_embeddings,
     convergence_order,
     drift_markovian,
+    drift_nonmarkovian,
     embedcheck,
     mech_renorm,
 )
@@ -154,7 +155,7 @@ def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch)
     with pytest.raises(ValueError, match="steps"):
         compare_embeddings(params, drive, (1.0, 0.0), too_long, dt)
 
-    monkeypatch.setattr(embedcheck, "integrate_pseudomode", no_integration)
+    monkeypatch.setattr(embedcheck, "_order_endpoints", no_integration)
     limit = embedcheck.MAX_DT_FRACTION / max(params.omega_m, params.omega_c)
     coarse_ok = (embedcheck.MAX_STEPS // 4 + 1) * limit
     with pytest.raises(ValueError, match="steps"):
@@ -177,8 +178,6 @@ def test_bare_cavity_decay(params):
 
 
 def test_endpoint_matches_dense_propagator(params, drive):
-    from eprenorm import drift_nonmarkovian
-
     dt = _default_dt(params)
     y0 = (1.0, 0.5 - 0.5j, 0.25j)
     traj = integrate_pseudomode(params, drive, y0, 10.0 / params.kappa, dt)
@@ -220,6 +219,38 @@ def test_convergence_order_on_random_devices():
         d = draw_drive(rng, p)
         order, _ = convergence_order(p, d, (1.0, 1.0, 0.0), 20.0 / p.kappa)
         assert abs(order - 4.0) <= 0.05, f"seed {seed}: order {order}"
+
+
+def test_order_endpoints_match_stepped_runs(params, drive):
+    """Each power endpoint of the order check is the last row of the stepped
+    run with the same step, to rounding, on the defaults and 60 devices."""
+    cases = [(params, drive)]
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    y0 = (1.0, 1.0, 0.0)
+    for p, d in cases:
+        t_final = 20.0 / p.kappa
+        n = embedcheck._order_steps(p, t_final)
+        ends = embedcheck._order_endpoints(drift_nonmarkovian(p, d), y0, n, t_final)
+        for end, m in zip(ends, (n, 2 * n, 4 * n)):
+            stepped = integrate_pseudomode(p, d, y0, t_final, t_final / m)
+            assert len(stepped.times) == m + 1
+            ref = stepped.amps[-1]
+            assert float(np.linalg.norm(end - ref)) <= 1e-10 * float(np.linalg.norm(ref))
+
+
+def test_convergence_order_builds_no_trajectory(params, drive, monkeypatch):
+    """The order check reads endpoints from propagator powers, never from a stepped run."""
+
+    def no_trajectory(*args):
+        raise AssertionError("the order check stepped a trajectory")
+
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", no_trajectory)
+    order, ratio = convergence_order(params, drive, (1.0, 1.0, 0.0), 20.0 / params.kappa)
+    assert abs(order - 4.0) <= 0.05
+    assert 12.0 <= ratio <= 20.0
 
 
 def test_runs_end_at_t_final(params, drive):

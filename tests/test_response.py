@@ -19,6 +19,7 @@ from eprenorm import (
 )
 from eprenorm.charpoly import char_cubic, cubic_roots
 from eprenorm.errors import SingularDenominator
+from eprenorm import response
 from eprenorm.model import hz_to_rad, rad_to_hz
 from eprenorm.response import susceptibilities
 
@@ -152,6 +153,28 @@ def test_spectrum_arrays_match_pointwise_reflection():
                 assert abs(got - want) <= 4e-16 * max(1.0, abs(want))
             assert spec.r_sq[k] == pytest.approx(pt.r_sq, rel=1e-15, abs=1e-15)
     assert n_singular == 12
+
+
+def test_dip_search_r_sq_is_the_spectrum_r_sq(params, drive):
+    """The dip search's |r|^2 on its coarse grid is spectrum's r_sq, bit for bit,
+    with inf where spectrum flags a singular point: one formula for r."""
+    rng = np.random.default_rng(16)
+    cases = [(params, drive), (params, solve_exact_ep(params).drive)]
+    for _ in range(4):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    # a line so narrow and uncoupled that |D| falls below the threshold mid-grid
+    cases.append((dataclasses.replace(params, gamma=1e-13 * params.omega_m),
+                  DriveParams(delta=-params.omega_m, g=0.0)))
+    n_singular = 0
+    for p, d in cases:
+        grid = response._dip_grid(p)
+        for markovian in (False, True):
+            spec = spectrum(p, d, grid, markovian=markovian)
+            want = np.where(spec.singular, math.inf, spec.r_sq)
+            assert np.array_equal(response._r_sq(p, d, grid, markovian), want)
+            n_singular += int(spec.singular.sum())
+    assert 0 < n_singular < 2 * len(grid)
 
 
 def test_reflection_unit_magnitude_without_coupling(params):
