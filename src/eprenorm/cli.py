@@ -42,9 +42,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .embedcheck import (
-    MAX_DT_FRACTION, _order_steps, compare_embeddings, convergence_order, kernel_fourier_error
-)
+from .embedcheck import _resolution_limit, compare_embeddings, convergence_order, kernel_fourier_error
 from .epsolver import certify_order_two, markovian_ep, perturbative_ep, solve_exact_ep
 from .errors import ConfigError, OrderCheckFailed, SolverFailure, ToolkitError
 from .model import DriveParams, SystemParams, hz_to_rad, rad_to_hz
@@ -137,6 +135,13 @@ def _json_rows(cells, width: int) -> str:
     return f"[\n    [\n      {body}\n    ]\n  ]"
 
 
+def _null_non_finite(value):
+    """value with every non-finite float in it, at any depth of nested dicts, as None."""
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None):
     """Write one artifact to --out or stdout; with --quiet and no --out, build nothing.
 
@@ -145,10 +150,10 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     header and one line per row of the (rows, columns) array data; then the
     footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
-    json.dumps(doc, indent=2, sort_keys=True) + "\\n".  Each table cell is
-    printed once as format(x, ".12g"); that one text is the CSV cell, and
-    _json_rows lays it out as the JSON value float(text), null if not
-    finite, without converting it back to a float.
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n", each non-finite float
+    null.  Each table cell is printed once as format(x, ".12g"); that one
+    text is the CSV cell, and _json_rows lays it out as the JSON value
+    float(text), null if not finite, without converting it back to a float.
     """
     if args.quiet and not args.out:
         return
@@ -156,7 +161,7 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         flat = np.asarray(data, dtype=float).ravel().tolist()
         cells = list(map(format, flat, repeat(".12g")))
     if args.json:
-        doc = {"manifest": manifest, **(summary or {})}
+        doc = _null_non_finite({"manifest": manifest, **(summary or {})})
         if columns is not None:
             doc["columns"] = list(columns)
         parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -363,30 +368,24 @@ def cmd_embedcheck(args, p: SystemParams, d: DriveParams) -> Table:
     """Cross-validate the auxiliary-mode embedding against direct convolution:
     --dt sets the comparison's step only (default L/2), the order check runs
     at L, L/2 and L/4 from the resolution limit L, and every run ends at
-    t_final.  A horizon too long for either check fails before anything
-    integrates."""
+    t_final.  The order check runs first, from propagator powers, so a
+    horizon too long for either check fails before any trajectory is stepped."""
     t_final = args.t_final if args.t_final is not None else 20.0 / p.kappa
-    dt = args.dt if args.dt is not None else MAX_DT_FRACTION / (2.0 * max(p.omega_m, p.omega_c))
-    _order_steps(p, t_final)
-    max_rel_err = compare_embeddings(p, d, (1.0, 1.0), t_final, dt)
+    dt = args.dt if args.dt is not None else _resolution_limit(p, d) / 2.0
     order, ratio = convergence_order(p, d, (1.0, 1.0, 0.0), t_final)
+    max_rel_err = compare_embeddings(p, d, (1.0, 1.0), t_final, dt)
     kernel_err = kernel_fourier_error(p)
     status = "PASS" if max_rel_err <= MAX_REL_ERR_LIMIT else "FAIL"
 
-    footer = [
-        f"max_rel_err = {max_rel_err:.17g}",
-        f"order_estimate = {order:.12g}",
-        f"order_ratio = {ratio:.12g}",
-        f"kernel_fourier_err = {kernel_err:.17g}",
-        f"status = {status}",
-    ]
     report = {
         "max_rel_err": max_rel_err,
-        "order_estimate": order if math.isfinite(order) else None,
-        "order_ratio": ratio if math.isfinite(ratio) else None,
+        "order_estimate": order,
+        "order_ratio": ratio,
         "kernel_fourier_err": kernel_err,
         "status": status,
     }
+    formats = {"order_estimate": ".12g", "order_ratio": ".12g", "status": ""}
+    footer = [f"{key} = {value:{formats.get(key, '.17g')}}" for key, value in report.items()]
     return Table(
         {"t_final_s": f"{t_final:.12g}", "dt_s": f"{dt:.12g}"},
         footer=footer,

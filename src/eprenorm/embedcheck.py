@@ -23,16 +23,11 @@ import numpy as np
 from .errors import StepTooLarge
 from .model import DriveParams, SystemParams, drift_nonmarkovian, memory_kernel_smooth, spectral_density
 
-# Resolution requirement: at least 50 steps per fastest period/decay.
+# Resolution requirement: at least 50 steps per fastest rate of the drift.
 MAX_DT_FRACTION = 1.0 / 50.0
 # Largest step count of one run; trajectories are allocated whole, 56 bytes
 # per step (48 of amps, 8 of times).
 MAX_STEPS = 200_000
-# Propagator powers P, P^2, ..., P^BLOCK held per run: each Python step fills
-# up to BLOCK trajectory rows.  The (BLOCK, 3, 3) stack is a fixed extra
-# 9 * 16 * BLOCK bytes.  Rounding grows as BLOCK shrinks, and past 64 the
-# power build costs runs of 1,000-4,000 steps more than the shorter loop saves.
-BLOCK = 64
 # Fourier kernel check: trapezoid nodes over [-KERNEL_WINDOW, KERNEL_WINDOW] * Omega_c, an
 # odd count so that w = 0 is one; the even integrand is summed over the half with w >= 0.
 KERNEL_POINTS = 40001
@@ -59,14 +54,22 @@ class Trajectory:
             raise ValueError("one amplitude row per time sample")
 
 
-def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
+def _resolution_limit(p: SystemParams, d: DriveParams) -> float:
+    """The largest step L any run takes: MAX_DT_FRACTION / rho, with rho the
+    largest |Re| or |Im| entry of drift_nonmarkovian(p, d), i.e.
+    max(omega_m, Omega_c, |delta|, g, kappa/2, gamma/2, g_c)."""
+    arr = drift_nonmarkovian(p, d)
+    return MAX_DT_FRACTION / float(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+
+
+def _check_step(p: SystemParams, d: DriveParams, t_final: float, dt: float) -> int:
     """Validate a fixed-step run of n = ceil(t_final/dt) steps of t_final/n and return n;
     a quotient up to 1e-12 (relative) above a whole number is rounding and keeps it."""
     if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
+    limit = _resolution_limit(p, d)
     if dt > limit:
         raise StepTooLarge(f"dt = {dt!r} exceeds resolution limit {limit!r}")
     steps = t_final / dt * (1.0 - 1e-12)
@@ -75,16 +78,18 @@ def _check_step(p: SystemParams, t_final: float, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _order_steps(p: SystemParams, t_final: float) -> int:
+def _order_steps(p: SystemParams, d: DriveParams, t_final: float) -> int:
     """n of the order check, whose runs take n, 2n and 4n steps to t_final:
-    the fewest steps within the resolution limit L.  Raises ValueError naming
-    the check when 4n exceeds MAX_STEPS, so it fails before any run starts."""
-    limit = MAX_DT_FRACTION / max(p.omega_m, p.omega_c)
-    if t_final / limit > MAX_STEPS:  # n alone is over the bound, and ceil(inf) overflows
-        n = t_final / limit
-    else:
-        n = _check_step(p, t_final, limit)
-        if t_final / n > limit:  # a quotient snapped down leaves h just above L
+    the fewest n with t_final/n <= L, the resolution limit.  Raises ValueError
+    naming the check when 4n exceeds MAX_STEPS, so it fails before any run starts."""
+    if not t_final > 0.0:
+        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    limit = _resolution_limit(p, d)
+    n = t_final / limit
+    if n <= MAX_STEPS:  # else n alone is over the bound, and ceil(inf) overflows
+        # The quotient is rounded, so its ceiling may be one above or below the fewest n.
+        n = max(1, math.ceil(n) - 1)
+        while t_final / n > limit:
             n += 1
     if 4 * n > MAX_STEPS:
         raise ValueError(f"order check: 4n = {4 * n:.6g} steps exceed the bound of {MAX_STEPS}")
@@ -125,26 +130,22 @@ def _order_endpoints(arr, y0, n: int, t_final: float) -> np.ndarray:
 def _rk4_propagate(arr, y0, n_steps: int, t_final: float) -> Trajectory:
     """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps.
 
-    P (_stability_polynomial) is formed once.  The powers P, P^2, ..., P^B (B = min(BLOCK, n_steps))
-    are then stacked once, and each block of up to B rows is
-    y_{k+j} = P^j @ y_k for j = 1..B: one matrix-vector product with the
-    stack viewed as a (3B, 3) matrix.  Only the rounding order differs from
-    stepping P one row at a time.
+    P (_stability_polynomial) is formed once, and the trajectory doubles in
+    length per iteration: once rows 0..m-1 are known, rows m..m+k-1 are
+    y_{m+j} = P^m @ y_j, one product with k = min(m, n_steps + 1 - m), and
+    P^m is then squared to P^2m.  That is ceil(log2(n_steps + 1)) iterations;
+    only the rounding order differs from stepping P one row at a time.
     """
-    block = min(BLOCK, n_steps)
-    pows = np.empty((block, 3, 3), dtype=complex)
-    pows[0] = _stability_polynomial(arr, n_steps, t_final)
-    # One factor of P at a time.  Doubling (P^2h = P^h @ P^h) is faster but
-    # adds the rounding of P^h twice over; its endpoints erred five times more.
-    for j in range(1, block):
-        np.dot(pows[0], pows[j - 1], out=pows[j])
-    stacked = pows.reshape(3 * block, 3)
+    power = _stability_polynomial(arr, n_steps, t_final)
     amps = np.empty((n_steps + 1, 3), dtype=complex)
     amps[0] = y0
-    flat = amps.reshape(-1)
-    for k in range(0, n_steps, block):
-        m = min(block, n_steps - k)
-        np.dot(stacked[: 3 * m], amps[k], out=flat[3 * (k + 1) : 3 * (k + m + 1)])
+    m = 1
+    while m <= n_steps:
+        rows = amps[m : 2 * m]  # k rows: the slice stops at row n_steps
+        np.dot(amps[: len(rows)], power.T, out=rows)
+        m *= 2
+        if m <= n_steps:
+            power = power @ power
     times = np.linspace(0.0, t_final, n_steps + 1)
     return Trajectory(times=times, amps=amps)
 
@@ -153,7 +154,7 @@ def integrate_pseudomode(
     p: SystemParams, d: DriveParams, init, t_final: float, dt: float
 ) -> Trajectory:
     """Integrate the three-mode system (a, b, c) from init with fixed-step RK4."""
-    n_steps = _check_step(p, t_final, dt)
+    n_steps = _check_step(p, d, t_final, dt)
     return _rk4_propagate(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n_steps, t_final)
 
 
@@ -167,7 +168,7 @@ def integrate_nonmarkovian(
     its two bath couplings replaced by the accumulator's: gamma*Omega_c/2
     feeding u into b, and 1 feeding b into u.
     """
-    n_steps = _check_step(p, t_final, dt)
+    n_steps = _check_step(p, d, t_final, dt)
     arr = drift_nonmarkovian(p, d)
     arr[1, 2] = p.gamma * p.omega_c / 2.0
     arr[2, 1] = 1.0
@@ -203,7 +204,7 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
     Returns (order, ratio) with ratio = |y_h - y_h/2| / |y_h/2 - y_h/4| and
     order = log2(ratio), near 4 for RK4.
     """
-    n = _order_steps(p, t_final)
+    n = _order_steps(p, d, t_final)
     ends = _order_endpoints(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n, t_final)
     d1 = float(np.linalg.norm(ends[0] - ends[1]))
     d2 = float(np.linalg.norm(ends[1] - ends[2]))

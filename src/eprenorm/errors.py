@@ -36,12 +36,11 @@ class NonPhysicalEp(SolverFailure):
 class OrderCheckFailed(ToolkitError):
     """Double-root certificate violated.  Carries the measured magnitudes."""
 
-    def __init__(self, p_mag, dp_mag, ddp_mag, message=""):
+    def __init__(self, p_mag, dp_mag, ddp_mag):
         self.p_mag = p_mag
         self.dp_mag = dp_mag
         self.ddp_mag = ddp_mag
-        detail = f"|p|={p_mag:.3e}, |p'|={dp_mag:.3e}, |p''|={ddp_mag:.3e}"
-        super().__init__(message + detail if message else detail)
+        super().__init__(f"|p|={p_mag:.3e}, |p'|={dp_mag:.3e}, |p''|={ddp_mag:.3e}")
 
 
 class SingularDenominator(SolverFailure):

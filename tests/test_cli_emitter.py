@@ -88,6 +88,33 @@ def test_emitter_report_without_table(tmp_path, capsys, as_json):
     assert text == reference
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON does not define."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_emitter_writes_non_finite_summary_values_as_null(tmp_path, capsys):
+    """Every non-finite float of a JSON document is null, at any depth of
+    nested dicts; text output still prints them as nan and inf."""
+    footer = ["max_rel_err = nan", "order_estimate = inf"]
+    summary = {
+        "embedcheck": {"max_rel_err": math.nan, "order_estimate": math.inf, "order_ratio": -math.inf,
+                       "kernel_fourier_err": 1e-5, "status": "FAIL"},
+        "ep": {"residual_p": np.float64(math.nan), "nested": {"x": -math.inf, "y": 2.0}},
+    }
+    text, _ = _emitted(tmp_path, capsys, None, True, None, None, footer, summary)
+    doc = _strict_json(text)
+    assert doc["embedcheck"] == {"max_rel_err": None, "order_estimate": None, "order_ratio": None,
+                                 "kernel_fourier_err": 1e-5, "status": "FAIL"}
+    assert doc["ep"] == {"residual_p": None, "nested": {"x": None, "y": 2.0}}
+    text, reference = _emitted(tmp_path, capsys, None, False, None, None, footer, summary)
+    assert text == reference and text.endswith("max_rel_err = nan\norder_estimate = inf\n")
+
+
 def test_emitter_cells_are_twelve_digit_text(tmp_path, capsys):
     data = TABLES["edge_values"]
     text, _ = _emitted(tmp_path, capsys, None, False, ["a", "b", "c"], data, (), {})

@@ -413,6 +413,30 @@ def test_cli_embedcheck_order_step_bound(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "ini",
+    ["[drive]\ncoupling_hz = 13092743155\n", "[drive]\ndetuning_hz = 3572245906\n"],
+    ids=["coupling", "detuning"],
+)
+def test_cli_embedcheck_fast_drive_rate_sets_the_step(tmp_path, capsys, ini):
+    """A coupling or detuning faster than omega_m and Omega_c sets the
+    resolution limit: at the default horizon the order check's step bound
+    exits 1 naming that check, and at 1e-9 s the run passes reading fourth
+    order, with no nan either way."""
+    config = _write(tmp_path, ini)
+    assert main(["--config", config, "embedcheck"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("eprenorm: error: order check: 4n = ") and err.count("\n") == 1
+
+    assert main(["--config", config, "embedcheck", "--t-final", "1e-9"]) == 0
+    out, err = capsys.readouterr()
+    report = _kv_lines(out)
+    assert err == "" and "nan" not in out
+    assert report["status"] == "PASS"
+    assert abs(float(report["order_estimate"]) - 4.0) <= 1e-3
+
+
+@pytest.mark.parametrize(
     "out, epoch, error, stamp",
     [
         ("missing_dir/x.csv", "1756080000", "[Errno 2] No such file or directory", None),

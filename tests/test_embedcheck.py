@@ -16,6 +16,7 @@ from eprenorm import (
     drift_nonmarkovian,
     embedcheck,
     mech_renorm,
+    solve_exact_ep,
 )
 from eprenorm.embedcheck import (
     Trajectory,
@@ -94,13 +95,16 @@ def test_propagator_matches_stagewise_rk4(params, drive):
 
 @pytest.mark.parametrize(
     "n_steps",
-    [1, embedcheck.BLOCK - 1, embedcheck.BLOCK, embedcheck.BLOCK + 1, 2 * embedcheck.BLOCK + 1],
-    ids=["one", "block-1", "block", "block+1", "2block+1"],
+    [1, 2, 3, 63, 64, 65, 1023, 1024, 1025],
+    ids=["one", "two", "three", "2^6-1", "2^6", "2^6+1", "2^10-1", "2^10", "2^10+1"],
 )
 def test_block_edges_match_stagewise_rk4(params, drive, n_steps):
-    """Blocked propagation matches stage-wise RK4 for a single step, a
-    short last block and exact multiples of the block, and keeps a zero
-    state exactly zero."""
+    """Doubling propagation matches stage-wise RK4 at its block edges.
+
+    Each iteration fills one block of k = min(m, n_steps + 1 - m) rows from
+    P^m: n_steps = 2^j - 1 ends on a full doubling, 2^j on a last block of
+    one row and 2^j + 1 on one of two.  A zero state stays exactly zero.
+    """
     dt = _default_dt(params)
     t_final = n_steps * dt
     ca = 1j * drive.delta - params.kappa / 2.0
@@ -126,7 +130,9 @@ def test_block_edges_match_stagewise_rk4(params, drive, n_steps):
     ]
     for traj, ref in cases:
         assert traj.amps.shape == ref.shape == (n_steps + 1, 3)
-        assert np.array_equal(traj.times, np.arange(n_steps + 1) * dt)
+        # linspace(0, n*dt, n + 1) may differ from k*dt in the last bit (n = 3 does).
+        np.testing.assert_allclose(traj.times, np.arange(n_steps + 1) * dt, rtol=1e-15, atol=0.0)
+        assert traj.times[-1] == t_final
         scale = float(np.max(np.linalg.norm(ref, axis=1)))
         err = float(np.max(np.linalg.norm(traj.amps - ref, axis=1)))
         assert err <= 1e-12 * scale
@@ -136,6 +142,47 @@ def test_block_edges_match_stagewise_rk4(params, drive, n_steps):
     for traj in (zero_pm, zero_direct):
         assert traj.amps.shape == (n_steps + 1, 3)
         assert np.all(traj.amps == 0.0)
+
+
+def _stepped_p(arrs, y0s, n_steps, t_finals):
+    """Reference: one run per generator of arrs, each P stepped one row at a time."""
+    pows = embedcheck._stability_polynomial(np.array(arrs), n_steps, np.array(t_finals)[:, None, None])
+    amps = np.empty((n_steps + 1, len(arrs), 3), dtype=complex)
+    amps[0] = y0s
+    for k in range(n_steps):
+        amps[k + 1] = (pows @ amps[k][..., None])[..., 0]
+    return amps
+
+
+def test_doubled_trajectories_match_stepping_p(params):
+    """Both integrators, at the exact-EP drive and on 20 devices, for up to
+    20,000 steps at the resolution limit: each doubled trajectory is within
+    1e-12 (relative to its peak) of stepping its own P one row at a time."""
+    cases = [(params, solve_exact_ep(params).drive)]
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    init = (1.0, 0.5 - 0.5j, 0.25j)
+    for n_steps in (1000, 20000):
+        runs, arrs, y0s, t_finals = [], [], [], []
+        for p, d in cases:
+            dt = embedcheck._resolution_limit(p, d)
+            t_final = n_steps * dt
+            acc = drift_nonmarkovian(p, d)
+            acc[1, 2] = p.gamma * p.omega_c / 2.0
+            acc[2, 1] = 1.0
+            runs += [integrate_pseudomode(p, d, init, t_final, dt),
+                     integrate_nonmarkovian(p, d, init[:2], t_final, dt)]
+            arrs += [drift_nonmarkovian(p, d), acc]
+            y0s += [init, (*init[:2], 0.0)]
+            t_finals += [t_final, t_final]
+        ref = _stepped_p(arrs, y0s, n_steps, t_finals)
+        for i, run in enumerate(runs):
+            assert run.amps.shape == ref[:, i].shape
+            scale = float(np.max(np.linalg.norm(ref[:, i], axis=1)))
+            err = float(np.max(np.linalg.norm(run.amps - ref[:, i], axis=1)))
+            assert err <= 1e-12 * scale, f"n = {n_steps}, run {i}: {err / scale:.3g}"
 
 
 def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch):
@@ -156,10 +203,43 @@ def test_step_count_bound_checked_before_integrating(params, drive, monkeypatch)
         compare_embeddings(params, drive, (1.0, 0.0), too_long, dt)
 
     monkeypatch.setattr(embedcheck, "_order_endpoints", no_integration)
-    limit = embedcheck.MAX_DT_FRACTION / max(params.omega_m, params.omega_c)
+    limit = embedcheck._resolution_limit(params, drive)
     coarse_ok = (embedcheck.MAX_STEPS // 4 + 1) * limit
     with pytest.raises(ValueError, match="steps"):
         convergence_order(params, drive, (1.0, 0.0, 0.0), coarse_ok)
+
+
+def test_resolution_limit_follows_the_fastest_drift_rate(params, drive):
+    """L = MAX_DT_FRACTION / rho with rho the largest rate in the drift: omega_m
+    at the defaults, bit for bit, and the cutoff, coupling or detuning where
+    that one is faster."""
+    fraction = embedcheck.MAX_DT_FRACTION
+    assert embedcheck._resolution_limit(params, drive) == fraction / params.omega_m
+    fast = 7.0 * params.omega_m
+    cases = [
+        (dataclasses.replace(params, omega_c=fast), drive),
+        (params, dataclasses.replace(drive, g=fast)),
+        (params, dataclasses.replace(drive, delta=-fast)),
+    ]
+    for p, d in cases:
+        assert embedcheck._resolution_limit(p, d) == fraction / fast
+
+
+def test_order_steps_is_the_fewest_within_the_limit(params, drive):
+    """_order_steps is the fewest whole n with t_final/n <= L, found by brute
+    force, on horizons within a few ulps of k*L; past the 4n bound it raises."""
+    limit = embedcheck._resolution_limit(params, drive)
+    eps = np.finfo(float).eps
+    for k in (1, 3, 1000, 50000):
+        for j in range(-2, 3):
+            t_final = k * limit * (1.0 + j * eps)
+            counts = np.arange(1, k + 2)
+            fewest = int(counts[t_final / counts <= limit][0])
+            if 4 * fewest > embedcheck.MAX_STEPS:
+                with pytest.raises(ValueError, match="order check: 4n"):
+                    embedcheck._order_steps(params, drive, t_final)
+            else:
+                assert embedcheck._order_steps(params, drive, t_final) == fewest, (k, j)
 
 
 def test_zero_initial_state_stays_zero(params, drive):
@@ -232,7 +312,7 @@ def test_order_endpoints_match_stepped_runs(params, drive):
     y0 = (1.0, 1.0, 0.0)
     for p, d in cases:
         t_final = 20.0 / p.kappa
-        n = embedcheck._order_steps(p, t_final)
+        n = embedcheck._order_steps(p, d, t_final)
         ends = embedcheck._order_endpoints(drift_nonmarkovian(p, d), y0, n, t_final)
         for end, m in zip(ends, (n, 2 * n, 4 * n)):
             stepped = integrate_pseudomode(p, d, y0, t_final, t_final / m)

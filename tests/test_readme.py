@@ -1,4 +1,4 @@
-"""The README's library section runs against, and documents, the package root."""
+"""The README runs against, and documents, the package root and the embedcheck bounds."""
 
 import ast
 import re
@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import eprenorm
+from eprenorm import embedcheck
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +52,16 @@ def test_root_exports_exactly_the_documented_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == exported
+
+
+def test_embedcheck_paragraph_states_the_code_bounds():
+    """README's step bound and resolution fraction are embedcheck's constants."""
+    paragraph = re.search(r"`embedcheck` accepts .*?(?=\n\n)", README.read_text(), re.S)
+    assert paragraph is not None
+    text = " ".join(paragraph.group(0).split())
+    (fraction,) = re.findall(r"`L = 1/\((\d+)\*rho\)`", text)
+    assert 1.0 / int(fraction) == embedcheck.MAX_DT_FRACTION
+    assert re.findall(r"`L/2 = 1/\((\d+)\*rho\)`", text) == [str(2 * int(fraction))]
+    bounds = re.findall(r"at most (\d+) steps|<= (\d+)`", text)
+    assert len(bounds) == 3
+    assert {int(a or b) for a, b in bounds} == {embedcheck.MAX_STEPS}
