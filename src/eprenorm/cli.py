@@ -209,8 +209,9 @@ def _resolve_delta(p: SystemParams, mode: str) -> float:
         return solve_exact_ep(p).delta_ep
     if mode.startswith("value:"):
         try:
-            return hz_to_rad(_finite_float(mode[len("value:"):]) * 1e3)
-        except argparse.ArgumentTypeError as exc:
+            delta = hz_to_rad(_finite_float(mode[len("value:"):]) * 1e3)
+            return DriveParams(delta=delta, g=0.0).delta  # the rate range check
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise ConfigError(f"bad --delta-mode value {mode!r}: {exc}") from None
     raise ConfigError(f"unknown --delta-mode: {mode!r} (use markovian, exact or value:<kHz>)")
 

@@ -9,13 +9,16 @@ Recognized sections and keys (all values in Hz, i.e. cycles per second):
 
 Keys omitted from a config file fall back to the built-in representative
 parameter set; unknown sections or keys are rejected rather than ignored.
+The file is UTF-8 read line by line (README's Configuration has the grammar):
+[name] opens a section, key = value or key: value sets one value, blank and
+#/; comment lines are skipped, and any other line is an error naming it.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
+import re
 
 from .errors import ConfigError
 from .model import DriveParams, SystemParams
@@ -27,6 +30,50 @@ DEFAULT_VALUES_HZ = {
     "drive": {"detuning_hz": -1.0e6, "coupling_hz": 48.75e3},
 }
 
+_KEY_VALUE = re.compile(r"([^=:]+)[=:](.*)")
+
+
+def _read_values(path: str, values: dict) -> None:
+    """Set values[section][key] from the INI file at path (grammar in the module docstring)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            content = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
+    section, seen = None, set()
+    # Split at \n alone: open() has already turned \r\n and \r into \n.
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if line[0].isspace():
+            raise ConfigError(f"{path}: line {lineno}: indented line {text!r}")
+        if text[0] == "[" and text[-1] == "]":
+            section = text[1:-1]
+            if section not in values:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            if section in seen:
+                raise ConfigError(f"{path}: line {lineno}: section [{section}] given twice")
+            seen.add(section)
+            continue
+        match = _KEY_VALUE.fullmatch(text)
+        if match is None:
+            raise ConfigError(f"{path}: line {lineno}: not [section] or key = value: {text!r}")
+        if section is None:
+            raise ConfigError(f"{path}: line {lineno}: key before any [section] header")
+        key, raw = match[1].strip().lower(), match[2].strip()
+        if key not in values[section]:
+            raise ConfigError(f"{path}: unknown key {key} in [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"{path}: line {lineno}: key {key} in [{section}] given twice")
+        seen.add((section, key))
+        try:
+            values[section][key] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: key {key} in [{section}] is not a number: {raw!r}") from exc
+        if not math.isfinite(values[section][key]):
+            raise ConfigError(f"{path}: key {key} in [{section}] must be finite: {raw!r}")
+
 
 def load_config(path: str | None = None):
     """Resolve (SystemParams, DriveParams) from an INI file over the defaults."""
@@ -34,41 +81,10 @@ def load_config(path: str | None = None):
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        # No header can name the default section "", so [DEFAULT] is an unknown section.
-        parser = configparser.ConfigParser(default_section="")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in values:
-                raise ConfigError(f"{path}: unknown section [{section}]")
-            # raw: a % in a value is literal text, not interpolation syntax.
-            for key, raw in parser.items(section, raw=True):
-                if key not in values[section]:
-                    raise ConfigError(f"{path}: unknown key {key} in [{section}]")
-                try:
-                    values[section][key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: key {key} in [{section}] is not a number: {raw!r}"
-                    ) from exc
-                if not math.isfinite(values[section][key]):
-                    raise ConfigError(f"{path}: key {key} in [{section}] must be finite: {raw!r}")
+        _read_values(path, values)
     try:
-        p = SystemParams.from_hz(
-            freq_hz=values["mechanics"]["freq_hz"],
-            kappa_hz=values["cavity"]["kappa_hz"],
-            gamma_hz=values["mechanics"]["gamma_hz"],
-            cutoff_hz=values["bath"]["cutoff_hz"],
-        )
-        d = DriveParams.from_hz(
-            detuning_hz=values["drive"]["detuning_hz"],
-            coupling_hz=values["drive"]["coupling_hz"],
-        )
+        p = SystemParams.from_hz(**values["mechanics"], **values["cavity"], **values["bath"])
+        d = DriveParams.from_hz(**values["drive"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return p, d

@@ -70,7 +70,16 @@ class EpSolution:
 
     @property
     def drive(self) -> DriveParams:
-        return DriveParams(delta=self.delta_ep, g=self.g_ep)
+        return _ep_drive(self.delta_ep, self.g_ep)
+
+
+def _ep_drive(delta: float, g: float) -> DriveParams:
+    """The drive at EP coordinates; coordinates outside the rate range, which
+    in-range rates near its ends can give, are a NonPhysicalEp."""
+    try:
+        return DriveParams(delta=delta, g=g)
+    except ValueError as exc:
+        raise NonPhysicalEp(f"exceptional point outside the rate range: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,7 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
     delta = -ren.omega_eff
     g = (p.kappa - ren.gamma_eff) / 4.0
 
-    q = char_cubic(p, DriveParams(delta=delta, g=g))
+    q = char_cubic(p, _ep_drive(delta, g))
     roots = cubic_roots(q)
     pairs = ((0, 1), (0, 2), (1, 2))
     i, j = min(pairs, key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
@@ -254,7 +263,7 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
         raise NonPhysicalEp(f"double root at lambda = {lam!r} fails the physicality selection")
     delta = delta_c.real
     g = cmath.sqrt(g_sq).real
-    mags = _magnitudes(char_cubic(p, DriveParams(delta=delta, g=g)), lam)
+    mags = _magnitudes(char_cubic(p, _ep_drive(delta, g)), lam)
     return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *mags, kind=KIND_EXACT)
 
 

@@ -30,7 +30,8 @@ class NoConvergence(SolverFailure):
 
 
 class NonPhysicalEp(SolverFailure):
-    """Solver converged, but no root satisfies g^2 > 0 and -delta > 0."""
+    """Solver converged, but no root satisfies g^2 > 0 and -delta > 0, or the
+    root's drive coordinates lie outside the rate range."""
 
 
 class OrderCheckFailed(ToolkitError):

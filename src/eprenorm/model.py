@@ -29,11 +29,35 @@ def rad_to_hz(value_rad: complex | np.ndarray) -> complex | np.ndarray:
     return value_rad / TWO_PI
 
 
-def _require_finite(params) -> None:
-    """ValueError naming every field of a parameter dataclass that is inf or nan."""
-    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+# Every nonzero rate lies within RATE_RANGE_HZ in magnitude.  The highest
+# power of a rate any formula takes is the rate^4 of h^2 in
+# epsolver._double_root (h = g*f - g_c^2 is quadratic in the rates).  Within
+# the range a quartic lies between (2pi 1e-30)^4 ~ 1.6e-117 and
+# (2pi 1e30)^4 ~ 1.6e123, and even their ratio, 1e240, stays below the
+# largest float 1.8e308, so no quartic, product or quotient of two rates, or
+# ratio of quartics overflows or underflows to zero.
+RATE_RANGE_HZ = (1e-30, 1e30)
+_RATE_RANGE = (hz_to_rad(RATE_RANGE_HZ[0]), hz_to_rad(RATE_RANGE_HZ[1]))
+
+
+def _require_rates(params) -> None:
+    """ValueError naming every field of a parameter dataclass that is inf or nan,
+    else, by its config key, every nonzero field whose magnitude lies outside
+    RATE_RANGE_HZ (as_hz_dict lists the fields in declaration order)."""
+    names = [f.name for f in fields(params)]
+    values = [getattr(params, name) for name in names]
+    bad = [name for name, value in zip(names, values) if not math.isfinite(value)]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be finite")
+    low, high = _RATE_RANGE
+    outside = [value != 0.0 and not low <= abs(value) <= high for value in values]
+    if any(outside):
+        keys = params.as_hz_dict().items()
+        bad = [f"{key} = {hz:.6g} Hz" for out, (key, hz) in zip(outside, keys) if out]
+        raise ValueError(
+            f"{', '.join(bad)}: a nonzero rate must lie within "
+            f"[{RATE_RANGE_HZ[0]:g}, {RATE_RANGE_HZ[1]:g}] Hz in magnitude"
+        )
 
 
 def _array_rows(table):
@@ -80,7 +104,7 @@ class SystemParams:
     omega_c: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_rates(self)
         if not (self.omega_m > 0 and self.kappa > 0 and self.omega_c > 0):
             raise ValueError("omega_m, kappa and omega_c must be strictly positive")
         if self.gamma < 0:
@@ -127,7 +151,7 @@ class DriveParams:
     g: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_rates(self)
         if self.g < 0:
             raise ValueError("coupling g must be non-negative")
 

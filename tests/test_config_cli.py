@@ -1,6 +1,10 @@
 """Config resolution and the command-line interface (in-process and one subprocess)."""
 
+import configparser
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +12,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprenorm import config, embedcheck, load_config
 from eprenorm.cli import MAX_GRID_POINTS, main
 from eprenorm.config import DEFAULT_VALUES_HZ
 from eprenorm.errors import ConfigError
-from eprenorm.model import rad_to_hz
+from eprenorm.model import DriveParams, SystemParams, rad_to_hz
 
 
 def _write(tmp_path, text, name="params.ini"):
@@ -81,6 +87,254 @@ def test_load_config_rejections(tmp_path):
         load_config(_write(tmp_path, "[cavity]\nkappa_hz = broad\n", "c.ini"))
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "[mechanics]\nfreq_hz = -1e6\n", "d.ini"))
+
+
+def _reference_values(path):
+    """The values configparser reads from path under the rules load_config
+    once kept (no default section, no interpolation, unknown sections and
+    keys refused, finite numbers only), or None where they refuse the file."""
+    values = {section: dict(kv) for section, kv in DEFAULT_VALUES_HZ.items()}
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except configparser.Error:
+        return None
+    for section in parser.sections():
+        if section not in values:
+            return None
+        for key, raw in parser.items(section, raw=True):
+            if key not in values[section]:
+                return None
+            try:
+                values[section][key] = float(raw)
+            except ValueError:
+                return None
+            if not math.isfinite(values[section][key]):
+                return None
+    return values
+
+
+def _hex_values(p, d):
+    return [float(v).hex() for v in (p.omega_m, p.kappa, p.gamma, p.omega_c, d.delta, d.g)]
+
+
+def _mixed_case(word):
+    """word with the letters a bitmask picks in upper case."""
+    return st.integers(0, 2 ** len(word) - 1).map(
+        lambda bits: "".join(c.upper() if bits >> i & 1 else c for i, c in enumerate(word))
+    )
+
+
+_KEYS = [key for kv in DEFAULT_VALUES_HZ.values() for key in kv]
+_FREE = st.text(alphabet="ab xK_=:#;[]%\t1e.-", max_size=10)
+_NUMBER = st.one_of(
+    st.floats(1e3, 1e7).map(repr),
+    st.sampled_from(["1e6", "-1e6", "0", " 2.5E5 ", "1_000", "inf", "nan", "1e6%", "%(x)s", ""]),
+)
+_SEPARATOR = st.sampled_from(["=", ":", " = ", " : ", "\t=", "= ="])
+_KEY_LINE = {key: st.tuples(_mixed_case(key), _SEPARATOR, _NUMBER).map("".join) for key in _KEYS}
+_NOISE = st.one_of(
+    st.sampled_from(["[DEFAULT]", "[Mechanics]", "[lasers]", "[cavity] trailing text", "[]", ""]),
+    st.sampled_from([f"[{section}]" for section in DEFAULT_VALUES_HZ]),
+    st.tuples(st.sampled_from(["#", ";", "  #", "\t;"]), _FREE).map("".join),
+    st.one_of(*_KEY_LINE.values()),
+    _FREE,
+)
+
+
+@st.composite
+def _ini_texts(draw):
+    """A well-formed file of the six keys, then up to three edits: a noise
+    line inserted, a line indented, or a line repeated."""
+    lines = []
+    sections = draw(st.permutations(list(DEFAULT_VALUES_HZ)))
+    for section in sections[: draw(st.integers(0, len(sections)))]:
+        lines.append(f"[{section}]")
+        for key in DEFAULT_VALUES_HZ[section]:
+            if draw(st.booleans()):
+                lines.append(draw(_KEY_LINE[key]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "indent", "repeat"]))
+        if edit == "insert":
+            lines.insert(at, draw(_NOISE))
+        elif lines:
+            at = min(at, len(lines) - 1)
+            if edit == "indent":
+                lines[at] = draw(st.sampled_from([" ", "\t", "    "])) + lines[at]
+            else:
+                lines.insert(at, lines[at])
+    end = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # unresolved-sideband draws
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(text=_ini_texts())
+def test_load_config_reads_what_configparser_read(tmp_path_factory, text):
+    """load_config returns or raises ConfigError, and whatever it reads,
+    configparser under the old rules reads to the same six values."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_bytes(text.encode())
+    try:
+        p, d = load_config(str(path))
+    except ConfigError:
+        return
+    ref = _reference_values(path)
+    assert ref is not None, text
+    p_ref = SystemParams.from_hz(**ref["mechanics"], **ref["cavity"], **ref["bath"])
+    d_ref = DriveParams.from_hz(**ref["drive"])
+    assert _hex_values(p, d) == _hex_values(p_ref, d_ref), text
+
+
+@pytest.mark.parametrize(
+    "ini, line, message, read_before",
+    [
+        ("freq_hz = 2e6\n[mechanics]\n", 1, "key before any [section] header", False),
+        ("# rates\n\nfreq_hz: 2e6\n", 3, "key before any [section] header", False),
+        ("[cavity]\nkappa_hz = 1e5\n\n[cavity]\n", 4, "section [cavity] given twice", False),
+        ("[cavity]\nkappa_hz = 1e5\nKAPPA_HZ: 2e5\n", 3, "key kappa_hz in [cavity] given twice",
+         False),
+        ("[mechanics]\nfreq_hz = 1e6\n  2e6\n", 3, "indented line '2e6'", False),
+        ("[cavity]\n  kappa_hz = 1e5\n", 2, "indented line 'kappa_hz = 1e5'", True),
+        ("[cavity]\r\n\r\n; note\r\n\tkappa_hz = 1e5\r\n", 4, "indented line", True),
+        ("[cavity] trailing text\nkappa_hz = 1e5\n", 1, "not [section] or key = value", True),
+        ("[cavity]\nkappa_hz\n", 2, "not [section] or key = value: 'kappa_hz'", False),
+        ("[cavity]\n= 1e5\n", 2, "not [section] or key = value: '= 1e5'", False),
+    ],
+    ids=[
+        "key_first",
+        "key_after_comment",
+        "section_twice",
+        "key_twice_mixed_case",
+        "continuation",
+        "indented_first_key",
+        "indented_key_crlf",
+        "header_trailing_text",
+        "key_without_value",
+        "empty_key",
+    ],
+)
+def test_cli_config_syntax_errors_name_the_line(tmp_path, capsys, ini, line, message, read_before):
+    """Each form the line reader rejects exits 1 with one line naming the
+    path and line number; read_before marks the forms configparser accepted."""
+    path = tmp_path / "params.ini"
+    path.write_bytes(ini.encode())
+    assert (_reference_values(path) is not None) is read_before
+    assert main(["--config", str(path), "ep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eprenorm: error: {path}: line {line}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, kv in DEFAULT_VALUES_HZ.items() for k in kv])
+@pytest.mark.parametrize("value", ["1e31", "-1e-31", "5e-324"])
+def test_load_config_names_an_out_of_range_rate(tmp_path, section, key, value):
+    """A nonzero rate outside [1e-30, 1e30] Hz is refused by its config key."""
+    path = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} = \S+ Hz: a nonzero rate must lie"):
+        load_config(path)
+
+
+def test_load_config_accepts_the_range_ends(tmp_path):
+    ini = "[mechanics]\ngamma_hz = 1e-30\n[drive]\ndetuning_hz = -1e30\ncoupling_hz = 0\n"
+    p, d = load_config(_write(tmp_path, ini))
+    ends = (rad_to_hz(p.gamma), rad_to_hz(d.delta), d.g)
+    assert ends == pytest.approx((1e-30, -1e30, 0.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "ini, argv, key",
+    [
+        ("[cavity]\nkappa_hz = 1e300\n", ["ep"], "cavity.kappa_hz"),
+        ("[mechanics]\nfreq_hz = 1e300\n", ["eigs", "--delta-mode", "exact"], "mechanics.freq_hz"),
+        (
+            "[mechanics]\nfreq_hz = 1e-300\n[bath]\ncutoff_hz = 539.76\n"
+            "[drive]\ndetuning_hz = 1015324\n",
+            ["spectrum"],
+            "mechanics.freq_hz",
+        ),
+        (None, ["eigs", "--delta-mode", "value:1e-40"], "bad --delta-mode value 'value:1e-40': "
+         "drive.detuning_hz"),
+    ],
+    ids=["kappa_overflow-ep", "freq_overflow-eigs_exact", "freq_underflow-spectrum", "delta_flag"],
+)
+def test_cli_out_of_range_rate_exits_1(tmp_path, capsys, ini, argv, key):
+    """Rates whose powers overflowed (or whose derived damping underflowed to
+    zero) past the solvers exit 1 with one line naming the config key (or
+    the flag that set the rate)."""
+    config = [] if ini is None else ["--config", _write(tmp_path, ini)]
+    assert main([*config, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eprenorm: error: {key} = ")
+    assert captured.err.count("\n") == 1
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_ANY_RATE = st.one_of(
+    _log_uniform(1e3, 1e7),
+    _log_uniform(1e-30, 1e30),
+    _log_uniform(1e-40, 1e40),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-30, 1e30, 1e300, 1e308]),
+)
+_SMALL_COMMANDS = [
+    ["ep"],
+    ["eigs", "--g-points", "3", "--delta-mode", "exact"],
+    ["petermann", "--g-points", "3", "--delta-mode", "both"],
+    ["spectrum", "--omega-points", "5"],
+    ["embedcheck"],
+    ["embedcheck", "--t-final"],  # 50 periods of the fastest drawn rate
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    rates=st.tuples(*[_ANY_RATE] * 6),
+    red=st.booleans(),
+    command=st.sampled_from(_SMALL_COMMANDS),
+)
+def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
+    """Rates across and beyond the rate range, 0, 5e-324 and 1e308 included:
+    every subcommand exits 0, 1, 2 or 3 with nothing escaping main, no
+    RuntimeWarning (an error under pytest) and no nan in its report."""
+    freq, gamma, kappa, cutoff, detuning, coupling = rates
+    path = tmp_path_factory.getbasetemp() / "rates.ini"
+    path.write_text(
+        f"[mechanics]\nfreq_hz = {freq!r}\ngamma_hz = {gamma!r}\n[cavity]\nkappa_hz = {kappa!r}\n"
+        f"[bath]\ncutoff_hz = {cutoff!r}\n"
+        f"[drive]\ndetuning_hz = {-detuning if red else detuning!r}\ncoupling_hz = {coupling!r}\n"
+    )
+    if command[-1] == "--t-final":
+        command = [*command, repr(50.0 / (2.0 * math.pi * max(rates)))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--config", str(path), *command]) in (0, 1, 2, 3)
+    assert "nan" not in out.getvalue()
+
+
+def _checkout_python(*args):
+    """A fresh interpreter run with this checkout's src/ first on its PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+def test_cli_import_leaves_configparser_out():
+    """Importing the CLI does not pay for configparser."""
+    modules = "{'configparser', 'eprenorm.cli'} & set(sys.modules)"
+    proc = _checkout_python("-c", f"import sys, eprenorm.cli; print(sorted({modules}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['eprenorm.cli']\n"
 
 
 def test_cli_ep_reference_table(tmp_path, monkeypatch):
@@ -523,14 +777,6 @@ def test_cli_unreadable_config_exits_1(tmp_path, capsys, monkeypatch):
 
 def test_cli_subprocess_entry():
     """`python -m eprenorm` runs from a checkout: src/ goes first on the child's PYTHONPATH."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "eprenorm", "--quiet", "ep"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    proc = _checkout_python("-m", "eprenorm", "--quiet", "ep")
     assert proc.returncode == 0
     assert proc.stdout == ""

@@ -36,7 +36,7 @@ def _propagated(arr, y0, times):
     """Exact linear evolution exp(arr*t) @ y0 at each time, via eig."""
     w, v = np.linalg.eig(arr)
     coef = np.linalg.solve(v, np.asarray(y0, dtype=complex))
-    return np.array([v @ (np.exp(w * t) * coef) for t in times])
+    return (np.exp(np.outer(times, w)) * coef) @ v.T
 
 
 def _rk4_stagewise(rhs, y0, n_steps, dt):

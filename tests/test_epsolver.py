@@ -27,7 +27,13 @@ from eprenorm.epsolver import (
     KIND_PERTURBATIVE,
     ep_candidates,
 )
-from eprenorm.errors import DegenerateDenominator, NoConvergence, NoMarkovianEp, OrderCheckFailed
+from eprenorm.errors import (
+    DegenerateDenominator,
+    NoConvergence,
+    NoMarkovianEp,
+    NonPhysicalEp,
+    OrderCheckFailed,
+)
 from eprenorm.model import TWO_PI, hz_to_rad
 
 # High-precision coordinates of the exact exceptional point at the default
@@ -299,6 +305,17 @@ def test_residuals_are_the_certificate_magnitudes(params):
             cert.dp_mag,
             cert.ddp_mag,
         )
+
+
+def test_ep_drive_outside_the_rate_range_is_non_physical():
+    """In-range rates near the range's end can put the EP coupling
+    (kappa - gamma)/4 below it: each route that builds the EP drive reports
+    NonPhysicalEp, a solver failure, instead of the drive's ValueError."""
+    p = SystemParams.from_hz(freq_hz=1.0, kappa_hz=2e-30, gamma_hz=0.0, cutoff_hz=1.0)
+    routes = [lambda: markovian_ep(p).drive, lambda: perturbative_ep(p), lambda: solve_exact_ep(p)]
+    for route in routes:
+        with pytest.raises(NonPhysicalEp, match="outside the rate range: drive.coupling_hz = 5e-31 Hz"):
+            route()
 
 
 def _log_uniform(lo, hi):

@@ -7,7 +7,13 @@ import pytest
 
 from draws import draw_drive, draw_system
 from eprenorm import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian
-from eprenorm.model import hz_to_rad, memory_kernel_smooth, rad_to_hz, spectral_density
+from eprenorm.model import (
+    RATE_RANGE_HZ,
+    hz_to_rad,
+    memory_kernel_smooth,
+    rad_to_hz,
+    spectral_density,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,6 +69,32 @@ def test_drive_validation():
     with pytest.raises(ValueError):
         DriveParams(delta=-1.0, g=-0.1)
     DriveParams(delta=1.0, g=0.0)  # blue detuning and zero drive are allowed
+    DriveParams(delta=0.0, g=0.0)  # zero, below the rate range, is allowed
+
+
+@pytest.mark.parametrize(
+    "cls, field, key",
+    [
+        (SystemParams, "omega_m", "mechanics.freq_hz"),
+        (SystemParams, "kappa", "cavity.kappa_hz"),
+        (SystemParams, "gamma", "mechanics.gamma_hz"),
+        (SystemParams, "omega_c", "bath.cutoff_hz"),
+        (DriveParams, "delta", "drive.detuning_hz"),
+        (DriveParams, "g", "drive.coupling_hz"),
+    ],
+)
+def test_rate_range_names_the_config_key(cls, field, key):
+    """Every nonzero rate lies within RATE_RANGE_HZ in magnitude, ends
+    included; one float past either end is refused by its config key."""
+    low, high = (hz_to_rad(x) for x in RATE_RANGE_HZ)
+    ends = {
+        SystemParams: dict(omega_m=high, kappa=low, gamma=low, omega_c=high),
+        DriveParams: dict(delta=-high, g=low),
+    }[cls]
+    cls(**ends)
+    for bad in (math.nextafter(high, math.inf), math.nextafter(low, 0.0)):
+        with pytest.raises(ValueError, match=rf"^{key} = \S+ Hz: a nonzero rate must lie within"):
+            cls(**{**ends, field: bad})
 
 
 _GOOD_SYSTEM = dict(omega_m=6.28e6, kappa=1.26e6, gamma=3.1e4, omega_c=6.28e6)
