@@ -29,7 +29,7 @@ from .errors import (
     NonPhysicalEp,
     OrderCheckFailed,
 )
-from .model import DriveParams, SystemParams
+from .model import DriveParams, SystemParams, rad_to_hz
 
 KIND_MARKOVIAN = "markovian"
 KIND_PERTURBATIVE = "perturbative"
@@ -60,22 +60,19 @@ class EpSolution:
     second_deriv_mag: float
     kind: str
 
-    def __post_init__(self):
-        if self.g_ep <= 0.0:
-            raise ValueError("exceptional point requires a positive coupling")
-        if self.delta_ep >= 0.0:
-            raise ValueError("exceptional point requires a red-detuned drive")
-        if self.second_deriv_mag <= 0.0:
-            raise ValueError("second derivative must not vanish at an order-two point")
-
     @property
     def drive(self) -> DriveParams:
         return _ep_drive(self.delta_ep, self.g_ep)
 
 
 def _ep_drive(delta: float, g: float) -> DriveParams:
-    """The drive at EP coordinates; coordinates outside the rate range, which
-    in-range rates near its ends can give, are a NonPhysicalEp."""
+    """The drive at EP coordinates, or a NonPhysicalEp naming its key in Hz unless g > 0
+    and delta < 0, both within the rate range (the perturbative shift past omega_eff <= 0
+    and in-range rates near the range's ends can each break this)."""
+    for key, value, ok in ("coupling", g, g > 0.0), ("detuning", delta, delta < 0.0):
+        if not ok:
+            raise NonPhysicalEp(f"exceptional point needs g > 0 and delta < 0: "
+                                f"drive.{key}_hz = {rad_to_hz(value):.6g} Hz")
     try:
         return DriveParams(delta=delta, g=g)
     except ValueError as exc:
@@ -250,8 +247,8 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     Runs one Newton iteration from the memoryless coalescence value (or the
     caller's seed) until its step falls within STEP_RTOL * |lambda|, so the
     coordinates carry full double precision.  Raises NoConvergence if the
-    iteration fails and NonPhysicalEp if it lands on a double root without
-    a real positive coupling and a real negative detuning.
+    iteration fails and, through _ep_drive, NonPhysicalEp if it lands on a
+    double root without a real positive coupling and a real negative detuning.
     """
     mk = markovian_ep(p)
     seed = mk.lambda_ep if seed is None else seed
@@ -259,10 +256,8 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     if lam is None:
         raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
     g_sq, delta_c = ep_candidates(p, lam)
-    if g_sq.real <= 0.0 or delta_c.real >= 0.0:
-        raise NonPhysicalEp(f"double root at lambda = {lam!r} fails the physicality selection")
     delta = delta_c.real
-    g = cmath.sqrt(g_sq).real
+    g = cmath.sqrt(g_sq).real if g_sq.real > 0.0 else 0.0  # else sqrt(g_sq) is near-imaginary
     mags = _magnitudes(char_cubic(p, _ep_drive(delta, g)), lam)
     return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *mags, kind=KIND_EXACT)
 

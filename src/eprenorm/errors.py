@@ -30,8 +30,8 @@ class NoConvergence(SolverFailure):
 
 
 class NonPhysicalEp(SolverFailure):
-    """Solver converged, but no root satisfies g^2 > 0 and -delta > 0, or the
-    root's drive coordinates lie outside the rate range."""
+    """An EP route's drive coordinates fail g > 0 and delta < 0, or lie
+    outside the rate range (epsolver._ep_drive is the one rule)."""
 
 
 class OrderCheckFailed(ToolkitError):

@@ -40,6 +40,13 @@ RATE_RANGE_HZ = (1e-30, 1e30)
 _RATE_RANGE = (hz_to_rad(RATE_RANGE_HZ[0]), hz_to_rad(RATE_RANGE_HZ[1]))
 
 
+def _hz_text(hz: float) -> str:
+    """hz at 6 significant digits, or its repr where those digits read back inside
+    RATE_RANGE_HZ (as the range's end for a value just past it)."""
+    text = f"{hz:.6g}"
+    return repr(hz) if RATE_RANGE_HZ[0] <= abs(float(text)) <= RATE_RANGE_HZ[1] else text
+
+
 def _require_rates(params) -> None:
     """ValueError naming every field of a parameter dataclass that is inf or nan,
     else, by its config key, every nonzero field whose magnitude lies outside
@@ -53,7 +60,7 @@ def _require_rates(params) -> None:
     outside = [value != 0.0 and not low <= abs(value) <= high for value in values]
     if any(outside):
         keys = params.as_hz_dict().items()
-        bad = [f"{key} = {hz:.6g} Hz" for out, (key, hz) in zip(outside, keys) if out]
+        bad = [f"{key} = {_hz_text(hz)} Hz" for out, (key, hz) in zip(outside, keys) if out]
         raise ValueError(
             f"{', '.join(bad)}: a nonzero rate must lie within "
             f"[{RATE_RANGE_HZ[0]:g}, {RATE_RANGE_HZ[1]:g}] Hz in magnitude"

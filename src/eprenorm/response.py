@@ -101,6 +101,11 @@ def _d_form(p: SystemParams, chi_m_inv, d_denom):
     return 1.0 - p.kappa * chi_m_inv / d_denom
 
 
+def _eta(p: SystemParams, omega, chi_c_inv):
+    """Noise transfer of the bath-dressed mechanics, -sqrt(gamma) * i*omega / chi_c^-1."""
+    return -math.sqrt(p.gamma) * 1j * omega / chi_c_inv
+
+
 def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
     """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
     chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv = _inverse_chis(p, d, omega)
@@ -113,7 +118,7 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
         chi_b_eff_inv=chi_b_eff_inv,
         chi_c_inv=chi_c_inv,
         d_denom=d_denom,
-        eta=-math.sqrt(p.gamma) * 1j * omega / chi_c_inv,
+        eta=_eta(p, omega, chi_c_inv),
     )
 
 
@@ -141,17 +146,17 @@ def _r_sq(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool) -
     return np.where(singular, math.inf, np.abs(r) ** 2)
 
 
-def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectrum:
-    """Reflection of the one-sided cavity, elementwise over real omega.
+def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = False) -> Spectrum:
+    """Reflection of the one-sided cavity over a probe grid, in one array pass.
 
     With markovian set, the bare mechanical susceptibility replaces the
     bath-dressed one and the noise transfer reduces to the white-noise
     amplitude sqrt(gamma).  Probe frequencies where |D| < 1e-12*kappa*omega_m
     come back flagged singular, with NaN amplitudes.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     chi_c_inv, chi_m_inv, d_denom, singular, r = _response(p, d, omega, markovian)
-    eta = math.sqrt(p.gamma) if markovian else -math.sqrt(p.gamma) * 1j * omega / chi_c_inv
+    eta = math.sqrt(p.gamma) if markovian else _eta(p, omega, chi_c_inv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_aa = _d_form(p, chi_m_inv, d_denom)
         s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
@@ -160,17 +165,12 @@ def _reflect(p: SystemParams, d: DriveParams, omega, markovian: bool) -> Spectru
     return Spectrum(omega, r, np.abs(r) ** 2, s_aa, s_axi, singular)
 
 
-def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = False) -> Spectrum:
-    """Reflection over a probe grid in one array pass; singular points come back flagged."""
-    return _reflect(p, d, omega_grid, markovian)
-
-
 def reflection(p: SystemParams, d: DriveParams, omega: float, markovian: bool = False) -> Spectrum:
-    """The one-point case of spectrum, holding Python scalars instead of arrays.
+    """spectrum at the one probe frequency omega, holding Python scalars instead of arrays.
 
     Raises SingularDenominator where the common denominator vanishes.
     """
-    pt = _reflect(p, d, omega, markovian)
+    pt = spectrum(p, d, omega, markovian)
     if pt.singular[0]:
         raise SingularDenominator(f"response denominator vanishes at omega = {omega!r}")
     return Spectrum(*(getattr(pt, f.name).item() for f in fields(pt)))

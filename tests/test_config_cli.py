@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprenorm import config, embedcheck, load_config
@@ -249,28 +249,64 @@ def test_load_config_accepts_the_range_ends(tmp_path):
 @pytest.mark.parametrize(
     "ini, argv, key",
     [
-        ("[cavity]\nkappa_hz = 1e300\n", ["ep"], "cavity.kappa_hz"),
-        ("[mechanics]\nfreq_hz = 1e300\n", ["eigs", "--delta-mode", "exact"], "mechanics.freq_hz"),
+        ("[cavity]\nkappa_hz = 1e300\n", ["ep"], "cavity.kappa_hz = 1e+300"),
+        ("[mechanics]\nfreq_hz = 1e300\n", ["eigs", "--delta-mode", "exact"], "mechanics.freq_hz = 1e+300"),
         (
             "[mechanics]\nfreq_hz = 1e-300\n[bath]\ncutoff_hz = 539.76\n"
             "[drive]\ndetuning_hz = 1015324\n",
             ["spectrum"],
-            "mechanics.freq_hz",
+            "mechanics.freq_hz = 1e-300",
         ),
         (None, ["eigs", "--delta-mode", "value:1e-40"], "bad --delta-mode value 'value:1e-40': "
-         "drive.detuning_hz"),
+         "drive.detuning_hz = 1e-37"),
     ],
     ids=["kappa_overflow-ep", "freq_overflow-eigs_exact", "freq_underflow-spectrum", "delta_flag"],
 )
 def test_cli_out_of_range_rate_exits_1(tmp_path, capsys, ini, argv, key):
     """Rates whose powers overflowed (or whose derived damping underflowed to
     zero) past the solvers exit 1 with one line naming the config key (or
-    the flag that set the rate)."""
+    the flag that set the rate) and its value at six digits."""
     config = [] if ini is None else ["--config", _write(tmp_path, ini)]
     assert main([*config, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"eprenorm: error: {key} = ")
+    assert captured.err.startswith(f"eprenorm: error: {key} Hz: a nonzero rate must lie")
+    assert captured.err.count("\n") == 1
+
+
+# The perturbative shift overshoots: gamma * Omega_c / (2 (Omega_c^2 + omega_m^2)) = 1.125.
+_OVERSHOOT_INI = (
+    "[mechanics]\nfreq_hz = 1e6\ngamma_hz = 4.5e6\n[cavity]\nkappa_hz = 5e6\n[bath]\ncutoff_hz = 1e6\n"
+)
+# The exact EP's detuning lands just short of 1e-30 Hz in magnitude, past the range's end.
+_RANGE_END_INI = (
+    "[mechanics]\nfreq_hz = 1e-30\ngamma_hz = 0\n[cavity]\nkappa_hz = 1e-29\n[bath]\ncutoff_hz = 1e-30\n"
+)
+_PAST_RANGE_END = (
+    "exceptional point outside the rate range: "
+    "drive.detuning_hz = -9.999999999999999e-31 Hz: a nonzero rate must lie"
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "ini, argv, message",
+    [
+        (_OVERSHOOT_INI, ["ep"], "exceptional point needs g > 0 and delta < 0: "
+         "drive.detuning_hz = 125000 Hz"),
+        (_RANGE_END_INI, ["ep"], _PAST_RANGE_END),
+        (_RANGE_END_INI, ["eigs", "--delta-mode", "exact"], _PAST_RANGE_END),
+    ],
+    ids=["perturbative_overshoot-ep", "range_end-ep", "range_end-eigs_exact"],
+)
+def test_cli_non_physical_ep_exits_2(tmp_path, capsys, ini, argv, message):
+    """An EP drive that is not red-detuned with positive coupling, or that lies
+    just past the rate range, is one solver-failure line naming the drive key
+    (in repr where six digits would read as the range's end)."""
+    assert main(["--config", _write(tmp_path, ini), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eprenorm: solver failure: {message}")
     assert captured.err.count("\n") == 1
 
 
@@ -301,10 +337,13 @@ _SMALL_COMMANDS = [
     red=st.booleans(),
     command=st.sampled_from(_SMALL_COMMANDS),
 )
+@example(rates=(1e6, 4.5e6, 5e6, 1e6, 1e6, 5e4), red=True, command=["ep"])  # _OVERSHOOT_INI
 def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
     """Rates across and beyond the rate range, 0, 5e-324 and 1e308 included:
     every subcommand exits 0, 1, 2 or 3 with nothing escaping main, no
-    RuntimeWarning (an error under pytest) and no nan in its report."""
+    RuntimeWarning (an error under pytest) and no nan in its report.  ep,
+    eigs and petermann exit 1 only for a file load_config refuses: an EP
+    they cannot place is a solver failure, not bad input."""
     freq, gamma, kappa, cutoff, detuning, coupling = rates
     path = tmp_path_factory.getbasetemp() / "rates.ini"
     path.write_text(
@@ -316,8 +355,12 @@ def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
         command = [*command, repr(50.0 / (2.0 * math.pi * max(rates)))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["--config", str(path), *command]) in (0, 1, 2, 3)
+        code = main(["--config", str(path), *command])
+    assert code in (0, 1, 2, 3)
     assert "nan" not in out.getvalue()
+    if code == 1 and command[0] in ("ep", "eigs", "petermann"):
+        with pytest.raises(ConfigError):
+            load_config(str(path))
 
 
 def _checkout_python(*args):

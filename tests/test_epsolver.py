@@ -25,6 +25,7 @@ from eprenorm.epsolver import (
     KIND_EXACT,
     KIND_MARKOVIAN,
     KIND_PERTURBATIVE,
+    _ep_drive,
     ep_candidates,
 )
 from eprenorm.errors import (
@@ -357,23 +358,30 @@ def test_certify_perturbative_tolerance_dependence(params):
 
 
 def test_certify_rejects_arbitrary_point(params):
-    q = char_cubic(params, DriveParams(delta=-params.omega_m, g=params.kappa / 8.0))
-    lam = -params.kappa / 2.0 - 1.3j * params.omega_m
-    fake = EpSolution(
-        lambda_ep=lam,
-        delta_ep=-params.omega_m,
-        g_ep=params.kappa / 8.0,
-        lambda_3=lam,
-        residual_p=abs(q(lam)),
-        residual_dp=abs(q.deriv(lam)),
-        second_deriv_mag=abs(q.deriv2(lam)),
-        kind=KIND_EXACT,
-    )
-    with pytest.raises(OrderCheckFailed):
-        certify_order_two(params, fake)
+    """A point that is no double root fails, and so does the cubic's inflection
+    point -c2/3, where |p''| = 0 marks no order-two root."""
+    drive = DriveParams(delta=-params.omega_m, g=params.kappa / 8.0)
+    q = char_cubic(params, drive)
+    for lam in (-params.kappa / 2.0 - 1.3j * params.omega_m, -q.c2 / 3.0):
+        fake = EpSolution(
+            lambda_ep=lam,
+            delta_ep=drive.delta,
+            g_ep=drive.g,
+            lambda_3=lam,
+            residual_p=abs(q(lam)),
+            residual_dp=abs(q.deriv(lam)),
+            second_deriv_mag=abs(q.deriv2(lam)),
+            kind=KIND_EXACT,
+        )
+        with pytest.raises(OrderCheckFailed) as info:
+            certify_order_two(params, fake)
+        assert info.value.ddp_mag == fake.second_deriv_mag
+    assert fake.second_deriv_mag == 0.0
 
 
 def test_ep_solution_validation(params):
+    """g > 0 and delta < 0 is the one physicality rule: _ep_drive applies it
+    for every route and every EpSolution.drive read, as a NonPhysicalEp."""
     lam = -params.kappa / 4.0 - 1j * params.omega_m
     common = dict(
         lambda_ep=lam,
@@ -383,10 +391,17 @@ def test_ep_solution_validation(params):
         second_deriv_mag=2.0,
         kind=KIND_MARKOVIAN,
     )
-    with pytest.raises(ValueError):
-        EpSolution(delta_ep=-params.omega_m, g_ep=0.0, **common)
-    with pytest.raises(ValueError):
-        EpSolution(delta_ep=params.omega_m, g_ep=params.kappa / 4.0, **common)
-    bad = dict(common, second_deriv_mag=0.0)
-    with pytest.raises(ValueError):
-        EpSolution(delta_ep=-params.omega_m, g_ep=params.kappa / 4.0, **bad)
+    cases = [
+        (-params.omega_m, 0.0, "drive.coupling_hz = 0 Hz"),
+        (params.omega_m, params.kappa / 4.0, r"drive.detuning_hz = 1e\+06 Hz"),
+    ]
+    for delta, g, match in cases:
+        with pytest.raises(NonPhysicalEp, match=match):
+            _ep_drive(delta, g)
+        with pytest.raises(NonPhysicalEp, match=match):
+            EpSolution(delta_ep=delta, g_ep=g, **common).drive
+    # gamma * Omega_c / (2 (Omega_c^2 + omega_m^2)) = 1.125 >= 1: omega_eff < 0
+    with pytest.warns(UserWarning, match="resolved-sideband"):
+        p = SystemParams.from_hz(freq_hz=1e6, kappa_hz=5e6, gamma_hz=4.5e6, cutoff_hz=1e6)
+    with pytest.raises(NonPhysicalEp, match="g > 0 and delta < 0: drive.detuning_hz = 125000 Hz"):
+        perturbative_ep(p)

@@ -85,7 +85,8 @@ def test_drive_validation():
 )
 def test_rate_range_names_the_config_key(cls, field, key):
     """Every nonzero rate lies within RATE_RANGE_HZ in magnitude, ends
-    included; one float past either end is refused by its config key."""
+    included; one float past either end is refused by its config key, with
+    a value that, read back, lies past the end too (not the end itself)."""
     low, high = (hz_to_rad(x) for x in RATE_RANGE_HZ)
     ends = {
         SystemParams: dict(omega_m=high, kappa=low, gamma=low, omega_c=high),
@@ -93,8 +94,10 @@ def test_rate_range_names_the_config_key(cls, field, key):
     }[cls]
     cls(**ends)
     for bad in (math.nextafter(high, math.inf), math.nextafter(low, 0.0)):
-        with pytest.raises(ValueError, match=rf"^{key} = \S+ Hz: a nonzero rate must lie within"):
+        with pytest.raises(ValueError, match=rf"^{key} = \S+ Hz: a nonzero rate must lie within") as info:
             cls(**{**ends, field: bad})
+        shown = float(str(info.value).split(" = ")[1].split(" Hz")[0])
+        assert shown == rad_to_hz(bad) or not RATE_RANGE_HZ[0] <= abs(shown) <= RATE_RANGE_HZ[1]
 
 
 _GOOD_SYSTEM = dict(omega_m=6.28e6, kappa=1.26e6, gamma=3.1e4, omega_c=6.28e6)

@@ -176,12 +176,12 @@ def test_eigenvalue_sum_and_product(params, drive):
 def test_sweep_rows_match_char_cubic(params):
     delta = -params.omega_m
     grid = [hz_to_rad(g) for g in (42e3, 48.75e3, 55e3)]
-    rows = sweep_eigs(params, delta, grid)
-    for g, row in zip(grid, rows):
-        assert abs(row.coord_hz - rad_to_hz(g)) < 1e-12 * rad_to_hz(g)
+    sweep = sweep_eigs(params, delta, grid)
+    for g, coord_hz, lambdas_hz in zip(grid, sweep.coord_hz, sweep.lambdas_hz):
+        assert abs(coord_hz - rad_to_hz(g)) < 1e-12 * rad_to_hz(g)
         roots = cubic_roots(char_cubic(params, DriveParams(delta=delta, g=g)))
         got = sorted(
-            (hz_to_rad(lam) for lam in row.lambdas_hz), key=lambda z: (z.imag, z.real)
+            (hz_to_rad(lam) for lam in lambdas_hz), key=lambda z: (z.imag, z.real)
         )
         scale = max(abs(r) for r in roots)
         for a, b in zip(got, roots):
@@ -192,13 +192,13 @@ def test_hybrid_branches_avoided_crossing(params):
     """With memory the two hybrid branches never touch across the sweep."""
     mk = markovian_ep(params)
     grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
-    rows = sweep_eigs(params, mk.delta_ep, grid, markovian_ref=True)
+    sweep = sweep_eigs(params, mk.delta_ep, grid, markovian_ref=True)
     cutoff_hz = rad_to_hz(params.omega_c)
     min_gap = math.inf
-    for row in rows:
-        i, j = _hybrid_indices(row.lambdas_hz, cutoff_hz)
-        min_gap = min(min_gap, abs(row.lambdas_hz[i] - row.lambdas_hz[j]))
-        assert row.markovian_hz is not None and len(row.markovian_hz) == 2
+    for lambdas_hz in sweep.lambdas_hz:
+        i, j = _hybrid_indices(lambdas_hz, cutoff_hz)
+        min_gap = min(min_gap, abs(lambdas_hz[i] - lambdas_hz[j]))
+    assert sweep.markovian_hz is not None and sweep.markovian_hz.shape == (len(grid), 2)
     assert min_gap > 0.0
     # the closest approach stays a finite fraction of the coupling scale
     assert min_gap > 1e3
@@ -207,15 +207,17 @@ def test_hybrid_branches_avoided_crossing(params):
 def test_petermann_sweep_peak_near_exact_ep(params):
     sol = solve_exact_ep(params)
     grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
-    rows = sweep_petermann(params, sol.delta_ep, grid)
+    sweep = sweep_petermann(params, sol.delta_ep, grid)
     cutoff_hz = rad_to_hz(params.omega_c)
     best = max(
-        rows,
-        key=lambda row: max(row.petermann[i] for i in _hybrid_indices(row.lambdas_hz, cutoff_hz)),
+        range(len(grid)),
+        key=lambda k: max(
+            sweep.petermann[k, i] for i in _hybrid_indices(sweep.lambdas_hz[k], cutoff_hz)
+        ),
     )
     g_ep_hz = rad_to_hz(sol.g_ep)
     step_hz = rad_to_hz(grid[1] - grid[0])
-    assert abs(best.coord_hz - g_ep_hz) <= step_hz + 1e-9
+    assert abs(sweep.coord_hz[best] - g_ep_hz) <= step_hz + 1e-9
 
 
 def test_petermann_peak_sharpens_under_refinement(params):
@@ -226,11 +228,11 @@ def test_petermann_peak_sharpens_under_refinement(params):
     for half_hz in (50.0, 5.0, 0.5, 0.05):
         half = hz_to_rad(half_hz)
         grid = np.linspace(sol.g_ep - half, sol.g_ep + half, 32)
-        rows = sweep_petermann(params, sol.delta_ep, grid)
+        sweep = sweep_petermann(params, sol.delta_ep, grid)
         peaks.append(
             max(
-                max(row.petermann[i] for i in _hybrid_indices(row.lambdas_hz, cutoff_hz))
-                for row in rows
+                max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
+                for lambdas_hz, ks in zip(sweep.lambdas_hz, sweep.petermann)
             )
         )
     assert all(a < b for a, b in zip(peaks, peaks[1:]))
@@ -261,31 +263,31 @@ def test_sweep_rows_match_pointwise_eigensystem(params):
     for delta in (-params.omega_m, sol.delta_ep):
         pet = sweep_petermann(params, delta, grid)
         eig = sweep_eigs(params, delta, grid, markovian_ref=True)
-        for g, row_p, row_e in zip(grid, pet, eig):
+        for k, g in enumerate(grid):
             modes = eigensystem(drift_nonmarkovian(params, DriveParams(delta=delta, g=g)))
-            _row_matches_pointwise(row_p.lambdas_hz, row_p.petermann, row_p.divergent, modes)
-            _row_matches_pointwise(row_e.lambdas_hz, row_e.petermann, row_e.divergent, modes)
+            _row_matches_pointwise(pet.lambdas_hz[k], pet.petermann[k], pet.divergent[k], modes)
+            _row_matches_pointwise(eig.lambdas_hz[k], eig.petermann[k], eig.divergent[k], modes)
             mk_modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=g)))
-            mk_rad = [hz_to_rad(lam) for lam in row_e.markovian_hz]
+            mk_rad = [hz_to_rad(lam) for lam in eig.markovian_hz[k]]
             scale = max(abs(lam) for lam in mk_rad)
             assert sorted(mk_rad, key=lambda z: (z.real, z.imag)) == pytest.approx(
                 sorted((m.lam for m in mk_modes), key=lambda z: (z.real, z.imag)),
                 rel=0, abs=1e-12 * scale,
             )
-    assert any(any(row.divergent) for row in pet)
+    assert any(any(divergent) for divergent in pet.divergent)
 
 
 def test_sweep_continuity_matches_rowwise_reference(params):
     """Composed adjacent-row permutations equal greedy row-by-row tracking."""
     grid = np.linspace(0.0, 2.0 * params.omega_m, 201)
     delta = -params.omega_m * 1.01
-    rows = sweep_eigs(params, delta, grid, markovian_ref=True)
+    sweep = sweep_eigs(params, delta, grid, markovian_ref=True)
     prev = prev_mk = None
-    for g, row in zip(grid, rows):
+    for g, row_hz, row_mk_hz in zip(grid, sweep.lambdas_hz, sweep.markovian_hz):
         d = DriveParams(delta=delta, g=g)
         for lams_hz, drift, last in (
-            (row.lambdas_hz, drift_nonmarkovian, prev),
-            (row.markovian_hz, drift_markovian, prev_mk),
+            (row_hz, drift_nonmarkovian, prev),
+            (row_mk_hz, drift_markovian, prev_mk),
         ):
             lams = [mode.lam for mode in eigensystem(drift(params, d))]
             if last is not None:
@@ -302,8 +304,8 @@ def test_sweep_continuity_matches_rowwise_reference(params):
                 prev_mk = lams
     # the branches really do reorder along this grid
     assert any(
-        sorted(range(3), key=lambda i: (row.lambdas_hz[i].imag, row.lambdas_hz[i].real)) != [0, 1, 2]
-        for row in rows
+        sorted(range(3), key=lambda i: (lams_hz[i].imag, lams_hz[i].real)) != [0, 1, 2]
+        for lams_hz in sweep.lambdas_hz
     )
 
 
@@ -470,8 +472,8 @@ def test_peak_heights_on_coarse_and_fine_grids(params):
         params, -params.omega_m, np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
     )
     k_gray = max(
-        max(row.petermann[i] for i in _hybrid_indices(row.lambdas_hz, cutoff_hz))
-        for row in gray
+        max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
+        for lambdas_hz, ks in zip(gray.lambdas_hz, gray.petermann)
     )
     assert 10.0 < k_gray < 500.0
 
@@ -479,8 +481,8 @@ def test_peak_heights_on_coarse_and_fine_grids(params):
         params, sol.delta_ep, np.linspace(hz_to_rad(49.37e3), hz_to_rad(49.38e3), 1001)
     )
     k_red = max(
-        max(row.petermann[i] for i in _hybrid_indices(row.lambdas_hz, cutoff_hz))
-        for row in red
+        max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
+        for lambdas_hz, ks in zip(red.lambdas_hz, red.petermann)
     )
     assert k_red >= 1e6
 
