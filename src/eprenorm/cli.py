@@ -241,9 +241,9 @@ def cmd_ep(args, p: SystemParams, d: DriveParams) -> Table:
         "lambda_ep_im_khz": _khz(exact.lambda_ep.imag),
         "lambda_3_re_khz": _khz(exact.lambda_3.real),
         "lambda_3_im_khz": _khz(exact.lambda_3.imag),
-        "residual_p": exact.residual_p,
-        "residual_dp": exact.residual_dp,
-        "second_deriv_mag": exact.second_deriv_mag,
+        "residual_p": cert.p_mag,
+        "residual_dp": cert.dp_mag,
+        "second_deriv_mag": cert.ddp_mag,
         "certificate_p_mag": cert.p_mag,
         "certificate_dp_mag": cert.dp_mag,
         "certificate_ddp_mag": cert.ddp_mag,
@@ -337,24 +337,16 @@ def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
     omegas, omega_khz, grid = _grid(args, "omega", 1)
     grid["markovian_only"] = int(args.markovian_only)
 
-    mk = markovian_ep(p)
-    mk_dip = dip_metrics(p, mk.drive, markovian=True)
-    columns = ["omega_khz", "r_sq_markovian"]
-    summary = {
-        "dip_markovian": {"omega_min_khz": _khz(mk_dip.omega_min), "r_sq_min": mk_dip.r_sq_min}
-    }
-    series = [omega_khz, spectrum(p, mk.drive, omegas, markovian=True).r_sq]
-
+    columns, series, summary = ["omega_khz"], [omega_khz], {}
+    curves = [("markovian", markovian_ep, True), ("nonmarkovian", solve_exact_ep, False)]
+    for name, locate, memoryless in curves[: 1 if args.markovian_only else 2]:
+        drive = locate(p).drive
+        dip = dip_metrics(p, drive, markovian=memoryless)
+        columns.append(f"r_sq_{name}")
+        series.append(spectrum(p, drive, omegas, markovian=memoryless).r_sq)
+        summary[f"dip_{name}"] = {"omega_min_khz": _khz(dip.omega_min), "r_sq_min": dip.r_sq_min}
     if not args.markovian_only:
-        exact = solve_exact_ep(p)
-        nm_dip = dip_metrics(p, exact.drive, markovian=False)
-        coop = cooperativity(p, exact.drive)
-        columns.append("r_sq_nonmarkovian")
-        series.append(spectrum(p, exact.drive, omegas, markovian=False).r_sq)
-        summary["dip_nonmarkovian"] = {
-            "omega_min_khz": _khz(nm_dip.omega_min),
-            "r_sq_min": nm_dip.r_sq_min,
-        }
+        coop = cooperativity(p, drive)  # the last curve's drive: the exact EP
         summary["cooperativity"] = {"c": coop.c, "c_eff": coop.c_eff}
     # The CSV footer repeats the summary with dotted keys (dip_markovian -> dip.markovian).
     footer = [

@@ -25,8 +25,10 @@ from .model import DriveParams, SystemParams, drift_nonmarkovian, memory_kernel_
 
 # Resolution requirement: at least 50 steps per fastest rate of the drift.
 MAX_DT_FRACTION = 1.0 / 50.0
-# Largest step count of one run; trajectories are allocated whole, 56 bytes
-# per step (48 of amps, 8 of times).
+# Largest step count of one run.  For the comparison it bounds allocation:
+# trajectories are allocated whole, 56 bytes per step (48 of amps, 8 of
+# times).  The order check allocates nothing per step, so for its 4n run it
+# bounds rounding: RK4 still reads order 4 to 0.05 at 4n = MAX_STEPS.
 MAX_STEPS = 200_000
 # Fourier kernel check: trapezoid nodes over [-KERNEL_WINDOW, KERNEL_WINDOW] * Omega_c, an
 # odd count so that w = 0 is one; the even integrand is summed over the half with w >= 0.

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .charpoly import CubicPoly, char_cubic, cubic_roots, factors, third_root_viete
+from .charpoly import char_cubic, cubic_roots, factors, third_root_viete
 from .errors import (
     DegenerateDenominator,
     NoConvergence,
@@ -31,10 +31,6 @@ from .errors import (
 )
 from .model import DriveParams, SystemParams, rad_to_hz
 
-KIND_MARKOVIAN = "markovian"
-KIND_PERTURBATIVE = "perturbative"
-KIND_EXACT = "exact"
-
 # Newton controls for solve_exact_ep; STEP_RTOL is relative to |lambda|.
 STEP_RTOL = 1e-8
 MAX_ITER = 100
@@ -43,22 +39,14 @@ MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class EpSolution:
-    """A located exceptional point with its defect certificate data.
-
-    residual_p and residual_dp are |p| and |p'| at lambda_ep for the
-    polynomial the solution was computed against (the reduced quadratic for
-    the memoryless kind, the full cubic otherwise); second_deriv_mag is
-    |p''(lambda_ep)| for the same polynomial.
-    """
+    """A located exceptional point: the coalescence frequency lambda_ep, its
+    drive coordinates (delta_ep, g_ep) and the cubic's remaining root
+    lambda_3.  certify_order_two measures how well it is a double root."""
 
     lambda_ep: complex
     delta_ep: float
     g_ep: float
     lambda_3: complex
-    residual_p: float
-    residual_dp: float
-    second_deriv_mag: float
-    kind: str
 
     @property
     def drive(self) -> DriveParams:
@@ -96,39 +84,20 @@ class OrderCertificate:
     ddp_mag: float
 
 
-def _magnitudes(q: CubicPoly, lam: complex):
-    """(|q|, |q'|, |q''|) at lam, in EpSolution's and OrderCertificate's field order."""
-    return abs(q(lam)), abs(q.deriv(lam)), abs(q.deriv2(lam))
-
-
 def markovian_ep(p: SystemParams) -> EpSolution:
     """Closed-form exceptional point of the memoryless two-mode block.
 
-    Residuals are evaluated against the reduced quadratic
-    (lam + kappa/2 - i*delta)(lam + gamma/2 + i*omega_m) + G^2, whose double
-    root the returned lambda_ep is.  Raises NoMarkovianEp unless kappa > gamma;
-    the other two EP routes start from this one and share that guard.
+    lambda_ep is the double root of the reduced quadratic
+    (lam + kappa/2 - i*delta)(lam + gamma/2 + i*omega_m) + G^2, not of the
+    full cubic.  Raises NoMarkovianEp unless kappa > gamma; the other two EP
+    routes start from this one and share that guard.
     """
     if p.kappa <= p.gamma:
         raise NoMarkovianEp(f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}")
     delta = -p.omega_m
     g = (p.kappa - p.gamma) / 4.0
     lam = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
-
-    a = p.kappa / 2.0 - 1j * delta
-    b = 1j * p.omega_m + p.gamma / 2.0
-    pval = (lam + a) * (lam + b) + g**2
-    dpval = 2.0 * lam + a + b
-    return EpSolution(
-        lambda_ep=lam,
-        delta_ep=delta,
-        g_ep=g,
-        lambda_3=third_root_viete(p, delta, lam),
-        residual_p=abs(pval),
-        residual_dp=abs(dpval),
-        second_deriv_mag=2.0,
-        kind=KIND_MARKOVIAN,
-    )
+    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
 
 
 def mech_renorm(p: SystemParams) -> MechRenorm:
@@ -147,8 +116,7 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
     g = (kappa - gamma)/4, with omega_m -> omega_eff and gamma -> gamma_eff,
     which carries the leading corrections in gamma.  lambda_ep is taken as
     the midpoint of the two closest roots of the full cubic at these
-    coordinates; residuals are against the full cubic and are expected
-    small but nonzero.
+    coordinates, so it is a double root only to first order in gamma.
     """
     markovian_ep(p)  # the kappa > gamma guard
     ren = mech_renorm(p)
@@ -160,8 +128,7 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
     pairs = ((0, 1), (0, 2), (1, 2))
     i, j = min(pairs, key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
     lam = (roots[i] + roots[j]) / 2.0
-    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *_magnitudes(q, lam),
-                      kind=KIND_PERTURBATIVE)
+    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
 
 
 def _double_root(p: SystemParams, lam: complex):
@@ -258,27 +225,27 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     g_sq, delta_c = ep_candidates(p, lam)
     delta = delta_c.real
     g = cmath.sqrt(g_sq).real if g_sq.real > 0.0 else 0.0  # else sqrt(g_sq) is near-imaginary
-    mags = _magnitudes(char_cubic(p, _ep_drive(delta, g)), lam)
-    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam), *mags, kind=KIND_EXACT)
+    _ep_drive(delta, g)  # the physicality rule
+    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
 
 
 def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> OrderCertificate:
     """Certify that sol marks an order-two double root of the full cubic.
 
-    |p| and |p'| are compared against rtol * |p''| * s^2 and
-    rtol * |p''| * s with s = max(|lambda_ep|, omega_m), so the test is
-    invariant under rescaling all rates; |p''| itself must clear the floor
-    1e-3 * s that separates order two from order three.
+    The one place that evaluates |p|, |p'| and |p''| at an EP.  |p''| must
+    clear the floor 1e-3 * s, with s = max(|lambda_ep|, omega_m), that
+    separates order two from order three; |p| and |p'| are then compared
+    against rtol * |p''| * s^2 and rtol * |p''| * s, so the test is invariant
+    under rescaling all rates.
     """
     lam = sol.lambda_ep
-    cert = OrderCertificate(*_magnitudes(char_cubic(p, sol.drive), lam))
+    q = char_cubic(p, sol.drive)
+    cert = OrderCertificate(abs(q(lam)), abs(q.deriv(lam)), abs(q.deriv2(lam)))
     s = max(abs(lam), p.omega_m)
-    ddp_floor = 1e-3 * s
-    ddp_eff = max(cert.ddp_mag, ddp_floor)
     ok = (
-        cert.p_mag <= rtol * ddp_eff * s**2
-        and cert.dp_mag <= rtol * ddp_eff * s
-        and cert.ddp_mag > ddp_floor
+        cert.ddp_mag > 1e-3 * s
+        and cert.p_mag <= rtol * cert.ddp_mag * s**2
+        and cert.dp_mag <= rtol * cert.ddp_mag * s
     )
     if not ok:
         raise OrderCheckFailed(cert.p_mag, cert.dp_mag, cert.ddp_mag)

@@ -301,6 +301,24 @@ def test_convergence_order_on_random_devices():
         assert abs(order - 4.0) <= 0.05, f"seed {seed}: order {order}"
 
 
+def test_convergence_order_at_the_step_bound(params, drive):
+    """At the longest horizon the bound admits, 4n = MAX_STEPS, the order
+    check still reads fourth order on the defaults and 20 devices: powers of
+    P_h cost nothing per step, so the bound only limits how far rounding
+    can build up."""
+    n = embedcheck.MAX_STEPS // 4
+    cases = [(params, drive)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    for k, (p, d) in enumerate(cases):
+        t_final = n * embedcheck._resolution_limit(p, d)
+        assert embedcheck._order_steps(p, d, t_final) == n, k
+        order, _ = convergence_order(p, d, (1.0, 1.0, 0.0), t_final)
+        assert abs(order - 4.0) <= 0.05, f"case {k}: order {order}"
+
+
 def test_order_endpoints_match_stepped_runs(params, drive):
     """Each power endpoint of the order check is the last row of the stepped
     run with the same step, to rounding, on the defaults and 60 devices."""

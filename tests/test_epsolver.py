@@ -20,14 +20,7 @@ from eprenorm import (
     solve_exact_ep,
 )
 from eprenorm.charpoly import char_cubic, cubic_roots
-from eprenorm.epsolver import (
-    EpSolution,
-    KIND_EXACT,
-    KIND_MARKOVIAN,
-    KIND_PERTURBATIVE,
-    _ep_drive,
-    ep_candidates,
-)
+from eprenorm.epsolver import EpSolution, _ep_drive, ep_candidates
 from eprenorm.errors import (
     DegenerateDenominator,
     NoConvergence,
@@ -48,18 +41,19 @@ REF_LAMBDA3_HZ = complex(-1001.2532488256825e3, -1.2500345375734e3)
 
 def test_markovian_closed_form(params):
     sol = markovian_ep(params)
-    assert sol.kind == KIND_MARKOVIAN
     assert sol.delta_ep == -params.omega_m
     assert sol.g_ep == (params.kappa - params.gamma) / 4.0
     lam = -(params.kappa + params.gamma) / 4.0 - 1j * params.omega_m
     assert sol.lambda_ep == lam
     # with delta = -omega_m the remaining root is exactly the bath pole
     assert abs(sol.lambda_3 + params.omega_c) < 1e-12 * params.omega_c
-    # double root of the reduced quadratic: both residuals at rounding level
-    s = max(abs(sol.lambda_ep), params.omega_m)
-    assert sol.residual_p <= 1e-10 * sol.second_deriv_mag * s**2
-    assert sol.residual_dp <= 1e-10 * sol.second_deriv_mag * s
-    assert sol.second_deriv_mag == 2.0
+    # double root of the reduced quadratic (lam + a)(lam + b) + g^2, whose
+    # second derivative is 2: both residuals at rounding level
+    a = params.kappa / 2.0 - 1j * sol.delta_ep
+    b = 1j * params.omega_m + params.gamma / 2.0
+    s = max(abs(lam), params.omega_m)
+    assert abs((lam + a) * (lam + b) + sol.g_ep**2) <= 1e-10 * 2.0 * s**2
+    assert abs(2.0 * lam + a + b) <= 1e-10 * 2.0 * s
 
 
 def test_markovian_memoryless_limit(params):
@@ -121,7 +115,6 @@ def test_mech_renorm_bounds_random():
 def test_perturbative_shift_values(params):
     base = markovian_ep(params)
     sol = perturbative_ep(params)
-    assert sol.kind == KIND_PERTURBATIVE
     # at Omega_c == omega_m the shifts reduce to gamma/4 and gamma/8
     d_delta = sol.delta_ep - base.delta_ep
     d_g = sol.g_ep - base.g_ep
@@ -130,8 +123,8 @@ def test_perturbative_shift_values(params):
     # relative coupling shift gamma/(2(kappa - gamma)) = 1/78 here
     rel = d_g / base.g_ep
     assert abs(rel - 1.0 / 78.0) < 2e-4
-    # residuals are against the full cubic: small but nonzero
-    assert sol.residual_p > 0.0
+    # a double root of the full cubic to first order only: |p| small but nonzero
+    assert certify_order_two(params, sol, rtol=1e-2).p_mag > 0.0
 
 
 def test_perturbative_shift_vanishes_without_memory(params):
@@ -180,7 +173,6 @@ def test_ep_candidates_degenerate_denominator(params):
 
 def test_exact_ep_reference_coordinates(params):
     sol = solve_exact_ep(params)
-    assert sol.kind == KIND_EXACT
     assert abs(sol.delta_ep - hz_to_rad(REF_DELTA_HZ)) < 1e-12 * abs(REF_DELTA_HZ) * TWO_PI
     assert abs(sol.g_ep - hz_to_rad(REF_G_HZ)) < 1e-12 * REF_G_HZ * TWO_PI
     ref_lam = TWO_PI * REF_LAMBDA_HZ
@@ -265,15 +257,14 @@ def test_perturbative_consistent_with_exact(params):
 
 
 def test_residual_invariant_markovian_and_exact(params):
-    """residual_p and residual_dp scale like a genuine double root."""
-
-    def check(sol):
-        s = max(abs(sol.lambda_ep), params.omega_m)
-        assert sol.residual_p <= 1e-8 * sol.second_deriv_mag * s**2
-        assert sol.residual_dp <= 1e-8 * sol.second_deriv_mag * s
-
-    check(markovian_ep(params))
-    check(solve_exact_ep(params))
+    """The exact EP's |p| and |p'| scale like a genuine double root of the
+    cubic; the memoryless EP is a double root of the quadratic only, which
+    test_markovian_closed_form checks."""
+    sol = solve_exact_ep(params)
+    cert = certify_order_two(params, sol)
+    s = max(abs(sol.lambda_ep), params.omega_m)
+    assert cert.p_mag <= 1e-8 * cert.ddp_mag * s**2
+    assert cert.dp_mag <= 1e-8 * cert.ddp_mag * s
 
 
 def test_residual_invariant_random_draws():
@@ -285,27 +276,12 @@ def test_residual_invariant_random_draws():
             sol = solve_exact_ep(p)
         except Exception:
             continue
+        cert = certify_order_two(p, sol)
         s = max(abs(sol.lambda_ep), p.omega_m)
-        assert sol.residual_p <= 1e-8 * sol.second_deriv_mag * s**2
-        assert sol.residual_dp <= 1e-8 * sol.second_deriv_mag * s
-        certify_order_two(p, sol)
+        assert cert.p_mag <= 1e-8 * cert.ddp_mag * s**2
+        assert cert.dp_mag <= 1e-8 * cert.ddp_mag * s
         done += 1
     assert done >= 15
-
-
-def test_residuals_are_the_certificate_magnitudes(params):
-    """An EP's (residual_p, residual_dp, second_deriv_mag) equal its certificate's magnitudes."""
-    rng = np.random.default_rng(5)
-    draws = [draw_system(rng) for _ in range(10)]
-    cases = [(p, solve_exact_ep(p), 1e-8) for p in [params, *draws]]
-    cases.append((params, perturbative_ep(params), 1e-2))
-    for p, sol, rtol in cases:
-        cert = certify_order_two(p, sol, rtol=rtol)
-        assert (sol.residual_p, sol.residual_dp, sol.second_deriv_mag) == (
-            cert.p_mag,
-            cert.dp_mag,
-            cert.ddp_mag,
-        )
 
 
 def test_ep_drive_outside_the_rate_range_is_non_physical():
@@ -363,34 +339,18 @@ def test_certify_rejects_arbitrary_point(params):
     drive = DriveParams(delta=-params.omega_m, g=params.kappa / 8.0)
     q = char_cubic(params, drive)
     for lam in (-params.kappa / 2.0 - 1.3j * params.omega_m, -q.c2 / 3.0):
-        fake = EpSolution(
-            lambda_ep=lam,
-            delta_ep=drive.delta,
-            g_ep=drive.g,
-            lambda_3=lam,
-            residual_p=abs(q(lam)),
-            residual_dp=abs(q.deriv(lam)),
-            second_deriv_mag=abs(q.deriv2(lam)),
-            kind=KIND_EXACT,
-        )
+        fake = EpSolution(lambda_ep=lam, delta_ep=drive.delta, g_ep=drive.g, lambda_3=lam)
         with pytest.raises(OrderCheckFailed) as info:
             certify_order_two(params, fake)
-        assert info.value.ddp_mag == fake.second_deriv_mag
-    assert fake.second_deriv_mag == 0.0
+        assert info.value.ddp_mag == abs(q.deriv2(lam))
+    assert info.value.ddp_mag == 0.0
 
 
 def test_ep_solution_validation(params):
     """g > 0 and delta < 0 is the one physicality rule: _ep_drive applies it
     for every route and every EpSolution.drive read, as a NonPhysicalEp."""
     lam = -params.kappa / 4.0 - 1j * params.omega_m
-    common = dict(
-        lambda_ep=lam,
-        lambda_3=complex(-params.omega_c),
-        residual_p=0.0,
-        residual_dp=0.0,
-        second_deriv_mag=2.0,
-        kind=KIND_MARKOVIAN,
-    )
+    common = dict(lambda_ep=lam, lambda_3=complex(-params.omega_c))
     cases = [
         (-params.omega_m, 0.0, "drive.coupling_hz = 0 Hz"),
         (params.omega_m, params.kappa / 4.0, r"drive.detuning_hz = 1e\+06 Hz"),

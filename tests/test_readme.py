@@ -1,12 +1,15 @@
-"""The README runs against, and documents, the package root and the embedcheck bounds."""
+"""The README runs against, and documents, the package root, EpSolution's fields and the
+embedcheck bounds."""
 
 import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
 
 import eprenorm
 from eprenorm import embedcheck
+from eprenorm.epsolver import EpSolution
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,3 +68,12 @@ def test_embedcheck_paragraph_states_the_code_bounds():
     bounds = re.findall(r"at most (\d+) steps|<= (\d+)`", text)
     assert len(bounds) == 3
     assert {int(a or b) for a, b in bounds} == {embedcheck.MAX_STEPS}
+
+
+def test_ep_solution_fields_are_the_documented_ones():
+    """README names EpSolution's dataclass fields, in order."""
+    prose, _ = _library_use()
+    match = re.search(r"`EpSolution` whose fields are(.*?)\(rad/s\)", prose, re.S)
+    assert match is not None
+    named = re.findall(r"`(\w+)`", match.group(1))
+    assert named == [field.name for field in dataclasses.fields(EpSolution)]
