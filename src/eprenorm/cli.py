@@ -34,6 +34,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from itertools import repeat
 from typing import NamedTuple
@@ -440,24 +441,33 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for main: one "eprenorm: warning:" line on stderr."""
+    sys.stderr.write(f"eprenorm: warning: {message}\n")
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     # Looked up per call, so a rebinding of cli.cmd_* (tracing, tests) takes effect.
     command = globals()[f"cmd_{args.command}"]
-    try:
-        p, d = load_config(args.config)
-        table = command(args, p, d)
-        manifest = _manifest(args, p, d, table.grid)
-        _emit(args, manifest, table.columns, table.data, table.footer, table.summary)
-    except SolverFailure as exc:
-        sys.stderr.write(f"eprenorm: solver failure: {exc}\n")
-        return EXIT_SOLVER
-    except OrderCheckFailed as exc:
-        sys.stderr.write(f"eprenorm: check failure: {exc}\n")
-        return EXIT_CHECK
-    except (ToolkitError, ValueError, OSError) as exc:
-        sys.stderr.write(f"eprenorm: error: {exc}\n")
-        return EXIT_USAGE
+    # Warnings the active filters show (the resolved-sideband one, say) print
+    # as one line each; the filters themselves, and library callers, are untouched.
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            p, d = load_config(args.config)
+            table = command(args, p, d)
+            manifest = _manifest(args, p, d, table.grid)
+            _emit(args, manifest, table.columns, table.data, table.footer, table.summary)
+        except SolverFailure as exc:
+            sys.stderr.write(f"eprenorm: solver failure: {exc}\n")
+            return EXIT_SOLVER
+        except OrderCheckFailed as exc:
+            sys.stderr.write(f"eprenorm: check failure: {exc}\n")
+            return EXIT_CHECK
+        except (ToolkitError, ValueError, OSError) as exc:
+            sys.stderr.write(f"eprenorm: error: {exc}\n")
+            return EXIT_USAGE
     return table.code
 
 

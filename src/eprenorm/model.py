@@ -8,6 +8,7 @@ happens exactly once, at that boundary, through hz_to_rad / rad_to_hz.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from collections import namedtuple
@@ -80,13 +81,17 @@ def _array_rows(table):
     return map(row._make, zip(*(repeat(None) if col is None else col.tolist() for col in columns)))
 
 
+_PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")  # frames of this package start with it
+
+
 def _caller_stacklevel() -> int:
     """warnings.warn stacklevel, from the calling function, of the first frame
-    outside this module and the dataclass-generated __init__, so a warning
-    names the line that built the parameters (directly or through from_hz)."""
+    outside this package and the dataclass-generated __init__, so a warning
+    names the line that built the parameters (directly, or through from_hz
+    or load_config)."""
     frame, level = sys._getframe(1), 1
     while frame is not None and (
-        frame.f_code.co_filename == __file__ or frame.f_code is SystemParams.__init__.__code__
+        frame.f_code.co_filename.startswith(_PACKAGE_DIR) or frame.f_code is SystemParams.__init__.__code__
     ):
         frame, level = frame.f_back, level + 1
     return level

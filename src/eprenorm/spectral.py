@@ -14,8 +14,10 @@ entry real and positive.  With L = conj(R) the Petermann factor of a mode is
 
 (Siegman, PRA 39, 1253 (1989); Berry, J. Mod. Opt. 50, 63 (2003)), which
 is unity for a normal mode and diverges at an exceptional point.
-eigensystem is the core on a batch of one; a sweep is one core call over
-its whole coupling grid.
+eigensystem is the core on a batch of one; a Petermann sweep is one core
+call over its whole coupling grid.  An eigenvalue sweep needs no vectors:
+it calls np.linalg.eigvals (the same zgeev, which gives the same
+eigenvalues) and the same ordering rule.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ class Sweep:
     """A coupling sweep as column arrays, one row per grid point.
 
     coord_hz (N,) holds the grid; lambdas_hz, petermann and divergent are
-    (N, 3) with columns ordered by branch continuity; markovian_hz (N, 2)
-    holds the memoryless two-mode eigenvalues, or is None when not asked
-    for.  Frequencies are in Hz (cycles), converted once from rad/s.
+    (N, 3) with columns ordered by branch continuity; petermann is None for
+    an eigenvalue-only sweep (sweep_eigs), whose divergent is the defective
+    flag; markovian_hz (N, 2) holds the memoryless two-mode eigenvalues, or
+    is None when not asked for.  Frequencies are in Hz (cycles), converted
+    once from rad/s.
     Iterating yields one named-tuple row per grid point with these fields.
     Continuity does not define branch labels at a coalescence, so past an
     EP two branches' labels can swap on a last-bit change of the inputs.
@@ -75,7 +79,7 @@ class Sweep:
 
     coord_hz: np.ndarray
     lambdas_hz: np.ndarray
-    petermann: np.ndarray
+    petermann: np.ndarray | None
     divergent: np.ndarray
     markovian_hz: np.ndarray | None = None
 
@@ -102,32 +106,38 @@ def _petermann_values(right: np.ndarray):
     return k, lr_sq < DIVERGENT_OVERLAP_RTOL * rr * rr
 
 
-def _eigensystems(arr: np.ndarray):
-    """Batched core: (lams, rights, petermann, divergent, defective).
+def _ordered(lams: np.ndarray):
+    """Row ordering of eigenvalues lams (N, n): (order, ordered lams, defective).
 
-    One np.linalg.eig call over the stack; the modes of each row are put in
-    _mode_order.  rights have shape (N, mode, component), the rest (N, mode).
-    Each right vector is LAPACK's unit vector with its largest-magnitude entry
-    rotated to the positive real axis.  Every matrix of the stack is
-    complex-symmetric, so the left vectors are conj(rights).  The closest pair of
+    order puts the modes of each row in _mode_order.  The closest pair of
     eigenvalues in a row is flagged defective when its gap is below
-    DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; a
-    defective mode also counts as divergent.
+    DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; the
+    test reads eigenvalues only, so an eigvals sweep gets it too.
     """
-    lams, vecs = np.linalg.eig(arr)
     order = _mode_order(lams)
     lams = np.take_along_axis(lams, order, axis=-1)
-    rights = np.take_along_axis(vecs.swapaxes(-2, -1), order[..., None], axis=-2)
-    pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
-    rights = rights * (pivot.conj() / np.abs(pivot))
-
-    iu, ju = _PAIRS[arr.shape[-1]]
+    iu, ju = _PAIRS[lams.shape[-1]]
     gaps = np.abs(lams[:, iu] - lams[:, ju])
     closest = gaps.argmin(axis=-1)
     scale = np.abs(lams).max(axis=-1)
     near = (scale > 0) & (gaps[np.arange(len(gaps)), closest] < DEGENERACY_RTOL * scale)
-    defective = _PAIR_MODES[arr.shape[-1]][closest] & near[:, None]
+    return order, lams, _PAIR_MODES[lams.shape[-1]][closest] & near[:, None]
 
+
+def _eigensystems(arr: np.ndarray):
+    """Batched core: (lams, rights, petermann, divergent, defective).
+
+    One np.linalg.eig call over the stack, then _ordered.  rights have shape
+    (N, mode, component), the rest (N, mode).  Each right vector is LAPACK's
+    unit vector with its largest-magnitude entry rotated to the positive real
+    axis.  Every matrix of the stack is complex-symmetric, so the left vectors
+    are conj(rights).  A defective mode also counts as divergent.
+    """
+    lams, vecs = np.linalg.eig(arr)
+    order, lams, defective = _ordered(lams)
+    rights = np.take_along_axis(vecs.swapaxes(-2, -1), order[..., None], axis=-2)
+    pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
+    rights = rights * (pivot.conj() / np.abs(pivot))
     k, underflow = _petermann_values(rights)
     return lams, rights, k, underflow | defective, defective
 
@@ -195,13 +205,18 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     return perms[list(accumulate(steps, lambda order, step: compose[order][step], initial=0))]
 
 
-def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
+def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, vectors: bool) -> Sweep:
+    """One sweep over the grid; without vectors, eigenvalues only (np.linalg.eigvals)."""
     gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
-    lams, _, ks, divergent, _ = _eigensystems(_drift_stack(drift_nonmarkovian, p, delta, gs))
+    stack = _drift_stack(drift_nonmarkovian, p, delta, gs)
+    if vectors:
+        lams, _, ks, divergent, _ = _eigensystems(stack)
+    else:
+        _, lams, divergent = _ordered(np.linalg.eigvals(stack))
     order = _continuity_order(lams)
     mk_hz = None
     if markovian_ref:
@@ -211,7 +226,7 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
     return Sweep(
         coord_hz=rad_to_hz(gs),
         lambdas_hz=rad_to_hz(np.take_along_axis(lams, order, axis=-1)),
-        petermann=np.take_along_axis(ks, order, axis=-1),
+        petermann=np.take_along_axis(ks, order, axis=-1) if vectors else None,
         divergent=np.take_along_axis(divergent, order, axis=-1),
         markovian_hz=mk_hz,
     )
@@ -220,12 +235,14 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
 def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False) -> Sweep:
     """Eigenvalue branches vs coupling at fixed detuning, continuity-matched.
 
-    With markovian_ref, the Sweep also carries the two eigenvalues of the
-    memoryless two-mode block at each grid point, for side-by-side comparison.
+    Eigenvalues only: petermann is None and divergent is the defective
+    (coalescence) flag of _ordered.  With markovian_ref, the Sweep also
+    carries the two eigenvalues of the memoryless two-mode block at each grid
+    point, for side-by-side comparison.
     """
-    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref)
+    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref, vectors=False)
 
 
 def sweep_petermann(p: SystemParams, delta: float, g_grid) -> Sweep:
     """Petermann factors vs coupling at fixed detuning (markovian_hz is None)."""
-    return _sweep(p, delta, g_grid, markovian_ref=False)
+    return _sweep(p, delta, g_grid, markovian_ref=False, vectors=True)

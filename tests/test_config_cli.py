@@ -310,6 +310,19 @@ def test_cli_non_physical_ep_exits_2(tmp_path, capsys, ini, argv, message):
     assert captured.err.count("\n") == 1
 
 
+def test_cli_resolved_sideband_warning_is_one_line(tmp_path, capsys):
+    """Outside the resolved-sideband regime the CLI still runs, and the
+    UserWarning reaches stderr as one prefixed line, not Python's two-line text."""
+    argv = ["--config", _write(tmp_path, _OVERSHOOT_INI), "--quiet", "eigs", "--delta-mode", "exact"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "eprenorm: warning: omega_m does not dominate kappa and gamma; "
+        "outside the resolved-sideband regime\n"
+    )
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from draws import draw_drive, draw_system
-from eprenorm import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian
+from eprenorm import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian, load_config
 from eprenorm.model import (
     RATE_RANGE_HZ,
     hz_to_rad,
@@ -47,13 +47,19 @@ def test_pseudomode_coupling_value(params):
     )
 
 
-def test_unresolved_sideband_warns():
+def test_unresolved_sideband_warns(tmp_path):
     with pytest.warns(UserWarning) as record:
         SystemParams(omega_m=1.0, kappa=2.0, gamma=0.1, omega_c=1.0)
     # The warning points at the constructing line, not into the dataclass __init__.
     assert record[0].filename == __file__
     with pytest.warns(UserWarning) as record:
         SystemParams.from_hz(freq_hz=1.0, kappa_hz=2.0, gamma_hz=0.1, cutoff_hz=1.0)
+    assert record[0].filename == __file__
+    # Through load_config too, it names the caller's line, not one in config.py.
+    path = tmp_path / "unresolved.ini"
+    path.write_text("[mechanics]\nfreq_hz = 1e6\ngamma_hz = 4.5e6\n[cavity]\nkappa_hz = 5e6\n")
+    with pytest.warns(UserWarning) as record:
+        load_config(str(path))
     assert record[0].filename == __file__
 
 

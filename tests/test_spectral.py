@@ -241,7 +241,8 @@ def test_petermann_peak_sharpens_under_refinement(params):
 
 
 def _row_matches_pointwise(lams_hz, ks, divs, modes):
-    """Each pointwise mode has a row entry with the same eigenvalue, K and flag."""
+    """Each pointwise mode has a row entry with the same eigenvalue, K and flag;
+    with ks None (an eigenvalue-only row) the flag is the mode's defective one."""
     assert len(lams_hz) == len(modes)
     lams = [hz_to_rad(lam) for lam in lams_hz]
     scale = max(abs(lam) for lam in lams)
@@ -250,8 +251,8 @@ def _row_matches_pointwise(lams_hz, ks, divs, modes):
         k = min(unused, key=lambda idx: abs(lams[idx] - mode.lam))
         unused.remove(k)
         assert abs(lams[k] - mode.lam) <= 1e-12 * scale
-        assert divs[k] == mode.divergent
-        if mode.petermann < 1e4:
+        assert divs[k] == (mode.defective if ks is None else mode.divergent)
+        if ks is not None and mode.petermann < 1e4:
             assert abs(ks[k] - mode.petermann) <= 1e-9 * mode.petermann
 
 
@@ -266,7 +267,7 @@ def test_sweep_rows_match_pointwise_eigensystem(params):
         for k, g in enumerate(grid):
             modes = eigensystem(drift_nonmarkovian(params, DriveParams(delta=delta, g=g)))
             _row_matches_pointwise(pet.lambdas_hz[k], pet.petermann[k], pet.divergent[k], modes)
-            _row_matches_pointwise(eig.lambdas_hz[k], eig.petermann[k], eig.divergent[k], modes)
+            _row_matches_pointwise(eig.lambdas_hz[k], None, eig.divergent[k], modes)
             mk_modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=g)))
             mk_rad = [hz_to_rad(lam) for lam in eig.markovian_hz[k]]
             scale = max(abs(lam) for lam in mk_rad)
@@ -275,6 +276,27 @@ def test_sweep_rows_match_pointwise_eigensystem(params):
                 rel=0, abs=1e-12 * scale,
             )
     assert any(any(divergent) for divergent in pet.divergent)
+
+
+def test_eigenvalue_sweep_matches_petermann_sweep(params):
+    """sweep_eigs (eigvals only) gives sweep_petermann's branches and flags, and no K.
+
+    Both run LAPACK's zgeev, with and without right vectors, and the
+    eigenvalues come out bit-identical today; the stated tolerance leaves
+    room for a LAPACK that differs in the last bits."""
+    rng = np.random.default_rng(2121)
+    flagged = 0
+    for p in [params] + [draw_system(rng) for _ in range(20)]:
+        for ep in (markovian_ep(p), solve_exact_ep(p)):
+            grid = np.sort(np.append(np.linspace(0.8, 1.2, 201) * ep.g_ep, ep.g_ep))
+            eig = sweep_eigs(p, ep.delta_ep, grid)
+            pet = sweep_petermann(p, ep.delta_ep, grid)
+            scale = np.abs(pet.lambdas_hz).max(axis=-1, keepdims=True)
+            assert (np.abs(eig.lambdas_hz - pet.lambdas_hz) <= 1e-13 * scale).all()
+            np.testing.assert_array_equal(eig.divergent, pet.divergent)
+            assert eig.petermann is None
+            flagged += int(eig.divergent.any(axis=-1).sum())
+    assert flagged > 20  # rows near each EP are flagged, so the flag comparison has teeth
 
 
 def test_sweep_continuity_matches_rowwise_reference(params):
