@@ -21,8 +21,8 @@ double, so repr(float(text)) has the text's own digits and only a few
 layout fixups remain (listed at _json_rows).  --quiet without --out builds
 no artifact.  main(argv) may be called repeatedly in one process; the
 parser is built on the first call and reused.  Exit codes: 0 success, 1
-invalid configuration, arguments, output path or SOURCE_DATE_EPOCH, 2
-solver failure, 3 failed numerical check.
+invalid configuration, arguments, output path or SOURCE_DATE_EPOCH, or a
+warning raised as an error, 2 solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
@@ -450,8 +450,8 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     # Looked up per call, so a rebinding of cli.cmd_* (tracing, tests) takes effect.
     command = globals()[f"cmd_{args.command}"]
-    # Warnings the active filters show (the resolved-sideband one, say) print
-    # as one line each; the filters themselves, and library callers, are untouched.
+    # A shown warning (the resolved-sideband one) prints as one line; one the filters raise
+    # as an error exits 1.  The filters, and library callers, are untouched.
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
         try:
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
         except OrderCheckFailed as exc:
             sys.stderr.write(f"eprenorm: check failure: {exc}\n")
             return EXIT_CHECK
-        except (ToolkitError, ValueError, OSError) as exc:
+        except (ToolkitError, ValueError, OSError, Warning) as exc:
             sys.stderr.write(f"eprenorm: error: {exc}\n")
             return EXIT_USAGE
     return table.code

@@ -170,32 +170,46 @@ def _residual_norm(coords) -> float:
     return math.hypot(cmath.sqrt(coords[0]).imag, coords[1].real)
 
 
-def _newton(p: SystemParams, lam: complex):
-    """Damped Newton on (R1, R2) = (Im sqrt(g_sq), Re t) from lam; returns lam or None.
+def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
+    """Numerically exact exceptional point of the full three-mode cubic.
 
-    R1 = 0 only for real non-negative g_sq, i.e. a real coupling.  With
-    s = sqrt(g_sq) and s' = g_sq' / (2 s), Cauchy-Riemann gives
-    dR/dx = (Im s', Re t') and dR/dy = (Re s', -Im t').  A step within
-    STEP_RTOL * |lam| ends the iteration; it is kept only if it does not
-    raise the residual norm, so an exact seed stays exact.
+    Damped Newton on (R1, R2) = (Im sqrt(g_sq), Re t) from the memoryless
+    coalescence value or the caller's seed; R1 = 0 only for real non-negative
+    g_sq, i.e. a real coupling.  With s = sqrt(g_sq) and s' = g_sq' / (2 s),
+    Cauchy-Riemann gives dR/dx = (Im s', Re t') and dR/dy = (Re s', -Im t').
+    A step within STEP_RTOL * |lambda| ends the iteration, so the coordinates
+    carry full double precision; it is kept only if it does not raise the
+    residual norm, so an exact seed stays exact.  The _double_root result at
+    the accepted lambda is the drive: delta = Re(-i t) and g = Re s.  Raises
+    NoConvergence if the iteration fails and, through _ep_drive, NonPhysicalEp
+    unless the double root has a real g > 0 and a real delta < 0.
     """
-    coords = _double_root(p, lam)
-    if coords is None:
-        return None
+    mk = markovian_ep(p)  # the kappa > gamma guard, seeded or not
+    seed = mk.lambda_ep if seed is None else seed
+    lam, coords = seed, _double_root(p, seed)
     norm = _residual_norm(coords)
     for _ in range(MAX_ITER):
+        if coords is None:  # den vanishes at the seed; no later iterate is None
+            break
         g_sq, t, d_g_sq, dt = coords
         s = cmath.sqrt(g_sq)
         if s == 0.0:
-            return None
+            break
         ds = d_g_sq / (2.0 * s)
         r1, r2 = s.imag, t.real
         det = -(ds.real * dt.real + ds.imag * dt.imag)
         if det == 0.0 or not math.isfinite(det):
-            return None
+            break
         step = complex(r1 * dt.imag + r2 * ds.real, r1 * dt.real - r2 * ds.imag) / det
         if abs(step) <= STEP_RTOL * abs(lam):
-            return lam + step if _residual_norm(_double_root(p, lam + step)) <= norm else lam
+            final = _double_root(p, lam + step)
+            if _residual_norm(final) <= norm:
+                lam, coords = lam + step, final
+            g_sq, t = coords[:2]
+            delta = (-1j * t).real
+            g = cmath.sqrt(g_sq).real if g_sq.real > 0.0 else 0.0  # else sqrt(g_sq) is near-imaginary
+            _ep_drive(delta, g)  # the physicality rule
+            return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
         for _ in range(MAX_HALVINGS + 1):
             coords = _double_root(p, lam + step)
             trial_norm = _residual_norm(coords)
@@ -203,30 +217,9 @@ def _newton(p: SystemParams, lam: complex):
                 break
             step /= 2.0
         else:
-            return None
+            break
         lam, norm = lam + step, trial_norm
-    return None
-
-
-def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
-    """Numerically exact exceptional point of the full three-mode cubic.
-
-    Runs one Newton iteration from the memoryless coalescence value (or the
-    caller's seed) until its step falls within STEP_RTOL * |lambda|, so the
-    coordinates carry full double precision.  Raises NoConvergence if the
-    iteration fails and, through _ep_drive, NonPhysicalEp if it lands on a
-    double root without a real positive coupling and a real negative detuning.
-    """
-    mk = markovian_ep(p)
-    seed = mk.lambda_ep if seed is None else seed
-    lam = _newton(p, seed)
-    if lam is None:
-        raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
-    g_sq, delta_c = ep_candidates(p, lam)
-    delta = delta_c.real
-    g = cmath.sqrt(g_sq).real if g_sq.real > 0.0 else 0.0  # else sqrt(g_sq) is near-imaginary
-    _ep_drive(delta, g)  # the physicality rule
-    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
+    raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
 
 
 def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> OrderCertificate:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,25 @@ def test_cli_resolved_sideband_warning_is_one_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [["ep"], ["eigs", "--delta-mode", "exact"]], ids=["ep", "eigs_exact"])
+def test_cli_warning_raised_as_error_exits_1(tmp_path, capsys, argv):
+    """A warning the filters raise as an error is one "eprenorm: error:" line
+    and exit 1, never a traceback: in process under an "error" filter, and
+    in a fresh interpreter under -W error::UserWarning."""
+    argv = ["--config", _write(tmp_path, _OVERSHOOT_INI), "--quiet", *argv]
+    expected = (
+        "eprenorm: error: omega_m does not dominate kappa and gamma; "
+        "outside the resolved-sideband regime\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+    proc = _checkout_python("-W", "error::UserWarning", "-m", "eprenorm", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
@@ -354,7 +374,9 @@ _SMALL_COMMANDS = [
 def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
     """Rates across and beyond the rate range, 0, 5e-324 and 1e308 included:
     every subcommand exits 0, 1, 2 or 3 with nothing escaping main, no
-    RuntimeWarning (an error under pytest) and no nan in its report.  ep,
+    RuntimeWarning and no nan in its report.  main would report a
+    RuntimeWarning raised as an error as exit 1, so here each one is shown
+    instead, as an "eprenorm: warning:" line, and none may appear.  ep,
     eigs and petermann exit 1 only for a file load_config refuses: an EP
     they cannot place is a solver failure, not bad input."""
     freq, gamma, kappa, cutoff, detuning, coupling = rates
@@ -366,10 +388,12 @@ def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
     )
     if command[-1] == "--t-final":
         command = [*command, repr(50.0 / (2.0 * math.pi * max(rates)))]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
         code = main(["--config", str(path), *command])
     assert code in (0, 1, 2, 3)
+    assert "eprenorm: warning:" not in err.getvalue()
     assert "nan" not in out.getvalue()
     if code == 1 and command[0] in ("ep", "eigs", "petermann"):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Exceptional-point solvers: closed form, perturbative shift, exact Newton."""
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -19,7 +20,8 @@ from eprenorm import (
     perturbative_ep,
     solve_exact_ep,
 )
-from eprenorm.charpoly import char_cubic, cubic_roots
+from eprenorm import epsolver
+from eprenorm.charpoly import char_cubic, cubic_roots, factors
 from eprenorm.epsolver import EpSolution, _ep_drive, ep_candidates
 from eprenorm.errors import (
     DegenerateDenominator,
@@ -200,6 +202,36 @@ def test_exact_ep_custom_seed(params):
     assert abs(sol.lambda_ep - ref.lambda_ep) < 1e-10 * abs(ref.lambda_ep)
     assert abs(sol.delta_ep - ref.delta_ep) < 1e-10 * abs(ref.delta_ep)
     assert abs(sol.g_ep - ref.g_ep) < 1e-10 * ref.g_ep
+
+
+def test_exact_ep_coordinates_are_the_candidate_map(params):
+    """delta_ep and g_ep are bit-equal to ep_candidates at lambda_ep, Re delta_c
+    and Re sqrt(g_sq) with Re g_sq > 0, on the defaults (from the memoryless
+    seed and from test_exact_ep_custom_seed's) and on 20 random devices."""
+    rng = np.random.default_rng(2202)
+    seed = (-(params.kappa + params.gamma) / 4.0 - 1j * params.omega_m) * 1.02
+    cases = [(params, None), (params, seed), *((draw_system(rng), None) for _ in range(20))]
+    for p, s in cases:
+        sol = solve_exact_ep(p, seed=s)
+        g_sq, delta_c = ep_candidates(p, sol.lambda_ep)
+        assert g_sq.real > 0.0
+        assert sol.delta_ep == delta_c.real
+        assert sol.g_ep == cmath.sqrt(g_sq).real
+
+
+def test_exact_ep_evaluates_three_double_roots_at_defaults(params, monkeypatch):
+    """One solve at the defaults evaluates f, g, h three times: at the seed,
+    after one Newton step, and after the final short step, whose evaluation
+    also gives the drive coordinates."""
+    calls = []
+
+    def counted(p, lam):
+        calls.append(lam)
+        return factors(p, lam)
+
+    monkeypatch.setattr(epsolver, "factors", counted)
+    solve_exact_ep(params)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("where", ["pole", "zero"])

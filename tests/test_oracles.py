@@ -1,7 +1,8 @@
 """Oracles that share no code with the package: the exceptional point solved
-at 40 digits in mpmath, the characteristic cubic expanded in sympy, and the
+at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
 Petermann factor from a general dense eigendecomposition and, up the EP's
-peak, from 60-digit mpmath eigenvectors.
+peak, from 60-digit mpmath eigenvectors, and the EP's first-order memory
+shift by implicit differentiation in sympy.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
@@ -11,13 +12,16 @@ basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
          [0,                  -g_c,                      -Omega_c]]
 """
 
+import dataclasses
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
 
 from draws import draw_drive, draw_system
-from eprenorm import SystemParams, eigensystem, solve_exact_ep, sweep_petermann
+from eprenorm import SystemParams, eigensystem, perturbative_ep, solve_exact_ep, sweep_petermann
 from eprenorm.charpoly import char_cubic
 from eprenorm.model import hz_to_rad
 
@@ -226,3 +230,116 @@ def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
             assert abs(mode.petermann - k_mp) <= 1e3 * eps * k_mp**2
             k_max = max(k_max, k_mp)
     assert k_max > 1e8
+
+
+@functools.cache
+def _memory_shift_oracle():
+    """Closed forms in (omega_m, kappa, omega_c), as float functions, of the
+    exact EP's slopes at gamma = 0, (d delta_ep, d g_ep, d lambda_ep) / d gamma,
+    and of the limit as gamma -> 0 of the first-order route's relative error
+    (delta_exact - delta_pert) / (delta_exact - delta_mk).
+
+    At gamma = 0 (so g_c^2 = gamma Omega_c / 2 = 0) the EP is
+    lam0 = -kappa/4 - i omega_m, delta0 = -omega_m, g0 = kappa/4, a double
+    root of p(lam) = det(lam I - M).  Differentiating p = 0 and p_lam = 0
+    along gamma there, the first loses its d lam term (p_lam = 0), leaving
+    p_delta d delta + p_g d g = -p_gamma: one complex equation for the two
+    real slopes.  The second then gives d lam = -(p_lam,delta d delta +
+    p_lam,g d g + p_lam,gamma) / p_lam,lam.  The first-order route is the
+    memoryless EP at omega_eff = omega_m - Im Sigma(-i omega_m), with the
+    self-energy Sigma(lam) = g_c^2 / (Omega_c + lam) taken at the Markov
+    pole, so its detuning slope is d Im Sigma(-i omega_m) / d gamma, while
+    delta_mk = -omega_m does not move.
+    """
+    omega_m, kappa, omega_c = sp.symbols("omega_m kappa omega_c", positive=True)
+    gamma = sp.symbols("gamma", nonnegative=True)
+    delta, g = sp.symbols("delta g", real=True)
+    lam = sp.symbols("lam")
+    i = sp.I
+    g_c = sp.sqrt(gamma * omega_c / 2)
+    m = sp.Matrix(
+        [
+            [i * delta - kappa / 2, -i * g, 0],
+            [-i * g, -(i * omega_m + gamma / 2), -g_c],
+            [0, -g_c, -omega_c],
+        ]
+    )
+    p = sp.expand((lam * sp.eye(3) - m).det())
+    p_lam = sp.diff(p, lam)
+    at0 = {gamma: 0, lam: -kappa / 4 - i * omega_m, delta: -omega_m, g: kappa / 4}
+    assert sp.simplify(p.subs(at0)) == 0 and sp.simplify(p_lam.subs(at0)) == 0
+
+    def d0(expr, var):
+        return sp.expand(sp.diff(expr, var).subs(at0))
+
+    p_delta, p_g, p_gamma = (d0(p, var) for var in (delta, g, gamma))
+    lhs = sp.Matrix([[sp.re(p_delta), sp.re(p_g)], [sp.im(p_delta), sp.im(p_g)]])
+    d_delta, d_g = (sp.simplify(s) for s in lhs.LUsolve(-sp.Matrix([sp.re(p_gamma), sp.im(p_gamma)])))
+    d_lam = sp.simplify(
+        -(d0(p_lam, delta) * d_delta + d0(p_lam, g) * d_g + d0(p_lam, gamma)) / d0(p_lam, lam)
+    )
+    self_energy = (gamma * omega_c / 2) / (omega_c - i * omega_m)
+    d_pert = sp.diff(sp.im(sp.expand_complex(self_energy)), gamma)
+    limit = sp.simplify(1 - d_pert / d_delta)
+    args = (omega_m, kappa, omega_c)
+    return [sp.lambdify(args, expr, modules="math") for expr in (d_delta, d_g, d_lam, limit)]
+
+
+# The slopes are dimensionless (rad/s per rad/s).  At gamma = 1e-5 kappa their
+# O(gamma) term is at most 3.3e-7 on these devices (it scales as about 0.033
+# gamma / kappa), and solve_exact_ep's 1e-13 relative accuracy costs at most
+# 1e-13 omega_m / gamma <= 2e-7 (kappa >= 0.05 omega_m): their sum stays below
+# SLOPE_TOL.  The relative error's distance to its limit also falls linearly in
+# gamma: at most 1.1e-6 at gamma = 1e-5 kappa and 1.1e-4 at 1e-3 kappa.
+GAMMA_OVER_KAPPA = 1e-5
+SLOPE_TOL = 1e-6
+LIMIT_TOL = 1e-5
+
+
+def _memory_shift_devices(params):
+    rng = np.random.default_rng(1010)
+    return [params, *(draw_system(rng) for _ in range(20))]
+
+
+def test_memory_shift_oracle_closed_form_at_defaults(params):
+    """The first-order route's relative error tends to
+    kappa (8 Omega_c - kappa) / (16 (Omega_c^2 + omega_m^2)), 0.04875 at the defaults."""
+    *_, limit = _memory_shift_oracle()
+    args = (params.omega_m, params.kappa, params.omega_c)
+    assert abs(limit(*args) - 0.04875) <= 1e-14
+    for device in _memory_shift_devices(params):
+        args = (device.omega_m, device.kappa, device.omega_c)
+        closed = device.kappa * (8.0 * device.omega_c - device.kappa) / (16.0 * (device.omega_c**2 + device.omega_m**2))
+        assert abs(limit(*args) - closed) <= 1e-14
+
+
+def test_exact_ep_first_order_in_gamma_matches_sympy_oracle(params):
+    """(delta_ep + omega_m) / gamma, (g_ep - kappa/4) / gamma and
+    (lambda_ep - lam0) / gamma from solve_exact_ep match the oracle's slopes
+    to SLOPE_TOL at gamma = GAMMA_OVER_KAPPA * kappa."""
+    d_delta, d_g, d_lam, _ = _memory_shift_oracle()
+    for device in _memory_shift_devices(params):
+        p = dataclasses.replace(device, gamma=GAMMA_OVER_KAPPA * device.kappa)
+        args = (p.omega_m, p.kappa, p.omega_c)
+        sol = solve_exact_ep(p)
+        lam0 = -p.kappa / 4.0 - 1j * p.omega_m
+        assert abs((sol.delta_ep + p.omega_m) / p.gamma - d_delta(*args)) <= SLOPE_TOL
+        assert abs((sol.g_ep - p.kappa / 4.0) / p.gamma - d_g(*args)) <= SLOPE_TOL
+        assert abs((sol.lambda_ep - lam0) / p.gamma - d_lam(*args)) <= SLOPE_TOL
+
+
+def test_first_order_route_relative_error_tends_to_oracle_limit(params):
+    """The first-order route's error is a fixed fraction of the memory shift,
+    not O(gamma^2): (delta_exact - delta_pert) / (delta_exact - delta_mk)
+    approaches the oracle's limit linearly in gamma, reaching it to LIMIT_TOL
+    at gamma = GAMMA_OVER_KAPPA * kappa."""
+    *_, limit = _memory_shift_oracle()
+    for device in _memory_shift_devices(params):
+        gaps = []
+        for gamma_rel in (1e2 * GAMMA_OVER_KAPPA, GAMMA_OVER_KAPPA):
+            p = dataclasses.replace(device, gamma=gamma_rel * device.kappa)
+            exact = solve_exact_ep(p).delta_ep
+            rel = (exact - perturbative_ep(p).delta_ep) / (exact - (-p.omega_m))
+            gaps.append(abs(rel - limit(p.omega_m, p.kappa, p.omega_c)))
+        assert gaps[1] <= LIMIT_TOL
+        assert gaps[0] >= 30.0 * gaps[1]
