@@ -3,21 +3,29 @@ factors, and coupling/detuning sweeps.
 
 Every drift the package builds satisfies M = M^T (the couplings are -ig/-ig
 and -g_c/-g_c), so M^H = conj(M) and the left eigenvector of each mode is
-the conjugate of its right one.  Everything runs through one batched core
-on an (N, n, n) stack, n = 2 or 3: one np.linalg.eig call (LAPACK zgeev,
-which balances and scales each matrix) gives the eigenvalues and the right
-eigenvectors of every row, and one ordering rule puts the modes of each row
-in (Im, Re) order.  Each right vector has unit norm and its largest-magnitude
+the conjugate of its right one.  Every eigenvalue comes from one batched
+LAPACK zgeev call on an (N, n, n) stack, n = 2 or 3, which balances and
+scales each matrix, and one ordering rule puts the modes of each row in
+(Im, Re) order.
+
+eigensystem asks zgeev for the right eigenvectors too (np.linalg.eig, on a
+batch of one).  Each right vector has unit norm and its largest-magnitude
 entry real and positive.  With L = conj(R) the Petermann factor of a mode is
 
     K = (<L|L> <R|R>) / |<L|R>|^2 = <R|R>^2 / |R^T R|^2
 
 (Siegman, PRA 39, 1253 (1989); Berry, J. Mod. Opt. 50, 63 (2003)), which
 is unity for a normal mode and diverges at an exceptional point.
-eigensystem is the core on a batch of one; a Petermann sweep is one core
-call over its whole coupling grid.  An eigenvalue sweep needs no vectors:
-it calls np.linalg.eigvals (the same zgeev, which gives the same
-eigenvalues) and the same ordering rule.
+
+A sweep computes no vectors: np.linalg.eigvals (the same zgeev, which gives
+the same eigenvalues) runs once over its whole coupling grid.  A Petermann
+sweep takes K from those eigenvalues through the spectral projector of a
+simple eigenvalue, P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation
+Theory for Linear Operators, 1966):
+
+    K_k = ||P_k||_F^2 = ||adj(lam_k - M)||_F^2 / prod_{j != k} |lam_k - lam_j|^2.
+
+The two K routes share nothing after zgeev, so each checks the other.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
 from .model import DriveParams, SystemParams, _array_rows, drift_markovian, drift_nonmarkovian, rad_to_hz
 
-# |<L|R>|^2 below this fraction of <L|L><R|R> counts as numerically divergent.
+# |<L|R>|^2 below this fraction of <L|L><R|R> (K beyond 1e30) counts as numerically divergent.
 DIVERGENT_OVERLAP_RTOL = 1e-30
 # Eigenvalue gaps below this fraction of max|lam| flag both modes defective.
 DEGENERACY_RTOL = 1e-3
@@ -71,7 +79,9 @@ class Sweep:
     an eigenvalue-only sweep (sweep_eigs), whose divergent is the defective
     flag; markovian_hz (N, 2) holds the memoryless two-mode eigenvalues, or
     is None when not asked for.  Frequencies are in Hz (cycles), converted
-    once from rad/s.
+    once from rad/s.  A Petermann sweep takes K from the eigenvalues alone
+    (_adjugate_petermann); its divergent marks a defective mode or a K
+    beyond 1e30, as eigensystem's does.
     Iterating yields one named-tuple row per grid point with these fields.
     Continuity does not define branch labels at a coalescence, so past an
     EP two branches' labels can swap on a last-bit change of the inputs.
@@ -205,18 +215,47 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     return perms[list(accumulate(steps, lambda order, step: compose[order][step], initial=0))]
 
 
-def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, vectors: bool) -> Sweep:
-    """One sweep over the grid; without vectors, eigenvalues only (np.linalg.eigvals)."""
+def _adjugate_petermann(stack: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Petermann factors (N, 3) of the symmetric 3x3 stack (N, 3, 3) from its eigenvalues lams (N, 3).
+
+    K_k = ||adj(lam_k - M)||_F^2 / prod_{j != k} |lam_k - lam_j|^2, and inf
+    where the gap product is 0.  Each row is first divided by its max|lam|:
+    K does not change, and the cofactor products stay in range whatever the
+    scale of M.
+    adj(lam - M) is symmetric, so its six distinct cofactors suffice, each
+    off-diagonal one counted twice.
+    """
+    scale = np.abs(lams).max(axis=-1)
+    scale = np.where(scale > 0, scale, 1.0)
+    m = stack / scale[:, None, None]
+    lam = lams / scale[:, None]
+    d0, d1, d2 = (lam - m[:, i, i, None] for i in range(3))
+    a01, a02, a12 = (-m[:, i, j, None] for i, j in ((0, 1), (0, 2), (1, 2)))
+    diag = (d1 * d2 - a12 * a12, d0 * d2 - a02 * a02, d0 * d1 - a01 * a01)
+    off = (a02 * a12 - a01 * d2, a01 * a12 - a02 * d1, a01 * a02 - a12 * d0)
+    num = sum(np.abs(c) ** 2 for c in diag) + 2.0 * sum(np.abs(c) ** 2 for c in off)
+    g01, g02, g12 = (np.abs(lam[:, i] - lam[:, j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
+    den = np.stack([g01 * g02, g01 * g12, g02 * g12], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.inf, num / den)
+
+
+def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, petermann: bool) -> Sweep:
+    """One sweep over the grid from one np.linalg.eigvals call and _ordered, no vectors.
+
+    With petermann, K comes from _adjugate_petermann and divergent also
+    marks a K beyond 1/DIVERGENT_OVERLAP_RTOL (or nan).
+    """
     gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
     stack = _drift_stack(drift_nonmarkovian, p, delta, gs)
-    if vectors:
-        lams, _, ks, divergent, _ = _eigensystems(stack)
-    else:
-        _, lams, divergent = _ordered(np.linalg.eigvals(stack))
+    _, lams, divergent = _ordered(np.linalg.eigvals(stack))
+    if petermann:
+        ks = _adjugate_petermann(stack, lams)
+        divergent = divergent | ~(ks * DIVERGENT_OVERLAP_RTOL < 1)
     order = _continuity_order(lams)
     mk_hz = None
     if markovian_ref:
@@ -226,7 +265,7 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, vectors: 
     return Sweep(
         coord_hz=rad_to_hz(gs),
         lambdas_hz=rad_to_hz(np.take_along_axis(lams, order, axis=-1)),
-        petermann=np.take_along_axis(ks, order, axis=-1) if vectors else None,
+        petermann=np.take_along_axis(ks, order, axis=-1) if petermann else None,
         divergent=np.take_along_axis(divergent, order, axis=-1),
         markovian_hz=mk_hz,
     )
@@ -240,9 +279,9 @@ def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = Fals
     carries the two eigenvalues of the memoryless two-mode block at each grid
     point, for side-by-side comparison.
     """
-    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref, vectors=False)
+    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref, petermann=False)
 
 
 def sweep_petermann(p: SystemParams, delta: float, g_grid) -> Sweep:
     """Petermann factors vs coupling at fixed detuning (markovian_hz is None)."""
-    return _sweep(p, delta, g_grid, markovian_ref=False, vectors=True)
+    return _sweep(p, delta, g_grid, markovian_ref=False, petermann=True)

@@ -300,20 +300,15 @@ def test_residual_invariant_markovian_and_exact(params):
 
 
 def test_residual_invariant_random_draws():
+    """Every one of the 20 devices solves and meets both residual bounds."""
     rng = np.random.default_rng(77)
-    done = 0
     for _ in range(20):
         p = draw_system(rng)
-        try:
-            sol = solve_exact_ep(p)
-        except Exception:
-            continue
+        sol = solve_exact_ep(p)
         cert = certify_order_two(p, sol)
         s = max(abs(sol.lambda_ep), p.omega_m)
         assert cert.p_mag <= 1e-8 * cert.ddp_mag * s**2
         assert cert.dp_mag <= 1e-8 * cert.ddp_mag * s
-        done += 1
-    assert done >= 15
 
 
 def test_ep_drive_outside_the_rate_range_is_non_physical():

@@ -215,19 +215,26 @@ def _mp_petermann(m):
 
 def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
     """Above K_ORACLE_MAX the dense oracle runs out of digits; 60-digit
-    eigenvectors carry K to 5e8 along delta_ep.  The package's K error grows
-    as eps * K^2 (the eigenvector condition number times K); the worst case
-    measured on this path is 51 eps K^2."""
+    eigenvectors carry K to 5e8 along delta_ep.  Both K routes of the
+    package are held to them: eigensystem's right vectors and the sweep's
+    adjugate of lam - M.  The K error grows as eps * K^2 (the eigenvector
+    condition number times K); the worst case measured on this path is
+    51 eps K^2, for either route."""
     sol = solve_exact_ep(params)
     offsets = np.logspace(-9, -2, 15)
     eps = np.finfo(float).eps
+    grid = sol.g_ep * np.concatenate([1.0 - offsets[::-1], 1.0 + offsets])
+    sweep = sweep_petermann(params, sol.delta_ep, grid)
     k_max = 0.0
-    for g in sol.g_ep * np.concatenate([1.0 - offsets, 1.0 + offsets]):
+    for g, lams_hz, ks in zip(grid, sweep.lambdas_hz, sweep.petermann):
         m = _drift(params, sol.delta_ep, g)
         lams_mp, ks_mp = _mp_petermann(m)
-        for mode in eigensystem(m):
-            k_mp = ks_mp[np.argmin(np.abs(lams_mp - mode.lam))]
-            assert abs(mode.petermann - k_mp) <= 1e3 * eps * k_mp**2
+        routes = [(mode.lam, mode.petermann) for mode in eigensystem(m)]
+        routes += zip(hz_to_rad(lams_hz), ks)
+        assert len(routes) == 2 * len(lams_mp)
+        for lam, k in routes:
+            k_mp = ks_mp[np.argmin(np.abs(lams_mp - lam))]
+            assert abs(k - k_mp) <= 1e3 * eps * k_mp**2
             k_max = max(k_max, k_mp)
     assert k_max > 1e8
 

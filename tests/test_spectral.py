@@ -257,33 +257,52 @@ def _row_matches_pointwise(lams_hz, ks, divs, modes):
 
 
 def test_sweep_rows_match_pointwise_eigensystem(params):
-    """The batched sweep reproduces per-point eigensystem calls, the EP included."""
+    """The batched sweep reproduces per-point eigensystem calls, the EP included.
+
+    The sweep's K comes from the adjugate of lam - M and eigensystem's from
+    its right vectors, so this also checks one K route against the other:
+    the defaults and 20 devices, at the memoryless and the exact
+    calibration, on a +-10 % grid with the exact EP on it."""
+    rng = np.random.default_rng(2323)
+    flagged = 0
+    for p in [params] + [draw_system(rng) for _ in range(20)]:
+        sol = solve_exact_ep(p)
+        grid = np.sort(np.append(np.linspace(0.9, 1.1, 41) * sol.g_ep, sol.g_ep))
+        for delta in (markovian_ep(p).delta_ep, sol.delta_ep):
+            pet = sweep_petermann(p, delta, grid)
+            eig = sweep_eigs(p, delta, grid, markovian_ref=True)
+            for k, g in enumerate(grid):
+                modes = eigensystem(drift_nonmarkovian(p, DriveParams(delta=delta, g=g)))
+                _row_matches_pointwise(pet.lambdas_hz[k], pet.petermann[k], pet.divergent[k], modes)
+                _row_matches_pointwise(eig.lambdas_hz[k], None, eig.divergent[k], modes)
+                mk_modes = eigensystem(drift_markovian(p, DriveParams(delta=delta, g=g)))
+                mk_rad = hz_to_rad(eig.markovian_hz[k])
+                mk_ref = np.array([m.lam for m in mk_modes])
+                # matched as a pair: below the memoryless EP the two real parts tie
+                mismatch = min(np.abs(mk_rad - mk_ref).max(), np.abs(mk_rad - mk_ref[::-1]).max())
+                assert mismatch <= 1e-12 * np.abs(mk_rad).max()
+            flagged += int(pet.divergent.any(axis=-1).sum())
+    assert flagged > 20  # rows near each EP are flagged, so the flag comparison has teeth
+
+
+def test_petermann_sweep_computes_no_eigenvectors(params, monkeypatch):
+    """A default 401-point Petermann sweep takes K from eigenvalues alone."""
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called by a sweep")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
     sol = solve_exact_ep(params)
-    grid = np.linspace(sol.g_ep - hz_to_rad(5e3), sol.g_ep + hz_to_rad(5e3), 41)
-    grid = np.sort(np.append(grid, sol.g_ep))
-    for delta in (-params.omega_m, sol.delta_ep):
-        pet = sweep_petermann(params, delta, grid)
-        eig = sweep_eigs(params, delta, grid, markovian_ref=True)
-        for k, g in enumerate(grid):
-            modes = eigensystem(drift_nonmarkovian(params, DriveParams(delta=delta, g=g)))
-            _row_matches_pointwise(pet.lambdas_hz[k], pet.petermann[k], pet.divergent[k], modes)
-            _row_matches_pointwise(eig.lambdas_hz[k], None, eig.divergent[k], modes)
-            mk_modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=g)))
-            mk_rad = [hz_to_rad(lam) for lam in eig.markovian_hz[k]]
-            scale = max(abs(lam) for lam in mk_rad)
-            assert sorted(mk_rad, key=lambda z: (z.real, z.imag)) == pytest.approx(
-                sorted((m.lam for m in mk_modes), key=lambda z: (z.real, z.imag)),
-                rel=0, abs=1e-12 * scale,
-            )
-    assert any(any(divergent) for divergent in pet.divergent)
+    sweep = sweep_petermann(params, sol.delta_ep, np.linspace(0.0, 2.0, 401) * sol.g_ep)
+    assert sweep.petermann.shape == (401, 3)
+    assert np.isfinite(sweep.petermann).all()
 
 
 def test_eigenvalue_sweep_matches_petermann_sweep(params):
-    """sweep_eigs (eigvals only) gives sweep_petermann's branches and flags, and no K.
+    """sweep_eigs gives sweep_petermann's branches bit for bit and its flags, and no K.
 
-    Both run LAPACK's zgeev, with and without right vectors, and the
-    eigenvalues come out bit-identical today; the stated tolerance leaves
-    room for a LAPACK that differs in the last bits."""
+    Both take their eigenvalues from the same np.linalg.eigvals call on the
+    same stack and the same ordering, so the branches are equal, not close."""
     rng = np.random.default_rng(2121)
     flagged = 0
     for p in [params] + [draw_system(rng) for _ in range(20)]:
@@ -291,8 +310,7 @@ def test_eigenvalue_sweep_matches_petermann_sweep(params):
             grid = np.sort(np.append(np.linspace(0.8, 1.2, 201) * ep.g_ep, ep.g_ep))
             eig = sweep_eigs(p, ep.delta_ep, grid)
             pet = sweep_petermann(p, ep.delta_ep, grid)
-            scale = np.abs(pet.lambdas_hz).max(axis=-1, keepdims=True)
-            assert (np.abs(eig.lambdas_hz - pet.lambdas_hz) <= 1e-13 * scale).all()
+            np.testing.assert_array_equal(eig.lambdas_hz, pet.lambdas_hz)
             np.testing.assert_array_equal(eig.divergent, pet.divergent)
             assert eig.petermann is None
             flagged += int(eig.divergent.any(axis=-1).sum())
@@ -473,6 +491,30 @@ def test_petermann_is_scale_invariant(params, drive, scale):
     m = drift_nonmarkovian(params, drive)
     ref = [mode.petermann for mode in eigensystem(m)]
     assert [mode.petermann for mode in eigensystem(scale * m)] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_adjugate_petermann_is_scale_invariant(params, scale):
+    """The sweep's K on a 401-row drift stack through the EP, scaled by 1e+-100
+    and 1e+-150: the row normalization keeps every cofactor product in range,
+    so no floating-point error is raised and K is unchanged.  Row 200 is the
+    exact EP."""
+    sol = solve_exact_ep(params)
+    gs = np.linspace(0.0, 2.0, 401) * sol.g_ep
+    assert gs[200] == sol.g_ep
+    stack = spectral._drift_stack(drift_nonmarkovian, params, sol.delta_ep, gs)
+
+    def ks(arr):
+        _, lams, _ = spectral._ordered(np.linalg.eigvals(arr))
+        return spectral._adjugate_petermann(arr, lams)
+
+    ref = ks(stack)
+    with np.errstate(all="raise"):
+        scaled = ks(scale * stack)
+    moderate = ref < 1e4
+    assert moderate.sum() > 1000
+    assert (np.abs(scaled - ref)[moderate] <= 1e-11 * ref[moderate]).all()
+    assert (scaled[~moderate] > 1e3).all()
 
 
 def test_petermann_moderate_away_from_ep(params):
