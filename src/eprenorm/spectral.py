@@ -25,7 +25,9 @@ Theory for Linear Operators, 1966):
 
     K_k = ||P_k||_F^2 = ||adj(lam_k - M)||_F^2 / prod_{j != k} |lam_k - lam_j|^2.
 
-The two K routes share nothing after zgeev, so each checks the other.
+The two K routes share nothing after zgeev, so each checks the other; both
+flag a mode divergent when defective or K is not below DIVERGENT_K (nan too).
+The memoryless reference is the (a, b) block of the same stack (drift_markovian).
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
-from .model import DriveParams, SystemParams, _array_rows, drift_markovian, drift_nonmarkovian, rad_to_hz
+from .model import DriveParams, SystemParams, _array_rows, drift_nonmarkovian, rad_to_hz
 
-# |<L|R>|^2 below this fraction of <L|L><R|R> (K beyond 1e30) counts as numerically divergent.
-DIVERGENT_OVERLAP_RTOL = 1e-30
+# A Petermann factor at or beyond this (or nan) counts as numerically divergent, in both K routes.
+DIVERGENT_K = 1e30
 # Eigenvalue gaps below this fraction of max|lam| flag both modes defective.
 DEGENERACY_RTOL = 1e-3
 # Imaginary parts within this fraction of max|lam| count as tied when ordering modes.
@@ -80,8 +82,8 @@ class Sweep:
     flag; markovian_hz (N, 2) holds the memoryless two-mode eigenvalues, or
     is None when not asked for.  Frequencies are in Hz (cycles), converted
     once from rad/s.  A Petermann sweep takes K from the eigenvalues alone
-    (_adjugate_petermann); its divergent marks a defective mode or a K
-    beyond 1e30, as eigensystem's does.
+    (_adjugate_petermann); its divergent marks a defective mode or a K at
+    or beyond 1e30, as eigensystem's does.
     Iterating yields one named-tuple row per grid point with these fields.
     Continuity does not define branch labels at a coalescence, so past an
     EP two branches' labels can swap on a last-bit change of the inputs.
@@ -97,23 +99,22 @@ class Sweep:
         return _array_rows(self)
 
 
-def _mode_order(lams: np.ndarray) -> np.ndarray:
-    """Per-row mode indices ordering lams (N, n) by (Im, Re), near-equal Im counting as tied."""
+def _mode_order(lams: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per-row mode indices ordering lams (N, n) by (Im, Re), Im within IMAG_TIE_RTOL * scale (N,) tied."""
     by_imag = np.argsort(lams.imag, axis=-1)
     imag = np.take_along_axis(lams.imag, by_imag, axis=-1)
-    tol = IMAG_TIE_RTOL * np.abs(lams).max(axis=-1, keepdims=True)
+    tol = IMAG_TIE_RTOL * scale[:, None]
     tier = np.cumsum(np.diff(imag, axis=-1, prepend=imag[:, :1]) > tol, axis=-1)
     real = np.take_along_axis(lams.real, by_imag, axis=-1)
     return np.take_along_axis(by_imag, np.lexsort((real, tier), axis=-1), axis=-1)
 
 
-def _petermann_values(right: np.ndarray):
-    """Petermann factors <R|R>^2 / |R^T R|^2 and underflow flags of rights (..., component)."""
+def _petermann_values(right: np.ndarray) -> np.ndarray:
+    """Petermann factors <R|R>^2 / |R^T R|^2 of rights (..., component), inf where R^T R is 0."""
     rr = np.einsum("...i,...i->...", right.conj(), right).real
     lr_sq = np.abs(np.einsum("...i,...i->...", right, right)) ** 2
     with np.errstate(divide="ignore"):
-        k = np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
-    return k, lr_sq < DIVERGENT_OVERLAP_RTOL * rr * rr
+        return np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
 
 
 def _ordered(lams: np.ndarray):
@@ -124,12 +125,12 @@ def _ordered(lams: np.ndarray):
     DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; the
     test reads eigenvalues only, so an eigvals sweep gets it too.
     """
-    order = _mode_order(lams)
+    scale = np.abs(lams).max(axis=-1)
+    order = _mode_order(lams, scale)
     lams = np.take_along_axis(lams, order, axis=-1)
     iu, ju = _PAIRS[lams.shape[-1]]
     gaps = np.abs(lams[:, iu] - lams[:, ju])
     closest = gaps.argmin(axis=-1)
-    scale = np.abs(lams).max(axis=-1)
     near = (scale > 0) & (gaps[np.arange(len(gaps)), closest] < DEGENERACY_RTOL * scale)
     return order, lams, _PAIR_MODES[lams.shape[-1]][closest] & near[:, None]
 
@@ -141,21 +142,21 @@ def _eigensystems(arr: np.ndarray):
     (N, mode, component), the rest (N, mode).  Each right vector is LAPACK's
     unit vector with its largest-magnitude entry rotated to the positive real
     axis.  Every matrix of the stack is complex-symmetric, so the left vectors
-    are conj(rights).  A defective mode also counts as divergent.
+    are conj(rights).  Divergent is defective or K not below DIVERGENT_K.
     """
     lams, vecs = np.linalg.eig(arr)
     order, lams, defective = _ordered(lams)
     rights = np.take_along_axis(vecs.swapaxes(-2, -1), order[..., None], axis=-2)
     pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
     rights = rights * (pivot.conj() / np.abs(pivot))
-    k, underflow = _petermann_values(rights)
-    return lams, rights, k, underflow | defective, defective
+    k = _petermann_values(rights)
+    return lams, rights, k, defective | ~(k < DIVERGENT_K), defective
 
 
 def petermann(mode: EigenMode) -> float:
     """Recompute the Petermann factor of a mode from its right vector."""
     right = np.asarray(mode.right, dtype=complex)[None, None]
-    return float(_petermann_values(right)[0][0, 0])
+    return float(_petermann_values(right)[0, 0])
 
 
 def eigensystem(m):
@@ -193,10 +194,10 @@ def petermann_at(p: SystemParams, d: DriveParams):
     return tuple(mode.petermann for mode in eigensystem(drift_nonmarkovian(p, d)))
 
 
-def _drift_stack(drift, p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
-    """drift(p, (delta, g)) for every g of the grid; the drift is linear in g."""
-    m0 = drift(p, DriveParams(delta=delta, g=0.0))
-    dm = drift(p, DriveParams(delta=delta, g=1.0)) - m0
+def _drift_stack(p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
+    """drift_nonmarkovian(p, (delta, g)) for every g of the grid; the drift is linear in g."""
+    m0 = drift_nonmarkovian(p, DriveParams(delta=delta, g=0.0))
+    dm = drift_nonmarkovian(p, DriveParams(delta=delta, g=1.0)) - m0
     return m0 + gs[:, None, None] * dm
 
 
@@ -243,24 +244,23 @@ def _adjugate_petermann(stack: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, petermann: bool) -> Sweep:
     """One sweep over the grid from one np.linalg.eigvals call and _ordered, no vectors.
 
-    With petermann, K comes from _adjugate_petermann and divergent also
-    marks a K beyond 1/DIVERGENT_OVERLAP_RTOL (or nan).
+    With petermann, K comes from _adjugate_petermann and divergent also marks
+    a K not below DIVERGENT_K; markovian_ref reads stack[:, :2, :2].
     """
     gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
-    stack = _drift_stack(drift_nonmarkovian, p, delta, gs)
+    stack = _drift_stack(p, delta, gs)
     _, lams, divergent = _ordered(np.linalg.eigvals(stack))
     if petermann:
         ks = _adjugate_petermann(stack, lams)
-        divergent = divergent | ~(ks * DIVERGENT_OVERLAP_RTOL < 1)
+        divergent = divergent | ~(ks < DIVERGENT_K)
     order = _continuity_order(lams)
     mk_hz = None
     if markovian_ref:
-        mk = np.linalg.eigvals(_drift_stack(drift_markovian, p, delta, gs))
-        mk = np.take_along_axis(mk, _mode_order(mk), axis=-1)
+        _, mk, _ = _ordered(np.linalg.eigvals(stack[:, :2, :2]))
         mk_hz = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
     return Sweep(
         coord_hz=rad_to_hz(gs),

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprenorm import config, embedcheck, load_config
+from eprenorm import cli, config, embedcheck, load_config
 from eprenorm.cli import MAX_GRID_POINTS, main
 from eprenorm.config import DEFAULT_VALUES_HZ
-from eprenorm.errors import ConfigError
+from eprenorm.errors import ConfigError, OrderCheckFailed
 from eprenorm.model import DriveParams, SystemParams, rad_to_hz
 
 
@@ -717,6 +717,47 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, ini, argv):
     err = capsys.readouterr().err
     assert "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eigs", "--g-min", "50", "--g-max", "40"], "--g-max must exceed --g-min"),
+        (["eigs", "--g-min", "50", "--g-max", "50"], "--g-max must exceed --g-min"),
+        (["petermann", "--g-min", "-1"], "--g-min must be non-negative"),
+        (["eigs", "--g-min", "abc"], "expected a finite number, got 'abc'"),
+        (["embedcheck", "--t-final", "-1"], "t_final must be positive"),
+        (["embedcheck", "--t-final", "0"], "t_final must be positive"),
+    ],
+    ids=["g_max_below_min", "g_max_at_min", "g_min_negative", "g_min_not_a_number", "t_final_negative", "t_final_zero"],
+)
+def test_cli_rejects_bad_grids_and_horizons(capsys, monkeypatch, argv, message):
+    """An empty or negative coupling grid, a float flag that is not a number and
+    a horizon that is not positive exit 1 naming the check, before anything
+    is propagated (the order check's own t_final test fires first)."""
+
+    def no_propagation(*args):
+        raise AssertionError("propagation started despite a bad input")
+
+    monkeypatch.setattr(embedcheck, "_order_endpoints", no_propagation)
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", no_propagation)
+    assert _exit_code(["--quiet", *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_failed_order_check_exits_3(capsys, monkeypatch):
+    """A double root that fails its certificate exits 3 with one check-failure line."""
+
+    def failing(p, sol):
+        raise OrderCheckFailed(1.0, 2.0, 3.0)
+
+    monkeypatch.setattr(cli, "certify_order_two", failing)
+    assert main(["ep"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("eprenorm: check failure: ") and err.count("\n") == 1
 
 
 def test_cli_embedcheck_step_bound(capsys, monkeypatch):

@@ -234,6 +234,31 @@ def test_exact_ep_evaluates_three_double_roots_at_defaults(params, monkeypatch):
     assert len(calls) == 3
 
 
+def test_exact_ep_halving_rescues_a_far_seed(monkeypatch):
+    """From the real seed -0.9 Omega_c the full Newton step raises the residual,
+    and the halving loop shortens it: the solve takes 23 double-root
+    evaluations and returns the default-seed solution exactly, which
+    certifies.  With no halvings allowed the same solve fails."""
+    p = draw_system(np.random.default_rng(1))
+    seed = complex(-0.9 * p.omega_c, 0.0)
+    ref = solve_exact_ep(p)
+    calls = []
+    double_root = epsolver._double_root
+
+    def counted(p, lam):
+        calls.append(lam)
+        return double_root(p, lam)
+
+    monkeypatch.setattr(epsolver, "_double_root", counted)
+    sol = solve_exact_ep(p, seed=seed)
+    assert len(calls) == 23
+    assert sol == ref
+    certify_order_two(p, sol)
+    monkeypatch.setattr(epsolver, "MAX_HALVINGS", 0)
+    with pytest.raises(NoConvergence):
+        solve_exact_ep(p, seed=seed)
+
+
 @pytest.mark.parametrize("where", ["pole", "zero"])
 def test_exact_ep_single_seed_fails(params, where):
     """Newton runs from the caller's seed alone, and no perturbed seed is tried

@@ -285,6 +285,32 @@ def test_sweep_rows_match_pointwise_eigensystem(params):
     assert flagged > 20  # rows near each EP are flagged, so the flag comparison has teeth
 
 
+def test_one_divergence_rule_governs_both_k_routes(params, monkeypatch):
+    """With DIVERGENT_K lowered to 50, the adjugate K of a sweep and the vector
+    K of eigensystem both flag a mode divergent exactly when it is defective
+    or its K is not below 50, on a 401-point grid through the exact EP."""
+    monkeypatch.setattr(spectral, "DIVERGENT_K", 50.0)
+    sol = solve_exact_ep(params)
+    gs = np.linspace(0.9, 1.1, 401) * sol.g_ep
+    pet = sweep_petermann(params, sol.delta_ep, gs)
+    defective = sweep_eigs(params, sol.delta_ep, gs).divergent
+    np.testing.assert_array_equal(pet.divergent, defective | ~(pet.petermann < 50.0))
+    assert (pet.divergent & ~defective).sum() > 10 and defective.any()  # both parts of the rule act
+    by_k = 0
+    for g in gs:
+        for mode in eigensystem(drift_nonmarkovian(params, DriveParams(delta=sol.delta_ep, g=g))):
+            assert mode.divergent == (mode.defective or not mode.petermann < 50.0)
+            by_k += mode.divergent and not mode.defective
+    assert by_k > 10
+
+
+def test_sweeps_reject_negative_coupling(params):
+    grid = hz_to_rad(np.array([-1e3, 50e3]))
+    for sweep in (sweep_eigs, sweep_petermann):
+        with pytest.raises(ValueError, match="coupling g must be non-negative"):
+            sweep(params, -params.omega_m, grid)
+
+
 def test_petermann_sweep_computes_no_eigenvectors(params, monkeypatch):
     """A default 401-point Petermann sweep takes K from eigenvalues alone."""
 
@@ -394,9 +420,9 @@ def test_continuity_order_matches_array_composition_on_sweeps(params):
         mk = markovian_ep(p)
         gs = np.linspace(0.8 * mk.g_ep, 1.2 * mk.g_ep, 401)
         for delta in (mk.delta_ep, solve_exact_ep(p).delta_ep):
-            lams = spectral._eigensystems(spectral._drift_stack(drift_nonmarkovian, p, delta, gs))[0]
-            two = np.linalg.eigvals(spectral._drift_stack(drift_markovian, p, delta, gs))
-            two = np.take_along_axis(two, spectral._mode_order(two), axis=-1)
+            lams = spectral._eigensystems(spectral._drift_stack(p, delta, gs))[0]
+            two_stack = np.array([drift_markovian(p, DriveParams(delta=delta, g=g)) for g in gs])
+            two = spectral._ordered(np.linalg.eigvals(two_stack))[1]
             for stack in (lams, two):
                 np.testing.assert_array_equal(spectral._continuity_order(stack), _continuity_reference(stack))
 
@@ -502,7 +528,7 @@ def test_adjugate_petermann_is_scale_invariant(params, scale):
     sol = solve_exact_ep(params)
     gs = np.linspace(0.0, 2.0, 401) * sol.g_ep
     assert gs[200] == sol.g_ep
-    stack = spectral._drift_stack(drift_nonmarkovian, params, sol.delta_ep, gs)
+    stack = spectral._drift_stack(params, sol.delta_ep, gs)
 
     def ks(arr):
         _, lams, _ = spectral._ordered(np.linalg.eigvals(arr))
@@ -593,8 +619,12 @@ def test_drift_builders_are_exactly_symmetric(params, drive):
         assert _is_symmetric(drift_markovian(p, d))
         assert _is_symmetric(drift_nonmarkovian(p, d))
         gs = np.linspace(0.0, 3.0 * d.g, 17)
-        for drift in (drift_markovian, drift_nonmarkovian):
-            assert _is_symmetric(spectral._drift_stack(drift, p, d.delta, gs))
+        stack = spectral._drift_stack(p, d.delta, gs)
+        two_stack = np.array([drift_markovian(p, DriveParams(delta=d.delta, g=g)) for g in gs])
+        for arr in (two_stack, stack):
+            assert _is_symmetric(arr)
+        # The sweep's memoryless reference reads the (a, b) block of the three-mode stack.
+        np.testing.assert_array_equal(stack[:, :2, :2], two_stack)
 
 
 def test_sweep_rejects_short_grid(params):
