@@ -10,7 +10,7 @@ coalescence frequency lambda, the drive coordinates follow algebraically as
 and lambda itself is fixed by requiring both to be real.  That reduces the
 search to two real unknowns (x, y) = (Re lambda, Im lambda) with residuals
 R1 = Im sqrt(g_sq) and R2 = Re[lambda + kappa/2 + g*h/(g^2+g_c^2)], solved
-by one damped Newton iteration seeded at the memoryless coalescence value.
+by one Newton iteration seeded at the memoryless coalescence value.
 Both bracketed expressions are holomorphic in lambda, so the Jacobian of
 (R1, R2) follows from their complex derivatives by Cauchy-Riemann.
 """
@@ -29,12 +29,11 @@ from .errors import (
     NonPhysicalEp,
     OrderCheckFailed,
 )
-from .model import DriveParams, SystemParams, rad_to_hz
+from .model import _RATE_RANGE, DriveParams, SystemParams, rad_to_hz
 
 # Newton controls for solve_exact_ep; STEP_RTOL is relative to |lambda|.
 STEP_RTOL = 1e-8
 MAX_ITER = 100
-MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -173,23 +172,27 @@ def _residual_norm(coords) -> float:
 def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     """Numerically exact exceptional point of the full three-mode cubic.
 
-    Damped Newton on (R1, R2) = (Im sqrt(g_sq), Re t) from the memoryless
-    coalescence value or the caller's seed; R1 = 0 only for real non-negative
-    g_sq, i.e. a real coupling.  With s = sqrt(g_sq) and s' = g_sq' / (2 s),
-    Cauchy-Riemann gives dR/dx = (Im s', Re t') and dR/dy = (Re s', -Im t').
-    A step within STEP_RTOL * |lambda| ends the iteration, so the coordinates
-    carry full double precision; it is kept only if it does not raise the
-    residual norm, so an exact seed stays exact.  The _double_root result at
-    the accepted lambda is the drive: delta = Re(-i t) and g = Re s.  Raises
-    NoConvergence if the iteration fails and, through _ep_drive, NonPhysicalEp
-    unless the double root has a real g > 0 and a real delta < 0.
+    Newton, every step taken in full, on (R1, R2) = (Im sqrt(g_sq), Re t)
+    from the memoryless coalescence value or the caller's seed; R1 = 0 only
+    for real non-negative g_sq, i.e. a real coupling.  With s = sqrt(g_sq),
+    s' = g_sq' / (2 s), Cauchy-Riemann gives dR/dx = (Im s', Re t') and
+    dR/dy = (Re s', -Im t').  A step within STEP_RTOL * |lambda| ends the
+    iteration, so the coordinates carry full double precision; it is kept
+    only if it does not raise the residual norm, so an exact seed stays exact.
+    The _double_root result at the accepted lambda is the drive: delta =
+    Re(-i t) and g = Re s.  Raises ValueError for a caller's seed that is not
+    finite or above the rate range in magnitude, NoConvergence if the
+    iteration fails and, through _ep_drive, NonPhysicalEp unless the double
+    root has a real g > 0 and a real delta < 0.
     """
     mk = markovian_ep(p)  # the kappa > gamma guard, seeded or not
-    seed = mk.lambda_ep if seed is None else seed
+    if seed is None:
+        seed = mk.lambda_ep  # unchecked: |mk.lambda_ep| > omega_m, past the range at its top
+    elif not (cmath.isfinite(seed) and abs(seed) <= _RATE_RANGE[1]):
+        raise ValueError(f"seed must be finite with |seed| <= {_RATE_RANGE[1]!r} rad/s, got {seed!r}")
     lam, coords = seed, _double_root(p, seed)
-    norm = _residual_norm(coords)
     for _ in range(MAX_ITER):
-        if coords is None:  # den vanishes at the seed; no later iterate is None
+        if coords is None:  # den vanishes at this iterate
             break
         g_sq, t, d_g_sq, dt = coords
         s = cmath.sqrt(g_sq)
@@ -201,24 +204,16 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
         if det == 0.0 or not math.isfinite(det):
             break
         step = complex(r1 * dt.imag + r2 * ds.real, r1 * dt.real - r2 * ds.imag) / det
+        trial = _double_root(p, lam + step)
         if abs(step) <= STEP_RTOL * abs(lam):
-            final = _double_root(p, lam + step)
-            if _residual_norm(final) <= norm:
-                lam, coords = lam + step, final
+            if _residual_norm(trial) <= _residual_norm(coords):
+                lam, coords = lam + step, trial
             g_sq, t = coords[:2]
             delta = (-1j * t).real
             g = cmath.sqrt(g_sq).real if g_sq.real > 0.0 else 0.0  # else sqrt(g_sq) is near-imaginary
             _ep_drive(delta, g)  # the physicality rule
             return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
-        for _ in range(MAX_HALVINGS + 1):
-            coords = _double_root(p, lam + step)
-            trial_norm = _residual_norm(coords)
-            if trial_norm < norm:
-                break
-            step /= 2.0
-        else:
-            break
-        lam, norm = lam + step, trial_norm
+        lam, coords = lam + step, trial
     raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
 
 

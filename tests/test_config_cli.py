@@ -371,6 +371,7 @@ _SMALL_COMMANDS = [
     command=st.sampled_from(_SMALL_COMMANDS),
 )
 @example(rates=(1e6, 4.5e6, 5e6, 1e6, 1e6, 5e4), red=True, command=["ep"])  # _OVERSHOOT_INI
+@example(rates=(1e30, 1e28, 1e29, 1e30, 1e30, 1e29), red=True, command=["ep"])  # |memoryless seed| > range
 def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
     """Rates across and beyond the rate range, 0, 5e-324 and 1e308 included:
     every subcommand exits 0, 1, 2 or 3 with nothing escaping main, no

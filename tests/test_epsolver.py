@@ -20,7 +20,7 @@ from eprenorm import (
     perturbative_ep,
     solve_exact_ep,
 )
-from eprenorm import epsolver
+from eprenorm import epsolver, model
 from eprenorm.charpoly import char_cubic, cubic_roots, factors
 from eprenorm.epsolver import EpSolution, _ep_drive, ep_candidates
 from eprenorm.errors import (
@@ -29,6 +29,7 @@ from eprenorm.errors import (
     NoMarkovianEp,
     NonPhysicalEp,
     OrderCheckFailed,
+    SolverFailure,
 )
 from eprenorm.model import TWO_PI, hz_to_rad
 
@@ -234,13 +235,16 @@ def test_exact_ep_evaluates_three_double_roots_at_defaults(params, monkeypatch):
     assert len(calls) == 3
 
 
-def test_exact_ep_halving_rescues_a_far_seed(monkeypatch):
-    """From the real seed -0.9 Omega_c the full Newton step raises the residual,
-    and the halving loop shortens it: the solve takes 23 double-root
-    evaluations and returns the default-seed solution exactly, which
-    certifies.  With no halvings allowed the same solve fails."""
+def _far_seed(p):
+    """A real seed at -0.9 Omega_c, far from the memoryless coalescence value."""
+    return complex(-0.9 * p.omega_c, 0.0)
+
+
+def test_exact_ep_newton_reaches_the_ep_from_a_far_seed(monkeypatch):
+    """From the real seed -0.9 Omega_c on device 1 every Newton step is taken in
+    full: the solve takes 6 double-root evaluations and returns the
+    default-seed solution exactly, which certifies."""
     p = draw_system(np.random.default_rng(1))
-    seed = complex(-0.9 * p.omega_c, 0.0)
     ref = solve_exact_ep(p)
     calls = []
     double_root = epsolver._double_root
@@ -250,13 +254,83 @@ def test_exact_ep_halving_rescues_a_far_seed(monkeypatch):
         return double_root(p, lam)
 
     monkeypatch.setattr(epsolver, "_double_root", counted)
-    sol = solve_exact_ep(p, seed=seed)
-    assert len(calls) == 23
+    sol = solve_exact_ep(p, seed=_far_seed(p))
+    assert len(calls) == 6
     assert sol == ref
     certify_order_two(p, sol)
-    monkeypatch.setattr(epsolver, "MAX_HALVINGS", 0)
+
+
+def test_exact_ep_far_seed_reaches_the_default_seed_ep_on_200_devices():
+    """Each of the 200 devices draw_system(default_rng(k)), k < 200, reaches its
+    default-seed lambda_ep from -0.9 Omega_c to 1e-12 relative."""
+    for k in range(200):
+        p = draw_system(np.random.default_rng(k))
+        ref = solve_exact_ep(p).lambda_ep
+        lam = solve_exact_ep(p, seed=_far_seed(p)).lambda_ep
+        assert abs(lam - ref) <= 1e-12 * abs(ref), k
+
+
+def test_exact_ep_iteration_cap_raises_no_convergence(monkeypatch):
+    """The far seed needs more than MAX_ITER = 2 Newton steps, so the
+    iteration stops at the cap with NoConvergence."""
+    p = draw_system(np.random.default_rng(1))
+    monkeypatch.setattr(epsolver, "MAX_ITER", 2)
     with pytest.raises(NoConvergence):
-        solve_exact_ep(p, seed=seed)
+        solve_exact_ep(p, seed=_far_seed(p))
+
+
+def test_exact_ep_keeps_the_iterate_when_the_final_step_meets_the_pole(params, monkeypatch):
+    """The final short step is kept only if its residual norm is no larger; one
+    that lands where den vanishes (norm inf) leaves the previous iterate, whose
+    coordinates still certify."""
+    calls = []
+    double_root = epsolver._double_root
+
+    def pole_at_third(p, lam):
+        calls.append(lam)
+        return None if len(calls) == 3 else double_root(p, lam)
+
+    monkeypatch.setattr(epsolver, "_double_root", pole_at_third)
+    sol = solve_exact_ep(params)
+    assert len(calls) == 3
+    assert sol.lambda_ep == calls[1]
+    certify_order_two(params, sol)
+
+
+@pytest.mark.parametrize("d_g_sq", [0j, complex(math.nan, 0.0)], ids=["zero", "nan"])
+def test_exact_ep_singular_jacobian_raises_no_convergence(params, monkeypatch, d_g_sq):
+    """A zero or non-finite Jacobian determinant ends the iteration as
+    NoConvergence, not as a division by zero or a nan iterate."""
+    monkeypatch.setattr(epsolver, "_double_root", lambda p, lam: (1 + 0j, lam, d_g_sq, 0j))
+    with pytest.raises(NoConvergence):
+        solve_exact_ep(params)
+
+
+@pytest.mark.parametrize("seed", [math.nan, complex(0.0, math.inf), -math.inf, 1e80, complex(-7e30, 0.0)])
+def test_exact_ep_rejects_a_seed_outside_the_rate_range(params, seed):
+    """A seed that is not finite or above the rate range (rad/s) in magnitude is
+    a ValueError at the boundary, not a solver failure or an OverflowError."""
+    with pytest.raises(ValueError, match="seed must be finite with"):
+        solve_exact_ep(params, seed=seed)
+
+
+def test_exact_ep_default_seed_past_the_rate_range_still_solves():
+    """At omega_m = 2 pi 1e30 rad/s, the top of the rate range, the memoryless
+    seed has |lambda| = sqrt(omega_m^2 + ((kappa+gamma)/4)^2) > omega_m: the
+    seed check is for a caller's seed only, so the default route solves."""
+    omega_m = hz_to_rad(1e30)
+    p = SystemParams(omega_m=omega_m, kappa=0.1 * omega_m, gamma=0.01 * omega_m, omega_c=omega_m)
+    assert abs(markovian_ep(p).lambda_ep) > model._RATE_RANGE[1]
+    certify_order_two(p, solve_exact_ep(p))
+
+
+@pytest.mark.parametrize("seed", [0.0, 1e-300, complex(-1e-30, 1e-30), complex(0.0, -model._RATE_RANGE[1])])
+def test_exact_ep_solves_from_zero_tiny_and_top_of_range_seeds(params, seed):
+    """A zero, a tiny and a top-of-range seed are accepted and reach the EP."""
+    ref = solve_exact_ep(params)
+    sol = solve_exact_ep(params, seed=seed)
+    assert abs(sol.lambda_ep - ref.lambda_ep) <= 1e-12 * abs(ref.lambda_ep)
+    certify_order_two(params, sol)
 
 
 @pytest.mark.parametrize("where", ["pole", "zero"])
@@ -363,6 +437,60 @@ def test_exact_ep_converges_and_certifies(kappa_rel, gamma_rel, cutoff_rel):
     kappa = kappa_rel * omega_m
     p = SystemParams(omega_m=omega_m, kappa=kappa, gamma=gamma_rel * kappa, omega_c=cutoff_rel * omega_m)
     certify_order_two(p, solve_exact_ep(p))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(
+    freq_hz=_log_uniform(1e-20, 1e29),
+    kappa_rel=_log_uniform(1e-3, 0.5),
+    gamma_rel=_log_uniform(1e-3, 0.5),
+    cutoff_rel=_log_uniform(0.1, 10.0),
+    seed_mag=_log_uniform(*model._RATE_RANGE).map(lambda x: min(x, model._RATE_RANGE[1])),
+    seed_arg=st.floats(-math.pi, math.pi),
+)
+def test_exact_ep_in_range_seeds_certify_or_fail(freq_hz, kappa_rel, gamma_rel, cutoff_rel, seed_mag, seed_arg):
+    """Resolved-sideband devices at any rate scale, seeded within the rate range
+    in magnitude at any angle: the solve returns an EP that certifies or raises
+    a SolverFailure, nothing else, and that failure is never NoConvergence.
+    (Far outside the regime, kappa >~ 100 omega_m, Newton can cycle.)"""
+    omega_m = hz_to_rad(freq_hz)
+    kappa = kappa_rel * omega_m
+    p = SystemParams(omega_m=omega_m, kappa=kappa, gamma=gamma_rel * kappa, omega_c=cutoff_rel * omega_m)
+    try:
+        sol = solve_exact_ep(p, seed=cmath.rect(seed_mag, seed_arg))
+    except SolverFailure as exc:
+        assert not isinstance(exc, NoConvergence), exc
+        return
+    certify_order_two(p, sol)
+
+
+# Strongly over-damped devices (kappa ~ 280 and ~ 950 omega_m), far outside the
+# resolved-sideband regime, where plain Newton from the memoryless seed settles
+# into a 4-cycle of iterates or reaches a different certified EP than a
+# residual-decreasing line search reached: -101.77 - 0.28i and -397.93 - 0.32i
+# in units of omega_m.
+_OVERDAMPED_CYCLE = dict(omega_m=299741523796.9112, kappa=85257765780723.0,
+                         gamma=3236379298285.6133, omega_c=23931825471875.227)
+_OVERDAMPED_OTHER_EP = dict(omega_m=3001157.0975662116, kappa=2858589053.316626,
+                            gamma=389652992.49638826, omega_c=838979970.3709348)
+
+
+def test_exact_ep_cycles_on_a_strongly_over_damped_device():
+    """This records today's behaviour: MAX_ITER full steps end in NoConvergence."""
+    with pytest.warns(UserWarning, match="resolved-sideband"):
+        p = SystemParams(**_OVERDAMPED_CYCLE)
+    with pytest.raises(NoConvergence):
+        solve_exact_ep(p)
+
+
+def test_exact_ep_reaches_another_certified_ep_on_a_strongly_over_damped_device():
+    """This records today's behaviour: the certified double root at
+    (-239.88 + 103.70i) omega_m, with g > 0 and delta < 0."""
+    with pytest.warns(UserWarning, match="resolved-sideband"):
+        p = SystemParams(**_OVERDAMPED_OTHER_EP)
+    sol = solve_exact_ep(p)
+    assert abs(sol.lambda_ep / p.omega_m - complex(-239.8823047528902, 103.69701112657485)) <= 1e-9
+    certify_order_two(p, sol)
 
 
 def test_certify_exact_passes(params):
