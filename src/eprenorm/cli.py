@@ -13,16 +13,20 @@ and maps errors to exit codes.
 All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
 timestamp honors SOURCE_DATE_EPOCH.  JSON is laid out exactly as
-json.dumps(doc, indent=2, sort_keys=True).  Each table cell is formatted
-once, as its ".12g" text: CSV prints that text, and JSON lays the same text
-out as json.dumps would print float(text).  No float is parsed back: a
-decimal of at most 15 significant digits round-trips exactly through a
-double, so repr(float(text)) has the text's own digits and only a few
-layout fixups remain (listed at _json_rows).  --quiet without --out builds
-no artifact.  main(argv) may be called repeatedly in one process; the
-parser is built on the first call and reused.  Exit codes: 0 success, 1
-invalid configuration, arguments, output path or SOURCE_DATE_EPOCH, or a
-warning raised as an error, 2 solver failure, 3 failed numerical check.
+json.dumps(doc, indent=2, sort_keys=True).  A table's cell texts come from
+one vectorized pass (_cell_texts).  A flag column, every cell +0.0 or 1.0,
+takes "0"/"1" ("0.0"/"1.0" in JSON) without formatting a float.  Every
+other cell is formatted once, as its ".12g" text: CSV prints that text, and
+JSON lays the same text out as json.dumps would print float(text).  No
+float is parsed back: a decimal of at most 15 significant digits
+round-trips exactly through a double, so repr(float(text)) has the text's
+own digits.  A cell with |x| >= 1e-4 and |x - rint(x)| > 1e-11 |x| is
+certified to be its own JSON text; only the others take the few layout
+fixups of _json_cell.  --quiet without --out builds no artifact.
+main(argv) may be called repeatedly in one process; the parser is built on
+the first call and reused.  Exit codes: 0 success, 1 invalid configuration,
+arguments, output path or SOURCE_DATE_EPOCH, or a warning raised as an
+error, 2 solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
@@ -99,41 +103,72 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
     }
 
 
+# The texts of a flag cell, +0.0 or 1.0, as CSV (format(x, ".12g")) and as JSON (_json_cell of that).
+_FLAG_TEXTS = {False: np.array(["0", "1"], dtype=object), True: np.array(["0.0", "1.0"], dtype=object)}
+
+
 def _json_cell(text: str) -> str:
-    """JSON form of a ".12g" text that is not plain fixed notation with a point."""
-    if "e" not in text:
-        # inf, -inf and nan end in f or n; anything else is a whole number.
-        return "null" if text[-1] in "fn" else text + ".0"
-    exponent = int(text[text.index("e") + 1 :])
-    if 12 <= exponent <= 15 or exponent < -307:
-        return repr(float(text))
-    return text
+    """JSON form of one ".12g" text: json.dumps(float(text)), laid out from the text.
 
-
-def _json_rows(cells, width: int) -> str:
-    """The "rows" value of an indent=2 document, from row-major ".12g" cell texts.
-
-    Each cell's JSON value is float(text), written as json.dumps writes it
-    (repr), or null if not finite.  A ".12g" text has at most 12
-    significant digits, and every decimal with at most 15 is recovered
-    exactly from its double, so repr(float(text)) has the digits of the
-    text itself and only the layout can differ.  The text is thus its own
-    JSON form, except that:
+    A ".12g" text has at most 12 significant digits, and every decimal with
+    at most 15 is recovered exactly from its double, so repr(float(text))
+    has the digits of the text itself and only the layout can differ.  The
+    text is thus its own JSON form, except that:
     - inf, -inf and nan become null;
     - a text with no point and no exponent gains ".0" (40 -> 40.0, -0 -> -0.0);
     - exponents 12 to 15 take repr(float(text)), because ".12g" switches
       to e-notation at 1e12 where repr waits until 1e16;
     - so do exponents below -307, where a double may be subnormal and
       carry fewer than 12 digits.
-    The common case, a text with a point and no exponent, is kept as is
-    after two substring tests; _json_cell handles the rest.
     """
-    if not cells:
-        return "[]"
-    texts = [t if "." in t and "e" not in t else _json_cell(t) for t in cells]
-    rows = map(",\n      ".join, zip(*[iter(texts)] * width))
-    body = "\n    ],\n    [\n      ".join(rows)
-    return f"[\n    [\n      {body}\n    ]\n  ]"
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1 :])
+        return repr(float(text)) if 12 <= exponent <= 15 or exponent < -307 else text
+    if "." in text:
+        return text
+    # inf, -inf and nan end in f or n; anything else is a whole number.
+    return "null" if text[-1] in "fn" else text + ".0"
+
+
+def _cell_texts(data, as_json: bool):
+    """Rows of the cell texts of a (rows, columns) table: ".12g" texts, or their JSON forms.
+
+    One vectorized pass per table, whose numpy calls do not grow with its width:
+    - a flag column, every cell +0.0 or 1.0, takes its texts from
+      _FLAG_TEXTS, without formatting a float;
+    - every other cell is printed once, as format(x, ".12g");
+    - in JSON, a cell with |x| >= 1e-4 and |x - rint(x)| > 1e-11 |x| is
+      certified: its text is already its JSON form, fixed notation with a
+      point.  ".12g" prints |x| >= 1e-4 in fixed notation up to 1e12, and
+      no |x| >= 5e10 passes the test, since |x - rint(x)| <= 0.5; and
+      ".12g" moves x by at most 0.5e-11 |x|, so a certified text is not a
+      whole number.  Only the other cells go through _json_cell.
+    """
+    table = np.asarray(data, dtype=float)
+    flags = ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all(axis=0)
+    values = table[:, ~flags].T  # column-major, so each column's texts are one slice
+    cells = list(map(format, values.ravel().tolist(), repeat(".12g")))
+    if as_json:
+        size = np.abs(values)
+        with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, which fails the test
+            certified = (size >= 1e-4) & (np.abs(values - np.rint(values)) > 1e-11 * size)
+        for i in np.flatnonzero(~certified).tolist():
+            cells[i] = _json_cell(cells[i])
+    formatted = zip(*[iter(cells)] * len(table))
+    flagged = iter(_FLAG_TEXTS[as_json][table[:, flags].T.astype(np.intp)].tolist())
+    return zip(*[next(flagged) if flag else next(formatted) for flag in flags.tolist()])
+
+
+def _json_rows(rows) -> str:
+    """The "rows" value of an indent=2 document, from rows of JSON cell texts (_cell_texts).
+
+    Each cell is json.dumps(float(t)) of its ".12g" text t, or null if not
+    finite: "0.0" or "1.0" in a flag column (every cell +0.0 or 1.0), t
+    itself when certified (|x| >= 1e-4 and |x - rint(x)| > 1e-11 |x|), and
+    _json_cell(t) otherwise.
+    """
+    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+    return f"[\n    [\n      {body}\n    ]\n  ]" if body else "[]"
 
 
 def _null_non_finite(value):
@@ -152,15 +187,17 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
     json.dumps(doc, indent=2, sort_keys=True) + "\\n", each non-finite float
-    null.  Each table cell is printed once as format(x, ".12g"); that one
-    text is the CSV cell, and _json_rows lays it out as the JSON value
-    float(text), null if not finite, without converting it back to a float.
+    null.  A table's cell texts come from _cell_texts: "0"/"1" ("0.0"/"1.0"
+    in JSON) in a flag column (+0.0 and 1.0 only), format(x, ".12g") in
+    every other, and in JSON _json_cell of that text unless the cell is
+    certified (|x| >= 1e-4 and |x - rint(x)| > 1e-11 |x|).  _json_rows lays
+    them out as the JSON values float(text), null if not finite, without
+    converting any text back to a float.
     """
     if args.quiet and not args.out:
         return
     if columns is not None:
-        flat = np.asarray(data, dtype=float).ravel().tolist()
-        cells = list(map(format, flat, repeat(".12g")))
+        rows = _cell_texts(data, args.json)
     if args.json:
         doc = _null_non_finite({"manifest": manifest, **(summary or {})})
         if columns is not None:
@@ -168,7 +205,7 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
                  for key, value in doc.items()}
         if columns is not None:
-            parts["rows"] = _json_rows(cells, len(columns))
+            parts["rows"] = _json_rows(rows)
         text = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
         text = f"{{\n{text}\n}}\n"
     else:
@@ -181,7 +218,7 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         ]
         if columns is not None:
             lines.append(",".join(columns))
-            lines += map(",".join, zip(*[iter(cells)] * len(columns)))
+            lines += map(",".join, rows)
         lines += footer
         text = "\n".join(lines) + "\n"
     if args.out:

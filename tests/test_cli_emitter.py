@@ -158,25 +158,104 @@ def _adversarial_cells():
     return values[: len(values) // 39 * 39]
 
 
+def _flag_and_near_integer_columns():
+    """Columns for the emitter's flag path and JSON certificate, by name.
+
+    Flag columns hold only +0.0 and 1.0; the "flag_with_*" columns are flags
+    but for row 0, so that they leave the flag path and their row-1 slice
+    does not.  The near-integer column holds n (1 + k 1e-12) for
+    |k| <= 20, which ".12g" prints as n for |k| < 5 and the JSON
+    certificate accepts for |k| > 10 (n = 1, 40 and 1e11), and the
+    neighbours a few ulps away of those n, of the certificate's bound 1e-4,
+    of 5e10 + 0.5 (its largest possible |x - rint(x)|) and of 1e12 - 0.5
+    (where ".12g" turns to e-notation), each with both signs.
+    """
+    near = []
+    for n in (1.0, 40.0, 1e11):
+        near += [n * (1.0 + k * 1e-12) for k in range(-20, 21)]
+    for n in (1.0, 40.0, 1e11, 1e-4, 5e10 + 0.5, 1e12 - 0.5):
+        near.append(n)
+        for toward in (0.0, math.inf):
+            step = n
+            for _ in range(3):
+                step = np.nextafter(step, toward)
+                near.append(step)
+    near = np.array(near + [-x for x in near])
+    rng = np.random.default_rng(26)
+    rows = len(near)
+    flag = rng.integers(0, 2, rows).astype(float)
+    flag[:2] = [0.0, 1.0]
+    columns = {
+        "flag": flag,
+        "zeros": np.zeros(rows),
+        "ones": np.ones(rows),
+        "near_integer": near,
+        "fractions": rng.uniform(-1e3, 1e3, rows),
+    }
+    for name, odd in (("negative_zero", -0.0), ("nan", math.nan), ("two", 2.0)):
+        columns[f"flag_with_{name}"] = np.concatenate([[odd], flag[1:]])
+    return columns
+
+
+def _flag_and_near_integer_tables(width):
+    """For each rotation of the columns: the width-wide table, its rows 0 and 1
+    as (1, width) tables, and the (0, width) table."""
+    columns = list(_flag_and_near_integer_columns().values())
+    for offset in range(len(columns)):
+        table = np.column_stack([columns[(offset + j) % len(columns)] for j in range(width)])
+        yield from (table, table[:1], table[1:2])
+    yield np.zeros((0, width))
+
+
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
 @pytest.mark.parametrize("width", [1, 3, 13])
 def test_emitter_adversarial_cells_match_reference(tmp_path, capsys, width, as_json):
     """JSON cells laid out from their ".12g" texts equal json.dumps of float()
-    of those texts, and CSV cells equal format(x, ".12g"), byte for byte."""
-    data = _adversarial_cells().reshape(-1, width)
+    of those texts, and CSV cells equal format(x, ".12g"), byte for byte, for
+    the adversarial cells and the flag and near-integer tables."""
     columns = [f"col_{j}" for j in range(width)]
-    text, reference = _emitted(tmp_path, capsys, None, as_json, columns, data, (), {})
-    assert text == reference
+    for data in [_adversarial_cells().reshape(-1, width), *_flag_and_near_integer_tables(width)]:
+        text, reference = _emitted(tmp_path, capsys, None, as_json, columns, data, (), {})
+        assert text == reference
+
+
+def test_flag_columns_skip_formatting_and_certified_cells_skip_fixups(monkeypatch):
+    """A flag column formats no float, and in JSON only the cells outside the
+    certificate (here the whole numbers) pass through _json_cell."""
+    rows = 50
+    rng = np.random.default_rng(27)
+    data = np.column_stack([
+        rng.integers(0, 2, rows).astype(float),
+        rng.uniform(1.0, 1e3, rows),
+        rng.integers(-1000, 1000, rows).astype(float),
+    ])
+    calls = {"format": 0, "json_cell": 0}
+    json_cell = cli._json_cell
+
+    def counting_format(value, spec):
+        calls["format"] += 1
+        return format(value, spec)
+
+    def counting_json_cell(text):
+        calls["json_cell"] += 1
+        return json_cell(text)
+
+    monkeypatch.setattr(cli, "format", counting_format, raising=False)
+    monkeypatch.setattr(cli, "_json_cell", counting_json_cell)
+    texts = list(cli._cell_texts(data, as_json=True))
+    assert calls == {"format": 2 * rows, "json_cell": rows}
+    assert [row[0] for row in texts] == ["1.0" if x else "0.0" for x in data[:, 0]]
 
 
 def test_quiet_without_out_builds_nothing(capsys, monkeypatch):
-    def no_rows(cells, width):
-        raise AssertionError("rows built for an artifact --quiet discards")
+    def no_cells(data, as_json):
+        raise AssertionError("cells formatted for an artifact --quiet discards")
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
-    monkeypatch.setattr(cli, "_json_rows", no_rows)
-    assert cli.main(["--quiet", "--json", "spectrum"]) == 0
-    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "_cell_texts", no_cells)
+    for fmt in (["--json"], []):
+        assert cli.main(["--quiet", *fmt, "spectrum", "--omega-points", "21"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

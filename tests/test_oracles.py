@@ -1,8 +1,10 @@
 """Oracles that share no code with the package: the exceptional point solved
 at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
 Petermann factor from a general dense eigendecomposition and, up the EP's
-peak, from 60-digit mpmath eigenvectors, and the EP's first-order memory
-shift by implicit differentiation in sympy.
+peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
+shift by implicit differentiation in sympy, the square-root and inverse
+laws of the hybrid gap and of K next to the EP, and the memoryless dip
+depth from the two-photon-resonance law of the cooperativity.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
@@ -21,7 +23,16 @@ import pytest
 import sympy as sp
 
 from draws import draw_drive, draw_system
-from eprenorm import SystemParams, eigensystem, perturbative_ep, solve_exact_ep, sweep_petermann
+from eprenorm import (
+    SystemParams,
+    cooperativity,
+    dip_metrics,
+    eigensystem,
+    markovian_ep,
+    perturbative_ep,
+    solve_exact_ep,
+    sweep_petermann,
+)
 from eprenorm.charpoly import char_cubic
 from eprenorm.model import hz_to_rad
 
@@ -350,3 +361,43 @@ def test_first_order_route_relative_error_tends_to_oracle_limit(params):
             gaps.append(abs(rel - limit(p.omega_m, p.kappa, p.omega_c)))
         assert gaps[1] <= LIMIT_TOL
         assert gaps[0] >= 30.0 * gaps[1]
+
+
+# Relative distances |g - g_ep| / g_ep of the order-two scaling test.
+EP_OFFSETS = 10.0 ** -np.arange(3.0, 7.0)
+EXPONENT_TOL = 0.01
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_hybrid_gap_and_petermann_scale_as_an_order_two_ep(seed, params):
+    """Along delta_ep, on either side of g_ep, the hybrid gap goes as
+    |g - g_ep|^(1/2) and the largest K as |g - g_ep|^-1 (Kato's Puiseux
+    series at an order-two EP; Berry 2003, Wiersig 2014): the log-log
+    slopes over four decades are 1/2 and -1 to EXPONENT_TOL.  The hybrids
+    are the two eigenvalues other than the one nearest -Omega_c."""
+    p = params if seed is None else draw_system(np.random.default_rng(1300 + seed))
+    sol = solve_exact_ep(p)
+    log_offset = np.log(EP_OFFSETS * sol.g_ep)
+    for side in (1.0, -1.0):
+        sweep = sweep_petermann(p, sol.delta_ep, sol.g_ep * (1.0 + side * EP_OFFSETS))
+        lams = hz_to_rad(sweep.lambdas_hz)
+        order = np.argsort(-np.abs(lams + p.omega_c), axis=1)  # the bath branch last
+        hybrids = np.take_along_axis(lams, order[:, :2], axis=1)
+        gap_slope = np.polyfit(log_offset, np.log(np.abs(hybrids[:, 0] - hybrids[:, 1])), 1)[0]
+        k_slope = np.polyfit(log_offset, np.log(sweep.petermann.max(axis=1)), 1)[0]
+        assert abs(gap_slope - 0.5) <= EXPONENT_TOL
+        assert abs(k_slope + 1.0) <= EXPONENT_TOL
+
+
+def test_memoryless_dip_depth_is_the_cooperativity_law(params):
+    """At two-photon resonance the memoryless reflection is (C - 1)/(C + 1)
+    (Weis et al. 2010), so the dip at the memoryless EP, where the curve is
+    symmetric about omega_m, has depth ((C - 1)/(C + 1))^2 with
+    C = 4 g^2 / (kappa gamma), to 1e-14 on the defaults and 20 devices."""
+    rng = np.random.default_rng(1400)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        drive = markovian_ep(p).drive
+        c = cooperativity(p, drive).c
+        assert c == pytest.approx(4.0 * drive.g**2 / (p.kappa * p.gamma), rel=1e-15)
+        depth = dip_metrics(p, drive, markovian=True).r_sq_min
+        assert abs(depth - ((c - 1.0) / (c + 1.0)) ** 2) <= 1e-14
