@@ -88,9 +88,9 @@ def char_cubic(p: SystemParams, d: DriveParams) -> CubicPoly:
 def cubic_roots(q: CubicPoly):
     """Roots of a monic cubic, sorted by imaginary then real part.
 
-    Uses companion-matrix eigenvalues (robust near double roots), then one
-    guarded Newton step per root: the step is kept only when it reduces
-    |q|, which protects double roots where q' nearly vanishes.
+    The tests' independent reference for char_cubic; no package route calls
+    it.  Companion-matrix eigenvalues, then one guarded Newton step per root,
+    kept only when it reduces |q| (which protects double roots).
     """
     companion = np.array(
         [

@@ -14,15 +14,8 @@ All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
 timestamp honors SOURCE_DATE_EPOCH.  JSON is laid out exactly as
 json.dumps(doc, indent=2, sort_keys=True).  A table's cell texts come from
-one vectorized pass (_cell_texts).  A flag column, every cell +0.0 or 1.0,
-takes "0"/"1" ("0.0"/"1.0" in JSON) without formatting a float.  Every
-other cell is formatted once, as its ".12g" text: CSV prints that text, and
-JSON lays the same text out as json.dumps would print float(text).  No
-float is parsed back: a decimal of at most 15 significant digits
-round-trips exactly through a double, so repr(float(text)) has the text's
-own digits.  A cell with |x| >= 1e-4 and |x - rint(x)| > 1e-11 |x| is
-certified to be its own JSON text; only the others take the few layout
-fixups of _json_cell.  --quiet without --out builds no artifact.
+one vectorized pass, _cell_texts, whose docstring states the cell rule.
+--quiet without --out builds no artifact.
 main(argv) may be called repeatedly in one process; the parser is built on
 the first call and reused.  Exit codes: 0 success, 1 invalid configuration,
 arguments, output path or SOURCE_DATE_EPOCH, or a warning raised as an
@@ -133,10 +126,13 @@ def _json_cell(text: str) -> str:
 def _cell_texts(data, as_json: bool):
     """Rows of the cell texts of a (rows, columns) table: ".12g" texts, or their JSON forms.
 
-    One vectorized pass per table, whose numpy calls do not grow with its width:
-    - a flag column, every cell +0.0 or 1.0, takes its texts from
-      _FLAG_TEXTS, without formatting a float;
-    - every other cell is printed once, as format(x, ".12g");
+    The package's one statement of the cell rule.  One vectorized pass per
+    table, whose numpy calls do not grow with its width:
+    - a flag column, every cell +0.0 or 1.0, takes "0"/"1" ("0.0"/"1.0" in
+      JSON) from _FLAG_TEXTS, without formatting a float;
+    - every other cell is printed once, as format(x, ".12g"), which CSV
+      prints and JSON lays out as json.dumps would print float(text); no
+      text is parsed back to a float;
     - in JSON, a cell with |x| >= 1e-4 and |x - rint(x)| > 1e-11 |x| is
       certified: its text is already its JSON form, fixed notation with a
       point.  ".12g" prints |x| >= 1e-4 in fixed notation up to 1e12, and
@@ -160,13 +156,7 @@ def _cell_texts(data, as_json: bool):
 
 
 def _json_rows(rows) -> str:
-    """The "rows" value of an indent=2 document, from rows of JSON cell texts (_cell_texts).
-
-    Each cell is json.dumps(float(t)) of its ".12g" text t, or null if not
-    finite: "0.0" or "1.0" in a flag column (every cell +0.0 or 1.0), t
-    itself when certified (|x| >= 1e-4 and |x - rint(x)| > 1e-11 |x|), and
-    _json_cell(t) otherwise.
-    """
+    """The "rows" value of an indent=2 document, from rows of JSON cell texts (see _cell_texts)."""
     body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
     return f"[\n    [\n      {body}\n    ]\n  ]" if body else "[]"
 
@@ -187,12 +177,8 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
     json.dumps(doc, indent=2, sort_keys=True) + "\\n", each non-finite float
-    null.  A table's cell texts come from _cell_texts: "0"/"1" ("0.0"/"1.0"
-    in JSON) in a flag column (+0.0 and 1.0 only), format(x, ".12g") in
-    every other, and in JSON _json_cell of that text unless the cell is
-    certified (|x| >= 1e-4 and |x - rint(x)| > 1e-11 |x|).  _json_rows lays
-    them out as the JSON values float(text), null if not finite, without
-    converting any text back to a float.
+    null.  A table's cell texts come from _cell_texts, which states the cell
+    rule, and _json_rows lays out the JSON ones.
     """
     if args.quiet and not args.out:
         return

@@ -21,7 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .charpoly import char_cubic, cubic_roots, factors, third_root_viete
+import numpy as np
+
+from .charpoly import char_cubic, factors, third_root_viete
 from .errors import (
     DegenerateDenominator,
     NoConvergence,
@@ -29,11 +31,13 @@ from .errors import (
     NonPhysicalEp,
     OrderCheckFailed,
 )
-from .model import _RATE_RANGE, DriveParams, SystemParams, rad_to_hz
+from .model import _RATE_RANGE, DriveParams, SystemParams, drift_nonmarkovian, rad_to_hz
 
 # Newton controls for solve_exact_ep; STEP_RTOL is relative to |lambda|.
 STEP_RTOL = 1e-8
 MAX_ITER = 100
+# certify_order_two's bound on |p| and |p'|, relative to |p''| s^2 and |p''| s.
+CERT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,20 +117,17 @@ def perturbative_ep(p: SystemParams) -> EpSolution:
 
     The coordinates are markovian_ep's, delta = -omega_m and
     g = (kappa - gamma)/4, with omega_m -> omega_eff and gamma -> gamma_eff,
-    which carries the leading corrections in gamma.  lambda_ep is taken as
-    the midpoint of the two closest roots of the full cubic at these
+    which carries the leading corrections in gamma.  lambda_ep is the
+    midpoint of the two closest eigenvalues of drift_nonmarkovian at these
     coordinates, so it is a double root only to first order in gamma.
     """
     markovian_ep(p)  # the kappa > gamma guard
     ren = mech_renorm(p)
     delta = -ren.omega_eff
     g = (p.kappa - ren.gamma_eff) / 4.0
-
-    q = char_cubic(p, _ep_drive(delta, g))
-    roots = cubic_roots(q)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    i, j = min(pairs, key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
-    lam = (roots[i] + roots[j]) / 2.0
+    lams = np.linalg.eigvals(drift_nonmarkovian(p, _ep_drive(delta, g))).tolist()
+    i, j = min(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(lams[ij[0]] - lams[ij[1]]))
+    lam = (lams[i] + lams[j]) / 2.0
     return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
 
 
@@ -217,14 +218,14 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     raise NoConvergence(f"Newton iteration failed from seed {seed!r}")
 
 
-def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> OrderCertificate:
+def certify_order_two(p: SystemParams, sol: EpSolution) -> OrderCertificate:
     """Certify that sol marks an order-two double root of the full cubic.
 
     The one place that evaluates |p|, |p'| and |p''| at an EP.  |p''| must
     clear the floor 1e-3 * s, with s = max(|lambda_ep|, omega_m), that
     separates order two from order three; |p| and |p'| are then compared
-    against rtol * |p''| * s^2 and rtol * |p''| * s, so the test is invariant
-    under rescaling all rates.
+    against CERT_RTOL * |p''| * s^2 and CERT_RTOL * |p''| * s, so the test is
+    invariant under rescaling all rates.
     """
     lam = sol.lambda_ep
     q = char_cubic(p, sol.drive)
@@ -232,8 +233,8 @@ def certify_order_two(p: SystemParams, sol: EpSolution, rtol: float = 1e-8) -> O
     s = max(abs(lam), p.omega_m)
     ok = (
         cert.ddp_mag > 1e-3 * s
-        and cert.p_mag <= rtol * cert.ddp_mag * s**2
-        and cert.dp_mag <= rtol * cert.ddp_mag * s
+        and cert.p_mag <= CERT_RTOL * cert.ddp_mag * s**2
+        and cert.dp_mag <= CERT_RTOL * cert.ddp_mag * s
     )
     if not ok:
         raise OrderCheckFailed(cert.p_mag, cert.dp_mag, cert.ddp_mag)

@@ -205,15 +205,14 @@ def dip_metrics(p: SystemParams, d: DriveParams, markovian: bool = False) -> Dip
     """Depth and location of the reflection dip near the mechanical resonance.
 
     Coarse scan over omega_m +/- 25*gamma followed by golden-section
-    refinement down to 1e-3*gamma; probe frequencies where the response
-    denominator vanishes are skipped as candidates.
+    refinement down to 1e-3*gamma (at gamma = 0 both collapse onto omega_m);
+    probe frequencies where the response denominator vanishes are skipped
+    as candidates.
     """
 
     def r_sq_at(omega: float) -> float:
         return _r_sq(p, d, np.array([omega], dtype=float), markovian).item()
 
-    if p.gamma == 0.0:
-        return DipMetrics(omega_min=p.omega_m, r_sq_min=r_sq_at(p.omega_m))
     grid = _dip_grid(p)
     values = _r_sq(p, d, grid, markovian)
     k = int(np.argmin(values))

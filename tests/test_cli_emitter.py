@@ -58,6 +58,16 @@ def _emitted(tmp_path, capsys, out_name, as_json, columns, data, footer, summary
     return text, _reference(manifest, columns, data, footer, summary, as_json)
 
 
+def _assert_same_text(text, reference):
+    """text == reference, failing with the first line that differs instead of
+    a diff of two whole artifacts, which pytest takes minutes to build."""
+    lines, want = text.splitlines(keepends=True), reference.splitlines(keepends=True)
+    if lines != want:
+        k = next((k for k, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), min(len(lines), len(want)))
+        pytest.fail(f"line {k + 1} of {len(lines)} (reference {len(want)}): "
+                    f"{lines[k:k + 1]!r} != {want[k:k + 1]!r}")
+
+
 TABLES = {
     "edge_values": np.array(EDGE_VALUES)[:, None] * np.array([1.0, -1.0, 1e-3]),
     "one_row": np.array([EDGE_VALUES]),
@@ -77,7 +87,7 @@ def test_emitter_table_matches_reference(tmp_path, capsys, name, out_name, as_js
     # "summary" sorts after "rows", "alpha" before everything else.
     summary = {"summary": {"b": math.pi, "a": {"x": 1e16}}, "alpha": [1, "rows", None]}
     text, reference = _emitted(tmp_path, capsys, out_name, as_json, columns, data, footer, summary)
-    assert text == reference
+    _assert_same_text(text, reference)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
@@ -85,7 +95,7 @@ def test_emitter_report_without_table(tmp_path, capsys, as_json):
     footer = ["residual_p = 1.0000000000000001e-30", "status = PASS"]
     summary = {"ep": {"residual_p": 1e-30, "exact_g_khz": 49.37501085439698, "status": "PASS"}}
     text, reference = _emitted(tmp_path, capsys, None, as_json, None, None, footer, summary)
-    assert text == reference
+    _assert_same_text(text, reference)
 
 
 def _strict_json(text):
@@ -112,7 +122,8 @@ def test_emitter_writes_non_finite_summary_values_as_null(tmp_path, capsys):
                                  "kernel_fourier_err": 1e-5, "status": "FAIL"}
     assert doc["ep"] == {"residual_p": None, "nested": {"x": None, "y": 2.0}}
     text, reference = _emitted(tmp_path, capsys, None, False, None, None, footer, summary)
-    assert text == reference and text.endswith("max_rel_err = nan\norder_estimate = inf\n")
+    _assert_same_text(text, reference)
+    assert text.endswith("max_rel_err = nan\norder_estimate = inf\n")
 
 
 def test_emitter_cells_are_twelve_digit_text(tmp_path, capsys):
@@ -216,7 +227,7 @@ def test_emitter_adversarial_cells_match_reference(tmp_path, capsys, width, as_j
     columns = [f"col_{j}" for j in range(width)]
     for data in [_adversarial_cells().reshape(-1, width), *_flag_and_near_integer_tables(width)]:
         text, reference = _emitted(tmp_path, capsys, None, as_json, columns, data, (), {})
-        assert text == reference
+        _assert_same_text(text, reference)
 
 
 def test_flag_columns_skip_formatting_and_certified_cells_skip_fixups(monkeypatch):

@@ -115,7 +115,7 @@ def test_mech_renorm_bounds_random():
         assert 0.0 < r.omega_eff < p.omega_m
 
 
-def test_perturbative_shift_values(params):
+def test_perturbative_shift_values(params, monkeypatch):
     base = markovian_ep(params)
     sol = perturbative_ep(params)
     # at Omega_c == omega_m the shifts reduce to gamma/4 and gamma/8
@@ -127,7 +127,8 @@ def test_perturbative_shift_values(params):
     rel = d_g / base.g_ep
     assert abs(rel - 1.0 / 78.0) < 2e-4
     # a double root of the full cubic to first order only: |p| small but nonzero
-    assert certify_order_two(params, sol, rtol=1e-2).p_mag > 0.0
+    monkeypatch.setattr(epsolver, "CERT_RTOL", 1e-2)
+    assert certify_order_two(params, sol).p_mag > 0.0
 
 
 def test_perturbative_shift_vanishes_without_memory(params):
@@ -143,6 +144,18 @@ def test_perturbative_lambda3_is_remaining_root(params):
     q = char_cubic(params, sol.drive)
     roots = cubic_roots(q)
     assert min(abs(r - sol.lambda_3) for r in roots) < 1e-6 * abs(sol.lambda_3)
+
+
+def test_perturbative_lambda_is_the_closest_root_pair_midpoint(params):
+    """lambda_ep, the midpoint of the two closest drift eigenvalues, is the
+    midpoint of the two closest roots of char_cubic (cubic_roots, the
+    companion-matrix reference) to 1e-12, on the defaults and 200 devices."""
+    rng = np.random.default_rng(2700)
+    for p in [params, *(draw_system(rng) for _ in range(200))]:
+        sol = perturbative_ep(p)
+        roots = cubic_roots(char_cubic(p, sol.drive))
+        i, j = min(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
+        assert abs(sol.lambda_ep - (roots[i] + roots[j]) / 2.0) <= 1e-12 * abs(sol.lambda_ep)
 
 
 def test_ep_candidates_memoryless_closed_form(params):
@@ -501,15 +514,17 @@ def test_certify_exact_passes(params):
     assert cert.dp_mag < cert.ddp_mag * params.omega_m
 
 
-def test_certify_perturbative_tolerance_dependence(params):
+def test_certify_perturbative_tolerance_dependence(params, monkeypatch):
     """First-order coordinates certify only at a loose tolerance."""
     sol = perturbative_ep(params)
+    assert epsolver.CERT_RTOL == 1e-8
     with pytest.raises(OrderCheckFailed) as info:
-        certify_order_two(params, sol, rtol=1e-8)
+        certify_order_two(params, sol)
     assert info.value.p_mag >= 0.0
     assert info.value.dp_mag > 0.0
     assert info.value.ddp_mag > 0.0
-    cert = certify_order_two(params, sol, rtol=1e-2)
+    monkeypatch.setattr(epsolver, "CERT_RTOL", 1e-2)
+    cert = certify_order_two(params, sol)
     assert cert.ddp_mag > 0.0
 
 

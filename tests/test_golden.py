@@ -23,11 +23,12 @@ are compared by the name of the column or key they belong to:
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from eprenorm import cli
+from eprenorm import charpoly, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SOURCE_DATE_EPOCH = "1756080000"
@@ -121,9 +122,7 @@ def _agrees(name, want, got, lam):
     return got == want or math.isclose(got, want, rel_tol=REL_TOL)
 
 
-@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
-@pytest.mark.parametrize("name", list(CASES))
-def test_artifact_matches_golden(capsys, monkeypatch, name, as_json):
+def _assert_matches_golden(capsys, monkeypatch, name, as_json):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", SOURCE_DATE_EPOCH)
     assert cli.main(["--json", *CASES[name]] if as_json else CASES[name]) == 0
     text = capsys.readouterr().out
@@ -143,3 +142,25 @@ def test_artifact_matches_golden(capsys, monkeypatch, name, as_json):
         lam = 2e3 * math.pi * math.hypot(values["lambda_ep_re_khz"], values["lambda_ep_im_khz"])
     bad = [(key, w, g) for (key, w), (_, g) in zip(want, got) if not _agrees(key, w, g, lam)]
     assert not bad, bad[:10]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_artifact_matches_golden(capsys, monkeypatch, name, as_json):
+    _assert_matches_golden(capsys, monkeypatch, name, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+def test_ep_matches_golden_without_the_companion_route(capsys, monkeypatch, as_json):
+    """No EP route calls charpoly.cubic_roots, the tests' reference for
+    char_cubic: ep still matches its golden with every package name bound
+    to it raising."""
+
+    def refuse(q):
+        raise AssertionError("an EP route called charpoly.cubic_roots")
+
+    original = charpoly.cubic_roots
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "eprenorm"]:
+        if getattr(module, "cubic_roots", None) is original:
+            monkeypatch.setattr(module, "cubic_roots", refuse)
+    _assert_matches_golden(capsys, monkeypatch, "ep", as_json)

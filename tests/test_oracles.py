@@ -3,8 +3,9 @@ at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
 Petermann factor from a general dense eigendecomposition and, up the EP's
 peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
 shift by implicit differentiation in sympy, the square-root and inverse
-laws of the hybrid gap and of K next to the EP, and the memoryless dip
-depth from the two-photon-resonance law of the cooperativity.
+laws of the hybrid gap and of K next to the EP, and the dip depths from the
+two-photon-resonance law of the cooperativity: exact for the memoryless
+dip, and to first order in kappa/omega_m for the dressed one.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
@@ -31,6 +32,7 @@ from eprenorm import (
     markovian_ep,
     perturbative_ep,
     solve_exact_ep,
+    spectrum,
     sweep_petermann,
 )
 from eprenorm.charpoly import char_cubic
@@ -401,3 +403,50 @@ def test_memoryless_dip_depth_is_the_cooperativity_law(params):
         assert c == pytest.approx(4.0 * drive.g**2 / (p.kappa * p.gamma), rel=1e-15)
         depth = dip_metrics(p, drive, markovian=True).r_sq_min
         assert abs(depth - ((c - 1.0) / (c + 1.0)) ** 2) <= 1e-14
+
+
+# Factors on kappa and gamma of the dressed-dip test, three decades; omega_m
+# and Omega_c stay fixed, so the scale is kappa/omega_m.
+DIP_SCALES = 10.0 ** -np.arange(1.0, 4.0)
+
+
+def _dressed_dip_gap(p):
+    """|r|^2 at the dressed dip of the exact EP minus ((C_eff - 1)/(C_eff + 1))^2.
+
+    The dip is dip_metrics' minimum refined on nested spectrum grids, each
+    1/20 the width of the last, to a step of about 1e-12 gamma: dip_metrics
+    stops at 1e-3 gamma, which leaves up to ~1e-7 in r_sq_min,
+    more than the gap at the smallest scale on some devices."""
+    drive = solve_exact_ep(p).drive
+    dip = dip_metrics(p, drive)
+    omega, half = dip.omega_min, 1e-2 * p.gamma
+    for _ in range(8):
+        grid = np.linspace(omega - half, omega + half, 101)
+        r_sq = spectrum(p, drive, grid).r_sq
+        omega, half = grid[np.argmin(r_sq)], half / 20.0
+    depth = r_sq.min()
+    assert -1e-15 <= dip.r_sq_min - depth <= 1e-6  # the same dip, within its search resolution
+    c = cooperativity(p, drive).c_eff
+    return depth - ((c - 1.0) / (c + 1.0)) ** 2
+
+
+def test_dressed_dip_depth_tends_to_the_renormalized_cooperativity_law(params):
+    """With kappa and gamma scaled by s, the dressed dip's depth at the exact
+    EP approaches ((C_eff - 1)/(C_eff + 1))^2 (C_eff from cooperativity)
+    linearly: the gap is a s + b s^2 + ..., so gap/s moves ten times less from
+    s = 1e-2 to 1e-3 than from 1e-1 to 1e-2, on the defaults and 20 devices
+    (ratios 0.096 - 0.101).  Where the s^2 term is at most 5 % of the gap at
+    s = 1e-1, the log-log slope of |gap| is 1.00 +/- 0.02: on the defaults and
+    17 of the 20 devices (0.994 - 1.003).  On the other 3 the first-order
+    coefficient is small, and on two of them the gap changes sign between
+    s = 1e-1 and 1e-2; the sign of a differs between devices."""
+    rng = np.random.default_rng(1400)
+    slopes = []
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        gaps = np.array([_dressed_dip_gap(dataclasses.replace(p, kappa=s * p.kappa, gamma=s * p.gamma))
+                         for s in DIP_SCALES])
+        first = gaps / DIP_SCALES
+        assert 0.09 <= abs(first[2] - first[1]) / abs(first[1] - first[0]) <= 0.11
+        if abs(first[0] / first[2] - 1.0) <= 0.05:
+            slopes.append(np.polyfit(np.log(DIP_SCALES), np.log(np.abs(gaps)), 1)[0])
+    assert len(slopes) >= 6 and np.all(np.abs(np.array(slopes) - 1.0) <= 0.02)

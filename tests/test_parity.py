@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from test_epsolver import _OVERDAMPED_CYCLE, _OVERDAMPED_OTHER_EP
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +22,24 @@ def _golden(name):
 
 def test_corpus_runs_the_golden_argv():
     assert parity.GOLDEN_ARGV == CASES
+
+
+def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
+    """Beside the 950 resolved-sideband and edge runs, the corpus runs ep, eigs
+    and petermann on the two over-damped devices that test_epsolver pins and
+    on at least 20 seeded over-damped draws, and the gamma_zero edge's
+    memoryless spectrum, each as CSV and as JSON."""
+    assert parity.OVERDAMPED_PINNED == {"cycle": _OVERDAMPED_CYCLE, "other_ep": _OVERDAMPED_OTHER_EP}
+    ids = [run["id"] for run in parity.build_corpus(str(tmp_path))]
+    assert len(ids) == len(set(ids))
+    devices = parity.overdamped_devices()
+    assert len(devices) >= 22 and {"cycle", "other_ep"} <= devices.keys()
+    assert all(30.0 <= kappa_hz / freq_hz <= 1e3 for freq_hz, kappa_hz, *_ in devices.values())
+    new = {f"overdamped-{name}-{command}-{fmt}" for name in devices for command in ("ep", "eigs", "petermann")
+           for fmt in ("csv", "json")}
+    new |= {f"edge-gamma_zero-spectrum-markovian-only-{fmt}" for fmt in ("csv", "json")}
+    assert new <= set(ids)
+    assert len(set(ids) - new) == 950
 
 
 @pytest.mark.parametrize("name", ["ep.csv", "ep.json", "eigs.csv", "eigs.json"])

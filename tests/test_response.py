@@ -229,10 +229,14 @@ def test_dip_metrics_narrow_line(params):
 
 
 def test_dip_metrics_memoryless_limit_degenerates(params):
+    """At gamma = 0 the dip window has zero width: in both models the search
+    returns omega_m and the spectrum's own |r|^2 there."""
     p0 = dataclasses.replace(params, gamma=0.0)
     d = DriveParams(delta=-params.omega_m, g=0.1 * params.kappa)
-    dip = dip_metrics(p0, d)
-    assert dip.omega_min == p0.omega_m
+    for markovian in (True, False):
+        dip = dip_metrics(p0, d, markovian=markovian)
+        assert dip.omega_min == p0.omega_m
+        assert dip.r_sq_min == spectrum(p0, d, [p0.omega_m], markovian=markovian).r_sq[0]
 
 
 def test_cooperativity_formulas(params):

@@ -15,7 +15,13 @@ the side's own directory written as <side> in them.  The corpus is:
   bench/workloads.py, with its static argv; the scan probe is centred on the
   device's first-order g_ep estimate, so no run depends on a side's output;
 - the five golden argv of tests/test_golden.py at the default configuration;
-- the same five argv on each edge config of EDGE_CONFIGS;
+- the same five argv on each edge config of EDGE_CONFIGS, and spectrum
+  --markovian-only on the gamma_zero edge, the one argv that reaches the
+  dip search at gamma = 0;
+- ep, eigs --delta-mode exact and petermann --delta-mode both on the
+  strongly over-damped devices of OVERDAMPED_PINNED and on OVERDAMPED_DRAWS
+  seeded draws over OVERDAMPED_RANGES, each g grid centred on the device's
+  memoryless g_ep;
 - every run once as CSV and once as JSON.
 
 The report gives the number of runs whose exit code, stdout and stderr are
@@ -35,6 +41,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -63,6 +70,32 @@ EDGE_CONFIGS = {
     "range_end": "[mechanics]\nfreq_hz = 1e-30\ngamma_hz = 0\n[cavity]\nkappa_hz = 1e-29\n"
     "[bath]\ncutoff_hz = 1e-30\n",
 }
+# Over-damped devices (kappa >> omega_m) in rad/s, as tests/test_epsolver.py pins
+# them (a test keeps the two equal): plain Newton cycles on the first, and on the
+# second reaches a different certified EP than a line-searched Newton did.
+OVERDAMPED_PINNED = {
+    "cycle": dict(omega_m=299741523796.9112, kappa=85257765780723.0,
+                  gamma=3236379298285.6133, omega_c=23931825471875.227),
+    "other_ep": dict(omega_m=3001157.0975662116, kappa=2858589053.316626,
+                     gamma=389652992.49638826, omega_c=838979970.3709348),
+}
+# Log-uniform ranges of the seeded over-damped draws: omega_m / 2 pi in Hz, and
+# kappa / omega_m, gamma / kappa and Omega_c / omega_m.
+OVERDAMPED_RANGES = {"freq_hz": (1.0, 1e6), "kappa": (30.0, 1e3), "gamma": (1e-6, 0.5), "omega_c": (1e-3, 1e3)}
+OVERDAMPED_DRAWS = 24
+OVERDAMPED_SEED = 12
+
+
+def overdamped_devices() -> dict:
+    """Name -> (freq_hz, kappa_hz, gamma_hz, cutoff_hz) of the over-damped block."""
+    devices = {name: tuple(dev[key] / (2.0 * math.pi) for key in ("omega_m", "kappa", "gamma", "omega_c"))
+               for name, dev in OVERDAMPED_PINNED.items()}
+    rng = random.Random(OVERDAMPED_SEED)
+    for k in range(OVERDAMPED_DRAWS):
+        ratio = {key: math.exp(rng.uniform(math.log(lo), math.log(hi))) for key, (lo, hi) in OVERDAMPED_RANGES.items()}
+        kappa_hz = ratio["kappa"] * ratio["freq_hz"]
+        devices[f"d{k:02d}"] = (ratio["freq_hz"], kappa_hz, ratio["gamma"] * kappa_hz, ratio["omega_c"] * ratio["freq_hz"])
+    return devices
 
 
 def build_corpus(directory: str) -> list:
@@ -95,6 +128,18 @@ def build_corpus(directory: str) -> list:
             fh.write(text)
         for name, argv in GOLDEN_ARGV.items():
             runs += both_formats(f"edge-{edge}-{name}", ["--config", path, *argv])
+    runs += both_formats("edge-gamma_zero-spectrum-markovian-only",
+                         ["--config", os.path.join(directory, "gamma_zero.ini"), *GOLDEN_ARGV["spectrum"],
+                          "--markovian-only"])
+    for name, (freq_hz, kappa_hz, gamma_hz, cutoff_hz) in overdamped_devices().items():
+        path = os.path.join(directory, f"overdamped-{name}.ini")
+        g_hz = (kappa_hz - gamma_hz) / 4.0
+        with open(path, "w") as fh:
+            fh.write(f"[mechanics]\nfreq_hz = {freq_hz!r}\ngamma_hz = {gamma_hz!r}\n[cavity]\nkappa_hz = {kappa_hz!r}\n"
+                     f"[bath]\ncutoff_hz = {cutoff_hz!r}\n[drive]\ndetuning_hz = {-freq_hz!r}\ncoupling_hz = {g_hz!r}\n")
+        window = ["--g-min", repr(0.8 * g_hz / 1e3), "--g-max", repr(1.2 * g_hz / 1e3), "--g-points", "41"]
+        for argv in (["ep"], ["eigs", "--delta-mode", "exact", *window], ["petermann", "--delta-mode", "both", *window]):
+            runs += both_formats(f"overdamped-{name}-{argv[0]}", ["--config", path, *argv])
     return runs
 
 
