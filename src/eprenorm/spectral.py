@@ -3,31 +3,34 @@ factors, and coupling/detuning sweeps.
 
 Every drift the package builds satisfies M = M^T (the couplings are -ig/-ig
 and -g_c/-g_c), so M^H = conj(M) and the left eigenvector of each mode is
-the conjugate of its right one.  Every eigenvalue comes from one batched
-LAPACK zgeev call on an (N, n, n) stack, n = 2 or 3, which balances and
-scales each matrix, and one ordering rule puts the modes of each row in
-(Im, Re) order.
+the conjugate of its right one.  One ordering rule puts the modes of each
+row in (Im, Re) order, and one closest-pair test flags defective modes.
 
-eigensystem asks zgeev for the right eigenvectors too (np.linalg.eig, on a
-batch of one).  Each right vector has unit norm and its largest-magnitude
-entry real and positive.  With L = conj(R) the Petermann factor of a mode is
+eigensystem takes the eigenvalues and right eigenvectors from LAPACK's zgeev
+(np.linalg.eig, on a batch of one), which balances and scales the matrix.
+Each right vector has unit norm and its largest-magnitude entry real and
+positive.  With L = conj(R) the Petermann factor of a mode is
 
     K = (<L|L> <R|R>) / |<L|R>|^2 = <R|R>^2 / |R^T R|^2
 
 (Siegman, PRA 39, 1253 (1989); Berry, J. Mod. Opt. 50, 63 (2003)), which
 is unity for a normal mode and diverges at an exceptional point.
 
-A sweep computes no vectors: np.linalg.eigvals (the same zgeev, which gives
-the same eigenvalues) runs once over its whole coupling grid.  A Petermann
-sweep takes K from those eigenvalues through the spectral projector of a
-simple eigenvalue, P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation
-Theory for Linear Operators, 1966):
+A sweep computes no vectors and calls no LAPACK: _closed_eigvals solves
+every row of its (N, 3, 3) drift stack in one batched pass (Cardano's
+roots, the closest pair solved again from its midpoint, one Newton step),
+and the memoryless (N, 2, 2)
+block in another (the quadratic formula).  A Petermann sweep takes K from
+the same pass, through the spectral projector of a simple eigenvalue,
+P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation Theory for Linear
+Operators, 1966), with p'(lam_k) = prod_{j != k} (lam_k - lam_j):
 
-    K_k = ||P_k||_F^2 = ||adj(lam_k - M)||_F^2 / prod_{j != k} |lam_k - lam_j|^2.
+    K_k = ||P_k||_F^2 = ||adj(lam_k - M)||_F^2 / |p'(lam_k)|^2,
 
-The two K routes share nothing after zgeev, so each checks the other; both
-flag a mode divergent when defective or K is not below DIVERGENT_K (nan too).
-The memoryless reference is the (a, b) block of the same stack (drift_markovian).
+read off the diagonal cofactors of lam_k - M.  The two eigensolvers and the
+two K routes share no code, so each checks the other; both flag a mode
+divergent when defective or K is not below DIVERGENT_K (nan too).  The
+memoryless reference is the (a, b) block of the same stack (drift_markovian).
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ _COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, 
 _PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
 # _PAIR_MODES[n][q, m]: mode m is one of the two modes of pair q of _PAIRS[n].
 _PAIR_MODES = {n: (np.arange(n) == i[:, None]) | (np.arange(n) == j[:, None]) for n, (i, j) in _PAIRS.items()}
+# _FAR[q]: the mode outside pair q of _PAIRS[3].
+_FAR = 3 - _PAIRS[3][0] - _PAIRS[3][1]
+# The three branches of Cardano's cube root, and the two signs of the quadratic formula.
+_CUBE_ROOTS = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+_SIGNS = np.array([1.0, -1.0])
+# _PREVIOUS[n][i]: the mode before mode i in a sorted row (mode 0 is its own).
+_PREVIOUS = {n: np.array([max(i - 1, 0) for i in range(n)]) for n in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -81,9 +91,9 @@ class Sweep:
     an eigenvalue-only sweep (sweep_eigs), whose divergent is the defective
     flag; markovian_hz (N, 2) holds the memoryless two-mode eigenvalues, or
     is None when not asked for.  Frequencies are in Hz (cycles), converted
-    once from rad/s.  A Petermann sweep takes K from the eigenvalues alone
-    (_adjugate_petermann); its divergent marks a defective mode or a K at
-    or beyond 1e30, as eigensystem's does.
+    once from rad/s.  A Petermann sweep takes K from the cofactors of the
+    closed-form eigenvalue pass (_closed_eigvals); its divergent marks a
+    defective mode or a K at or beyond 1e30, as eigensystem's does.
     Iterating yields one named-tuple row per grid point with these fields.
     Continuity does not define branch labels at a coalescence, so past an
     EP two branches' labels can swap on a last-bit change of the inputs.
@@ -101,12 +111,12 @@ class Sweep:
 
 def _mode_order(lams: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Per-row mode indices ordering lams (N, n) by (Im, Re), Im within IMAG_TIE_RTOL * scale (N,) tied."""
+    rows = np.arange(len(lams))[:, None]
     by_imag = np.argsort(lams.imag, axis=-1)
-    imag = np.take_along_axis(lams.imag, by_imag, axis=-1)
-    tol = IMAG_TIE_RTOL * scale[:, None]
-    tier = np.cumsum(np.diff(imag, axis=-1, prepend=imag[:, :1]) > tol, axis=-1)
-    real = np.take_along_axis(lams.real, by_imag, axis=-1)
-    return np.take_along_axis(by_imag, np.lexsort((real, tier), axis=-1), axis=-1)
+    imag = lams.imag[rows, by_imag]
+    # Each sorted Im minus the one before it (0 for the first) opens a new tier when above the tolerance.
+    tier = np.cumsum(imag - imag[:, _PREVIOUS[lams.shape[-1]]] > IMAG_TIE_RTOL * scale[:, None], axis=-1)
+    return by_imag[rows, np.lexsort((lams.real[rows, by_imag], tier), axis=-1)]
 
 
 def _petermann_values(right: np.ndarray) -> np.ndarray:
@@ -117,22 +127,24 @@ def _petermann_values(right: np.ndarray) -> np.ndarray:
         return np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
 
 
+def _defective(lams: np.ndarray) -> np.ndarray:
+    """Per-mode flags (N, n): the closest pair of eigenvalues in a row, where its
+    gap is below DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence."""
+    iu, ju = _PAIRS[lams.shape[-1]]
+    gaps = np.abs(lams[:, iu] - lams[:, ju])
+    near = gaps.min(axis=-1) < DEGENERACY_RTOL * np.abs(lams).max(axis=-1)
+    return _PAIR_MODES[lams.shape[-1]][gaps.argmin(axis=-1)] & near[:, None]
+
+
 def _ordered(lams: np.ndarray):
     """Row ordering of eigenvalues lams (N, n): (order, ordered lams, defective).
 
-    order puts the modes of each row in _mode_order.  The closest pair of
-    eigenvalues in a row is flagged defective when its gap is below
-    DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence; the
-    test reads eigenvalues only, so an eigvals sweep gets it too.
+    order puts the modes of each row in _mode_order; defective is _defective
+    of the ordered rows.
     """
-    scale = np.abs(lams).max(axis=-1)
-    order = _mode_order(lams, scale)
+    order = _mode_order(lams, np.abs(lams).max(axis=-1))
     lams = np.take_along_axis(lams, order, axis=-1)
-    iu, ju = _PAIRS[lams.shape[-1]]
-    gaps = np.abs(lams[:, iu] - lams[:, ju])
-    closest = gaps.argmin(axis=-1)
-    near = (scale > 0) & (gaps[np.arange(len(gaps)), closest] < DEGENERACY_RTOL * scale)
-    return order, lams, _PAIR_MODES[lams.shape[-1]][closest] & near[:, None]
+    return order, lams, _defective(lams)
 
 
 def _eigensystems(arr: np.ndarray):
@@ -201,6 +213,14 @@ def _drift_stack(p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
     return m0 + gs[:, None, None] * dm
 
 
+def _branch_order(lams: np.ndarray):
+    """Index (rows, modes) that takes raw eigenvalue rows lams (N, n) to
+    _mode_order and then continues each branch along the grid (_continuity_order)."""
+    rows = np.arange(len(lams))[:, None]
+    order = _mode_order(lams, np.abs(lams).max(axis=-1))
+    return rows, order[rows, _continuity_order(lams[rows, order])]
+
+
 def _continuity_order(lams: np.ndarray) -> np.ndarray:
     """Per-row mode indices that continue each branch from the row before.
 
@@ -216,57 +236,120 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     return perms[list(accumulate(steps, lambda order, step: compose[order][step], initial=0))]
 
 
-def _adjugate_petermann(stack: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Petermann factors (N, 3) of the symmetric 3x3 stack (N, 3, 3) from its eigenvalues lams (N, 3).
+def _charpoly(lam, m00, m11, m22, s01, s02, s12, triple):
+    """(det(lam - M), its three diagonal cofactors) for symmetric 3x3 rows of M, in cofactor form.
 
-    K_k = ||adj(lam_k - M)||_F^2 / prod_{j != k} |lam_k - lam_j|^2, and inf
-    where the gap product is 0.  Each row is first divided by its max|lam|:
-    K does not change, and the cofactor products stay in range whatever the
-    scale of M.
-    adj(lam - M) is symmetric, so its six distinct cofactors suffice, each
-    off-diagonal one counted twice.
+    Each entry argument is an (N, 1) column: the diagonal m_ii, the squared
+    off-diagonal entries s_ij = m_ij^2 and triple = -2 m01 m02 m12.  The
+    cofactors sum to d det / d lam.
     """
-    scale = np.abs(lams).max(axis=-1)
-    scale = np.where(scale > 0, scale, 1.0)
-    m = stack / scale[:, None, None]
-    lam = lams / scale[:, None]
-    d0, d1, d2 = (lam - m[:, i, i, None] for i in range(3))
-    a01, a02, a12 = (-m[:, i, j, None] for i, j in ((0, 1), (0, 2), (1, 2)))
-    diag = (d1 * d2 - a12 * a12, d0 * d2 - a02 * a02, d0 * d1 - a01 * a01)
-    off = (a02 * a12 - a01 * d2, a01 * a12 - a02 * d1, a01 * a02 - a12 * d0)
-    num = sum(np.abs(c) ** 2 for c in diag) + 2.0 * sum(np.abs(c) ** 2 for c in off)
-    g01, g02, g12 = (np.abs(lam[:, i] - lam[:, j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
-    den = np.stack([g01 * g02, g01 * g12, g02 * g12], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0.0, np.inf, num / den)
+    d0, d1, d2 = lam - m00, lam - m11, lam - m22
+    c0, c1, c2 = d1 * d2 - s12, d0 * d2 - s02, d0 * d1 - s01
+    return d0 * c0 - d1 * s02 - d2 * s01 + triple, (c0, c1, c2)
+
+
+def _closed_eigvals(stack: np.ndarray):
+    """Eigenvalues (N, n) of a symmetric stack (N, n, n), n = 2 or 3, in closed form: (lams, ks, defective).
+
+    Each row is first scaled by a power of two taken from the largest real or
+    imaginary part of its entries, which is exact and keeps every product in
+    range (ldexp, so an entry near 1.7e308 rad/s needs no 2**1024).  n = 2 is
+    the quadratic formula, and ks and defective are None.
+
+    n = 3 starts from Cardano's roots of the depressed cubic, with the
+    larger-magnitude branch of w^3.  The start x outside the closest pair is
+    kept; the pair lam_1, lam_2 is solved again from the midpoint c of its
+    starts, where, with u = c - lam_1, v = c - lam_2 and y = c - x,
+
+        p(c) = u v y,    p'(c) = u v + (u + v) y,
+
+    p = det(lam - M) in cofactor form (_charpoly), and lam_1,2 = c - (u + v)/2
+    -+ sqrt((u + v)^2/4 - u v).  This loses no digits to
+    the row scale: a pair far smaller than x (a fast bath's hybrid modes)
+    keeps its own relative accuracy, and a defective pair's midpoint is
+    exact to rounding, where Cardano's start is off by sqrt(eps) of the
+    scale.  defective is _defective of these roots.  Every root outside a
+    defective pair then takes one Newton step on p from its accurate start;
+    a defective pair takes none, as a Newton step from a double root moves
+    it by noise.
+
+    ks are the Petermann factors from the diagonal cofactors at the roots
+    before that step.  adj(lam_k - M) of a simple eigenvalue is the
+    symmetric rank-one z z^T with z an eigenvector, so ||adj||_F =
+    sum_i |adj_ii|, and sum_i adj_ii = p'(lam_k):
+
+        K_k = ||adj(lam_k - M)||_F^2 / |p'(lam_k)|^2 = (sum_i |adj_ii|)^2 / |sum_i adj_ii|^2,
+
+    which is at least 1 and inf where p'(lam_k) is 0.  No division by zero
+    or invalid operation happens on finite input, so no np.errstate is set.
+    """
+    _, exponent = np.frexp(np.abs(stack.view(float)).max(axis=(-2, -1)))
+    m = np.ldexp(stack.view(float), -exponent[:, None, None]).view(complex)
+    if stack.shape[-1] == 2:
+        a, b, c = m[:, 0, 0, None], m[:, 1, 1, None], m[:, 0, 1, None]
+        lams = (a + b) / 2.0 + np.sqrt(((a - b) / 2.0) ** 2 + c * c) * _SIGNS
+        return np.ldexp(lams.view(float), exponent[:, None]).view(complex), None, None
+    m00, m11, m22 = m[:, 0, 0, None], m[:, 1, 1, None], m[:, 2, 2, None]
+    m01, m02, m12 = m[:, 0, 1, None], m[:, 0, 2, None], m[:, 1, 2, None]
+    entries = (m00, m11, m22, m01 * m01, m02 * m02, m12 * m12, -2.0 * m01 * m02 * m12)
+    # t = lam - mean solves t^3 + p t + q = 0, with q = det(mean - M) and p its lam-derivative there.
+    mean = (m00 + m11 + m22) / 3.0
+    q, (c0, c1, c2) = _charpoly(mean, *entries)
+    p = c0 + c1 + c2
+    s = np.sqrt(q * q / 4.0 + p * p * p / 27.0)
+    w = (np.where((q.conj() * s).real > 0.0, -s, s) - q / 2.0) ** (1.0 / 3.0) * _CUBE_ROOTS
+    starts = w - p / (3.0 * np.where(w == 0.0, 1.0, w)) + mean  # w = 0 only where p = q = 0
+    iu, ju = _PAIRS[3]
+    rows = np.arange(len(stack))
+    closest = np.abs(starts[:, iu] - starts[:, ju]).argmin(axis=-1)
+    x = starts[rows, _FAR[closest], None]
+    c = (starts[rows, iu[closest], None] + starts[rows, ju[closest], None]) / 2.0
+    pc, (c0, c1, c2) = _charpoly(c, *entries)
+    y = c - x
+    y = np.where(y == 0.0, 1.0, y)  # a triple root: p(c) = p'(c) = 0 whatever y is
+    uv = pc / y
+    half = (c0 + c1 + c2 - uv) / (2.0 * y)  # (u + v) / 2
+    lams = np.concatenate([x, c - half + np.sqrt(half * half - uv) * _SIGNS], axis=-1)
+    defective = _defective(lams)
+    det, (c0, c1, c2) = _charpoly(lams, *entries)
+    slope = c0 + c1 + c2
+    simple = slope != 0.0
+    ks = np.divide(np.abs(c0) + np.abs(c1) + np.abs(c2), np.abs(slope), out=np.full(slope.shape, np.inf), where=simple)
+    lams -= np.divide(det, slope, out=np.zeros_like(det), where=simple & ~defective)
+    ks *= ks
+    return np.ldexp(lams.view(float), exponent[:, None]).view(complex), ks, defective
 
 
 def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, petermann: bool) -> Sweep:
-    """One sweep over the grid from one np.linalg.eigvals call and _ordered, no vectors.
+    """One sweep over the grid from _closed_eigvals, no vectors and no LAPACK.
 
-    With petermann, K comes from _adjugate_petermann and divergent also marks
-    a K not below DIVERGENT_K; markovian_ref reads stack[:, :2, :2].
+    Each row's modes are put in _mode_order and then continued along the grid
+    (_continuity_order).  With petermann, divergent also marks a K not below
+    DIVERGENT_K; markovian_ref reads stack[:, :2, :2].
     """
     gs = np.asarray(g_grid, dtype=float).ravel()
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
+    finite = np.isfinite(gs)
+    if not finite.all():
+        bad = int(finite.argmin())
+        raise ValueError(f"coupling g must be finite: grid point {bad} is {float(gs[bad])!r} rad/s")
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
     stack = _drift_stack(p, delta, gs)
-    _, lams, divergent = _ordered(np.linalg.eigvals(stack))
+    lams, ks, divergent = _closed_eigvals(stack)
     if petermann:
-        ks = _adjugate_petermann(stack, lams)
         divergent = divergent | ~(ks < DIVERGENT_K)
-    order = _continuity_order(lams)
+    order = _branch_order(lams)
     mk_hz = None
     if markovian_ref:
-        _, mk, _ = _ordered(np.linalg.eigvals(stack[:, :2, :2]))
-        mk_hz = rad_to_hz(np.take_along_axis(mk, _continuity_order(mk), axis=-1))
+        mk, _, _ = _closed_eigvals(stack[:, :2, :2])
+        mk_hz = rad_to_hz(mk[_branch_order(mk)])
     return Sweep(
         coord_hz=rad_to_hz(gs),
-        lambdas_hz=rad_to_hz(np.take_along_axis(lams, order, axis=-1)),
-        petermann=np.take_along_axis(ks, order, axis=-1) if petermann else None,
-        divergent=np.take_along_axis(divergent, order, axis=-1),
+        lambdas_hz=rad_to_hz(lams[order]),
+        petermann=ks[order] if petermann else None,
+        divergent=divergent[order],
         markovian_hz=mk_hz,
     )
 
@@ -275,7 +358,7 @@ def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = Fals
     """Eigenvalue branches vs coupling at fixed detuning, continuity-matched.
 
     Eigenvalues only: petermann is None and divergent is the defective
-    (coalescence) flag of _ordered.  With markovian_ref, the Sweep also
+    (coalescence) flag of _defective.  With markovian_ref, the Sweep also
     carries the two eigenvalues of the memoryless two-mode block at each grid
     point, for side-by-side comparison.
     """

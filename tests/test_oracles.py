@@ -3,12 +3,16 @@ at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
 Petermann factor from a general dense eigendecomposition and, up the EP's
 peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
 shift by implicit differentiation in sympy, the square-root and inverse
-laws of the hybrid gap and of K next to the EP, and the dip depths from the
-two-photon-resonance law of the cooperativity: exact for the memoryless
-dip, and to first order in kappa/omega_m for the dressed one.
+laws of the hybrid gap and of K next to the EP, the law K = C / gamma at
+the memoryless calibration with C from the same implicit differentiation,
+the dip depths from the two-photon-resonance law of the cooperativity:
+exact for the memoryless dip, and to first order in kappa/omega_m for the
+dressed one, and the sweeps' closed-form eigenvalues against 50-digit
+mpmath ones of the same double matrices.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
-basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
+basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2), except the last,
+which takes the package's drift stacks as its input:
 
     M = [[i delta - kappa/2,  -i g,                      0       ],
          [-i g,               -(i omega_m + gamma/2),    -g_c    ],
@@ -17,6 +21,7 @@ basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2):
 
 import dataclasses
 import functools
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -35,8 +40,10 @@ from eprenorm import (
     spectrum,
     sweep_petermann,
 )
+from eprenorm import spectral
 from eprenorm.charpoly import char_cubic
 from eprenorm.model import hz_to_rad
+from test_parity import parity
 
 ORACLE_DPS = 40
 DRAW_SEEDS = range(6)
@@ -253,6 +260,30 @@ def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
 
 
 @functools.cache
+def _gamma_zero_ep():
+    """The symbols (omega_m, kappa, omega_c, gamma, delta, g, lam), the drift
+    matrix m, p(lam) = det(lam I - m) and the substitution at0 that puts the
+    system at its EP at gamma = 0 (so g_c^2 = gamma Omega_c / 2 = 0):
+    lam0 = -kappa/4 - i omega_m, delta0 = -omega_m, g0 = kappa/4."""
+    omega_m, kappa, omega_c = sp.symbols("omega_m kappa omega_c", positive=True)
+    gamma = sp.symbols("gamma", nonnegative=True)
+    delta, g = sp.symbols("delta g", real=True)
+    lam = sp.symbols("lam")
+    i = sp.I
+    g_c = sp.sqrt(gamma * omega_c / 2)
+    m = sp.Matrix(
+        [
+            [i * delta - kappa / 2, -i * g, 0],
+            [-i * g, -(i * omega_m + gamma / 2), -g_c],
+            [0, -g_c, -omega_c],
+        ]
+    )
+    p = sp.expand((lam * sp.eye(3) - m).det())
+    at0 = {gamma: 0, lam: -kappa / 4 - i * omega_m, delta: -omega_m, g: kappa / 4}
+    return (omega_m, kappa, omega_c, gamma, delta, g, lam), m, p, at0
+
+
+@functools.cache
 def _memory_shift_oracle():
     """Closed forms in (omega_m, kappa, omega_c), as float functions, of the
     exact EP's slopes at gamma = 0, (d delta_ep, d g_ep, d lambda_ep) / d gamma,
@@ -271,22 +302,9 @@ def _memory_shift_oracle():
     pole, so its detuning slope is d Im Sigma(-i omega_m) / d gamma, while
     delta_mk = -omega_m does not move.
     """
-    omega_m, kappa, omega_c = sp.symbols("omega_m kappa omega_c", positive=True)
-    gamma = sp.symbols("gamma", nonnegative=True)
-    delta, g = sp.symbols("delta g", real=True)
-    lam = sp.symbols("lam")
+    (omega_m, kappa, omega_c, gamma, delta, g, lam), _, p, at0 = _gamma_zero_ep()
     i = sp.I
-    g_c = sp.sqrt(gamma * omega_c / 2)
-    m = sp.Matrix(
-        [
-            [i * delta - kappa / 2, -i * g, 0],
-            [-i * g, -(i * omega_m + gamma / 2), -g_c],
-            [0, -g_c, -omega_c],
-        ]
-    )
-    p = sp.expand((lam * sp.eye(3) - m).det())
     p_lam = sp.diff(p, lam)
-    at0 = {gamma: 0, lam: -kappa / 4 - i * omega_m, delta: -omega_m, g: kappa / 4}
     assert sp.simplify(p.subs(at0)) == 0 and sp.simplify(p_lam.subs(at0)) == 0
 
     def d0(expr, var):
@@ -391,6 +409,68 @@ def test_hybrid_gap_and_petermann_scale_as_an_order_two_ep(seed, params):
         assert abs(k_slope + 1.0) <= EXPONENT_TOL
 
 
+@functools.cache
+def _petermann_law_oracle():
+    """C(omega_m, kappa, omega_c), as a float function, of the law K_mk ~ C / gamma
+    for the largest hybrid K at the memoryless coordinates (delta_mk, g_mk).
+
+    Next to an order-two EP, K_+- ~ ||adj(lam_ep - M)||_F^2 /
+    (|lam_+ - lam_-|^2 |lam_ep - lam_3|^2), and p ~ p''/2 (lam - lam_ep)^2 +
+    grad_theta p . dtheta gives (lam_+ - lam_-)^2 ~ -8 grad_theta p . dtheta / p''
+    (Kato 1966; Berry 2003), with theta = (delta, g).  The memoryless point
+    sits dtheta = gamma v from the exact EP, where v = d(theta_mk - theta_ep)/d
+    gamma at gamma = 0 comes from _memory_shift_oracle's implicit
+    differentiation and theta_mk = (-omega_m, (kappa - gamma)/4).  So, at
+    gamma = 0 (lam0 = -kappa/4 - i omega_m, lam_3 = -Omega_c, drift M0),
+
+        C = ||adj(lam0 - M0)||_F^2 |p''| / (8 |grad_theta p . v| |lam0 - lam_3|^2).
+
+    The adjugate, p'' and grad_theta p are sympy's; the norm and moduli are
+    taken on their complex values.
+    """
+    (omega_m, kappa, omega_c, _, delta, g, lam), m, p, at0 = _gamma_zero_ep()
+    derivatives = (sp.diff(p, *var).subs(at0) for var in ((lam, 2), (delta,), (g,)))
+    pieces = [*(lam * sp.eye(3) - m).adjugate().subs(at0), *derivatives]
+    values = sp.lambdify((omega_m, kappa, omega_c), [sp.expand(piece) for piece in pieces], modules="cmath")
+    d_delta, d_g, _, _ = _memory_shift_oracle()
+
+    def law(omega_m, kappa, omega_c):
+        *adj, ddp, p_delta, p_g = values(omega_m, kappa, omega_c)
+        v_delta, v_g = -d_delta(omega_m, kappa, omega_c), -0.25 - d_g(omega_m, kappa, omega_c)
+        lam0 = complex(-kappa / 4.0, -omega_m)
+        slope = abs(p_delta * v_delta + p_g * v_g)
+        return sum(abs(a) ** 2 for a in adj) * abs(ddp) / (8.0 * slope * abs(lam0 + omega_c) ** 2)
+
+    return law
+
+
+# Factors on gamma of the C / gamma test.
+LAW_GAMMA_SCALES = (1e-3, 1e-4)
+
+
+def test_memoryless_petermann_factor_is_c_over_gamma(params):
+    """The abstract's suppressed Petermann factor as a law: the largest K of
+    sweep_petermann at the memoryless coordinates is C / gamma, with C from
+    _petermann_law_oracle.  With gamma scaled by 1e-4, gamma K_mk / C - 1 is at
+    most 1e-4 on the defaults and 20 devices (at most 1.6e-5 measured), and it
+    shrinks at least linearly in gamma: by at least 9 from gamma/1e3 to
+    gamma/1e4 (9.5 - 18 measured).  At the default gamma, C / gamma = 27.586
+    and criterion 05 prints K = 27.59."""
+    law = _petermann_law_oracle()
+    rng = np.random.default_rng(1500)
+    for device in [params, *(draw_system(rng) for _ in range(20))]:
+        c = law(device.omega_m, device.kappa, device.omega_c)
+        gaps = []
+        for scale in LAW_GAMMA_SCALES:
+            p = dataclasses.replace(device, gamma=scale * device.gamma)
+            mk = markovian_ep(p)
+            k_mk = sweep_petermann(p, mk.delta_ep, [mk.g_ep, 2.0 * mk.g_ep]).petermann[0].max()
+            gaps.append(abs(p.gamma * k_mk / c - 1.0))
+        assert gaps[1] <= 1e-4
+        assert gaps[0] >= 9.0 * gaps[1]
+    assert law(params.omega_m, params.kappa, params.omega_c) / params.gamma == pytest.approx(27.586, abs=5e-4)
+
+
 def test_memoryless_dip_depth_is_the_cooperativity_law(params):
     """At two-photon resonance the memoryless reflection is (C - 1)/(C + 1)
     (Weis et al. 2010), so the dip at the memoryless EP, where the curve is
@@ -450,3 +530,144 @@ def test_dressed_dip_depth_tends_to_the_renormalized_cooperativity_law(params):
         if abs(first[0] / first[2] - 1.0) <= 0.05:
             slopes.append(np.polyfit(np.log(DIP_SCALES), np.log(np.abs(gaps)), 1)[0])
     assert len(slopes) >= 6 and np.all(np.abs(np.array(slopes) - 1.0) <= 0.02)
+
+
+KERNEL_DPS = 50
+
+
+def _mp_eigenvalues(m, seed):
+    """The eigenvalues of the 3x3 double matrix m at KERNEL_DPS digits.
+
+    det(lam I - m) is expanded exactly from m's entries.  Of seed (three
+    double estimates), the root farthest from the other two is simple, and
+    Newton takes it to full precision; the other two solve the deflated
+    quadratic, so a close pair loses no digits.
+    """
+    with mp.workdps(KERNEL_DPS):
+        a = [[mp.mpc(complex(x)) for x in row] for row in m]
+        tr = a[0][0] + a[1][1] + a[2][2]
+        c1 = sum(a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        det = mp.det(mp.matrix(a))
+        far = max(range(3), key=lambda i: min(abs(seed[i] - seed[j]) for j in range(3) if j != i))
+        x = mp.mpc(complex(seed[far]))
+        for _ in range(8):
+            x -= (((x - tr) * x + c1) * x - det) / ((3 * x - 2 * tr) * x + c1)
+        pair_sum = tr - x
+        root = mp.sqrt(pair_sum**2 / 4 - (c1 - x * pair_sum))
+        return np.array([complex(x), complex(pair_sum / 2 + root), complex(pair_sum / 2 - root)])
+
+
+def _matched(got, ref):
+    """got (3,) permuted onto ref (3,) with the smallest largest distance."""
+    return min((got[list(perm)] for perm in itertools.permutations(range(3))), key=lambda g: np.abs(g - ref).max())
+
+
+def _ep_stacks(devices):
+    """Drift stacks of each device at both calibrations, on a +-10 % grid with the exact EP on it."""
+    for p in devices:
+        sol = solve_exact_ep(p)
+        grid = np.sort(np.append(np.linspace(0.9, 1.1, 41) * sol.g_ep, sol.g_ep))
+        for delta in (markovian_ep(p).delta_ep, sol.delta_ep):
+            yield spectral._drift_stack(p, delta, grid)
+
+
+def _kernel_stacks(params):
+    """_ep_stacks of the defaults, 10 draw_system devices and 6 of tools/parity.py's over-damped draws."""
+    rng = np.random.default_rng(2828)
+    over_damped = parity.overdamped_devices()
+    devices = [params, *(draw_system(rng) for _ in range(10))]
+    devices += [SystemParams.from_hz(*over_damped[f"d{k:02d}"]) for k in range(6)]
+    return _ep_stacks(devices)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the over-damped devices are not sideband-resolved
+def test_sweep_eigenvalues_match_mpmath_at_least_as_well_as_lapack(params):
+    """The closed-form kernel of the sweeps against 50-digit eigenvalues of the
+    same double matrices, with LAPACK's zgeev on the same rows as the yardstick.
+
+    On every regular row (closest gap at least DEGENERACY_RTOL of max|lam|),
+    the kernel's worst error relative to the row's max|lam|, and its worst
+    componentwise error (each Re and each Im against its own magnitude), are
+    no larger than zgeev's.  On a defective row the split of the pair is
+    conditioned like sqrt(eps), but its midpoint and the third root are
+    within 1e-14 of the row scale."""
+    worst = {"kernel": [0.0, 0.0], "zgeev": [0.0, 0.0]}
+    regular = defective = 0
+    for stack in _kernel_stacks(params):
+        kernel = spectral._closed_eigvals(stack)[0]
+        zgeev = np.linalg.eigvals(stack)
+        for m, lams, ref_seed in zip(stack, kernel, zgeev):
+            ref = _mp_eigenvalues(m, ref_seed)
+            scale = np.abs(ref).max()
+            gaps = {(i, j): abs(ref[i] - ref[j]) for i, j in itertools.combinations(range(3), 2)}
+            pair = min(gaps, key=gaps.get)
+            if gaps[pair] < spectral.DEGENERACY_RTOL * scale:
+                got = _matched(lams, ref)
+                [third] = set(range(3)) - set(pair)
+                midpoint = (got[pair[0]] + got[pair[1]] - ref[pair[0]] - ref[pair[1]]) / 2.0
+                assert abs(midpoint) <= 1e-14 * scale
+                assert abs(got[third] - ref[third]) <= 1e-14 * scale
+                defective += 1
+                continue
+            regular += 1
+            for name, row in (("kernel", lams), ("zgeev", ref_seed)):
+                err = _matched(row, ref) - ref
+                componentwise = max(np.max(np.abs(err.real / ref.real)), np.max(np.abs(err.imag / ref.imag)))
+                worst[name] = [max(worst[name][0], np.abs(err).max() / scale), max(worst[name][1], componentwise)]
+    assert regular >= 1300 and defective >= 20
+    assert worst["kernel"][0] <= worst["zgeev"][0]
+    assert worst["kernel"][1] <= worst["zgeev"][1]
+
+
+@pytest.mark.parametrize("cutoff", [1e-6, 1e8, 1e10])
+def test_sweep_eigenvalues_keep_their_own_digits_at_extreme_bath_cutoffs(params, cutoff):
+    """With Omega_c = cutoff * omega_m the bath root and the hybrid pair lie
+    orders of magnitude apart, so an error of eps times the row scale would
+    be large against the smaller of them (and on a fast bath every row
+    counts as defective by the row-scale rule of the test above).  Against 50-digit eigenvalues,
+    on the defaults and 3 draw_system devices (_ep_stacks), the kernel holds
+    each to its own scale: the bath root within 1e-14 of its magnitude, the
+    pair's midpoint within 1e-14 of the pair's scale (its larger |lam|), each
+    member of a pair whose gap is at least DEGENERACY_RTOL of that scale
+    within 1e-14 of it too, and each member of a closer pair within 2
+    sqrt(eps).  In each of these four, zgeev's worst error on the same rows
+    is at least the kernel's, or both are within eps, the rounding of the
+    double reference itself (measured: kernel at most 1.6e-16, 8.4e-17,
+    1.7e-16 and 3.4e-10; zgeev up to 1.9e-16, 9.9e-16, 1.7e-12 and 7.4e-7)."""
+    rng = np.random.default_rng(2829)
+    bases = [params, *(draw_system(rng) for _ in range(3))]
+    devices = [dataclasses.replace(p, omega_c=cutoff * p.omega_m) for p in bases]
+    worst = {"kernel": [0.0] * 4, "zgeev": [0.0] * 4}
+    close = 0
+    for stack in _ep_stacks(devices):
+        zgeev = np.linalg.eigvals(stack)
+        for m, lams, ref_seed in zip(stack, spectral._closed_eigvals(stack)[0], zgeev):
+            ref = _mp_eigenvalues(m, ref_seed)
+            gaps = {(i, j): abs(ref[i] - ref[j]) for i, j in itertools.combinations(range(3), 2)}
+            pair = min(gaps, key=gaps.get)
+            [third] = set(range(3)) - set(pair)
+            pair_scale = np.abs(ref[list(pair)]).max()
+            split = 2 if gaps[pair] >= spectral.DEGENERACY_RTOL * pair_scale else 3
+            close += split == 3
+            for name, row in (("kernel", lams), ("zgeev", ref_seed)):
+                err = _matched(row, ref) - ref
+                errs = {0: abs(err[third]) / abs(ref[third]), 1: abs(err[list(pair)].sum()) / 2.0 / pair_scale}
+                errs[split] = np.abs(err[list(pair)]).max() / pair_scale
+                worst[name] = [max(w, errs.get(k, 0.0)) for k, w in enumerate(worst[name])]
+    assert close >= 8
+    assert max(worst["kernel"][:3]) <= 1e-14 and worst["kernel"][3] <= 3e-8
+    assert all(k <= max(z, np.finfo(float).eps) for k, z in zip(worst["kernel"], worst["zgeev"]))
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-300, 1.0, 1e300, 1.7e308])
+def test_sweep_eigenvalues_agree_with_lapack_at_extreme_couplings(params, g):
+    """At couplings from 0 to near the largest double (rad/s), at both
+    calibrations, the kernel's eigenvalues and zgeev's agree per row to
+    1e-12 of the row scale, and every Petermann factor is at least 1."""
+    for delta in (markovian_ep(params).delta_ep, solve_exact_ep(params).delta_ep):
+        stack = spectral._drift_stack(params, delta, np.array([g, g]))
+        lams, ks, _ = spectral._closed_eigvals(stack)
+        for got, ref in zip(lams, np.linalg.eigvals(stack)):
+            scale = np.abs(ref).max()  # compared in units of it: at 1.7e308 a difference overflows
+            assert np.abs(_matched(got / scale, ref / scale) - ref / scale).max() <= 1e-12
+        assert (ks >= 1.0).all()

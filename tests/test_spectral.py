@@ -240,29 +240,47 @@ def test_petermann_peak_sharpens_under_refinement(params):
     assert peaks[-1] > 1e6
 
 
+# On a row that eigensystem flags defective, the split of the near-coalescent
+# pair is conditioned like sqrt(eps): two eigensolvers agree on each of its
+# eigenvalues to 2 sqrt(eps) of the row scale, and on its midpoint and the
+# third root to the 1e-12 of every other row.
+DEFECTIVE_SPLIT_RTOL = 3e-8
+
+
 def _row_matches_pointwise(lams_hz, ks, divs, modes):
     """Each pointwise mode has a row entry with the same eigenvalue, K and flag;
     with ks None (an eigenvalue-only row) the flag is the mode's defective one."""
     assert len(lams_hz) == len(modes)
     lams = [hz_to_rad(lam) for lam in lams_hz]
     scale = max(abs(lam) for lam in lams)
+    defective = any(mode.defective for mode in modes)
     unused = set(range(len(lams)))
+    matched = []
     for mode in modes:
         k = min(unused, key=lambda idx: abs(lams[idx] - mode.lam))
         unused.remove(k)
-        assert abs(lams[k] - mode.lam) <= 1e-12 * scale
+        matched.append(k)
+        assert abs(lams[k] - mode.lam) <= (DEFECTIVE_SPLIT_RTOL if defective else 1e-12) * scale
         assert divs[k] == (mode.defective if ks is None else mode.divergent)
         if ks is not None and mode.petermann < 1e4:
             assert abs(ks[k] - mode.petermann) <= 1e-9 * mode.petermann
+    if defective:
+        pair = [i for i, mode in enumerate(modes) if mode.defective]
+        [third] = set(range(len(modes))) - set(pair)
+        midpoint = sum(lams[matched[i]] - modes[i].lam for i in pair) / 2.0
+        assert abs(midpoint) <= 1e-12 * scale
+        assert abs(lams[matched[third]] - modes[third].lam) <= 1e-12 * scale
 
 
 def test_sweep_rows_match_pointwise_eigensystem(params):
     """The batched sweep reproduces per-point eigensystem calls, the EP included.
 
-    The sweep's K comes from the adjugate of lam - M and eigensystem's from
-    its right vectors, so this also checks one K route against the other:
-    the defaults and 20 devices, at the memoryless and the exact
-    calibration, on a +-10 % grid with the exact EP on it."""
+    The sweep's eigenvalues and K come from the closed-form kernel and
+    eigensystem's from LAPACK's eigenvectors, so this checks one eigensolver
+    and one K route against the other: the defaults and 20 devices, at the
+    memoryless and the exact calibration, on a +-10 % grid with the exact EP
+    on it.  Rows eigensystem flags defective are held as _row_matches_pointwise
+    states."""
     rng = np.random.default_rng(2323)
     flagged = 0
     for p in [params] + [draw_system(rng) for _ in range(20)]:
@@ -311,6 +329,32 @@ def test_sweeps_reject_negative_coupling(params):
             sweep(params, -params.omega_m, grid)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sweeps_reject_non_finite_coupling(params, value):
+    """A non-finite grid point is named before any drift matrix is built."""
+    grid = np.array([hz_to_rad(40e3), value, hz_to_rad(60e3)])
+    for sweep in (sweep_eigs, sweep_petermann):
+        with pytest.raises(ValueError, match=f"coupling g must be finite: grid point 1 is {value!r} rad/s"):
+            sweep(params, -params.omega_m, grid)
+
+
+def test_sweeps_run_without_lapack(params, monkeypatch):
+    """Both sweeps, the memoryless reference included, take their eigenvalues
+    from the closed-form kernel: no LAPACK eigensolver is called."""
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called by a sweep")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    sol = solve_exact_ep(params)
+    grid = np.linspace(0.9, 1.1, 41) * sol.g_ep
+    eig = sweep_eigs(params, sol.delta_ep, grid, markovian_ref=True)
+    pet = sweep_petermann(params, sol.delta_ep, grid)
+    assert np.isfinite(eig.lambdas_hz).all() and np.isfinite(eig.markovian_hz).all()
+    assert np.isfinite(pet.petermann).all()
+
+
 def test_petermann_sweep_computes_no_eigenvectors(params, monkeypatch):
     """A default 401-point Petermann sweep takes K from eigenvalues alone."""
 
@@ -327,8 +371,8 @@ def test_petermann_sweep_computes_no_eigenvectors(params, monkeypatch):
 def test_eigenvalue_sweep_matches_petermann_sweep(params):
     """sweep_eigs gives sweep_petermann's branches bit for bit and its flags, and no K.
 
-    Both take their eigenvalues from the same np.linalg.eigvals call on the
-    same stack and the same ordering, so the branches are equal, not close."""
+    Both take their eigenvalues from the same closed-form pass on the same
+    stack and the same ordering, so the branches are equal, not close."""
     rng = np.random.default_rng(2121)
     flagged = 0
     for p in [params] + [draw_system(rng) for _ in range(20)]:
@@ -414,17 +458,23 @@ def test_continuity_order_matches_array_composition_on_random_stacks():
 
 
 def test_continuity_order_matches_array_composition_on_sweeps(params):
-    """The two calibrations' three-mode and two-mode sweeps, defaults and random devices."""
+    """The two calibrations' three-mode and two-mode sweeps, defaults and random
+    devices: the rows the sweeps hand _continuity_order (the closed-form
+    kernel's, in _mode_order, as _branch_order puts them), and LAPACK's rows
+    of the same stacks in _ordered."""
     rng = np.random.default_rng(77)
     for p in [params] + [draw_system(rng) for _ in range(20)]:
         mk = markovian_ep(p)
         gs = np.linspace(0.8 * mk.g_ep, 1.2 * mk.g_ep, 401)
         for delta in (mk.delta_ep, solve_exact_ep(p).delta_ep):
-            lams = spectral._eigensystems(spectral._drift_stack(p, delta, gs))[0]
-            two_stack = np.array([drift_markovian(p, DriveParams(delta=delta, g=g)) for g in gs])
-            two = spectral._ordered(np.linalg.eigvals(two_stack))[1]
-            for stack in (lams, two):
-                np.testing.assert_array_equal(spectral._continuity_order(stack), _continuity_reference(stack))
+            three = spectral._drift_stack(p, delta, gs)
+            two = np.array([drift_markovian(p, DriveParams(delta=delta, g=g)) for g in gs])
+            for matrices in (three, two):
+                raw = spectral._closed_eigvals(matrices)[0]
+                kernel = np.take_along_axis(raw, spectral._mode_order(raw, np.abs(raw).max(axis=-1)), axis=-1)
+                lapack = spectral._ordered(np.linalg.eigvals(matrices))[1]
+                for lams in (kernel, lapack):
+                    np.testing.assert_array_equal(spectral._continuity_order(lams), _continuity_reference(lams))
 
 
 def test_two_mode_modes_ordered_by_real_part_below_ep(params):
@@ -522,7 +572,7 @@ def test_petermann_is_scale_invariant(params, drive, scale):
 @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
 def test_adjugate_petermann_is_scale_invariant(params, scale):
     """The sweep's K on a 401-row drift stack through the EP, scaled by 1e+-100
-    and 1e+-150: the row normalization keeps every cofactor product in range,
+    and 1e+-150: the power-of-two row scaling keeps every cofactor product in range,
     so no floating-point error is raised and K is unchanged.  Row 200 is the
     exact EP."""
     sol = solve_exact_ep(params)
@@ -531,8 +581,8 @@ def test_adjugate_petermann_is_scale_invariant(params, scale):
     stack = spectral._drift_stack(params, sol.delta_ep, gs)
 
     def ks(arr):
-        _, lams, _ = spectral._ordered(np.linalg.eigvals(arr))
-        return spectral._adjugate_petermann(arr, lams)
+        lams, k, _ = spectral._closed_eigvals(arr)
+        return np.take_along_axis(k, spectral._ordered(lams)[0], axis=-1)
 
     ref = ks(stack)
     with np.errstate(all="raise"):

@@ -29,8 +29,15 @@ byte-identical.  For every other run it names the changed exit code, the
 stderr lines only one side printed, and each manifest key, summary key,
 footer key or table column that differs, with its largest relative
 deviation |a - b| / max(|a|, |b|) over the column's cells.  A last-bit move
-is thus stated as a number, not hidden behind a hash.  Exit code 0 when
-every run is identical, 1 when any differs, 2 when a side cannot be set up.
+is thus stated as a number, not hidden behind a hash.  Past an exact
+coalescence, continuity labels hinge on last bits, so a table row can hold
+the same branches on both sides in another order.  Where every cell of such
+a row is within LABEL_RTOL of its counterpart after reordering (relative to
+the largest magnitude of its field in the row), the row is counted under
+its column family (re_l*/im_l*, mk_re_l*/mk_im_l*, and each suffix's
+k_*/div_*) as "labels exchanged in k of N rows", and its cells are compared
+in A's order.  Exit code 0 when every run is identical, 1 when any differs,
+2 when a side cannot be set up.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +78,9 @@ EDGE_CONFIGS = {
     "kappa_below_gamma": "[mechanics]\ngamma_hz = 5e3\n[cavity]\nkappa_hz = 4e3\n",
     "range_end": "[mechanics]\nfreq_hz = 1e-30\ngamma_hz = 0\n[cavity]\nkappa_hz = 1e-29\n"
     "[bath]\ncutoff_hz = 1e-30\n",
+    # A bath 1e9 times faster than the mechanics: the hybrid pair sits near 1e-9
+    # of the bath root, so an eigensolver that loses digits to the row scale shows.
+    "fast_bath": "[bath]\ncutoff_hz = 1e15\n",
 }
 # Over-damped devices (kappa >> omega_m) in rad/s, as tests/test_epsolver.py pins
 # them (a test keeps the two equal): plain Newton cycles on the first, and on the
@@ -84,6 +96,14 @@ OVERDAMPED_PINNED = {
 OVERDAMPED_RANGES = {"freq_hz": (1.0, 1e6), "kappa": (30.0, 1e3), "gamma": (1e-6, 0.5), "omega_c": (1e-3, 1e3)}
 OVERDAMPED_DRAWS = 24
 OVERDAMPED_SEED = 12
+# Table columns holding one field of each branch: eigs' eigenvalue parts and
+# petermann's K and flag, one family per prefix or calibration suffix.
+BRANCH_COLUMNS = (
+    (re.compile(r"column (mk_|)(re|im)_l(\d)_khz"), lambda m: (f"{m[1]}re_l*/{m[1]}im_l*", m[2], m[3])),
+    (re.compile(r"column (k|div)_(plus|minus|3)(.*)"), lambda m: (f"k_*{m[3]}/div_*{m[3]}", m[1], m[2])),
+)
+# Largest relative deviation of a cell from its counterpart in a row whose labels are exchanged.
+LABEL_RTOL = 1e-9
 
 
 def overdamped_devices() -> dict:
@@ -231,6 +251,65 @@ def _deviation(a, b) -> float | None:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _branch_families(fields: dict) -> dict:
+    """Family label -> [[column of each field] per branch] for the BRANCH_COLUMNS in fields."""
+    families = {}
+    for name in fields:
+        for pattern, parts in BRANCH_COLUMNS:
+            match = pattern.fullmatch(name)
+            if match:
+                family, field, branch = parts(match)
+                families.setdefault(family, {}).setdefault(branch, {})[field] = name
+    return {family: [[columns[field] for field in sorted(columns)] for _, columns in sorted(branches.items())]
+            for family, branches in families.items()}
+
+
+def _undo_label_exchanges(fa: dict, fb: dict) -> list:
+    """Put B's rows that hold A's branches in another order back in A's order
+    (in fb), and return one line per column family naming how many rows that was.
+
+    A row counts when some reordering of B's branches is closer to A's than
+    their own order, with every cell within LABEL_RTOL of its counterpart,
+    relative to the largest finite magnitude of its field (re, im, k or div)
+    in that row on either side: an Im part that is 0 on one side and 1e-45 on
+    the other matches, as its row's eigenvalues are about 1e3.
+    """
+    lines = []
+    for family, branches in _branch_families(fa).items():
+        columns = [name for branch in branches for name in branch]
+        if len(branches) < 2 or any(name not in fb or len(fa[name]) != len(fb[name]) for name in columns):
+            continue
+        perms = list(itertools.permutations(range(len(branches))))
+        n_rows = len(fa[columns[0]])
+        exchanged = 0
+        for row in range(n_rows):
+            if all(fa[name][row] == fb[name][row] for name in columns):
+                continue
+            a, b = ([[_number(side[name][row]) for name in branch] for branch in branches] for side in (fa, fb))
+            if any(x is None for cells in a + b for x in cells):
+                continue
+            scales = [max((abs(cells[f]) for cells in a + b if math.isfinite(cells[f])), default=0.0)
+                      for f in range(len(a[0]))]
+
+            def deviation(perm):
+                devs = [0.0 if x == y or (math.isnan(x) and math.isnan(y))
+                        else abs(x - y) / scale if math.isfinite(x) and math.isfinite(y) else math.inf
+                        for cells, source in zip(a, perm) for x, y, scale in zip(cells, b[source], scales)]
+                return max(devs)
+
+            devs = [deviation(perm) for perm in perms]
+            best = min(range(len(perms)), key=devs.__getitem__)
+            if best and devs[best] <= LABEL_RTOL:
+                cells = {name: fb[other][row] for branch, source in zip(branches, perms[best])
+                         for name, other in zip(branch, branches[source])}
+                for name, cell in cells.items():
+                    fb[name][row] = cell
+                exchanged += 1
+        if exchanged:
+            lines.append(f"columns {family}: labels exchanged in {exchanged} of {n_rows} rows")
+    return lines
+
+
 def compare(a: str, b: str) -> list:
     """One line per field in which artifact texts a and b differ; [] when the
     texts are identical."""
@@ -244,6 +323,7 @@ def compare(a: str, b: str) -> list:
         return [f"unreadable artifact: {exc}"]
     lines = [f"{name}: only in {side}" for side, names in (("A", fa.keys() - fb.keys()), ("B", fb.keys() - fa.keys()))
              for name in sorted(names)]
+    lines += _undo_label_exchanges(fa, fb)
     for name in fa.keys() & fb.keys():
         va, vb = fa[name], fb[name]
         if va == vb:
