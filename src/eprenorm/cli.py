@@ -208,7 +208,8 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         lines += footer
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        # Under a non-UTF-8 locale a non-ASCII argv path arrives surrogate-escaped; write back its own bytes.
+        with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -180,6 +180,9 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     dR/dy = (Re s', -Im t').  A step within STEP_RTOL * |lambda| ends the
     iteration, so the coordinates carry full double precision; it is kept
     only if it does not raise the residual norm, so an exact seed stays exact.
+    Where a device has several EPs, the one returned is the one this Newton
+    reaches from its seed; from the memoryless double root on a
+    resolved-sideband device that is the unique physical EP.
     The _double_root result at the accepted lambda is the drive: delta =
     Re(-i t) and g = Re s.  Raises ValueError for a caller's seed that is not
     finite or above the rate range in magnitude, NoConvergence if the

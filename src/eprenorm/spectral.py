@@ -6,8 +6,8 @@ and -g_c/-g_c), so M^H = conj(M) and the left eigenvector of each mode is
 the conjugate of its right one.  One ordering rule puts the modes of each
 row in (Im, Re) order, and one closest-pair test flags defective modes.
 
-eigensystem takes the eigenvalues and right eigenvectors from LAPACK's zgeev
-(np.linalg.eig, on a batch of one), which balances and scales the matrix.
+eigensystem takes the eigenvalues and right eigenvectors of its one matrix
+from LAPACK's zgeev (np.linalg.eig), which balances and scales the matrix.
 Each right vector has unit norm and its largest-magnitude entry real and
 positive.  With L = conj(R) the Petermann factor of a mode is
 
@@ -109,14 +109,17 @@ class Sweep:
         return _array_rows(self)
 
 
-def _mode_order(lams: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Per-row mode indices ordering lams (N, n) by (Im, Re), Im within IMAG_TIE_RTOL * scale (N,) tied."""
-    rows = np.arange(len(lams))[:, None]
-    by_imag = np.argsort(lams.imag, axis=-1)
-    imag = lams.imag[rows, by_imag]
+def _mode_order(lams: np.ndarray) -> np.ndarray:
+    """Mode indices ordering each row of lams (..., n) by (Im, Re); Im parts within
+    IMAG_TIE_RTOL * max|lam| of their row count as tied."""
+    flat = lams.reshape(-1, lams.shape[-1])
+    rows = np.arange(len(flat))[:, None]
+    by_imag = np.argsort(flat.imag, axis=-1)
+    imag = flat.imag[rows, by_imag]
+    scale = np.abs(flat).max(axis=-1)
     # Each sorted Im minus the one before it (0 for the first) opens a new tier when above the tolerance.
-    tier = np.cumsum(imag - imag[:, _PREVIOUS[lams.shape[-1]]] > IMAG_TIE_RTOL * scale[:, None], axis=-1)
-    return by_imag[rows, np.lexsort((lams.real[rows, by_imag], tier), axis=-1)]
+    tier = np.cumsum(imag - imag[:, _PREVIOUS[flat.shape[-1]]] > IMAG_TIE_RTOL * scale[:, None], axis=-1)
+    return by_imag[rows, np.lexsort((flat.real[rows, by_imag], tier), axis=-1)].reshape(lams.shape)
 
 
 def _petermann_values(right: np.ndarray) -> np.ndarray:
@@ -128,47 +131,17 @@ def _petermann_values(right: np.ndarray) -> np.ndarray:
 
 
 def _defective(lams: np.ndarray) -> np.ndarray:
-    """Per-mode flags (N, n): the closest pair of eigenvalues in a row, where its
+    """Per-mode flags (..., n): the closest pair of eigenvalues in a row, where its
     gap is below DEGENERACY_RTOL * max|lam|, the signature of a nearby coalescence."""
     iu, ju = _PAIRS[lams.shape[-1]]
-    gaps = np.abs(lams[:, iu] - lams[:, ju])
+    gaps = np.abs(lams[..., iu] - lams[..., ju])
     near = gaps.min(axis=-1) < DEGENERACY_RTOL * np.abs(lams).max(axis=-1)
-    return _PAIR_MODES[lams.shape[-1]][gaps.argmin(axis=-1)] & near[:, None]
-
-
-def _ordered(lams: np.ndarray):
-    """Row ordering of eigenvalues lams (N, n): (order, ordered lams, defective).
-
-    order puts the modes of each row in _mode_order; defective is _defective
-    of the ordered rows.
-    """
-    order = _mode_order(lams, np.abs(lams).max(axis=-1))
-    lams = np.take_along_axis(lams, order, axis=-1)
-    return order, lams, _defective(lams)
-
-
-def _eigensystems(arr: np.ndarray):
-    """Batched core: (lams, rights, petermann, divergent, defective).
-
-    One np.linalg.eig call over the stack, then _ordered.  rights have shape
-    (N, mode, component), the rest (N, mode).  Each right vector is LAPACK's
-    unit vector with its largest-magnitude entry rotated to the positive real
-    axis.  Every matrix of the stack is complex-symmetric, so the left vectors
-    are conj(rights).  Divergent is defective or K not below DIVERGENT_K.
-    """
-    lams, vecs = np.linalg.eig(arr)
-    order, lams, defective = _ordered(lams)
-    rights = np.take_along_axis(vecs.swapaxes(-2, -1), order[..., None], axis=-2)
-    pivot = np.take_along_axis(rights, np.abs(rights).argmax(axis=-1)[..., None], axis=-1)
-    rights = rights * (pivot.conj() / np.abs(pivot))
-    k = _petermann_values(rights)
-    return lams, rights, k, defective | ~(k < DIVERGENT_K), defective
+    return _PAIR_MODES[lams.shape[-1]][gaps.argmin(axis=-1)] & near[..., None]
 
 
 def petermann(mode: EigenMode) -> float:
     """Recompute the Petermann factor of a mode from its right vector."""
-    right = np.asarray(mode.right, dtype=complex)[None, None]
-    return float(_petermann_values(right)[0, 0])
+    return float(_petermann_values(np.asarray(mode.right, dtype=complex)))
 
 
 def eigensystem(m):
@@ -176,7 +149,9 @@ def eigensystem(m):
 
     Modes come back ordered by eigenvalue (imaginary part, then real part;
     imaginary parts within 1e-9 max|lam| count as equal), each with its right
-    vector; the left one is conj(right).  See _eigensystems for the defective flag.
+    vector; the left one is conj(right).  The closest pair of modes is
+    defective where its gap is below DEGENERACY_RTOL * max|lam|, and a mode is
+    divergent where it is defective or its K is not below DIVERGENT_K (nan too).
     Raises ValueError for any other shape, for an inf or nan entry and for a
     matrix that is not exactly symmetric (M != M^T).
     """
@@ -188,7 +163,14 @@ def eigensystem(m):
     # Entries are finite here, so bitwise equality is the whole symmetry test.
     if not np.array_equal(arr, arr.T):
         raise ValueError("eigensystem: the matrix must be symmetric (M == M^T)")
-    lams, rights, ks, divergent, defective = (a[0] for a in _eigensystems(arr[None]))
+    lams, vecs = np.linalg.eig(arr)
+    order = _mode_order(lams)
+    lams, rights = lams[order], vecs.T[order]
+    pivot = rights[np.arange(len(rights)), np.abs(rights).argmax(axis=-1)]
+    rights = rights * (pivot.conj() / np.abs(pivot))[:, None]
+    ks = _petermann_values(rights)
+    defective = _defective(lams)
+    divergent = defective | ~(ks < DIVERGENT_K)
     return [
         EigenMode(
             lam=complex(lams[i]),
@@ -217,7 +199,7 @@ def _branch_order(lams: np.ndarray):
     """Index (rows, modes) that takes raw eigenvalue rows lams (N, n) to
     _mode_order and then continues each branch along the grid (_continuity_order)."""
     rows = np.arange(len(lams))[:, None]
-    order = _mode_order(lams, np.abs(lams).max(axis=-1))
+    order = _mode_order(lams)
     return rows, order[rows, _continuity_order(lams[rows, order])]
 
 

@@ -401,10 +401,12 @@ def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
             load_config(str(path))
 
 
-def _checkout_python(*args):
-    """A fresh interpreter run with this checkout's src/ first on its PYTHONPATH."""
+def _checkout_python(*args, **environ):
+    """A fresh interpreter run with this checkout's src/ first on its PYTHONPATH
+    and the environment variables of environ set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **environ, "PYTHONPATH": pythonpath}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
     )
@@ -895,6 +897,16 @@ def test_cli_unreadable_config_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith(f"eprenorm: error: {path}: cannot read config file: ")
     assert "Permission denied" in captured.err
+
+
+def test_out_artifact_is_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, a non-ASCII --out path is
+    written, in its manifest line, as UTF-8: the encoding config files are read in."""
+    out = tmp_path / "r\u00e9sum\u00e9.csv"
+    proc = _checkout_python("-m", "eprenorm", "--out", str(out), "ep",
+                            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    assert f"# out = {out}\n".encode("utf-8") in out.read_bytes()
 
 
 def test_cli_subprocess_entry():

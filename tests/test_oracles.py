@@ -2,7 +2,8 @@
 at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
 Petermann factor from a general dense eigendecomposition and, up the EP's
 peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
-shift by implicit differentiation in sympy, the square-root and inverse
+shift by implicit differentiation in sympy, every coalescence of the cubic
+over real (delta, g^2) from a sympy resultant, the square-root and inverse
 laws of the hybrid gap and of K next to the EP, the law K = C / gamma at
 the memoryless calibration with C from the same implicit differentiation,
 the dip depths from the two-photon-resonance law of the cooperativity:
@@ -42,6 +43,7 @@ from eprenorm import (
 )
 from eprenorm import spectral
 from eprenorm.charpoly import char_cubic
+from eprenorm.errors import NoConvergence
 from eprenorm.model import hz_to_rad
 from test_parity import parity
 
@@ -106,6 +108,111 @@ def test_exact_ep_matches_mpmath_oracle(seed, params):
     assert abs(sol.lambda_ep - lam) <= 1e-13 * abs(lam)
     assert abs(sol.delta_ep - delta) <= 1e-13 * abs(delta)
     assert abs(sol.g_ep - g) <= 1e-13 * g
+
+
+CENSUS_DPS = 50
+# Coalescences of tools/parity.py's two pinned over-damped devices, delta / omega_m to 5 digits.
+_OVERDAMPED_CENSUS = {"cycle": (-18.048, -0.52730, 16.016), "other_ep": (-156.97, -0.43575)}
+
+
+def _mp_coeffs(expr, var):
+    """Coefficients of a rational polynomial in var, highest degree first, as mpf."""
+    return [mp.mpf(c.p) / c.q for c in sp.Poly(expr, var).all_coeffs()]
+
+
+def _mp_roots(coeffs):
+    """All roots of a polynomial, coefficients highest degree first, at the working precision."""
+    return mp.polyroots(coeffs, maxsteps=500, extraprec=4 * CENSUS_DPS)
+
+
+def _ep_census(p: SystemParams):
+    """Every coalescence of the cubic over real (delta, u = g^2), in units of omega_m: [(delta, u)].
+
+    det(lam - M) is expanded in sympy with the float rates as exact
+    rationals.  Its discriminant in lam vanishes exactly where two
+    eigenvalues coalesce; over real (delta, u) that is Re Disc = Im Disc = 0,
+    two real polynomials, cubic in u.  Their resultant in u is one polynomial
+    in delta (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3)
+    whose real roots mpmath finds at CENSUS_DPS digits.  At each, u is the
+    common root of the two cubics, kept where the two agree and it is real.
+    Also returns the resultant's degree.
+    """
+    delta, u = sp.symbols("delta u", real=True)
+    lam = sp.Symbol("lam")
+    unit = sp.Rational(p.omega_m)
+    kappa, gamma, omega_c = (sp.Rational(v) / unit for v in (p.kappa, p.gamma, p.omega_c))
+    # Rows of lam - M; the -(i g)^2 (lam + Omega_c) of the expansion is u (lam + Omega_c).
+    a, b, c = lam - sp.I * delta + kappa / 2, lam + sp.I + gamma / 2, lam + omega_c
+    disc = sp.discriminant(sp.expand(a * (b * c - gamma * omega_c / 2) + u * c), lam)
+    parts = [sp.Poly(part, u, delta) for part in sp.expand(disc).as_real_imag()]
+    resultant = parts[0].resultant(parts[1])
+    census = []
+    with mp.workdps(CENSUS_DPS):
+        tol = mp.mpf(10) ** (-CENSUS_DPS // 2)
+        for root in _mp_roots(_mp_coeffs(resultant, delta)):
+            if abs(root.imag) > tol * max(1, abs(root)):
+                continue
+            cubics = [[mp.polyval(_mp_coeffs(coeff, delta), root.real)
+                       for coeff in sp.Poly(part.as_expr(), u).all_coeffs()] for part in parts]
+            pairs = itertools.product(*map(_mp_roots, cubics))
+            u_re, u_im = min(pairs, key=lambda pair: abs(pair[0] - pair[1]))
+            common = (u_re + u_im) / 2
+            if abs(u_re - u_im) <= tol * max(1, abs(common)) and abs(common.imag) <= tol * max(1, abs(common)):
+                census.append((float(root.real), float(mp.re(common))))
+    return census, sp.Poly(resultant.as_expr(), delta).degree()
+
+
+def _physical(census):
+    """The census EPs a drive can reach: a red detuning and a real coupling, delta < 0 and u > 0."""
+    return [(delta, u) for delta, u in census if delta < 0.0 and u > 0.0]
+
+
+def _assert_is_census_ep(p: SystemParams, sol, ep):
+    """sol's (delta, g^2) in units of omega_m within 1e-13 relative of the census EP, each."""
+    delta, u = ep
+    assert abs(sol.delta_ep / p.omega_m - delta) <= 1e-13 * abs(delta)
+    assert abs((sol.g_ep / p.omega_m) ** 2 - u) <= 1e-13 * u
+
+
+def test_ep_census_of_resolved_devices_has_one_physical_ep_and_solve_exact_ep_finds_it(params):
+    """The defaults and 5 draw_system devices (resolved sidebands): the
+    resultant has degree 13 and three real coalescences, one of them
+    physical, and solve_exact_ep's Newton from the memoryless double root
+    lands on it.  At the defaults the three lie at delta / omega_m =
+    -0.99869, +0.7591 and +1.0503."""
+    rng = np.random.default_rng(12)
+    for p in [params, *(draw_system(rng) for _ in range(5))]:
+        census, degree = _ep_census(p)
+        assert degree == 13
+        assert len(census) == 3
+        [ep] = _physical(census)
+        _assert_is_census_ep(p, solve_exact_ep(p), ep)
+        if p is params:
+            assert sorted(delta for delta, _ in census) == pytest.approx([-0.99869, 0.75910, 1.0503], rel=5e-5)
+
+
+@pytest.mark.parametrize("name", sorted(_OVERDAMPED_CENSUS))
+def test_ep_census_of_the_pinned_over_damped_devices_explains_today_s_outcomes(name):
+    """tools/parity.py's two pinned over-damped devices (kappa of about 284
+    and 950 omega_m) each have two physical census EPs.  On "cycle", which
+    also has a blue-detuned one at +16.016, Newton from the memoryless double
+    root reaches none of them and raises NoConvergence.  On "other_ep" it
+    returns the census EP at -156.97, not the one at -0.43575 nearer the
+    memoryless delta = -1."""
+    with pytest.warns(UserWarning, match="resolved-sideband"):
+        p = SystemParams(**parity.OVERDAMPED_PINNED[name])
+    census, _ = _ep_census(p)
+    deltas = [delta for delta, _ in census]
+    for listed in _OVERDAMPED_CENSUS[name]:
+        assert any(delta == pytest.approx(listed, rel=5e-5) for delta in deltas)
+    physical = _physical(census)
+    assert len(physical) == 2
+    if name == "cycle":
+        with pytest.raises(NoConvergence):
+            solve_exact_ep(p)
+    else:
+        [ep] = [ep for ep in physical if ep[0] == pytest.approx(-156.97, rel=5e-5)]
+        _assert_is_census_ep(p, solve_exact_ep(p), ep)
 
 
 def _sympy_char_coefficients():

@@ -461,7 +461,7 @@ def test_continuity_order_matches_array_composition_on_sweeps(params):
     """The two calibrations' three-mode and two-mode sweeps, defaults and random
     devices: the rows the sweeps hand _continuity_order (the closed-form
     kernel's, in _mode_order, as _branch_order puts them), and LAPACK's rows
-    of the same stacks in _ordered."""
+    of the same stacks in _mode_order."""
     rng = np.random.default_rng(77)
     for p in [params] + [draw_system(rng) for _ in range(20)]:
         mk = markovian_ep(p)
@@ -470,10 +470,8 @@ def test_continuity_order_matches_array_composition_on_sweeps(params):
             three = spectral._drift_stack(p, delta, gs)
             two = np.array([drift_markovian(p, DriveParams(delta=delta, g=g)) for g in gs])
             for matrices in (three, two):
-                raw = spectral._closed_eigvals(matrices)[0]
-                kernel = np.take_along_axis(raw, spectral._mode_order(raw, np.abs(raw).max(axis=-1)), axis=-1)
-                lapack = spectral._ordered(np.linalg.eigvals(matrices))[1]
-                for lams in (kernel, lapack):
+                for raw in (spectral._closed_eigvals(matrices)[0], np.linalg.eigvals(matrices)):
+                    lams = np.take_along_axis(raw, spectral._mode_order(raw), axis=-1)
                     np.testing.assert_array_equal(spectral._continuity_order(lams), _continuity_reference(lams))
 
 
@@ -490,9 +488,11 @@ def test_two_mode_modes_ordered_by_real_part_below_ep(params):
         assert first[0].real < first[1].real
 
 
-def test_batched_rank_deficient_rows_match_single_rows(params):
-    """Rank-deficient rows (a repeated eigenvalue of a diagonal matrix) inside
-    a batch give the same modes as alone, without disturbing the regular rows."""
+def test_rank_deficient_and_drift_matrices_give_consistent_modes(params):
+    """Rank-deficient matrices (a repeated eigenvalue of a diagonal matrix) and
+    drift matrices: each mode is an eigenpair of LAPACK's eigenvalue, with a
+    unit right vector whose largest entry is real and positive, the K of that
+    vector and the flags of the closest-pair rule."""
     lam, mu = -1.0 + 2.0j, -3.0 + 0.5j
     degenerate = np.diag([lam, lam, mu])
     drift = [
@@ -501,21 +501,24 @@ def test_batched_rank_deficient_rows_match_single_rows(params):
     ]
     stack = np.array([degenerate, drift[0], np.diag([mu, lam, lam]), drift[1], drift[2]])
 
-    lams, rights, ks, divs, defs = spectral._eigensystems(stack)
-    lefts = rights.conj()
-
-    for row, arr in enumerate(stack):
+    for arr in stack:
         modes = eigensystem(arr)
         fro = float(np.linalg.norm(arr))
+        raw = np.linalg.eigvals(arr)
+        lams = raw[spectral._mode_order(raw)]
+        defective = _defective_reference(lams[None])[0]
         for i, mode in enumerate(modes):
-            assert abs(lams[row, i] - mode.lam) <= 1e-14 * fro
-            assert np.allclose(rights[row, i], mode.right, rtol=0, atol=1e-12)
-            assert ks[row, i] == pytest.approx(mode.petermann, rel=1e-12)
-            assert (divs[row, i], defs[row, i]) == (mode.divergent, mode.defective)
-            for vec, mat, val in ((rights, arr, mode.lam), (lefts, arr.conj().T, np.conj(mode.lam))):
-                v = vec[row, i]
+            assert abs(lams[i] - mode.lam) <= 1e-14 * fro
+            right = np.asarray(mode.right)
+            pivot = right[np.abs(right).argmax()]
+            assert pivot.imag == 0.0 and pivot.real > 0.0
+            assert mode.petermann == pytest.approx(petermann(mode), rel=1e-12)
+            flag = bool(defective[i])
+            assert (mode.divergent, mode.defective) == (flag or not mode.petermann < spectral.DIVERGENT_K, flag)
+            for v, mat, val in ((right, arr, mode.lam), (right.conj(), arr.conj().T, np.conj(mode.lam))):
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-12
                 assert np.linalg.norm(mat @ v - val * v) < 1e-9 * fro
+    assert [mode.defective for mode in eigensystem(degenerate)] == [False, True, True]
 
 
 def _defective_reference(lams):
@@ -554,7 +557,11 @@ def test_defective_flags_match_store_reference(params):
         stacks += [sym, near]
     flagged = 0
     for stack in stacks:
-        lams, _, _, divergent, defective = spectral._eigensystems(stack)
+        modes = [eigensystem(m) for m in stack]
+        lams, divergent, defective = (
+            np.array([[getattr(mode, field) for mode in row] for row in modes])
+            for field in ("lam", "divergent", "defective")
+        )
         np.testing.assert_array_equal(defective, _defective_reference(lams))
         assert not (defective & ~divergent).any()
         flagged += int(defective.any(axis=-1).sum())
@@ -582,7 +589,7 @@ def test_adjugate_petermann_is_scale_invariant(params, scale):
 
     def ks(arr):
         lams, k, _ = spectral._closed_eigvals(arr)
-        return np.take_along_axis(k, spectral._ordered(lams)[0], axis=-1)
+        return np.take_along_axis(k, spectral._mode_order(lams), axis=-1)
 
     ref = ks(stack)
     with np.errstate(all="raise"):
