@@ -304,25 +304,25 @@ def cmd_eigs(args, p: SystemParams, d: DriveParams) -> Table:
     grid.update(delta_mode=args.delta_mode, delta_khz=f"{_khz(delta):.12g}")
 
     columns = ["g_khz", "re_l1_khz", "re_l2_khz", "re_l3_khz", "im_l1_khz", "im_l2_khz", "im_l3_khz"]
-    lams = [sweep.lambdas_hz]
+    lams = [rad_to_hz(sweep.lambdas)]
     if args.markovian_ref:
         columns += ["mk_re_l1_khz", "mk_re_l2_khz", "mk_im_l1_khz", "mk_im_l2_khz"]
-        lams.append(sweep.markovian_hz)
+        lams.append(rad_to_hz(sweep.markovian))
     parts = [part for lam in lams for part in (lam.real / 1e3, lam.imag / 1e3)]
     return Table(grid, columns, np.column_stack([g_khz, *parts]))
 
 
-def _branch_roles(lams_hz, omega_c_hz: float):
+def _branch_roles(lams, omega_c: float):
     """Indices (plus, minus, pseudo) for one continuity-ordered row of eigenvalues.
 
     The branch tracking the eliminated bath mode is the one nearest
     -Omega_c; of the two hybrid branches, the slower-decaying one (larger
     real part) is labeled plus.
     """
-    idx = list(range(len(lams_hz)))
-    pseudo = min(idx, key=lambda i: abs(lams_hz[i] + omega_c_hz))
+    idx = list(range(len(lams)))
+    pseudo = min(idx, key=lambda i: abs(lams[i] + omega_c))
     hybrids = [i for i in idx if i != pseudo]
-    hybrids.sort(key=lambda i: lams_hz[i].real, reverse=True)
+    hybrids.sort(key=lambda i: lams[i].real, reverse=True)
     return hybrids[0], hybrids[1], pseudo
 
 
@@ -343,7 +343,7 @@ def cmd_petermann(args, p: SystemParams, d: DriveParams) -> Table:
             f"{col}{suffix}"
             for col in ("k_plus", "k_minus", "k_3", "div_plus", "div_minus", "div_3")
         ]
-        roles = _branch_roles(sweep.lambdas_hz[0].tolist(), rad_to_hz(p.omega_c))
+        roles = _branch_roles(sweep.lambdas[0].tolist(), p.omega_c)
         blocks += [sweep.petermann[:, roles], sweep.divergent[:, roles]]
         grid[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
     return Table(grid, columns, np.hstack(blocks))

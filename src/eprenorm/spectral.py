@@ -19,11 +19,10 @@ is unity for a normal mode and diverges at an exceptional point.
 A sweep computes no vectors and calls no LAPACK: _closed_eigvals solves
 every row of its (N, 3, 3) drift stack in one batched pass (Cardano's
 roots, the closest pair solved again from its midpoint, one Newton step),
-and the memoryless (N, 2, 2)
-block in another (the quadratic formula).  A Petermann sweep takes K from
-the same pass, through the spectral projector of a simple eigenvalue,
-P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation Theory for Linear
-Operators, 1966), with p'(lam_k) = prod_{j != k} (lam_k - lam_j):
+and the memoryless (N, 2, 2) block in another (the quadratic formula).
+Every sweep takes K from the same pass, through the spectral projector of
+a simple eigenvalue, P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation
+Theory for Linear Operators, 1966), with p'(lam_k) = prod_{j != k} (lam_k - lam_j):
 
     K_k = ||P_k||_F^2 = ||adj(lam_k - M)||_F^2 / |p'(lam_k)|^2,
 
@@ -31,6 +30,7 @@ read off the diagonal cofactors of lam_k - M.  The two eigensolvers and the
 two K routes share no code, so each checks the other; both flag a mode
 divergent when defective or K is not below DIVERGENT_K (nan too).  The
 memoryless reference is the (a, b) block of the same stack (drift_markovian).
+Sweeps, like every result of the package, are in rad/s.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
-from .model import DriveParams, SystemParams, _array_rows, drift_nonmarkovian, rad_to_hz
+from .model import DriveParams, SystemParams, _array_rows, drift_nonmarkovian
 
 # A Petermann factor at or beyond this (or nan) counts as numerically divergent, in both K routes.
 DIVERGENT_K = 1e30
@@ -84,26 +84,23 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class Sweep:
-    """A coupling sweep as column arrays, one row per grid point.
+    """A coupling sweep as column arrays, one row per grid point, in rad/s.
 
-    coord_hz (N,) holds the grid; lambdas_hz, petermann and divergent are
-    (N, 3) with columns ordered by branch continuity; petermann is None for
-    an eigenvalue-only sweep (sweep_eigs), whose divergent is the defective
-    flag; markovian_hz (N, 2) holds the memoryless two-mode eigenvalues, or
-    is None when not asked for.  Frequencies are in Hz (cycles), converted
-    once from rad/s.  A Petermann sweep takes K from the cofactors of the
-    closed-form eigenvalue pass (_closed_eigvals); its divergent marks a
-    defective mode or a K at or beyond 1e30, as eigensystem's does.
-    Iterating yields one named-tuple row per grid point with these fields.
-    Continuity does not define branch labels at a coalescence, so past an
-    EP two branches' labels can swap on a last-bit change of the inputs.
+    lambdas, petermann and divergent are (N, 3) with columns ordered by
+    branch continuity; markovian (N, 2) holds the memoryless two-mode
+    eigenvalues, or is None when not asked for.  K comes from the cofactors
+    of the closed-form eigenvalue pass (_closed_eigvals), and divergent
+    marks a defective mode or a K at or beyond DIVERGENT_K, as eigensystem's
+    does.  Iterating yields one named-tuple row per grid point with these
+    fields.  Continuity does not define branch labels at a coalescence, so
+    past an EP two branches' labels can swap on a last-bit change of the
+    inputs.
     """
 
-    coord_hz: np.ndarray
-    lambdas_hz: np.ndarray
-    petermann: np.ndarray | None
+    lambdas: np.ndarray
+    petermann: np.ndarray
     divergent: np.ndarray
-    markovian_hz: np.ndarray | None = None
+    markovian: np.ndarray | None = None
 
     def __iter__(self):
         return _array_rows(self)
@@ -302,14 +299,16 @@ def _closed_eigvals(stack: np.ndarray):
     return np.ldexp(lams.view(float), exponent[:, None]).view(complex), ks, defective
 
 
-def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, petermann: bool) -> Sweep:
+def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
     """One sweep over the grid from _closed_eigvals, no vectors and no LAPACK.
 
     Each row's modes are put in _mode_order and then continued along the grid
-    (_continuity_order).  With petermann, divergent also marks a K not below
-    DIVERGENT_K; markovian_ref reads stack[:, :2, :2].
+    (_continuity_order); divergent is defective or K not below DIVERGENT_K;
+    markovian_ref reads stack[:, :2, :2].
     """
-    gs = np.asarray(g_grid, dtype=float).ravel()
+    gs = np.asarray(g_grid, dtype=float)
+    if gs.ndim != 1:
+        raise ValueError(f"sweep grid must be 1-D, got shape {gs.shape}")
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
     finite = np.isfinite(gs)
@@ -319,34 +318,25 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool, petermann
     if np.any(gs < 0):
         raise ValueError("coupling g must be non-negative")
     stack = _drift_stack(p, delta, gs)
-    lams, ks, divergent = _closed_eigvals(stack)
-    if petermann:
-        divergent = divergent | ~(ks < DIVERGENT_K)
+    lams, ks, defective = _closed_eigvals(stack)
     order = _branch_order(lams)
-    mk_hz = None
+    markovian = None
     if markovian_ref:
         mk, _, _ = _closed_eigvals(stack[:, :2, :2])
-        mk_hz = rad_to_hz(mk[_branch_order(mk)])
-    return Sweep(
-        coord_hz=rad_to_hz(gs),
-        lambdas_hz=rad_to_hz(lams[order]),
-        petermann=ks[order] if petermann else None,
-        divergent=divergent[order],
-        markovian_hz=mk_hz,
-    )
+        markovian = mk[_branch_order(mk)]
+    return Sweep(lams[order], ks[order], (defective | ~(ks < DIVERGENT_K))[order], markovian)
 
 
 def sweep_eigs(p: SystemParams, delta: float, g_grid, markovian_ref: bool = False) -> Sweep:
     """Eigenvalue branches vs coupling at fixed detuning, continuity-matched.
 
-    Eigenvalues only: petermann is None and divergent is the defective
-    (coalescence) flag of _defective.  With markovian_ref, the Sweep also
-    carries the two eigenvalues of the memoryless two-mode block at each grid
-    point, for side-by-side comparison.
+    The Sweep is sweep_petermann's, K and divergent included; with
+    markovian_ref it also carries the two eigenvalues of the memoryless
+    two-mode block at each grid point, for side-by-side comparison.
     """
-    return _sweep(p, delta, g_grid, markovian_ref=markovian_ref, petermann=False)
+    return _sweep(p, delta, g_grid, markovian_ref)
 
 
 def sweep_petermann(p: SystemParams, delta: float, g_grid) -> Sweep:
-    """Petermann factors vs coupling at fixed detuning (markovian_hz is None)."""
-    return _sweep(p, delta, g_grid, markovian_ref=False, petermann=True)
+    """Petermann factors vs coupling at fixed detuning (markovian is None)."""
+    return _sweep(p, delta, g_grid, markovian_ref=False)

@@ -149,13 +149,12 @@ def test_criterion_06_sweep_structure(capsys, params):
         mk = markovian_ep(params)
         sol = solve_exact_ep(params)
         grid = [hz_to_rad(k * 1e3) for k in np.linspace(40.0, 60.0, 401)]
-        cutoff_hz = rad_to_hz(params.omega_c)
 
         sweep = sweep_eigs(params, mk.delta_ep, grid)
         min_gap = math.inf
-        for lambdas_hz in sweep.lambdas_hz:
-            pseudo = min(range(3), key=lambda i: abs(lambdas_hz[i] + cutoff_hz))
-            hyb = [lambdas_hz[i] for i in range(3) if i != pseudo]
+        for lambdas in sweep.lambdas:
+            pseudo = min(range(3), key=lambda i: abs(lambdas[i] + params.omega_c))
+            hyb = [lambdas[i] for i in range(3) if i != pseudo]
             min_gap = min(min_gap, abs(hyb[0] - hyb[1]))
         assert min_gap > 0.0
 
@@ -165,13 +164,13 @@ def test_criterion_06_sweep_structure(capsys, params):
             key=lambda row: max(
                 pet.petermann[row, i]
                 for i in range(3)
-                if i != min(range(3), key=lambda k: abs(pet.lambdas_hz[row, k] + cutoff_hz))
+                if i != min(range(3), key=lambda k: abs(pet.lambdas[row, k] + params.omega_c))
             ),
         )
-        best_hz = pet.coord_hz[best]
+        best_khz = _khz(grid[best])
         step_khz = 20.0 / 400.0
-        assert abs(best_hz / 1e3 - _khz(sol.g_ep)) <= step_khz + 1e-12
-        return f"min branch gap {min_gap / 1e3:.3f} kHz; peak at {best_hz / 1e3:.4g} kHz"
+        assert abs(best_khz - _khz(sol.g_ep)) <= step_khz + 1e-12
+        return f"min branch gap {_khz(min_gap):.3f} kHz; peak at {best_khz:.4g} kHz"
 
     _run(capsys, 6, "avoided crossing and nonorthogonality peak across the sweep", body)
 

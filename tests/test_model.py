@@ -1,10 +1,13 @@
 """Parameter containers, bath functions and drift-matrix assembly."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprenorm
 from draws import draw_drive, draw_system
 from eprenorm import DriveParams, SystemParams, drift_markovian, drift_nonmarkovian, load_config
 from eprenorm.model import (
@@ -26,6 +29,40 @@ def test_unit_conversion_roundtrip():
         x = 10.0 ** rng.uniform(-3, 9)
         assert abs(rad_to_hz(hz_to_rad(x)) - x) <= 1e-15 * x
 
+
+
+_CONVERTERS = {"hz_to_rad", "rad_to_hz"}
+
+
+def _converter_uses(source):
+    """(top-level scope, name) of every unit converter a module imports or names;
+    the scope is the enclosing top-level function or class, None at module level."""
+    uses = set()
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+            if name in _CONVERTERS:
+                uses.add((scope, name))
+    return uses
+
+
+def test_library_layers_leave_unit_conversion_to_the_cli():
+    """Units are converted once, at the CLI boundary: model defines rad_to_hz and
+    hz_to_rad and cli calls them, and no other module imports or names either,
+    so every library result (sweeps included) is in rad/s.  One use is allowed:
+    epsolver._ep_drive's NonPhysicalEp message names the offending drive
+    coordinate in Hz, as the config key it reports; epsolver imports rad_to_hz
+    for that message alone."""
+    allowed = {"epsolver": {(None, "rad_to_hz"), ("_ep_drive", "rad_to_hz")}}
+    package = Path(eprenorm.__file__).parent
+    checked = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in ("cli", "model"):
+            assert _converter_uses(path.read_text()) == allowed.get(path.stem, set()), path.stem
+            checked.add(path.stem)
+    assert {"charpoly", "embedcheck", "epsolver", "response", "spectral"} <= checked
+    assert _converter_uses((package / "cli.py").read_text())  # the check sees real uses
 
 def test_system_params_validation():
     good = dict(omega_m=1.0, kappa=0.1, gamma=0.01, omega_c=1.0)

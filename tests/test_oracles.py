@@ -44,7 +44,6 @@ from eprenorm import (
 from eprenorm import spectral
 from eprenorm.charpoly import char_cubic
 from eprenorm.errors import NoConvergence
-from eprenorm.model import hz_to_rad
 from test_parity import parity
 
 ORACLE_DPS = 40
@@ -315,8 +314,8 @@ def test_petermann_sweep_through_ep_matches_dense_oracle(params):
     for delta in (-params.omega_m, sol.delta_ep):
         sweep = sweep_petermann(params, delta, grid)
         compared = []
-        for g, lams_hz, ks in zip(grid, sweep.lambdas_hz, sweep.petermann):
-            compared += _assert_petermann_matches(hz_to_rad(lams_hz), ks, _drift(params, delta, g))
+        for g, lams, ks in zip(grid, sweep.lambdas, sweep.petermann):
+            compared += _assert_petermann_matches(lams, ks, _drift(params, delta, g))
         assert len(compared) >= 2 * len(grid)
         peaks.append(max(compared))
     # the memoryless calibration keeps K moderate; the exact one reaches far up the peak
@@ -353,11 +352,11 @@ def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
     grid = sol.g_ep * np.concatenate([1.0 - offsets[::-1], 1.0 + offsets])
     sweep = sweep_petermann(params, sol.delta_ep, grid)
     k_max = 0.0
-    for g, lams_hz, ks in zip(grid, sweep.lambdas_hz, sweep.petermann):
+    for g, lams, ks in zip(grid, sweep.lambdas, sweep.petermann):
         m = _drift(params, sol.delta_ep, g)
         lams_mp, ks_mp = _mp_petermann(m)
         routes = [(mode.lam, mode.petermann) for mode in eigensystem(m)]
-        routes += zip(hz_to_rad(lams_hz), ks)
+        routes += zip(lams, ks)
         assert len(routes) == 2 * len(lams_mp)
         for lam, k in routes:
             k_mp = ks_mp[np.argmin(np.abs(lams_mp - lam))]
@@ -507,7 +506,7 @@ def test_hybrid_gap_and_petermann_scale_as_an_order_two_ep(seed, params):
     log_offset = np.log(EP_OFFSETS * sol.g_ep)
     for side in (1.0, -1.0):
         sweep = sweep_petermann(p, sol.delta_ep, sol.g_ep * (1.0 + side * EP_OFFSETS))
-        lams = hz_to_rad(sweep.lambdas_hz)
+        lams = sweep.lambdas
         order = np.argsort(-np.abs(lams + p.omega_c), axis=1)  # the bath branch last
         hybrids = np.take_along_axis(lams, order[:, :2], axis=1)
         gap_slope = np.polyfit(log_offset, np.log(np.abs(hybrids[:, 0] - hybrids[:, 1])), 1)[0]

@@ -1,5 +1,5 @@
-"""The README runs against, and documents, the package root, EpSolution's fields and the
-embedcheck bounds."""
+"""The README runs against, and documents, the package root, EpSolution's and Sweep's
+fields and the embedcheck bounds."""
 
 import ast
 import dataclasses
@@ -10,6 +10,7 @@ from pathlib import Path
 import eprenorm
 from eprenorm import embedcheck
 from eprenorm.epsolver import EpSolution
+from eprenorm.spectral import Sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,3 +78,12 @@ def test_ep_solution_fields_are_the_documented_ones():
     assert match is not None
     named = re.findall(r"`(\w+)`", match.group(1))
     assert named == [field.name for field in dataclasses.fields(EpSolution)]
+
+
+def test_sweep_fields_are_the_documented_ones():
+    """README names Sweep's dataclass fields, in order."""
+    prose, _ = _library_use()
+    match = re.search(r"`Sweep` of column\s+arrays.*?whose fields are(.*?)all in rad/s", prose, re.S)
+    assert match is not None
+    named = re.findall(r"`(\w+)`", match.group(1))
+    assert named == [field.name for field in dataclasses.fields(Sweep)]

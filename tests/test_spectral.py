@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
+    SystemParams,
     drift_markovian,
     drift_nonmarkovian,
     eigensystem,
@@ -21,14 +23,16 @@ from eprenorm import (
     sweep_petermann,
 )
 from eprenorm.charpoly import char_cubic, cubic_roots
+from eprenorm.errors import NoConvergence
 from eprenorm.model import hz_to_rad, rad_to_hz
 from eprenorm.spectral import petermann
+from test_epsolver import _OVERDAMPED_CYCLE, _OVERDAMPED_OTHER_EP
 
 
-def _hybrid_indices(lams_hz, cutoff_hz):
+def _hybrid_indices(lams, omega_c):
     """Indices of the two cavity-mechanics branches (pseudomode excluded)."""
-    pseudo = min(range(len(lams_hz)), key=lambda i: abs(lams_hz[i] + cutoff_hz))
-    return [i for i in range(len(lams_hz)) if i != pseudo]
+    pseudo = min(range(len(lams)), key=lambda i: abs(lams[i] + omega_c))
+    return [i for i in range(len(lams)) if i != pseudo]
 
 
 def test_diagonal_matrix_modes():
@@ -177,12 +181,9 @@ def test_sweep_rows_match_char_cubic(params):
     delta = -params.omega_m
     grid = [hz_to_rad(g) for g in (42e3, 48.75e3, 55e3)]
     sweep = sweep_eigs(params, delta, grid)
-    for g, coord_hz, lambdas_hz in zip(grid, sweep.coord_hz, sweep.lambdas_hz):
-        assert abs(coord_hz - rad_to_hz(g)) < 1e-12 * rad_to_hz(g)
+    for g, lambdas in zip(grid, sweep.lambdas):
         roots = cubic_roots(char_cubic(params, DriveParams(delta=delta, g=g)))
-        got = sorted(
-            (hz_to_rad(lam) for lam in lambdas_hz), key=lambda z: (z.imag, z.real)
-        )
+        got = sorted(lambdas, key=lambda z: (z.imag, z.real))
         scale = max(abs(r) for r in roots)
         for a, b in zip(got, roots):
             assert abs(a - b) < 1e-9 * scale
@@ -193,37 +194,34 @@ def test_hybrid_branches_avoided_crossing(params):
     mk = markovian_ep(params)
     grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
     sweep = sweep_eigs(params, mk.delta_ep, grid, markovian_ref=True)
-    cutoff_hz = rad_to_hz(params.omega_c)
     min_gap = math.inf
-    for lambdas_hz in sweep.lambdas_hz:
-        i, j = _hybrid_indices(lambdas_hz, cutoff_hz)
-        min_gap = min(min_gap, abs(lambdas_hz[i] - lambdas_hz[j]))
-    assert sweep.markovian_hz is not None and sweep.markovian_hz.shape == (len(grid), 2)
+    for lambdas in sweep.lambdas:
+        i, j = _hybrid_indices(lambdas, params.omega_c)
+        min_gap = min(min_gap, abs(lambdas[i] - lambdas[j]))
+    assert sweep.markovian is not None and sweep.markovian.shape == (len(grid), 2)
     assert min_gap > 0.0
     # the closest approach stays a finite fraction of the coupling scale
-    assert min_gap > 1e3
+    assert rad_to_hz(min_gap) > 1e3
 
 
 def test_petermann_sweep_peak_near_exact_ep(params):
     sol = solve_exact_ep(params)
     grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
     sweep = sweep_petermann(params, sol.delta_ep, grid)
-    cutoff_hz = rad_to_hz(params.omega_c)
     best = max(
         range(len(grid)),
         key=lambda k: max(
-            sweep.petermann[k, i] for i in _hybrid_indices(sweep.lambdas_hz[k], cutoff_hz)
+            sweep.petermann[k, i] for i in _hybrid_indices(sweep.lambdas[k], params.omega_c)
         ),
     )
     g_ep_hz = rad_to_hz(sol.g_ep)
     step_hz = rad_to_hz(grid[1] - grid[0])
-    assert abs(sweep.coord_hz[best] - g_ep_hz) <= step_hz + 1e-9
+    assert abs(rad_to_hz(grid[best]) - g_ep_hz) <= step_hz + 1e-9
 
 
 def test_petermann_peak_sharpens_under_refinement(params):
     """Zooming the coupling grid onto the exact point grows the peak factor."""
     sol = solve_exact_ep(params)
-    cutoff_hz = rad_to_hz(params.omega_c)
     peaks = []
     for half_hz in (50.0, 5.0, 0.5, 0.05):
         half = hz_to_rad(half_hz)
@@ -231,8 +229,8 @@ def test_petermann_peak_sharpens_under_refinement(params):
         sweep = sweep_petermann(params, sol.delta_ep, grid)
         peaks.append(
             max(
-                max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
-                for lambdas_hz, ks in zip(sweep.lambdas_hz, sweep.petermann)
+                max(ks[i] for i in _hybrid_indices(lambdas, params.omega_c))
+                for lambdas, ks in zip(sweep.lambdas, sweep.petermann)
             )
         )
     assert all(a < b for a, b in zip(peaks, peaks[1:]))
@@ -247,11 +245,9 @@ def test_petermann_peak_sharpens_under_refinement(params):
 DEFECTIVE_SPLIT_RTOL = 3e-8
 
 
-def _row_matches_pointwise(lams_hz, ks, divs, modes):
-    """Each pointwise mode has a row entry with the same eigenvalue, K and flag;
-    with ks None (an eigenvalue-only row) the flag is the mode's defective one."""
-    assert len(lams_hz) == len(modes)
-    lams = [hz_to_rad(lam) for lam in lams_hz]
+def _row_matches_pointwise(lams, ks, divs, modes):
+    """Each pointwise mode has a row entry with the same eigenvalue, K and flag."""
+    assert len(lams) == len(modes)
     scale = max(abs(lam) for lam in lams)
     defective = any(mode.defective for mode in modes)
     unused = set(range(len(lams)))
@@ -261,8 +257,8 @@ def _row_matches_pointwise(lams_hz, ks, divs, modes):
         unused.remove(k)
         matched.append(k)
         assert abs(lams[k] - mode.lam) <= (DEFECTIVE_SPLIT_RTOL if defective else 1e-12) * scale
-        assert divs[k] == (mode.defective if ks is None else mode.divergent)
-        if ks is not None and mode.petermann < 1e4:
+        assert divs[k] == mode.divergent
+        if mode.petermann < 1e4:
             assert abs(ks[k] - mode.petermann) <= 1e-9 * mode.petermann
     if defective:
         pair = [i for i, mode in enumerate(modes) if mode.defective]
@@ -291,10 +287,10 @@ def test_sweep_rows_match_pointwise_eigensystem(params):
             eig = sweep_eigs(p, delta, grid, markovian_ref=True)
             for k, g in enumerate(grid):
                 modes = eigensystem(drift_nonmarkovian(p, DriveParams(delta=delta, g=g)))
-                _row_matches_pointwise(pet.lambdas_hz[k], pet.petermann[k], pet.divergent[k], modes)
-                _row_matches_pointwise(eig.lambdas_hz[k], None, eig.divergent[k], modes)
+                for sweep in (pet, eig):
+                    _row_matches_pointwise(sweep.lambdas[k], sweep.petermann[k], sweep.divergent[k], modes)
                 mk_modes = eigensystem(drift_markovian(p, DriveParams(delta=delta, g=g)))
-                mk_rad = hz_to_rad(eig.markovian_hz[k])
+                mk_rad = eig.markovian[k]
                 mk_ref = np.array([m.lam for m in mk_modes])
                 # matched as a pair: below the memoryless EP the two real parts tie
                 mismatch = min(np.abs(mk_rad - mk_ref).max(), np.abs(mk_rad - mk_ref[::-1]).max())
@@ -311,7 +307,8 @@ def test_one_divergence_rule_governs_both_k_routes(params, monkeypatch):
     sol = solve_exact_ep(params)
     gs = np.linspace(0.9, 1.1, 401) * sol.g_ep
     pet = sweep_petermann(params, sol.delta_ep, gs)
-    defective = sweep_eigs(params, sol.delta_ep, gs).divergent
+    lams, _, flags = spectral._closed_eigvals(spectral._drift_stack(params, sol.delta_ep, gs))
+    defective = flags[spectral._branch_order(lams)]
     np.testing.assert_array_equal(pet.divergent, defective | ~(pet.petermann < 50.0))
     assert (pet.divergent & ~defective).sum() > 10 and defective.any()  # both parts of the rule act
     by_k = 0
@@ -351,7 +348,7 @@ def test_sweeps_run_without_lapack(params, monkeypatch):
     grid = np.linspace(0.9, 1.1, 41) * sol.g_ep
     eig = sweep_eigs(params, sol.delta_ep, grid, markovian_ref=True)
     pet = sweep_petermann(params, sol.delta_ep, grid)
-    assert np.isfinite(eig.lambdas_hz).all() and np.isfinite(eig.markovian_hz).all()
+    assert np.isfinite(eig.lambdas).all() and np.isfinite(eig.markovian).all()
     assert np.isfinite(pet.petermann).all()
 
 
@@ -368,23 +365,67 @@ def test_petermann_sweep_computes_no_eigenvectors(params, monkeypatch):
     assert np.isfinite(sweep.petermann).all()
 
 
-def test_eigenvalue_sweep_matches_petermann_sweep(params):
-    """sweep_eigs gives sweep_petermann's branches bit for bit and its flags, and no K.
+def _devices(params, seed):
+    """The defaults, 20 draw_system devices and test_epsolver's two pinned
+    over-damped devices, whose resolved-sideband warning is expected here."""
+    rng = np.random.default_rng(seed)
+    with pytest.warns(UserWarning, match="resolved-sideband"):
+        over_damped = [SystemParams(**_OVERDAMPED_CYCLE), SystemParams(**_OVERDAMPED_OTHER_EP)]
+    return [params] + [draw_system(rng) for _ in range(20)] + over_damped
 
-    Both take their eigenvalues from the same closed-form pass on the same
-    stack and the same ordering, so the branches are equal, not close."""
-    rng = np.random.default_rng(2121)
+
+def _calibrations(p):
+    """The memoryless EP of p and, where Newton reaches one, its exact EP."""
+    try:
+        return [markovian_ep(p), solve_exact_ep(p)]
+    except NoConvergence:
+        return [markovian_ep(p)]
+
+
+def test_eigenvalue_sweep_matches_petermann_sweep(params):
+    """sweep_eigs gives sweep_petermann's branches, K and flags bit for bit.
+
+    Both are one _sweep on the same stack with the same ordering, so the
+    results are equal, not close."""
     flagged = 0
-    for p in [params] + [draw_system(rng) for _ in range(20)]:
-        for ep in (markovian_ep(p), solve_exact_ep(p)):
+    for p in _devices(params, 2121):
+        for ep in _calibrations(p):
             grid = np.sort(np.append(np.linspace(0.8, 1.2, 201) * ep.g_ep, ep.g_ep))
             eig = sweep_eigs(p, ep.delta_ep, grid)
             pet = sweep_petermann(p, ep.delta_ep, grid)
-            np.testing.assert_array_equal(eig.lambdas_hz, pet.lambdas_hz)
-            np.testing.assert_array_equal(eig.divergent, pet.divergent)
-            assert eig.petermann is None
+            for field in ("lambdas", "petermann", "divergent"):
+                np.testing.assert_array_equal(getattr(eig, field), getattr(pet, field))
             flagged += int(eig.divergent.any(axis=-1).sum())
     assert flagged > 20  # rows near each EP are flagged, so the flag comparison has teeth
+
+
+# Couplings far below and far above the devices' own.  Above about 3e307 rad/s
+# the distance sums of _continuity_order overflow, so the grid stops there.
+_EXTREME_COUPLINGS = np.array([0.0, 1e-300, 1e-150, 1e150, 1e300, 3e307])
+
+
+def test_eigenvalue_sweep_flags_are_the_kernel_s_defective_flags(params):
+    """sweep_eigs's divergent is _closed_eigvals' defective flag in branch order:
+    the K half of the divergence rule flags no other mode, on grids through
+    each calibration's EP (and 1e-12 of it on either side) plus extreme couplings."""
+    flagged = 0
+    for p in _devices(params, 3131):
+        for ep in _calibrations(p):
+            near = np.concatenate([np.linspace(0.8, 1.2, 41), 1.0 + np.array([-1e-12, 0.0, 1e-12])])
+            grid = np.sort(np.concatenate([near * ep.g_ep, _EXTREME_COUPLINGS]))
+            lams, _, defective = spectral._closed_eigvals(spectral._drift_stack(p, ep.delta_ep, grid))
+            divergent = sweep_eigs(p, ep.delta_ep, grid).divergent
+            np.testing.assert_array_equal(divergent, defective[spectral._branch_order(lams)])
+            flagged += int(divergent.any(axis=-1).sum())
+    assert flagged > 20
+
+
+@pytest.mark.parametrize("grid", [np.zeros((2, 3)), np.float64(1e5)], ids=["2x3", "0-d"])
+def test_sweeps_reject_a_grid_that_is_not_1d(params, grid):
+    """A grid is one axis of couplings; it is not flattened."""
+    for sweep in (sweep_eigs, sweep_petermann):
+        with pytest.raises(ValueError, match=re.escape(f"sweep grid must be 1-D, got shape {grid.shape}")):
+            sweep(params, -params.omega_m, grid)
 
 
 def test_sweep_continuity_matches_rowwise_reference(params):
@@ -393,11 +434,11 @@ def test_sweep_continuity_matches_rowwise_reference(params):
     delta = -params.omega_m * 1.01
     sweep = sweep_eigs(params, delta, grid, markovian_ref=True)
     prev = prev_mk = None
-    for g, row_hz, row_mk_hz in zip(grid, sweep.lambdas_hz, sweep.markovian_hz):
+    for g, row, row_mk in zip(grid, sweep.lambdas, sweep.markovian):
         d = DriveParams(delta=delta, g=g)
-        for lams_hz, drift, last in (
-            (row_hz, drift_nonmarkovian, prev),
-            (row_mk_hz, drift_markovian, prev_mk),
+        for got, drift, last in (
+            (row, drift_nonmarkovian, prev),
+            (row_mk, drift_markovian, prev_mk),
         ):
             lams = [mode.lam for mode in eigensystem(drift(params, d))]
             if last is not None:
@@ -405,7 +446,6 @@ def test_sweep_continuity_matches_rowwise_reference(params):
                     (list(perm) for perm in itertools.permutations(lams)),
                     key=lambda perm: sum(abs(a - b) for a, b in zip(perm, last)),
                 )
-            got = [hz_to_rad(lam) for lam in lams_hz]
             scale = max(abs(lam) for lam in lams)
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, lams))
             if drift is drift_nonmarkovian:
@@ -414,8 +454,8 @@ def test_sweep_continuity_matches_rowwise_reference(params):
                 prev_mk = lams
     # the branches really do reorder along this grid
     assert any(
-        sorted(range(3), key=lambda i: (lams_hz[i].imag, lams_hz[i].real)) != [0, 1, 2]
-        for lams_hz in sweep.lambdas_hz
+        sorted(range(3), key=lambda i: (lams[i].imag, lams[i].real)) != [0, 1, 2]
+        for lams in sweep.lambdas
     )
 
 
@@ -484,7 +524,7 @@ def test_two_mode_modes_ordered_by_real_part_below_ep(params):
         modes = eigensystem(drift_markovian(params, DriveParams(delta=delta, g=hz_to_rad(g_hz))))
         assert modes[0].lam.real < modes[1].lam.real
         grid = np.linspace(hz_to_rad(g_hz), mk.g_ep, 5)
-        first = sweep_eigs(params, delta, grid, markovian_ref=True).markovian_hz[0]
+        first = sweep_eigs(params, delta, grid, markovian_ref=True).markovian[0]
         assert first[0].real < first[1].real
 
 
@@ -613,14 +653,13 @@ def test_peak_heights_on_coarse_and_fine_grids(params):
     """A 50 Hz-step grid keeps K moderate at the memoryless detuning; a
     dedicated fine grid through the exact point resolves the divergence."""
     sol = solve_exact_ep(params)
-    cutoff_hz = rad_to_hz(params.omega_c)
 
     gray = sweep_petermann(
         params, -params.omega_m, np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 401)
     )
     k_gray = max(
-        max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
-        for lambdas_hz, ks in zip(gray.lambdas_hz, gray.petermann)
+        max(ks[i] for i in _hybrid_indices(lambdas, params.omega_c))
+        for lambdas, ks in zip(gray.lambdas, gray.petermann)
     )
     assert 10.0 < k_gray < 500.0
 
@@ -628,8 +667,8 @@ def test_peak_heights_on_coarse_and_fine_grids(params):
         params, sol.delta_ep, np.linspace(hz_to_rad(49.37e3), hz_to_rad(49.38e3), 1001)
     )
     k_red = max(
-        max(ks[i] for i in _hybrid_indices(lambdas_hz, cutoff_hz))
-        for lambdas_hz, ks in zip(red.lambdas_hz, red.petermann)
+        max(ks[i] for i in _hybrid_indices(lambdas, params.omega_c))
+        for lambdas, ks in zip(red.lambdas, red.petermann)
     )
     assert k_red >= 1e6
 
