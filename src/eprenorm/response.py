@@ -12,12 +12,16 @@ chi_b,eff^-1 = chi_b^-1 - g_c^2 * chi_c, and the common denominator
 D = chi_a^-1 * chi_b,eff^-1 + G^2.  The reflection amplitude is computed in
 two algebraically equivalent forms (susceptibility-sum and D-form) that are
 kept as separate fields so their agreement stays testable.
+
+spectrum returns one Spectrum of arrays over a 1-D probe grid, which it does
+not echo back, and flags singular points; reflection returns the same
+Spectrum and raises SingularDenominator at a singular point instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,6 @@ DIP_XTOL_GAMMAS = 1e-3
 class Susceptibilities:
     """Inverse susceptibilities, common denominator and noise transfer at omega."""
 
-    omega: float
     chi_a_inv: complex
     chi_b_inv: complex
     chi_b_eff_inv: complex
@@ -46,7 +49,7 @@ class Susceptibilities:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Reflection response over probe frequencies, one array entry per omega.
+    """Reflection response, one array entry per omega of the caller's probe grid.
 
     r is the susceptibility-sum form and s_aa the D-form of the same
     amplitude; both are retained so the algebraic identity between them can
@@ -54,7 +57,6 @@ class Spectrum:
     common denominator vanished; amplitudes are NaN there.
     """
 
-    omega: np.ndarray
     r: np.ndarray
     r_sq: np.ndarray
     s_aa: np.ndarray
@@ -112,7 +114,6 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
     with np.errstate(over="ignore"):
         d_denom = _denominator(chi_a_inv, chi_b_eff_inv, d.g)
     return Susceptibilities(
-        omega=omega,
         chi_a_inv=chi_a_inv,
         chi_b_inv=chi_b_inv,
         chi_b_eff_inv=chi_b_eff_inv,
@@ -152,9 +153,11 @@ def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = Fals
     With markovian set, the bare mechanical susceptibility replaces the
     bath-dressed one and the noise transfer reduces to the white-noise
     amplitude sqrt(gamma).  Probe frequencies where |D| < 1e-12*kappa*omega_m
-    come back flagged singular, with NaN amplitudes.
+    come back flagged singular, with NaN amplitudes; a grid not 1-D raises ValueError.
     """
-    omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    omega = np.asarray(omega_grid, dtype=float)
+    if omega.ndim != 1:
+        raise ValueError(f"spectrum grid must be 1-D, got shape {omega.shape}")
     chi_c_inv, chi_m_inv, d_denom, singular, r = _response(p, d, omega, markovian)
     eta = math.sqrt(p.gamma) if markovian else _eta(p, omega, chi_c_inv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -162,18 +165,17 @@ def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = Fals
         s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
     nan = complex(math.nan, math.nan)
     r, s_aa, s_axi = (np.where(singular, nan, v) for v in (r, s_aa, s_axi))
-    return Spectrum(omega, r, np.abs(r) ** 2, s_aa, s_axi, singular)
+    return Spectrum(r, np.abs(r) ** 2, s_aa, s_axi, singular)
 
 
-def reflection(p: SystemParams, d: DriveParams, omega: float, markovian: bool = False) -> Spectrum:
-    """spectrum at the one probe frequency omega, holding Python scalars instead of arrays.
-
-    Raises SingularDenominator where the common denominator vanishes.
-    """
-    pt = spectrum(p, d, omega, markovian)
-    if pt.singular[0]:
-        raise SingularDenominator(f"response denominator vanishes at omega = {omega!r}")
-    return Spectrum(*(getattr(pt, f.name).item() for f in fields(pt)))
+def reflection(p: SystemParams, d: DriveParams, omega, markovian: bool = False) -> Spectrum:
+    """spectrum at one probe frequency omega (a length-1 Spectrum) or over a 1-D grid of them,
+    raising SingularDenominator at the first probe frequency that spectrum flags singular."""
+    grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    pt = spectrum(p, d, grid, markovian)
+    if pt.singular.any():
+        raise SingularDenominator(f"response denominator vanishes at omega = {float(grid[pt.singular.argmax()])!r}")
+    return pt
 
 
 def _golden_min(f, a: float, b: float, xtol: float):

@@ -7,9 +7,10 @@ the conjugate of its right one.  One ordering rule puts the modes of each
 row in (Im, Re) order, and one closest-pair test flags defective modes.
 
 eigensystem takes the eigenvalues and right eigenvectors of its one matrix
-from LAPACK's zgeev (np.linalg.eig), which balances and scales the matrix.
-Each right vector has unit norm and its largest-magnitude entry real and
-positive.  With L = conj(R) the Petermann factor of a mode is
+from LAPACK's zgeev (np.linalg.eig), which balances and scales the matrix,
+and returns them as one Eigensystem of column arrays, as a sweep returns one
+Sweep.  Each right vector has unit norm and its largest-magnitude entry real
+and positive.  With L = conj(R) the Petermann factor of a mode, petermann(R), is
 
     K = (<L|L> <R|R>) / |<L|R>|^2 = <R|R>^2 / |R^T R|^2
 
@@ -66,20 +67,23 @@ _PREVIOUS = {n: np.array([max(i - 1, 0) for i in range(n)]) for n in (2, 3)}
 
 
 @dataclass(frozen=True)
-class EigenMode:
-    """One eigenvalue with its right eigenvector and Petermann factor.
+class Eigensystem:
+    """The modes of one matrix as column arrays, one entry per mode in (Im, Re) order.
 
-    The left eigenvector of a complex-symmetric matrix is conj(right).
-    divergent marks a Petermann factor at or beyond double-precision reach
-    (overlap underflow or a defective pair); the finite computed value is
-    still reported so log-scale consumers have a number to plot.
+    lambdas, petermann, divergent and defective are (n,); rights (n, n) holds
+    one right vector per row, of unit norm with its largest-magnitude entry
+    real and positive.  The left eigenvector of a complex-symmetric matrix is
+    conj(right).  divergent marks a Petermann factor at or beyond
+    double-precision reach (overlap underflow or a defective pair); the
+    finite computed value is still reported so log-scale consumers have a
+    number to plot.
     """
 
-    lam: complex
-    right: tuple
-    petermann: float
-    divergent: bool
-    defective: bool
+    lambdas: np.ndarray
+    petermann: np.ndarray
+    divergent: np.ndarray
+    defective: np.ndarray
+    rights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,19 +116,12 @@ def _mode_order(lams: np.ndarray) -> np.ndarray:
     flat = lams.reshape(-1, lams.shape[-1])
     rows = np.arange(len(flat))[:, None]
     by_imag = np.argsort(flat.imag, axis=-1)
-    imag = flat.imag[rows, by_imag]
-    scale = np.abs(flat).max(axis=-1)
+    # Halved, which is exact above the subnormals, so no difference of two Im parts overflows.
+    imag = flat.imag[rows, by_imag] * 0.5
+    scale = np.abs(flat).max(axis=-1) * 0.5
     # Each sorted Im minus the one before it (0 for the first) opens a new tier when above the tolerance.
     tier = np.cumsum(imag - imag[:, _PREVIOUS[flat.shape[-1]]] > IMAG_TIE_RTOL * scale[:, None], axis=-1)
     return by_imag[rows, np.lexsort((flat.real[rows, by_imag], tier), axis=-1)].reshape(lams.shape)
-
-
-def _petermann_values(right: np.ndarray) -> np.ndarray:
-    """Petermann factors <R|R>^2 / |R^T R|^2 of rights (..., component), inf where R^T R is 0."""
-    rr = np.einsum("...i,...i->...", right.conj(), right).real
-    lr_sq = np.abs(np.einsum("...i,...i->...", right, right)) ** 2
-    with np.errstate(divide="ignore"):
-        return np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
 
 
 def _defective(lams: np.ndarray) -> np.ndarray:
@@ -136,13 +133,16 @@ def _defective(lams: np.ndarray) -> np.ndarray:
     return _PAIR_MODES[lams.shape[-1]][gaps.argmin(axis=-1)] & near[..., None]
 
 
-def petermann(mode: EigenMode) -> float:
-    """Recompute the Petermann factor of a mode from its right vector."""
-    return float(_petermann_values(np.asarray(mode.right, dtype=complex)))
+def petermann(rights) -> np.ndarray:
+    """Petermann factors <R|R>^2 / |R^T R|^2 of right vectors (..., component), inf where R^T R is 0."""
+    rr = np.einsum("...i,...i->...", np.conj(rights), rights).real
+    lr_sq = np.abs(np.einsum("...i,...i->...", rights, rights)) ** 2
+    with np.errstate(divide="ignore"):
+        return np.where(lr_sq == 0.0, np.inf, rr * rr / lr_sq)
 
 
-def eigensystem(m):
-    """Full eigendecomposition of a complex-symmetric 2x2 or 3x3 matrix.
+def eigensystem(m) -> Eigensystem:
+    """Full eigendecomposition of a complex-symmetric 2x2 or 3x3 matrix, as one Eigensystem.
 
     Modes come back ordered by eigenvalue (imaginary part, then real part;
     imaginary parts within 1e-9 max|lam| count as equal), each with its right
@@ -165,24 +165,14 @@ def eigensystem(m):
     lams, rights = lams[order], vecs.T[order]
     pivot = rights[np.arange(len(rights)), np.abs(rights).argmax(axis=-1)]
     rights = rights * (pivot.conj() / np.abs(pivot))[:, None]
-    ks = _petermann_values(rights)
+    ks = petermann(rights)
     defective = _defective(lams)
-    divergent = defective | ~(ks < DIVERGENT_K)
-    return [
-        EigenMode(
-            lam=complex(lams[i]),
-            right=tuple(rights[i]),
-            petermann=float(ks[i]),
-            divergent=bool(divergent[i]),
-            defective=bool(defective[i]),
-        )
-        for i in range(len(lams))
-    ]
+    return Eigensystem(lams, ks, defective | ~(ks < DIVERGENT_K), defective, rights)
 
 
-def petermann_at(p: SystemParams, d: DriveParams):
-    """Petermann factors of the three-mode drift at one drive point."""
-    return tuple(mode.petermann for mode in eigensystem(drift_nonmarkovian(p, d)))
+def petermann_at(p: SystemParams, d: DriveParams) -> np.ndarray:
+    """Petermann factors (3,) of the three-mode drift at one drive point, in eigensystem's mode order."""
+    return eigensystem(drift_nonmarkovian(p, d)).petermann
 
 
 def _drift_stack(p: SystemParams, delta: float, gs: np.ndarray) -> np.ndarray:
@@ -206,11 +196,14 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     Every adjacent pair of raw rows gets the permutation minimizing the total
     distance to the previous row; composing these along the grid orders each
     row relative to its own raw layout (branch tracking).  The steps are
-    composed as indices into _PERMS through the _COMPOSE table.
+    composed as indices into _PERMS through the _COMPOSE table.  Distances are
+    taken on lams / 16, exact above the subnormals, so no finite input overflows:
+    a part of a difference is at most DBL_MAX / 8, and three distances sum below DBL_MAX.
     """
     n = lams.shape[1]
     perms, compose = _PERMS[n], _COMPOSE[n]
-    dist = np.abs(lams[1:, :, None] - lams[:-1, None, :])
+    scaled = lams * 0.0625
+    dist = np.abs(scaled[1:, :, None] - scaled[:-1, None, :])
     steps = dist[:, perms, np.arange(n)].sum(axis=-1).argmin(axis=-1).tolist()
     return perms[list(accumulate(steps, lambda order, step: compose[order][step], initial=0))]
 

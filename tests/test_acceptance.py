@@ -58,8 +58,8 @@ def _khz(value_rad):
     return rad_to_hz(value_rad) / 1e3
 
 
-def _pseudo_index(modes, omega_c):
-    return min(range(len(modes)), key=lambda i: abs(modes[i].lam + omega_c))
+def _pseudo_index(es, omega_c):
+    return int(np.argmin(np.abs(es.lambdas + omega_c)))
 
 
 def test_criterion_01_markovian_coordinates_via_cli(capsys, tmp_path):
@@ -124,21 +124,21 @@ def test_criterion_05_petermann_factors(capsys, params):
         sol = solve_exact_ep(params)
         mk = markovian_ep(params)
 
-        modes = eigensystem(drift_nonmarkovian(params, sol.drive))
-        pseudo = _pseudo_index(modes, params.omega_c)
+        es = eigensystem(drift_nonmarkovian(params, sol.drive))
+        pseudo = _pseudo_index(es, params.omega_c)
         hybrids = [i for i in range(3) if i != pseudo]
-        assert all(modes[i].divergent for i in hybrids)
-        assert min(modes[i].petermann for i in hybrids) >= 1e10
-        k3 = modes[pseudo].petermann
+        assert all(es.divergent[i] for i in hybrids)
+        assert min(es.petermann[i] for i in hybrids) >= 1e10
+        k3 = es.petermann[pseudo]
         assert abs(k3 - 1.0025) <= 5e-4
-        assert not modes[pseudo].divergent
+        assert not es.divergent[pseudo]
 
         calib = eigensystem(drift_nonmarkovian(params, mk.drive))
         pseudo_c = _pseudo_index(calib, params.omega_c)
-        ks = [calib[i].petermann for i in range(3) if i != pseudo_c]
+        ks = [calib.petermann[i] for i in range(3) if i != pseudo_c]
         assert all(abs(k - 27.6) <= 0.5 for k in ks)
-        assert abs(calib[pseudo_c].petermann - 1.0025) <= 5e-4
-        assert not any(m.divergent for m in calib)
+        assert abs(calib.petermann[pseudo_c] - 1.0025) <= 5e-4
+        assert not calib.divergent.any()
         return f"hybrid pair K >= 1e10 at the exact point; K = {ks[0]:.4g} at the closed-form point"
 
     _run(capsys, 5, "mode nonorthogonality at and near the coalescence", body)
@@ -250,10 +250,9 @@ def test_criterion_10_randomized_invariants(capsys):
         for _ in range(n):
             p = draw_system(rng)
             d = draw_drive(rng, p)
-            mode = eigensystem(drift_nonmarkovian(p, d))[0]
+            es = eigensystem(drift_nonmarkovian(p, d))
             alpha = complex(rng.normal(), rng.normal())
-            scaled = dataclasses.replace(mode, right=tuple(alpha * r for r in mode.right))
-            assert abs(petermann(scaled) - mode.petermann) <= 1e-12 * mode.petermann
+            assert abs(petermann(alpha * es.rights[0]) - es.petermann[0]) <= 1e-12 * es.petermann[0]
 
         # (c) root sums and products against matrix trace and determinant
         rng = np.random.default_rng(1003)
@@ -289,7 +288,7 @@ def test_criterion_10_randomized_invariants(capsys):
             p = dataclasses.replace(draw_system(rng), gamma=0.0)
             d = draw_drive(rng, p)
             lams3 = sorted(
-                (m.lam for m in eigensystem(drift_nonmarkovian(p, d))),
+                eigensystem(drift_nonmarkovian(p, d)).lambdas,
                 key=lambda z: (z.imag, z.real),
             )
             lams2 = sorted(

@@ -639,6 +639,22 @@ def test_cli_far_coupling_runs_clean(tmp_path, command):
                 assert column == [0.0] * 3
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["eigs"], ["eigs", "--markovian-ref"], ["petermann", "--delta-mode", "markovian"]],
+    ids=["eigs", "eigs_markovian_ref", "petermann_markovian"],
+)
+def test_cli_top_of_range_coupling_prints_no_warning(capsys, command):
+    """A coupling grid up to 2.7e304 kHz (about 1.7e308 rad/s, near the top of
+    the double range) is accepted, and branch ordering and tracking take it
+    without an overflow: exit 0 and no warning line under the filters of a
+    plain CLI process."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["--quiet", *command, "--g-min", "0", "--g-max", "2.7e304", "--g-points", "3"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["ep", "--bogus-flag"])
@@ -823,7 +839,13 @@ def test_cli_embedcheck_fast_drive_rate_sets_the_step(tmp_path, capsys, ini):
         (None, "300000000000", "SOURCE_DATE_EPOCH=300000000000 is out of range", None),
         (None, "9" * 5000, f"SOURCE_DATE_EPOCH={'9' * 5000} is out of range", None),
         (None, "253402300799", None, "9999-12-31T23:59:59Z"),
-        (None, "\u00b2", None, "1970-01-01T00:00:00Z"),
+        (None, "\u00b2", "SOURCE_DATE_EPOCH='\u00b2' is not a whole number of seconds", None),
+        (None, "abc", "SOURCE_DATE_EPOCH='abc' is not a whole number of seconds", None),
+        (None, "-5", "SOURCE_DATE_EPOCH='-5' is not a whole number of seconds", None),
+        (None, "1e9", "SOURCE_DATE_EPOCH='1e9' is not a whole number of seconds", None),
+        (None, " 12 ", None, "1970-01-01T00:00:12Z"),
+        (None, "", None, "1970-01-01T00:00:00Z"),
+        (None, " \t", None, "1970-01-01T00:00:00Z"),
     ],
     ids=[
         "out_missing_dir",
@@ -833,13 +855,20 @@ def test_cli_embedcheck_fast_drive_rate_sets_the_step(tmp_path, capsys, ini):
         "epoch_5000_digits",
         "epoch_last",
         "epoch_superscript_two",
+        "epoch_letters",
+        "epoch_negative",
+        "epoch_exponent",
+        "epoch_padded",
+        "epoch_empty",
+        "epoch_blank",
     ],
 )
 def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch, error, stamp):
-    """An unwritable --out path or a SOURCE_DATE_EPOCH past 9999-12-31T23:59:59Z
-    exits 1 with a one-line message instead of a traceback; a value that is
-    not ASCII digits is ignored like any other non-number, so the stamp falls
-    back to the current time (pinned to 0 here)."""
+    """An unwritable --out path, a SOURCE_DATE_EPOCH past 9999-12-31T23:59:59Z
+    or one that is not ASCII digits after stripping exits 1 with a one-line
+    message instead of a traceback, so an artifact asked to be pinned is never
+    stamped with the clock; an unset or blank value stamps the current time
+    (pinned to 0 here)."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     monkeypatch.setattr(time, "time", lambda: 0.0)
     argv = ["ep"] if out is None else ["--out", str(tmp_path / out), "ep"]

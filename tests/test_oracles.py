@@ -298,9 +298,8 @@ def test_petermann_matches_dense_oracle_on_symmetric_draws(n):
     for _ in range(200):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = (a + a.T) / 2
-        modes = eigensystem(m)
-        lams, ks = zip(*((mode.lam, mode.petermann) for mode in modes))
-        compared += _assert_petermann_matches(lams, ks, m)
+        es = eigensystem(m)
+        compared += _assert_petermann_matches(es.lambdas, es.petermann, m)
     assert len(compared) >= 190 * n
     assert max(compared) > 10.0
 
@@ -355,8 +354,8 @@ def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
     for g, lams, ks in zip(grid, sweep.lambdas, sweep.petermann):
         m = _drift(params, sol.delta_ep, g)
         lams_mp, ks_mp = _mp_petermann(m)
-        routes = [(mode.lam, mode.petermann) for mode in eigensystem(m)]
-        routes += zip(lams, ks)
+        es = eigensystem(m)
+        routes = [*zip(es.lambdas, es.petermann), *zip(lams, ks)]
         assert len(routes) == 2 * len(lams_mp)
         for lam, k in routes:
             k_mp = ks_mp[np.argmin(np.abs(lams_mp - lam))]

@@ -1,5 +1,5 @@
-"""The README runs against, and documents, the package root, EpSolution's and Sweep's
-fields and the embedcheck bounds."""
+"""The README runs against, and documents, the package root, the fields of
+EpSolution, Sweep, Eigensystem and Spectrum, and the embedcheck bounds."""
 
 import ast
 import dataclasses
@@ -10,7 +10,8 @@ from pathlib import Path
 import eprenorm
 from eprenorm import embedcheck
 from eprenorm.epsolver import EpSolution
-from eprenorm.spectral import Sweep
+from eprenorm.response import Spectrum
+from eprenorm.spectral import Eigensystem, Sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -87,3 +88,21 @@ def test_sweep_fields_are_the_documented_ones():
     assert match is not None
     named = re.findall(r"`(\w+)`", match.group(1))
     assert named == [field.name for field in dataclasses.fields(Sweep)]
+
+
+def test_eigensystem_fields_are_the_documented_ones():
+    """README names Eigensystem's dataclass fields, in order."""
+    prose, _ = _library_use()
+    match = re.search(r"`Eigensystem` of column\s+arrays.*?whose fields are(.*?)\(n, n\)", prose, re.S)
+    assert match is not None
+    named = re.findall(r"`(\w+)`", match.group(1))
+    assert named == [field.name for field in dataclasses.fields(Eigensystem)]
+
+
+def test_spectrum_fields_are_the_documented_ones():
+    """README names Spectrum's dataclass fields, in order; the probe grid is not one."""
+    prose, _ = _library_use()
+    match = re.search(r"`Spectrum` of\s+arrays.*?whose fields\s+are(.*?)which marks", prose, re.S)
+    assert match is not None
+    named = re.findall(r"`(\w+)`", match.group(1))
+    assert named == [field.name for field in dataclasses.fields(Spectrum)]

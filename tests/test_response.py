@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,8 +118,8 @@ def test_spectrum_flags_singular_rows(params):
 
 
 def test_spectrum_arrays_match_pointwise_reflection():
-    """Each Spectrum entry equals the scalar one-point evaluation, and the
-    singular mask is exactly the set where scalar reflection raises."""
+    """Each Spectrum entry equals the one-point evaluation, and the singular
+    mask is exactly the set where one-point reflection raises."""
     rng = np.random.default_rng(4011)
     cases = []
     for _ in range(6):
@@ -137,7 +138,6 @@ def test_spectrum_arrays_match_pointwise_reflection():
         grid = np.linspace(0.5 * p.omega_m, 1.5 * p.omega_m, 40)
         grid = np.append(grid, [p.omega_m, np.nextafter(p.omega_m, np.inf)])
         spec = spectrum(p, d, grid, markovian=markov)
-        assert spec.omega.tolist() == grid.tolist()
         for k, w in enumerate(grid):
             try:
                 pt = reflection(p, d, float(w), markovian=markov)
@@ -148,11 +148,40 @@ def test_spectrum_arrays_match_pointwise_reflection():
                 continue
             assert not spec.singular[k]
             for name in ("r", "s_aa", "s_axi"):
-                want = getattr(pt, name)
+                [want] = getattr(pt, name)
                 got = getattr(spec, name)[k]
                 assert abs(got - want) <= 4e-16 * max(1.0, abs(want))
-            assert spec.r_sq[k] == pytest.approx(pt.r_sq, rel=1e-15, abs=1e-15)
+            assert spec.r_sq[k] == pytest.approx(pt.r_sq[0], rel=1e-15, abs=1e-15)
     assert n_singular == 12
+
+
+def test_reflection_is_a_one_row_spectrum(params, drive):
+    """reflection at one probe frequency is spectrum on the grid [omega]: the
+    same Spectrum of length-1 arrays, which iterates as one row."""
+    pt = reflection(params, drive, params.omega_m)
+    spec = spectrum(params, drive, [params.omega_m])
+    for field in dataclasses.fields(spec):
+        assert getattr(pt, field.name).shape == (1,)
+        np.testing.assert_array_equal(getattr(pt, field.name), getattr(spec, field.name))
+    [row] = list(pt)
+    assert row.r == pt.r[0] and row.singular is False
+
+
+def test_reflection_raises_at_the_first_singular_probe_frequency(params):
+    """Over a grid, reflection names the first point that spectrum flags singular."""
+    p0 = dataclasses.replace(params, gamma=0.0)
+    d0 = DriveParams(delta=-params.omega_m, g=0.0)
+    grid = [params.omega_m - params.kappa, params.omega_m, params.omega_m + params.kappa]
+    with pytest.raises(SingularDenominator, match=f"vanishes at omega = {params.omega_m!r}$"):
+        reflection(p0, d0, grid, markovian=True)
+
+
+@pytest.mark.parametrize("grid", [np.zeros((2, 2)), np.float64(1e6)], ids=["2x2", "0-d"])
+def test_spectrum_rejects_a_grid_that_is_not_1d(params, drive, grid):
+    """A probe grid is one axis of frequencies; it is not flattened, and a bare
+    frequency is reflection's to take."""
+    with pytest.raises(ValueError, match=re.escape(f"spectrum grid must be 1-D, got shape {grid.shape}")):
+        spectrum(params, drive, grid)
 
 
 def test_dip_search_r_sq_is_the_spectrum_r_sq(params, drive):

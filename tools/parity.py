@@ -18,6 +18,9 @@ the side's own directory written as <side> in them.  The corpus is:
 - the same five argv on each edge config of EDGE_CONFIGS, and spectrum
   --markovian-only on the gamma_zero edge, the one argv that reaches the
   dip search at gamma = 0;
+- eigs --markovian-ref and petermann --delta-mode markovian at the default
+  configuration on TOP_OF_RANGE_GRID, a coupling grid that reaches the top
+  of the double range;
 - ep, eigs --delta-mode exact and petermann --delta-mode both on the
   strongly over-damped devices of OVERDAMPED_PINNED and on OVERDAMPED_DRAWS
   seeded draws over OVERDAMPED_RANGES, each g grid centred on the device's
@@ -68,6 +71,8 @@ GOLDEN_ARGV = {
     "spectrum": ["spectrum", "--omega-points", "201"],
     "embedcheck": ["embedcheck"],
 }
+# Couplings 0 to 2.7e304 kHz, about 1.7e308 rad/s: branch ordering and tracking must not overflow.
+TOP_OF_RANGE_GRID = ["--g-min", "0", "--g-max", "2.7e304", "--g-points", "3"]
 # Configs at the edges of what the commands accept, over the built-in defaults.
 EDGE_CONFIGS = {
     # Outside the resolved-sideband regime (a warning), where the first-order
@@ -148,6 +153,8 @@ def build_corpus(directory: str) -> list:
             fh.write(text)
         for name, argv in GOLDEN_ARGV.items():
             runs += both_formats(f"edge-{edge}-{name}", ["--config", path, *argv])
+    for argv in (["eigs", "--markovian-ref"], ["petermann", "--delta-mode", "markovian"]):
+        runs += both_formats(f"top-of-range-{argv[0]}", [*argv, *TOP_OF_RANGE_GRID])
     runs += both_formats("edge-gamma_zero-spectrum-markovian-only",
                          ["--config", os.path.join(directory, "gamma_zero.ini"), *GOLDEN_ARGV["spectrum"],
                           "--markovian-only"])
