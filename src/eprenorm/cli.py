@@ -13,8 +13,12 @@ and maps errors to exit codes.
 All file outputs are deterministic: floats are fixed at 12 significant
 digits (parameter tables use 17), rows follow grid order, and the manifest
 timestamp honors SOURCE_DATE_EPOCH.  JSON is laid out exactly as
-json.dumps(doc, indent=2, sort_keys=True).  A table's cell texts come from
-one vectorized pass, _cell_texts, whose docstring states the cell rule.
+json.dumps(doc, indent=2, sort_keys=True).  A table's cells follow one rule,
+stated by _cell_rule: a table of fewer than DIGIT_PASS_MIN_CELLS cells takes
+it cell by cell, a larger one takes _digit_pass, which prints the same bytes
+from arrays of bytes, with no Python object per cell, and sends only its rare
+cells (non-finite, outside 1e-4 <= |x| < 1e11, or within 2.5e-4 of a rounding
+tie) to the rule.
 --quiet without --out builds no artifact.
 main(argv) may be called repeatedly in one process; the parser is built on
 the first call and reused.  Exit codes: 0 success, 1 invalid configuration,
@@ -97,10 +101,6 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
     }
 
 
-# The texts of a flag cell, +0.0 or 1.0, as CSV (format(x, ".12g")) and as JSON (_json_cell of that).
-_FLAG_TEXTS = {False: np.array(["0", "1"], dtype=object), True: np.array(["0.0", "1.0"], dtype=object)}
-
-
 def _json_cell(text: str) -> str:
     """JSON form of one ".12g" text: json.dumps(float(text)), laid out from the text.
 
@@ -124,42 +124,183 @@ def _json_cell(text: str) -> str:
     return "null" if text[-1] in "fn" else text + ".0"
 
 
-def _cell_texts(data, as_json: bool):
-    """Rows of the cell texts of a (rows, columns) table: ".12g" texts, or their JSON forms.
+def _cell_rule(values, as_json: bool) -> list:
+    """The texts of a list of floats: format(x, ".12g"), or in JSON the _json_cell of that.
 
-    The package's one statement of the cell rule.  One vectorized pass per
-    table, whose numpy calls do not grow with its width:
-    - a flag column, every cell +0.0 or 1.0, takes "0"/"1" ("0.0"/"1.0" in
-      JSON) from _FLAG_TEXTS, without formatting a float;
-    - every other cell is printed once, as format(x, ".12g"), which CSV
-      prints and JSON lays out as json.dumps would print float(text); no
-      text is parsed back to a float;
-    - in JSON, a cell with |x| >= 1e-4 and |x - rint(x)| > 1e-11 |x| is
-      certified: its text is already its JSON form, fixed notation with a
-      point.  ".12g" prints |x| >= 1e-4 in fixed notation up to 1e12, and
-      no |x| >= 5e10 passes the test, since |x - rint(x)| <= 0.5; and
-      ".12g" moves x by at most 0.5e-11 |x|, so a certified text is not a
-      whole number.  Only the other cells go through _json_cell.
+    The package's one statement of the cell rule.  Small tables take it cell
+    by cell, and _digit_pass reproduces it byte for byte on large ones.
+    """
+    texts = list(map(format, values, repeat(".12g")))
+    return list(map(_json_cell, texts)) if as_json else texts
+
+
+# Tables of at least this many cells take _digit_pass; smaller ones take _cell_rule cell by cell.
+# Below it the pass's fixed cost, some 40 numpy calls, outweighs the format calls it saves.
+DIGIT_PASS_MIN_CELLS = 200
+# The digit pass takes a large table in blocks of rows of at most this many cells (or one row),
+# so that its (cells, 4) arrays of 8-byte words stay under 128 KiB, glibc's default mmap
+# threshold: larger ones are mapped and unmapped, with page faults, on every block, and raise the
+# threshold for the process, which grows its heap.  Its memory then does not grow with the table.
+_DIGIT_BLOCK_CELLS = 4000
+# The separators (between cells, between rows) of a table's text block, in CSV and in JSON.
+_SEPARATORS = {False: (",", "\n"), True: (",\n      ", "\n    ],\n    [\n      ")}
+# The digit pass's mask rows: row (sign, e + 5, last) of a (2, 17, 13) grid, for sign 0 or 1,
+# exponent e in -5 to 11 and last nonzero digit place last in 0 to 12, then one for rare cells.
+_RARE_KEY = 2 * 17 * 13
+
+
+class _DigitTables(NamedTuple):
+    """The digit pass's lookup tables.
+
+    - words: (10,002,) 8-byte words.  Word g < 10,000 holds the 4-digit
+      group g, each digit followed by a point slot: "d.d.d.d.".  Words
+      10,000 and 10,001 are a cell's first word: its marker, "," within a
+      row or ";" at a row's start, then "-0.000" and the rare-cell
+      placeholder "%".
+    - places: (3, 10,000), the place in a 12-digit mantissa of the last
+      nonzero digit of g as its first, second or third group; 0 where g = 0.
+    - masks: (2, 443, 4), the mask rows of CSV and of JSON (see _digit_masks).
+    - powers: 10**k for the exponent index e + 5 = 0 to 16; each is exact.
+    """
+
+    words: np.ndarray
+    places: np.ndarray
+    masks: np.ndarray
+    powers: np.ndarray
+
+
+def _digit_masks():
+    """The digit pass's mask rows, CSV's then JSON's, as 0xff or 0 bytes ANDed in 8-byte words.
+
+    A cell's 32 bytes are its marker, "-", "0.000", the rare-cell
+    placeholder, then its 12 mantissa digits, each followed by a point.
+    Row (sign, e + 5, last) keeps:
+    - the marker, and the "-" if sign;
+    - for e < 0, "0." and -e - 1 zeros, then digits 1 to last;
+    - for e >= 0, digits 1 to max(last, e + 1), with the point after digit
+      e + 1 when a digit follows it; in JSON a whole number (last <= e + 1)
+      keeps one digit more, a zero: 40 -> 40.0.
+    last = 0 is a zero mantissa, shown as one 0.  The rare row keeps the
+    marker and the placeholder.
+    """
+    as_json = np.arange(2)[:, None, None, None, None]
+    sign = np.arange(2)[:, None, None, None]
+    e = np.arange(-5, 12)[:, None, None]
+    last = np.maximum(np.arange(13)[:, None], 1)
+    byte = np.arange(32)
+    place = (byte - 6) // 2  # digit `place` sits at byte 6 + 2 place, its point at 7 + 2 place
+    whole = last <= e + 1
+    shown = np.maximum(last, e + 1) + (whole & (as_json == 1))
+    keep = (
+        (byte == 0)
+        | ((byte == 1) & (sign == 1))
+        | ((byte >= 2) & (byte <= 3) & (e < 0))
+        | ((byte >= 4) & (byte <= 6) & (byte - 4 < -e - 1))
+        | ((byte >= 8) & (byte % 2 == 0) & (place <= shown))
+        | ((byte >= 9) & (byte % 2 == 1) & (place == e + 1) & (shown > e + 1))
+    )
+    rows = np.zeros((2, _RARE_KEY + 1, 32), dtype=np.uint8)
+    rows[:, :_RARE_KEY] = keep.reshape(2, _RARE_KEY, 32)
+    rows[:, _RARE_KEY, [0, 7]] = 1
+    return (rows * np.uint8(0xFF)).view(np.uint64)
+
+
+@functools.cache
+def _digit_tables() -> _DigitTables:
+    """The digit pass's tables, built by its first call: a process that prints only small tables never builds them."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)  # digits[:, g] are g's four
+    words = np.full((10_002, 8), ord("."), dtype=np.uint8)
+    words[:10_000, ::2] = digits.T + ord("0")
+    words[10_000:] = np.frombuffer(b",-0.000%;-0.000%", np.uint8).reshape(2, 8)
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    places = np.where(last > 0, last + np.array([[0], [4], [8]], dtype=np.uint8), 0)
+    powers = np.array([float(10**k) for k in range(16, -1, -1)])
+    return _DigitTables(words.view(np.uint64).ravel(), places, _digit_masks(), powers)
+
+
+def _cell_words(x: np.ndarray, cols: int):
+    """The digit pass's words and mask rows for the cells x of a table cols wide, in row order.
+
+    Returns the (cells, 4) indices of each cell's words in the words
+    table, each cell's mask row and which cells are exact.  A cell x with
+    1e-4 <= |x| < 1e11 is printed in fixed notation by ".12g":
+    - e = floor(log10|x|), and y = |x| 10**(11 - e) is in [1e11, 1e12).
+      10**(11 - e) is exact, so y carries one rounding, at most half an ulp
+      below 2**40, 6.1e-5, and m = rint(y) is the 12-digit mantissa that
+      ".12g" rounds to;
+    - unless y lies within 2.5e-4 of a half-integer, or y falls outside
+      [1e11, 1e12 - 0.5) because log10 was off by one.
+    Those cells, the non-finite ones and those outside the range are rare,
+    and take the rare row; a zero is exact, as m = 0 at e = 0.
+    """
+    tables = _digit_tables()
+    size = np.abs(x)
+    fixed = (size >= 1e-4) & (size < 1e11)
+    # log10 + 5 is positive, so truncation floors it: e + 5 in 0 to 16.
+    e = (np.log10(np.where(fixed, size, 1.0)) + 5.0).astype(np.intp)
+    y = np.where(fixed, size, 0.0)
+    y *= tables.powers[e]
+    m = np.rint(y)
+    exact = (fixed & (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5 - 2.5e-4)) | (size == 0.0)
+    index = np.empty((x.size, 4), np.int64)  # int64, so that it views as the uint64 mask rows
+    index[:, 0] = 10_000
+    index[::cols, 0] = 10_001
+    m *= exact
+    low = m.astype(np.intp)
+    high = low // 100_000_000
+    low -= high * 100_000_000
+    mid = low // 10_000
+    low -= mid * 10_000
+    index[:, 1], index[:, 2], index[:, 3] = high, mid, low
+    last = np.maximum(np.take(tables.places[0], high), np.take(tables.places[1], mid))
+    np.maximum(last, np.take(tables.places[2], low), out=last)
+    key = (np.signbit(x) * 17 + e) * 13 + last  # row (sign, e + 5, last)
+    key[~exact] = _RARE_KEY
+    return index, key, exact
+
+
+def _digit_pass(table: np.ndarray, as_json: bool) -> str:
+    """The text block of a (rows, columns) table, built with no Python object per cell.
+
+    The same bytes as _cell_rule's texts joined by _SEPARATORS.  Each cell's
+    four words, ANDed with its mask row, keep the bytes of its text; one
+    bytes.translate drops the rest, and the markers become the separators.
+    Rare cells leave their placeholder "%", replaced by their _cell_rule
+    texts.
+    """
+    tables = _digit_tables()
+    x = table.ravel()
+    index, key, exact = _cell_words(x, table.shape[1])
+    cells = np.take(tables.words, index)
+    cells &= np.take(tables.masks[int(as_json)], key, axis=0, out=index.view(np.uint64))  # index is spent
+    raw = cells.tobytes().translate(None, b"\0")[1:]
+    cell_sep, row_sep = _SEPARATORS[as_json]
+    if as_json:
+        raw = raw.replace(b",", cell_sep.encode())
+    text = raw.replace(b";", row_sep.encode()).decode("ascii")
+    rare = np.flatnonzero(~exact)
+    if rare.size:
+        text = text.replace("%", "%s") % tuple(_cell_rule(x[rare].tolist(), as_json))
+    return text
+
+
+def _table_text(data, as_json: bool) -> str:
+    """A table's rows as one text block: its CSV lines, or the "rows" value of its JSON document.
+
+    A table of at least DIGIT_PASS_MIN_CELLS cells takes _digit_pass, in
+    blocks of rows, a smaller one _cell_rule; both give the same bytes.
     """
     table = np.asarray(data, dtype=float)
-    flags = ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all(axis=0)
-    values = table[:, ~flags].T  # column-major, so each column's texts are one slice
-    cells = list(map(format, values.ravel().tolist(), repeat(".12g")))
+    cell_sep, row_sep = _SEPARATORS[as_json]
+    if table.size >= DIGIT_PASS_MIN_CELLS:
+        rows = max(1, _DIGIT_BLOCK_CELLS // table.shape[1])
+        text = row_sep.join([_digit_pass(table[i : i + rows], as_json) for i in range(0, len(table), rows)])
+    else:
+        cells = _cell_rule(table.ravel().tolist(), as_json)
+        text = row_sep.join(map(cell_sep.join, zip(*[iter(cells)] * table.shape[1])))
     if as_json:
-        size = np.abs(values)
-        with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, which fails the test
-            certified = (size >= 1e-4) & (np.abs(values - np.rint(values)) > 1e-11 * size)
-        for i in np.flatnonzero(~certified).tolist():
-            cells[i] = _json_cell(cells[i])
-    formatted = zip(*[iter(cells)] * len(table))
-    flagged = iter(_FLAG_TEXTS[as_json][table[:, flags].T.astype(np.intp)].tolist())
-    return zip(*[next(flagged) if flag else next(formatted) for flag in flags.tolist()])
-
-
-def _json_rows(rows) -> str:
-    """The "rows" value of an indent=2 document, from rows of JSON cell texts (see _cell_texts)."""
-    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
-    return f"[\n    [\n      {body}\n    ]\n  ]" if body else "[]"
+        return f"[\n    [\n      {text}\n    ]\n  ]" if text else "[]"
+    return text
 
 
 def _null_non_finite(value):
@@ -178,13 +319,14 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     footer lines.
     JSON: {"manifest", "columns", "rows", **summary}, byte for byte
     json.dumps(doc, indent=2, sort_keys=True) + "\\n", each non-finite float
-    null.  A table's cell texts come from _cell_texts, which states the cell
-    rule, and _json_rows lays out the JSON ones.
+    null.  The rows come as one text block from _table_text: cell by cell
+    through _cell_rule, which states the cell rule, on a table of fewer than
+    DIGIT_PASS_MIN_CELLS cells, else by _digit_pass in one byte pass.
     """
     if args.quiet and not args.out:
         return
     if columns is not None:
-        rows = _cell_texts(data, args.json)
+        rows = _table_text(data, args.json)
     if args.json:
         doc = _null_non_finite({"manifest": manifest, **(summary or {})})
         if columns is not None:
@@ -192,7 +334,7 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
                  for key, value in doc.items()}
         if columns is not None:
-            parts["rows"] = _json_rows(rows)
+            parts["rows"] = rows
         text = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
         text = f"{{\n{text}\n}}\n"
     else:
@@ -205,7 +347,8 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
         ]
         if columns is not None:
             lines.append(",".join(columns))
-            lines += map(",".join, rows)
+            if rows:
+                lines.append(rows)
         lines += footer
         text = "\n".join(lines) + "\n"
     if args.out:

@@ -2,6 +2,7 @@
 reuse of the parser across main() calls in one process."""
 
 import argparse
+import itertools
 import json
 import math
 
@@ -170,16 +171,15 @@ def _adversarial_cells():
 
 
 def _flag_and_near_integer_columns():
-    """Columns for the emitter's flag path and JSON certificate, by name.
+    """Flag, whole-number and near-integer columns, by name.
 
     Flag columns hold only +0.0 and 1.0; the "flag_with_*" columns are flags
-    but for row 0, so that they leave the flag path and their row-1 slice
-    does not.  The near-integer column holds n (1 + k 1e-12) for
-    |k| <= 20, which ".12g" prints as n for |k| < 5 and the JSON
-    certificate accepts for |k| > 10 (n = 1, 40 and 1e11), and the
-    neighbours a few ulps away of those n, of the certificate's bound 1e-4,
-    of 5e10 + 0.5 (its largest possible |x - rint(x)|) and of 1e12 - 0.5
-    (where ".12g" turns to e-notation), each with both signs.
+    but for row 0, which holds -0.0, nan or 2.0.  The near-integer column
+    holds n (1 + k 1e-12) for |k| <= 20, which ".12g" prints as n for
+    |k| < 5 and which JSON prints as n.0 only then (n = 1, 40 and 1e11),
+    and the neighbours a few ulps away of those n, of 1e-4 (where ".12g"
+    leaves e-notation), of 5e10 + 0.5 and of 1e12 - 0.5 (where ".12g" turns
+    to e-notation), each with both signs.
     """
     near = []
     for n in (1.0, 40.0, 1e11):
@@ -230,16 +230,92 @@ def test_emitter_adversarial_cells_match_reference(tmp_path, capsys, width, as_j
         _assert_same_text(text, reference)
 
 
-def test_flag_columns_skip_formatting_and_certified_cells_skip_fixups(monkeypatch):
-    """A flag column formats no float, and in JSON only the cells outside the
-    certificate (here the whole numbers) pass through _json_cell."""
-    rows = 50
+def _digit_pass_cells():
+    """Cells for the digit pass's fixed-notation route and its rare cells.
+
+    - 50,000 random float64 bit patterns over every binade, subnormals and
+      nan payloads included, and 50,000 over the binades of 1e-4 <= |x| <
+      1e11;
+    - per decade from 1e-4 to 1e11, cells at y = n + 0.5 of the pass's
+      12-digit mantissa y = |x| 10**(11 - e), and 1 to 3 ulps either side;
+    - exact decimal ties there, q / 2**(k + 1) for odd q, where ".12g"
+      rounds half to even;
+    - 10**k and its neighbours either way, for k = -5 ... 12;
+    - +-0, +-inf and nan, whole numbers, and the flag and near-integer
+      columns.
+    Every cell comes with both signs.
+    """
+    rng = np.random.default_rng(33)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64)
+    # The binades 2**-14 to 2**36, which span 1e-4 <= |x| < 1e11.
+    fixed_bits = rng.integers(0, 2**52, 50_000, dtype=np.uint64)
+    fixed_bits |= rng.integers(1023 - 14, 1023 + 37, 50_000).astype(np.uint64) << np.uint64(52)
+    fixed = fixed_bits.view(np.float64)
+    cells = [bits.view(np.float64), fixed[(np.abs(fixed) >= 1e-4) & (np.abs(fixed) < 1e11)]]
+    for e in range(-4, 11):
+        k = 11 - e
+        ties = (rng.integers(10**11, 10**12, 40) + 0.5) / 10.0**k
+        odd = rng.integers(2 * 10**11 // 5**k, 2 * 10**12 // 5**k, 40) | 1
+        exact_ties = odd.astype(float) / 2.0 ** (k + 1)
+        cells += [ties, exact_ties]
+        for toward in (0.0, math.inf):
+            step = ties
+            for _ in range(3):
+                step = np.nextafter(step, toward)
+                cells.append(step)
+    for k in range(-5, 13):
+        power = 10.0**k
+        cells.append([power, np.nextafter(power, 0.0), np.nextafter(power, math.inf)])
+    cells += [
+        [0.0, math.inf, math.nan, 1.0, 40.0, 1e10, 99999999999.0],
+        rng.integers(-(10**12), 10**12, 5_000).astype(float),
+        rng.integers(-1000, 1000, 5_000).astype(float),
+        *_flag_and_near_integer_columns().values(),
+    ]
+    values = np.concatenate([np.ravel(c) for c in cells])
+    values = np.concatenate([values, np.negative(values)])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+def test_digit_pass_matches_reference_on_both_sides_of_the_crossover(tmp_path, capsys, as_json):
+    """The rows of _digit_pass_cells, byte for byte those of the
+    standard-library reference: one table of all of them, well above
+    DIGIT_PASS_MIN_CELLS, then 40 tables of 7-wide rows just below it and 40
+    just at it."""
+    values = _digit_pass_cells()
+    width = 7
+    table = values[: len(values) // width * width].reshape(-1, width)
+    columns = [f"col_{j}" for j in range(width)]
+    below = (cli.DIGIT_PASS_MIN_CELLS - 1) // width
+    at = math.ceil(cli.DIGIT_PASS_MIN_CELLS / width)
+    assert below * width < cli.DIGIT_PASS_MIN_CELLS <= at * width
+    tables = [table, *(table[i : i + below] for i in range(0, 40 * below, below)),
+              *(table[i : i + at] for i in range(0, 40 * at, at))]
+    for data in tables:
+        text, reference = _emitted(tmp_path, capsys, None, as_json, columns, data, (), {})
+        _assert_same_text(text, reference)
+
+
+def test_format_runs_per_rare_cell_at_the_crossover_and_per_cell_below(monkeypatch):
+    """At DIGIT_PASS_MIN_CELLS cells and above, format and _json_cell run once
+    per rare cell and never for a flag or fixed-notation cell; below it,
+    once per cell.  The fixed-notation cells are 9-digit decimals from 1e-4
+    to 1e9, far from any rounding tie, and whole numbers."""
     rng = np.random.default_rng(27)
-    data = np.column_stack([
-        rng.integers(0, 2, rows).astype(float),
-        rng.uniform(1.0, 1e3, rows),
-        rng.integers(-1000, 1000, rows).astype(float),
-    ])
+    rare = np.array([math.nan, math.inf, -math.inf, 1e-7, -2.5e15, 1e11, 123456789012.0])
+
+    def table(rows):
+        decimals = rng.integers(10**8, 10**9, rows) / 10.0 ** rng.integers(0, 13, rows)
+        data = np.column_stack([
+            rng.integers(0, 2, rows).astype(float),
+            decimals * rng.choice([-1.0, 1.0], rows),
+            rng.integers(-1000, 1000, rows).astype(float),
+        ])
+        data[: len(rare), 1] = rare
+        return data
+
     calls = {"format": 0, "json_cell": 0}
     json_cell = cli._json_cell
 
@@ -253,9 +329,15 @@ def test_flag_columns_skip_formatting_and_certified_cells_skip_fixups(monkeypatc
 
     monkeypatch.setattr(cli, "format", counting_format, raising=False)
     monkeypatch.setattr(cli, "_json_cell", counting_json_cell)
-    texts = list(cli._cell_texts(data, as_json=True))
-    assert calls == {"format": 2 * rows, "json_cell": rows}
-    assert [row[0] for row in texts] == ["1.0" if x else "0.0" for x in data[:, 0]]
+    sizes = [math.ceil(cli.DIGIT_PASS_MIN_CELLS / 3), 1000, (cli.DIGIT_PASS_MIN_CELLS - 1) // 3]
+    for as_json, rows in itertools.product([True, False], sizes):
+        data = table(rows)
+        formatted = len(rare) if data.size >= cli.DIGIT_PASS_MIN_CELLS else data.size
+        calls.update(format=0, json_cell=0)
+        text = cli._table_text(data, as_json)
+        assert calls == {"format": formatted, "json_cell": formatted if as_json else 0}, (as_json, rows)
+        if not as_json:
+            assert [line.split(",")[0] for line in text.splitlines()] == ["1" if x else "0" for x in data[:, 0]]
 
 
 def test_quiet_without_out_builds_nothing(capsys, monkeypatch):
@@ -263,7 +345,7 @@ def test_quiet_without_out_builds_nothing(capsys, monkeypatch):
         raise AssertionError("cells formatted for an artifact --quiet discards")
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
-    monkeypatch.setattr(cli, "_cell_texts", no_cells)
+    monkeypatch.setattr(cli, "_table_text", no_cells)
     for fmt in (["--json"], []):
         assert cli.main(["--quiet", *fmt, "spectrum", "--omega-points", "21"]) == 0
         assert capsys.readouterr().out == ""
