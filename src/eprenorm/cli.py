@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -64,7 +65,12 @@ EXIT_CHECK = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1, not 2."""
+    """argparse variant whose usage errors exit with code 1, not 2, and which reads
+    a value such as -1e3 as a negative number, not an option, as it reads -1000."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -317,11 +323,13 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     significant digits, grid entries as "# grid.key"); with columns, a CSV
     header and one line per row of the (rows, columns) array data; then the
     footer lines.
-    JSON: {"manifest", "columns", "rows", **summary}, byte for byte
-    json.dumps(doc, indent=2, sort_keys=True) + "\\n", each non-finite float
-    null.  The rows come as one text block from _table_text: cell by cell
-    through _cell_rule, which states the cell rule, on a table of fewer than
-    DIGIT_PASS_MIN_CELLS cells, else by _digit_pass in one byte pass.
+    JSON: one json.dumps(doc, indent=2, sort_keys=True) + "\\n" of {"manifest",
+    "columns", "rows": null, **summary}, each non-finite float null, and the
+    table's text block from _table_text in place of that null: a top-level
+    key is the only text at indent 2 on its own line, and JSON escapes every
+    newline inside a string.  _table_text lays out a table of fewer than
+    DIGIT_PASS_MIN_CELLS cells through _cell_rule, which states the cell
+    rule, a larger one by _digit_pass in one byte pass.
     """
     if args.quiet and not args.out:
         return
@@ -330,13 +338,10 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     if args.json:
         doc = _null_non_finite({"manifest": manifest, **(summary or {})})
         if columns is not None:
-            doc["columns"] = list(columns)
-        parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-                 for key, value in doc.items()}
+            doc.update(columns=list(columns), rows=None)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if columns is not None:
-            parts["rows"] = rows
-        text = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
-        text = f"{{\n{text}\n}}\n"
+            text = text.replace('\n  "rows": null', '\n  "rows": ' + rows, 1)
     else:
         lines = [
             "# eprenorm manifest",

@@ -98,14 +98,12 @@ def _order_steps(p: SystemParams, d: DriveParams, t_final: float) -> int:
     return n
 
 
-def _stability_polynomial(arr, n_steps, t_final: float) -> np.ndarray:
+def _stability_polynomial(arr, n_steps: int, t_final: float) -> np.ndarray:
     """One classical RK4 step of dy/dt = arr @ y, h = t_final/n_steps, as a matrix.
 
     For a constant linear generator the four RK4 stages collapse exactly
     into the stability polynomial P = sum_{j<=4} (h*arr)^j / j! (Horner
-    form), so a step is y_{k+1} = P @ y_k.  An (m, 1, 1) array of step
-    counts gives the (m, 3, 3) stack of their P, each bit-identical to the
-    call with that count alone.
+    form), so a step is y_{k+1} = P @ y_k.
     """
     ha = (t_final / n_steps) * arr
     eye = np.eye(3)
@@ -117,15 +115,11 @@ def _order_endpoints(arr, y0, n: int, t_final: float) -> np.ndarray:
     without stepping: row k is P_{h/2^k}^{2^k n} @ y0, h = t_final/n.
 
     The stack P_h, P_{h/2}^2, P_{h/4}^4 (each advances by h) is raised to the
-    n-th power by repeated squaring, O(log n) batched 3x3 products
-    (np.linalg.matrix_power).  Its squarings start from the products that
-    matrix_power(P_{h/2^k}, 2^k n) makes first, so each row has the bits of that
-    power; only the rounding order differs from stepping.
+    n-th power by repeated squaring, O(log n) batched 3x3 products.
+    matrix_power(P, 2^k n) starts with those k squarings, so each row has its
+    bits, but at n = 3, whose numpy shortcut multiplies in another order.
     """
-    pows = _stability_polynomial(arr, np.array([1, 2, 4])[:, None, None] * n, t_final)
-    pows[1] = pows[1] @ pows[1]
-    pows[2] = pows[2] @ pows[2]
-    pows[2] = pows[2] @ pows[2]
+    pows = np.stack([np.linalg.matrix_power(_stability_polynomial(arr, k * n, t_final), k) for k in (1, 2, 4)])
     return np.linalg.matrix_power(pows, n) @ np.asarray(y0, dtype=complex)
 
 

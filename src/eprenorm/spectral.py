@@ -19,7 +19,7 @@ is unity for a normal mode and diverges at an exceptional point.
 
 A sweep computes no vectors and calls no LAPACK: _closed_eigvals solves
 every row of its (N, 3, 3) drift stack in one batched pass (Cardano's
-roots, the closest pair solved again from its midpoint, one Newton step),
+roots, the closest pair solved again from its midpoint, Newton steps),
 and the memoryless (N, 2, 2) block in another (the quadratic formula).
 Every sweep takes K from the same pass, through the spectral projector of
 a simple eigenvalue, P_k = adj(lam_k - M) / p'(lam_k) (Kato, Perturbation
@@ -95,10 +95,13 @@ class Sweep:
     eigenvalues, or is None when not asked for.  K comes from the cofactors
     of the closed-form eigenvalue pass (_closed_eigvals), and divergent
     marks a defective mode or a K at or beyond DIVERGENT_K, as eigensystem's
-    does.  Iterating yields one named-tuple row per grid point with these
-    fields.  Continuity does not define branch labels at a coalescence, so
-    past an EP two branches' labels can swap on a last-bit change of the
-    inputs.
+    does.  Each eigenvalue is accurate to about 1e-14 of its row's largest
+    |lam|, and each one outside a defective pair to its own magnitude too,
+    but a component far below its eigenvalue's magnitude (the real part of
+    a +-ig pair at g far above every other rate) carries no correct digits.
+    Iterating yields one named-tuple row per grid point with these fields.
+    Continuity does not define branch labels at a coalescence, so past an
+    EP two branches' labels can swap on a last-bit change of the inputs.
     """
 
     lambdas: np.ndarray
@@ -243,10 +246,21 @@ def _closed_eigvals(stack: np.ndarray):
     scale.  defective is _defective of these roots.  Every root outside a
     defective pair then takes one Newton step on p from its accurate start;
     a defective pair takes none, as a Newton step from a double root moves
-    it by noise.
+    it by noise.  A start is good to eps of the row scale only, so a root
+    far below that scale (a slow bath's, or the bath's beside a huge
+    coupling) takes further steps, at most 8, while its last one moved it by
+    more than 1e-3 of itself.
+
+    Each root is then accurate to about 1e-14 of the row's largest |lam|,
+    and each outside a defective pair to its own magnitude, down to a root
+    that underflows in the scaled row (below about 1e-308 of the scale, as
+    a 1e-20 Hz bath at a 2.7e304 kHz coupling).  A component far below its
+    root's magnitude carries no correct digits: at g = 1e200 kHz the real
+    part of the hybrid pair, -51.25 kHz beside +-1e200 kHz, comes out near
+    +1e168 kHz (zgeev's is no better).
 
     ks are the Petermann factors from the diagonal cofactors at the roots
-    before that step.  adj(lam_k - M) of a simple eigenvalue is the
+    before the Newton steps.  adj(lam_k - M) of a simple eigenvalue is the
     symmetric rank-one z z^T with z an eigenvector, so ||adj||_F =
     sum_i |adj_ii|, and sum_i adj_ii = p'(lam_k):
 
@@ -287,7 +301,16 @@ def _closed_eigvals(stack: np.ndarray):
     slope = c0 + c1 + c2
     simple = slope != 0.0
     ks = np.divide(np.abs(c0) + np.abs(c1) + np.abs(c2), np.abs(slope), out=np.full(slope.shape, np.inf), where=simple)
-    lams -= np.divide(det, slope, out=np.zeros_like(det), where=simple & ~defective)
+    step = np.divide(det, slope, out=np.zeros_like(det), where=simple & ~defective)
+    lams -= step
+    for _ in range(8):
+        small = np.abs(step) > 1e-3 * np.abs(lams)
+        if not small.any():
+            break
+        det, (c0, c1, c2) = _charpoly(lams, *entries)
+        slope = c0 + c1 + c2
+        step = np.divide(det, slope, out=np.zeros_like(det), where=small & (slope != 0.0))
+        lams -= step
     ks *= ks
     return np.ldexp(lams.view(float), exponent[:, None]).view(complex), ks, defective
 

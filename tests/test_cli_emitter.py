@@ -371,6 +371,25 @@ def test_cli_json_is_canonical_layout(capsys, monkeypatch, argv):
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 
+@pytest.mark.parametrize("argv", [["eigs", "--g-points", "7"], ["petermann", "--g-points", "101"]],
+                         ids=["small", "digit_pass"])
+def test_json_artifact_with_placeholder_text_in_its_path_stays_canonical(tmp_path, capsys, monkeypatch, argv):
+    """The table's text block replaces "rows": null in one json.dumps of the
+    document.  An --out path that holds that very text, on a line of its own
+    at indent 2, changes neither the layout nor the rows."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    assert cli.main(["--json", *argv]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    out = tmp_path / 'a\n  "rows": null,\n  "rows": [].json'
+    assert cli.main(["--json", "--out", str(out), *argv]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    doc = json.loads(text)
+    assert doc["manifest"]["out"] == str(out)
+    assert doc["rows"] == plain["rows"] and len(doc["rows"]) == int(argv[2])
+    assert text.count('\n  "rows": ') == 1
+
+
 EMBED_DT = 1.0 / (100.0 * 2.0 * math.pi * 1.0e6)
 REUSE_SEQUENCE = [
     ["--json", "eigs", "--g-points", "6", "--markovian-ref"],

@@ -744,11 +744,13 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, ini, argv):
         (["eigs", "--g-min", "50", "--g-max", "40"], "--g-max must exceed --g-min"),
         (["eigs", "--g-min", "50", "--g-max", "50"], "--g-max must exceed --g-min"),
         (["petermann", "--g-min", "-1"], "--g-min must be non-negative"),
+        (["eigs", "--g-min", "-1e3"], "--g-min must be non-negative"),
         (["eigs", "--g-min", "abc"], "expected a finite number, got 'abc'"),
         (["embedcheck", "--t-final", "-1"], "t_final must be positive"),
         (["embedcheck", "--t-final", "0"], "t_final must be positive"),
     ],
-    ids=["g_max_below_min", "g_max_at_min", "g_min_negative", "g_min_not_a_number", "t_final_negative", "t_final_zero"],
+    ids=["g_max_below_min", "g_max_at_min", "g_min_negative", "g_min_negative_e_notation", "g_min_not_a_number",
+         "t_final_negative", "t_final_zero"],
 )
 def test_cli_rejects_bad_grids_and_horizons(capsys, monkeypatch, argv, message):
     """An empty or negative coupling grid, a float flag that is not a number and
@@ -764,6 +766,20 @@ def test_cli_rejects_bad_grids_and_horizons(capsys, monkeypatch, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1.5E+3", "-.5e1", "-1000"])
+def test_cli_negative_values_in_e_notation_parse(capsys, monkeypatch, value):
+    """A negative flag value in e-notation is a number, not an option: it prints
+    the bytes of the same value joined to its flag by "=", which argparse
+    never takes for an option."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    outs = []
+    for pair in (["--omega-min", value], [f"--omega-min={value}"]):
+        assert _exit_code(["spectrum", *pair, "--omega-max", "1e3", "--omega-points", "5"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].err == ""
 
 
 def test_cli_failed_order_check_exits_3(capsys, monkeypatch):

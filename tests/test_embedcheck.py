@@ -339,6 +339,37 @@ def test_order_endpoints_match_stepped_runs(params, drive):
             assert float(np.linalg.norm(end - ref)) <= 1e-10 * float(np.linalg.norm(ref))
 
 
+def test_order_endpoints_are_matrix_powers_bit_for_bit(params, drive):
+    """Row k of _order_endpoints is matrix_power(P_m, m) @ y0 for m = 2^k n,
+    bit for bit, on the defaults and 20 devices, at t_final = 20/kappa and at
+    1, 2 and 3 resolution limits: numpy's matrix_power(P, 2^k n) starts with
+    the k squarings that make the stack's S = P_{h/2^k}^{2^k}.  At n = 3 its
+    shortcut multiplies (S S) S where matrix_power(P, 3 * 2^k) multiplies
+    S (S S), so there the rows agree to rounding only."""
+    cases = [(params, drive)]
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    y0 = (1.0, 0.5 - 0.5j, 0.25j)
+    exact = rounded = 0
+    for p, d in cases:
+        arr = drift_nonmarkovian(p, d)
+        limit = embedcheck._resolution_limit(p, d)
+        for t_final in (20.0 / p.kappa, limit, 2.0 * limit, 3.0 * limit):
+            n = embedcheck._order_steps(p, d, t_final)
+            ends = embedcheck._order_endpoints(arr, y0, n, t_final)
+            for end, m in zip(ends, (n, 2 * n, 4 * n)):
+                ref = np.linalg.matrix_power(embedcheck._stability_polynomial(arr, m, t_final), m) @ np.array(y0)
+                if n != 3:
+                    assert np.array_equal(end, ref), (n, m)
+                    exact += 1
+                else:
+                    assert float(np.linalg.norm(end - ref)) <= 1e-14 * float(np.linalg.norm(ref)), (n, m)
+                    rounded += 1
+    assert exact >= 9 * len(cases) and rounded >= 3
+
+
 def test_convergence_order_builds_no_trajectory(params, drive, monkeypatch):
     """The order check reads endpoints from propagator powers, never from a stepped run."""
 

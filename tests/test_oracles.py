@@ -776,3 +776,33 @@ def test_sweep_eigenvalues_agree_with_lapack_at_extreme_couplings(params, g):
             scale = np.abs(ref).max()  # compared in units of it: at 1.7e308 a difference overflows
             assert np.abs(_matched(got / scale, ref / scale) - ref / scale).max() <= 1e-12
         assert (ks >= 1.0).all()
+
+
+# Digits of the small-root oracle: a root 1e-233 of its row's scale keeps over 60 of them.
+SMALL_ROOT_DPS = 300
+# Devices whose bath root lies far below the row scale: tools/parity.py's range_end edge
+# (gamma = 0, so that root is exactly -Omega_c) and the defaults with a slow bath.
+SMALL_ROOT_DEVICES = {
+    "range_end": dict(freq_hz=1e-30, kappa_hz=1e-29, gamma_hz=0.0, cutoff_hz=1e-30),
+    "cutoff_1e-20": dict(freq_hz=1e6, kappa_hz=0.2e6, gamma_hz=5e3, cutoff_hz=1e-20),
+    "cutoff_1e-29": dict(freq_hz=1e6, kappa_hz=0.2e6, gamma_hz=5e3, cutoff_hz=1e-29),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # range_end is not sideband-resolved
+@pytest.mark.parametrize("name", list(SMALL_ROOT_DEVICES))
+def test_sweep_roots_far_below_the_row_scale_keep_their_own_digits(name):
+    """Each root the kernel gives comes within 1e-12 of its own magnitude of
+    the SMALL_ROOT_DPS-digit eigenvalues of the same double matrix, on eigs'
+    default 40-60 kHz grid and at 0, 1e100 and 1e200 kHz, at the memoryless
+    detuning.  There the bath root sits 1e-26 to 1e-233 of the row's largest
+    |lam|, out of reach of one Newton step from a start good to eps of that
+    scale."""
+    p = SystemParams.from_hz(**SMALL_ROOT_DEVICES[name])
+    g_khz = np.concatenate([np.linspace(40.0, 60.0, 41), [0.0, 1e100, 1e200]])
+    stack = spectral._drift_stack(p, -p.omega_m, 2e3 * np.pi * g_khz)
+    for g, m, row in zip(g_khz, stack, spectral._closed_eigvals(stack)[0]):
+        with mp.workdps(SMALL_ROOT_DPS):
+            ref = np.array([complex(lam) for lam in mp.eig(mp.matrix(m.tolist()), left=False, right=False)])
+        err = min((np.abs(row[list(perm)] - ref) / np.abs(ref) for perm in itertools.permutations(range(3))), key=max)
+        assert err.max() <= 1e-12, (g, err)

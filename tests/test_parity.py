@@ -28,9 +28,9 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     """Beside the 950 resolved-sideband and edge runs, the corpus runs ep, eigs
     and petermann on the two over-damped devices that test_epsolver pins and
     on at least 20 seeded over-damped draws, the gamma_zero edge's memoryless
-    spectrum, the five golden argv on the fast_bath edge and eigs and
-    petermann on a coupling grid up to about 1.7e308 rad/s, each as CSV and
-    as JSON: 1,122 runs."""
+    spectrum, the five golden argv on the fast_bath and slow_bath edges and
+    eigs and petermann on a coupling grid up to about 1.7e308 rad/s, each as
+    CSV and as JSON: 1,132 runs."""
     assert parity.OVERDAMPED_PINNED == {"cycle": _OVERDAMPED_CYCLE, "other_ep": _OVERDAMPED_OTHER_EP}
     ids = [run["id"] for run in parity.build_corpus(str(tmp_path))]
     assert len(ids) == len(set(ids))
@@ -40,11 +40,12 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     new = {f"overdamped-{name}-{command}-{fmt}" for name in devices for command in ("ep", "eigs", "petermann")
            for fmt in ("csv", "json")}
     new |= {f"edge-gamma_zero-spectrum-markovian-only-{fmt}" for fmt in ("csv", "json")}
-    new |= {f"edge-fast_bath-{name}-{fmt}" for name in CASES for fmt in ("csv", "json")}
+    new |= {f"edge-{edge}-{name}-{fmt}" for edge in ("fast_bath", "slow_bath") for name in CASES
+            for fmt in ("csv", "json")}
     new |= {f"top-of-range-{command}-{fmt}" for command in ("eigs", "petermann") for fmt in ("csv", "json")}
     assert new <= set(ids)
     assert len(set(ids) - new) == 950
-    assert len(ids) == 1122
+    assert len(ids) == 1132
 
 
 @pytest.mark.parametrize("name", ["ep.csv", "ep.json", "eigs.csv", "eigs.json"])

@@ -86,6 +86,9 @@ EDGE_CONFIGS = {
     # A bath 1e9 times faster than the mechanics: the hybrid pair sits near 1e-9
     # of the bath root, so an eigensolver that loses digits to the row scale shows.
     "fast_bath": "[bath]\ncutoff_hz = 1e15\n",
+    # A coupled bath (gamma > 0) 1e26 times slower than the mechanics: its root
+    # sits far below the row scale, so a root that keeps only that scale's digits shows.
+    "slow_bath": "[bath]\ncutoff_hz = 1e-20\n",
 }
 # Over-damped devices (kappa >> omega_m) in rad/s, as tests/test_epsolver.py pins
 # them (a test keeps the two equal): plain Newton cycles on the first, and on the
