@@ -226,12 +226,29 @@ def kernel_fourier_error(p: SystemParams) -> float:
     as (1/pi) times the same rule, at the same node spacing, over
     [0, KERNEL_WINDOW*Omega_c] of (I(w) - gamma) cos(wt): KERNEL_POINTS // 2
     + 1 real nodes (KERNEL_POINTS is odd, so w = 0 is a node of both).
+
+    A node array is 160 KB, past glibc's default mmap and trim thresholds
+    (128 KiB), so temporaries of that size can grow the heap by more than
+    the trim threshold and have it trimmed again when they are freed, each
+    call then paying fresh page faults.  The fewer live at once, the rarer
+    that is, so the function holds three node arrays at most: the nodes,
+    spectral_density's result (which becomes the integrand) and one phase
+    buffer, which takes the cosine and then the node spacings.  The
+    trapezoid rule is np.trapezoid's own expression,
+    (diff(x) * (y[1:] + y[:-1]) / 2).sum(), evaluated into those buffers.
     """
     t = 1.0 / p.omega_c
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
     omega = np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1)
-    integrand = (spectral_density(p, omega) - p.gamma) * np.cos(omega * t)
-    smooth = float(np.trapezoid(integrand, omega)) / math.pi
+    integrand = spectral_density(p, omega)
+    integrand -= p.gamma
+    phase = np.multiply(omega, t)
+    integrand *= np.cos(phase, out=phase)
+    steps = np.subtract(omega[1:], omega[:-1], out=phase[:-1])
+    pair_sums = np.add(integrand[1:], integrand[:-1], out=omega[:-1])
+    steps *= pair_sums
+    steps /= 2.0
+    smooth = float(steps.sum()) / math.pi
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

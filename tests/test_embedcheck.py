@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +472,36 @@ def test_kernel_check_on_the_half_line_matches_the_full_line(params):
     rng = np.random.default_rng(14)
     for p in [params, *(draw_system(rng) for _ in range(20))]:
         assert math.isclose(kernel_fourier_error(p), _kernel_error_full_line(p), rel_tol=1e-10)
+
+
+def _kernel_error_trapezoid(p):
+    """The kernel check as np.trapezoid over the half line, with allocating temporaries."""
+    t = 1.0 / p.omega_c
+    omega = np.linspace(0.0, embedcheck.KERNEL_WINDOW * p.omega_c, embedcheck.KERNEL_POINTS // 2 + 1)
+    w2 = omega * omega
+    density = p.gamma * w2 / (w2 + p.omega_c * p.omega_c)
+    smooth = float(np.trapezoid((density - p.gamma) * np.cos(omega * t), omega)) / math.pi
+    return abs(smooth - memory_kernel_smooth(p, t)) / (p.gamma * p.omega_c / 2.0)
+
+
+def test_kernel_check_is_the_trapezoid_rule_bit_for_bit(params):
+    """Evaluating the rule into reused buffers changes no bit of the check."""
+    rng = np.random.default_rng(35)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        assert kernel_fourier_error(p) == _kernel_error_trapezoid(p)
+
+
+def test_kernel_check_holds_three_node_arrays_at_most(params):
+    """The traced peak of the kernel check is at most three node arrays plus 64 KiB."""
+    node_array = (embedcheck.KERNEL_POINTS // 2 + 1) * 8
+    kernel_fourier_error(params)
+    tracemalloc.start()
+    try:
+        kernel_fourier_error(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * node_array + 64 * 1024
 
 
 def test_trajectory_validation():

@@ -179,6 +179,24 @@ def test_spectral_density_shape(params):
     assert np.all(np.diff(vals) > 0.0)
 
 
+@pytest.mark.parametrize(
+    "omega",
+    [0.7e7, np.linspace(-3e7, 3e7, 101), np.arange(-50, 51) * 10**5, np.array(1.3e7)],
+    ids=["float", "float_array", "int_array", "0d_array"],
+)
+def test_spectral_density_is_its_formula_bit_for_bit(params, omega):
+    """The in-place form gives gamma * w^2 / (w^2 + Omega_c^2) bit for bit, the
+    formula's own type (a float for a float), and leaves its argument untouched."""
+    p = params
+    before = np.copy(omega)
+    w2 = omega * omega
+    want = p.gamma * w2 / (w2 + p.omega_c * p.omega_c)
+    got = spectral_density(p, omega)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(omega, before)
+
+
 def test_memory_kernel_shape(params):
     p = params
     amp = p.gamma * p.omega_c / 2.0

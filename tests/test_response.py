@@ -257,6 +257,108 @@ def test_dip_metrics_narrow_line(params):
     assert abs(dip.omega_min - params.omega_m) <= 25.0 * p_tiny.gamma
 
 
+def _one_point_golden_min(f, a, b, xtol):
+    """The golden-section loop with one scalar evaluation per point, as dip_metrics ran it before batching."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    e = a + invphi * (b - a)
+    fc, fe = f(c), f(e)
+    while (b - a) > xtol:
+        if fc < fe:
+            b, e, fe = e, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + invphi * (b - a)
+            fe = f(e)
+    x = (a + b) / 2.0
+    return x, f(x)
+
+
+def _one_point_dip_metrics(p, d, markovian):
+    """dip_metrics refined by _one_point_golden_min, one _r_sq call per point."""
+
+    def r_sq_at(omega):
+        return response._r_sq(p, d, np.array([omega], dtype=float), markovian).item()
+
+    grid = response._dip_grid(p)
+    values = response._r_sq(p, d, grid, markovian)
+    k = int(np.argmin(values))
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
+    omega_min, r_min = _one_point_golden_min(r_sq_at, lo, hi, response.DIP_XTOL_GAMMAS * p.gamma)
+    if values[k] < r_min:
+        omega_min, r_min = float(grid[k]), float(values[k])
+    return omega_min, r_min
+
+
+def _dip_cases(params, drive, n_devices, seed):
+    """(p, d) on the defaults at the fixture and exact-EP drives, then n_devices random devices."""
+    rng = np.random.default_rng(seed)
+    cases = [(params, drive), (params, solve_exact_ep(params).drive)]
+    for _ in range(n_devices):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    return cases
+
+
+def test_dip_metrics_is_the_one_point_golden_section(params, drive):
+    """The batched refinement returns the one-point loop's (omega_min, r_sq_min),
+    bit for bit and as Python floats, on the defaults, 50 devices and narrow lines
+    (gamma = 3e-9 to 1e-7 Hz) where float granularity, not xtol, ends the search."""
+    cases = _dip_cases(params, drive, 50, 35)
+    for p, d in cases[:12]:
+        cases += [(dataclasses.replace(p, gamma=hz_to_rad(g)), d) for g in (0.0, 3e-9, 1e-8, 3e-8, 1e-7)]
+    for p, d in cases:
+        for markovian in (False, True):
+            dip = dip_metrics(p, d, markovian=markovian)
+            assert (dip.omega_min, dip.r_sq_min) == _one_point_dip_metrics(p, d, markovian)
+            assert type(dip.omega_min) is float and type(dip.r_sq_min) is float
+
+
+def test_dip_refinement_is_one_r_sq_call(params, drive, monkeypatch):
+    """A dip search calls _r_sq twice: the coarse scan, then one batch for the
+    whole golden-section refinement, which ends within GOLDEN_LOOKAHEAD steps."""
+    sizes = []
+    r_sq = response._r_sq
+
+    def counted(p, d, omega, markovian):
+        sizes.append(len(omega))
+        return r_sq(p, d, omega, markovian)
+
+    monkeypatch.setattr(response, "_r_sq", counted)
+    for p, d in _dip_cases(params, drive, 20, 36):
+        for markovian in (False, True):
+            sizes.clear()
+            dip_metrics(p, d, markovian=markovian)
+            assert len(sizes) == 2 and sizes[0] == response.DIP_COARSE_POINTS
+
+
+def test_golden_min_batches_are_bounded_and_exact():
+    """On searches of up to about 50 steps, each f call receives a 1-D array of
+    at most 3 * 2**GOLDEN_LOOKAHEAD points, and the result is the one-point
+    loop's, bit for bit.  xtol stays far above the float spacing of [a, b],
+    where a one-ulp bracket could cycle."""
+    bound = 3 * 2**response.GOLDEN_LOOKAHEAD
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        a = rng.uniform(-10.0, 10.0)
+        b = a + 10.0 ** rng.uniform(-3.0, 2.0)
+        xtol = (b - a) * 10.0 ** rng.uniform(-10.0, 0.5)
+        freq, phase = rng.uniform(0.5, 40.0), rng.uniform(0.0, 2.0 * math.pi)
+        sizes = []
+
+        def f(x):
+            sizes.append(x.shape)
+            return np.cos(freq * x + phase) + 0.01 * x
+
+        got = response._golden_min(f, a, b, xtol)
+        want = _one_point_golden_min(lambda x: float(np.cos(freq * x + phase) + 0.01 * x), a, b, xtol)
+        assert got == want and type(got[1]) is float
+        assert all(len(shape) == 1 and 1 <= shape[0] <= bound for shape in sizes)
+
+
 def test_dip_metrics_memoryless_limit_degenerates(params):
     """At gamma = 0 the dip window has zero width: in both models the search
     returns omega_m and the spectrum's own |r|^2 there."""

@@ -89,6 +89,9 @@ EDGE_CONFIGS = {
     # A coupled bath (gamma > 0) 1e26 times slower than the mechanics: its root
     # sits far below the row scale, so a root that keeps only that scale's digits shows.
     "slow_bath": "[bath]\ncutoff_hz = 1e-20\n",
+    # A line so narrow that the dip bracket is about one ulp of omega_m: float
+    # granularity, not the golden section's xtol, ends the dip search.
+    "tiny_gamma": "[mechanics]\ngamma_hz = 1e-8\n",
 }
 # Over-damped devices (kappa >> omega_m) in rad/s, as tests/test_epsolver.py pins
 # them (a test keeps the two equal): plain Newton cycles on the first, and on the
