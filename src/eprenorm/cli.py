@@ -49,7 +49,7 @@ from .embedcheck import _resolution_limit, compare_embeddings, convergence_order
 from .epsolver import certify_order_two, markovian_ep, perturbative_ep, solve_exact_ep
 from .errors import ConfigError, OrderCheckFailed, SolverFailure, ToolkitError
 from .model import DriveParams, SystemParams, hz_to_rad, rad_to_hz
-from .response import cooperativity, dip_metrics, spectrum
+from .response import _r_sq, cooperativity, dip_metrics
 from .spectral import sweep_eigs, sweep_petermann
 
 MAX_REL_ERR_LIMIT = 1e-5
@@ -517,7 +517,7 @@ def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:
         drive = locate(p).drive
         dip = dip_metrics(p, drive, markovian=memoryless)
         columns.append(f"r_sq_{name}")
-        series.append(spectrum(p, drive, omegas, markovian=memoryless).r_sq)
+        series.append(_r_sq(p, drive, omegas, memoryless, math.nan))  # spectrum(...).r_sq, alone
         summary[f"dip_{name}"] = {"omega_min_khz": _khz(dip.omega_min), "r_sq_min": dip.r_sq_min}
     if not args.markovian_only:
         coop = cooperativity(p, drive)  # the last curve's drive: the exact EP

@@ -83,7 +83,9 @@ def _check_step(p: SystemParams, d: DriveParams, t_final: float, dt: float) -> i
 def _order_steps(p: SystemParams, d: DriveParams, t_final: float) -> int:
     """n of the order check, whose runs take n, 2n and 4n steps to t_final:
     the fewest n with t_final/n <= L, the resolution limit.  Raises ValueError
-    naming the check when 4n exceeds MAX_STEPS, so it fails before any run starts."""
+    naming the check when 4n exceeds MAX_STEPS, so it fails before any run starts.
+    The search starts one below the rounded quotient's ceiling, which is within
+    one of the fewest n, so its loop takes at most two increments."""
     if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     limit = _resolution_limit(p, d)

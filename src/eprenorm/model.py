@@ -88,7 +88,8 @@ def _caller_stacklevel() -> int:
     """warnings.warn stacklevel, from the calling function, of the first frame
     outside this package and the dataclass-generated __init__, so a warning
     names the line that built the parameters (directly, or through from_hz
-    or load_config)."""
+    or load_config).  The walk takes one step per frame and ends at the
+    bottom of the stack at the latest."""
     frame, level = sys._getframe(1), 1
     while frame is not None and (
         frame.f_code.co_filename.startswith(_PACKAGE_DIR) or frame.f_code is SystemParams.__init__.__code__

@@ -34,8 +34,10 @@ from .model import DriveParams, SystemParams, _array_rows
 DIP_WINDOW_GAMMAS = 25.0
 DIP_COARSE_POINTS = 4001
 DIP_XTOL_GAMMAS = 1e-3
-# Golden-section steps whose points one evaluation call fetches ahead of the loop.
-GOLDEN_LOOKAHEAD = 8
+# Golden-section steps whose points one evaluation call fetches ahead of the loop:
+# at 4 a dip's 7 steps take 2 calls of at most 47 points.  Fetching all 7 in one
+# call costs more, as the reach tree has 2**L - 1 states, each built in Python.
+GOLDEN_LOOKAHEAD = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -89,11 +91,14 @@ class Cooperativity:
 
 
 def _inverse_chis(p: SystemParams, d: DriveParams, omega):
-    """chi_a^-1, chi_b^-1, chi_c^-1 and chi_b,eff^-1, elementwise in omega."""
-    chi_a_inv = p.kappa / 2.0 - 1j * (omega + d.delta)
-    chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
+    """chi_a^-1 and the bare chi_b^-1, elementwise in omega."""
+    return p.kappa / 2.0 - 1j * (omega + d.delta), p.gamma / 2.0 - 1j * (omega - p.omega_m)
+
+
+def _dressed(p: SystemParams, omega, chi_b_inv):
+    """chi_c^-1 and the bath-dressed chi_b,eff^-1 = chi_b^-1 - g_c^2 / chi_c^-1, elementwise in omega."""
     chi_c_inv = p.omega_c - 1j * omega
-    return chi_a_inv, chi_b_inv, chi_c_inv, chi_b_inv - p.g_c**2 / chi_c_inv
+    return chi_c_inv, chi_b_inv - p.g_c**2 / chi_c_inv
 
 
 def _denominator(chi_a_inv, chi_m_inv, g: float):
@@ -114,7 +119,8 @@ def _eta(p: SystemParams, omega, chi_c_inv):
 
 def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
     """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
-    chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv = _inverse_chis(p, d, omega)
+    chi_a_inv, chi_b_inv = _inverse_chis(p, d, omega)
+    chi_c_inv, chi_b_eff_inv = _dressed(p, omega, chi_b_inv)
     with np.errstate(over="ignore"):
         d_denom = _denominator(chi_a_inv, chi_b_eff_inv, d.g)
     return Susceptibilities(
@@ -130,25 +136,37 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
 def _response(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool):
     """The reflection core over a 1-d array of real omega: (chi_c^-1, chi_m^-1, D,
     singular mask, susceptibility-sum r), each computed once.  chi_m^-1 is the bare
-    (markovian) or bath-dressed mechanical inverse susceptibility.  r is unmasked;
-    where chi_m^-1 = 0 it takes the D-form, whose value (1 for G != 0) the sum form
+    (markovian) or bath-dressed mechanical inverse susceptibility; the memoryless
+    model forms no bath term, and its chi_c^-1 is None.  r is unmasked; where
+    chi_m^-1 = 0 it takes the D-form, whose value (1 for G != 0) the sum form
     cannot reach through G^2 / 0."""
-    chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv = _inverse_chis(p, d, omega)
-    chi_m_inv = chi_b_inv if markovian else chi_b_eff_inv
+    chi_a_inv, chi_m_inv = _inverse_chis(p, d, omega)
+    chi_c_inv = None
+    if not markovian:
+        chi_c_inv, chi_m_inv = _dressed(p, omega, chi_m_inv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d_denom = _denominator(chi_a_inv, chi_m_inv, d.g)
         singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
         r = 1.0 - p.kappa / (chi_a_inv + d.g**2 / chi_m_inv)
-        at_zero = chi_m_inv == 0
-        if at_zero.any():
+        if not chi_m_inv.all():  # the mask is formed only when some chi_m^-1 = 0
+            at_zero = chi_m_inv == 0
             r[at_zero] = _d_form(p, chi_m_inv[at_zero], d_denom[at_zero])
     return chi_c_inv, chi_m_inv, d_denom, singular, r
 
 
-def _r_sq(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool) -> np.ndarray:
-    """|r|^2 over a 1-d array of real omega, inf where the response denominator vanishes."""
+def _masked(r: np.ndarray, singular: np.ndarray, fill):
+    """(r with fill at the singular points, its |r|^2): the one |r|^2 expression.
+    r is masked before it is squared, so no singular point can overflow."""
+    r = np.where(singular, fill, r)
+    return r, np.abs(r) ** 2
+
+
+def _r_sq(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool, fill=math.inf) -> np.ndarray:
+    """|r|^2 over a 1-d array of real omega, fill where the response denominator
+    vanishes: inf for the dip search, NaN for a printed curve, which then equals
+    spectrum's r_sq without forming spectrum's other fields."""
     *_, singular, r = _response(p, d, omega, markovian)
-    return np.where(singular, math.inf, np.abs(r) ** 2)
+    return _masked(r, singular, fill)[1]
 
 
 def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = False) -> Spectrum:
@@ -168,8 +186,8 @@ def spectrum(p: SystemParams, d: DriveParams, omega_grid, markovian: bool = Fals
         s_aa = _d_form(p, chi_m_inv, d_denom)
         s_axi = 1j * math.sqrt(p.kappa) * d.g * eta / d_denom
     nan = complex(math.nan, math.nan)
-    r, s_aa, s_axi = (np.where(singular, nan, v) for v in (r, s_aa, s_axi))
-    return Spectrum(r, np.abs(r) ** 2, s_aa, s_axi, singular)
+    s_aa, s_axi = (np.where(singular, nan, v) for v in (s_aa, s_axi))
+    return Spectrum(*_masked(r, singular, nan), s_aa, s_axi, singular)
 
 
 def reflection(p: SystemParams, d: DriveParams, omega, markovian: bool = False) -> Spectrum:
@@ -216,15 +234,19 @@ def _golden_min(f, a: float, b: float, xtol: float):
     on f only through the branch each step takes, so when the loop needs a
     value it does not hold, one f call fetches it with every point the next
     GOLDEN_LOOKAHEAD steps can visit from there (_golden_reach).  A call thus
-    receives at most 3 * 2**GOLDEN_LOOKAHEAD points, and a search that ends
-    within GOLDEN_LOOKAHEAD steps of its start makes one call.
+    receives at most 3 * 2**GOLDEN_LOOKAHEAD points, and a search of s steps
+    makes at most ceil((s + 1) / (GOLDEN_LOOKAHEAD + 1)) calls: a dip's refinement
+    takes 7 steps (its bracket is 25 xtol wide, and 25 / phi**7 < 1), so 2.
 
-    With xtol below the float spacing of [a, b], a bracket of one ulp can
-    cycle forever, as the one-point loop did: for an increasing f such as
-    the identity, _golden_min(f, 1.0, 1.0 + 2**-50, 0.0) never returns.
-    dip_metrics did not reach such a cycle in 8,000 dips of 1,000 random
-    devices at gamma = 3e-9 to 1e-7 Hz, whose brackets are 0 to 67 ulps
-    wide: each search ended within 7 steps.
+    The loop ends on every input.  Its future depends only on the state
+    (a, b, c, e), the values being held, so a state that repeats is a cycle,
+    which the classic loop would run forever once xtol is below the float
+    spacing of [a, b] (for the identity on [1, 1 + 2**-50] with xtol 0).  The
+    loop stops at the first repeat, with the normal exit's midpoint and its
+    value; a search without one is the classic search, bit for bit.  [a, b]
+    only shrinks and holds c and e, so while it holds n floats a state repeats
+    within n**2 steps or [a, b] loses one of them: at most n**3 steps in all.
+    With xtol above the float spacing, [a, b] shrinks by 1/phi per step.
     """
     known = {}
 
@@ -241,7 +263,9 @@ def _golden_min(f, a: float, b: float, xtol: float):
     c = b - _INVPHI * (b - a)
     e = a + _INVPHI * (b - a)
     fc, fe = value(c, e), value(e)
-    while (b - a) > xtol:
+    seen = set()
+    while (b - a) > xtol and (a, b, c, e) not in seen:
+        seen.add((a, b, c, e))
         if fc < fe:
             b, e, fe = e, c, fc
             c = b - _INVPHI * (b - a)

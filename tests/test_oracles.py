@@ -8,8 +8,9 @@ laws of the hybrid gap and of K next to the EP, the law K = C / gamma at
 the memoryless calibration with C from the same implicit differentiation,
 the dip depths from the two-photon-resonance law of the cooperativity:
 exact for the memoryless dip, and to first order in kappa/omega_m for the
-dressed one, and the sweeps' closed-form eigenvalues against 50-digit
-mpmath ones of the same double matrices.
+dressed one, the printed dip locations and depths against the minimum of
+|r|^2 solved in 40-digit mpmath, and the sweeps' closed-form eigenvalues
+against 50-digit mpmath ones of the same double matrices.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2), except the last,
@@ -635,6 +636,87 @@ def test_dressed_dip_depth_tends_to_the_renormalized_cooperativity_law(params):
         if abs(first[0] / first[2] - 1.0) <= 0.05:
             slopes.append(np.polyfit(np.log(DIP_SCALES), np.log(np.abs(gaps)), 1)[0])
     assert len(slopes) >= 6 and np.all(np.abs(np.array(slopes) - 1.0) <= 0.02)
+
+
+DIP_DPS = 40
+
+
+def _mp_r_sq(p, d, markovian):
+    """|r(omega)|^2 at DIP_DPS digits, written out from the susceptibilities:
+    r = 1 - kappa / (chi_a^-1 + g^2 / chi_m^-1), chi_a^-1 = kappa/2 - i(omega + delta),
+    chi_m^-1 = gamma/2 - i(omega - omega_m), less g_c^2 / (Omega_c - i omega) with
+    g_c^2 = gamma Omega_c / 2 for the bath-dressed model."""
+    kappa, gamma, omega_m, omega_c, delta, g = (mp.mpf(x) for x in (p.kappa, p.gamma, p.omega_m,
+                                                                    p.omega_c, d.delta, d.g))
+
+    def r_sq(omega):
+        chi_a_inv = kappa / 2 - 1j * (omega + delta)
+        chi_m_inv = gamma / 2 - 1j * (omega - omega_m)
+        if not markovian:
+            chi_m_inv -= gamma * omega_c / 2 / (omega_c - 1j * omega)
+        return abs(1 - kappa / (chi_a_inv + g**2 / chi_m_inv)) ** 2
+
+    return r_sq
+
+
+@functools.cache
+def _dip_errors(params, markovian):
+    """(device, printed dip, d_omega, d_depth, curvature, d_at) for the curve of
+    `spectrum` on the defaults and 20 devices: the dip that dip_metrics finds at
+    the curve's EP drive, less the mpmath minimum omega* of |r|^2 (the root of its
+    derivative, found from the printed location) and less |r|^2 at omega*;
+    |r|^2'' at omega*; and the printed depth less |r|^2 at the printed location."""
+    rng = np.random.default_rng(1900)
+    rows = []
+    with mp.workdps(DIP_DPS):
+        for p in [params, *(draw_system(rng) for _ in range(20))]:
+            drive = (markovian_ep(p) if markovian else solve_exact_ep(p)).drive
+            dip = dip_metrics(p, drive, markovian=markovian)
+            r_sq = _mp_r_sq(p, drive, markovian)
+            printed = mp.mpf(dip.omega_min)
+            omega = mp.findroot(lambda w: mp.diff(r_sq, w), printed, tol=mp.mpf(10) ** -60 * p.omega_m**2)
+            assert abs(omega - printed) < p.gamma  # the same dip
+            rows.append((p, dip, float(printed - omega), float(dip.r_sq_min - r_sq(omega)),
+                         float(mp.diff(r_sq, omega, 2)), float(dip.r_sq_min - r_sq(printed))))
+    return rows
+
+
+def test_memoryless_dip_location_is_exact(params):
+    """dip.markovian.omega_min_khz: at the memoryless EP the curve is symmetric
+    about omega_m, the middle point of the coarse scan to an ulp or two, and the
+    printed location is within 1e-15 (relative) of the mpmath minimum, on the
+    defaults and 20 devices (5.8e-16 at most over 200)."""
+    for p, dip, d_omega, *_ in _dip_errors(params, True):
+        assert abs(d_omega) <= 1e-15 * dip.omega_min
+        assert abs(dip.omega_min - p.omega_m) <= 1e-15 * p.omega_m
+
+
+def test_memoryless_dip_depth_is_exact(params):
+    """dip.markovian.r_sq_min is the mpmath minimum of |r|^2 to 1e-15, on the
+    defaults and 20 devices (4.4e-16 at most over 200)."""
+    for _, _, _, d_depth, *_ in _dip_errors(params, True):
+        assert abs(d_depth) <= 1e-15
+
+
+def test_dressed_dip_location_is_within_half_xtol(params):
+    """dip.nonmarkovian.omega_min_khz is within xtol/2 = 5e-4 gamma of the mpmath
+    minimum (xtol = 1e-3 gamma), golden section's bound for the midpoint of its
+    last bracket, on the defaults and 20 devices (2.6e-4 gamma at most over 200;
+    1.7e-7 relative at the defaults and 4.0e-5 at most, so 4 of the 12 printed
+    digits are sure)."""
+    for p, dip, d_omega, *_ in _dip_errors(params, False):
+        assert abs(d_omega) <= 5e-4 * p.gamma
+
+
+def test_dressed_dip_depth_is_r_sq_at_the_printed_location(params):
+    """dip.nonmarkovian.r_sq_min is |r|^2 at the printed location to 1e-15, so it
+    lies above the mpmath minimum by |r|^2'' d_omega^2 / 2 (to 1 %), which the
+    location bound caps at |r|^2'' (xtol/2)^2 / 2, and by at most 1e-6, on the
+    defaults and 20 devices (4.3e-12 at the defaults, 3.0e-7 at most over 200)."""
+    for p, _, d_omega, d_depth, curvature, d_at in _dip_errors(params, False):
+        assert abs(d_at) <= 1e-15
+        assert -1e-15 <= d_depth <= 1.01 * curvature * d_omega**2 / 2.0 + 1e-15
+        assert d_depth <= 1e-6
 
 
 KERNEL_DPS = 50

@@ -1,8 +1,13 @@
 """Input-output reflection response, dip metrics, cooperativities."""
 
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from draws import draw_drive, draw_system
 from eprenorm import (
     DriveParams,
+    SystemParams,
     cooperativity,
     dip_metrics,
     markovian_ep,
@@ -20,7 +26,8 @@ from eprenorm import (
 )
 from eprenorm.charpoly import char_cubic, cubic_roots
 from eprenorm.errors import SingularDenominator
-from eprenorm import response
+from eprenorm import cli, response
+from eprenorm.config import load_config
 from eprenorm.model import hz_to_rad, rad_to_hz
 from eprenorm.response import susceptibilities
 
@@ -317,9 +324,22 @@ def test_dip_metrics_is_the_one_point_golden_section(params, drive):
             assert type(dip.omega_min) is float and type(dip.r_sq_min) is float
 
 
-def test_dip_refinement_is_one_r_sq_call(params, drive, monkeypatch):
-    """A dip search calls _r_sq twice: the coarse scan, then one batch for the
-    whole golden-section refinement, which ends within GOLDEN_LOOKAHEAD steps."""
+def test_dip_search_is_three_r_sq_calls(params, drive, monkeypatch):
+    """A dip search calls _r_sq exactly 3 times at lookaheads L = 3, 4 and 5: the
+    coarse scan, then 2 batches for the golden-section refinement.
+
+    The refinement's bracket is the two coarse steps around the scan's minimum,
+    2 * (50 gamma / 4000) = 0.025 gamma, and xtol is 1e-3 gamma: a ratio of 25.
+    A step shrinks the bracket by 1/phi, and 25 / phi**6 = 1.39 > 1 >= 25 / phi**7
+    = 0.86, so the loop takes s = 7 steps (s = 6 from an end of the grid, whose
+    bracket is one coarse step).  The first batch holds the two starting points
+    and every point of steps 1..L; each later one holds the point the loop lacks,
+    every point of the L steps after it and the midpoints where the bracket is
+    within xtol.  So s steps take at most ceil((s + 1) / (L + 1)) batches (a point
+    the loop finds already held only delays the next one), and at least 2 once
+    s > L, as the first batch then lacks the final midpoint: exactly 2 for s = 6
+    or 7 and L = 3 to 5.  On the defaults the batches hold 32 and 11 points at L = 4.
+    """
     sizes = []
     r_sq = response._r_sq
 
@@ -328,11 +348,19 @@ def test_dip_refinement_is_one_r_sq_call(params, drive, monkeypatch):
         return r_sq(p, d, omega, markovian)
 
     monkeypatch.setattr(response, "_r_sq", counted)
-    for p, d in _dip_cases(params, drive, 20, 36):
-        for markovian in (False, True):
-            sizes.clear()
-            dip_metrics(p, d, markovian=markovian)
-            assert len(sizes) == 2 and sizes[0] == response.DIP_COARSE_POINTS
+    cases = _dip_cases(params, drive, 200, 36)
+    for lookahead in (3, 4, 5):
+        monkeypatch.setattr(response, "GOLDEN_LOOKAHEAD", lookahead)
+        for p, d in cases:
+            for markovian in (False, True):
+                sizes.clear()
+                dip_metrics(p, d, markovian=markovian)
+                assert len(sizes) == 3 and sizes[0] == response.DIP_COARSE_POINTS
+                assert max(sizes[1:]) <= 3 * 2**lookahead
+    monkeypatch.setattr(response, "GOLDEN_LOOKAHEAD", 4)
+    sizes.clear()
+    dip_metrics(params, drive)
+    assert sizes == [response.DIP_COARSE_POINTS, 32, 11]
 
 
 def test_golden_min_batches_are_bounded_and_exact():
@@ -357,6 +385,210 @@ def test_golden_min_batches_are_bounded_and_exact():
         want = _one_point_golden_min(lambda x: float(np.cos(freq * x + phase) + 0.01 * x), a, b, xtol)
         assert got == want and type(got[1]) is float
         assert all(len(shape) == 1 and 1 <= shape[0] <= bound for shape in sizes)
+
+
+# ROADMAP item 16's device: omega_m / 2 pi = 147 kHz with a 2.4e-9 Hz mechanical
+# line, so the coarse step is 1.6 ulps of omega_m and xtol 0.13 ulp.  The classic
+# loop cycles forever on its dressed dip, between two states of a bracket one ulp
+# wide, on values it already holds; its memoryless dip ends after 4,233 points.
+ULP_DEVICE_INI = """\
+[mechanics]
+freq_hz = 147090.40849771973
+gamma_hz = 2.4476039329315046e-09
+[cavity]
+kappa_hz = 206.87759555117393
+[bath]
+cutoff_hz = 52253.039571337664
+[drive]
+detuning_hz = -147090.40849771973
+coupling_hz = 9.157694522415852
+"""
+
+# The child's script: dip_metrics on each (SystemParams fields, DriveParams
+# fields, markovian) case of the JSON list on stdin, then _golden_min on the
+# identity over [1, 1 + 2**-50] at xtol 0, printed as JSON.
+_CHILD_DIPS = """\
+import json, sys
+import numpy as np
+from eprenorm import DriveParams, SystemParams, dip_metrics
+from eprenorm.response import _golden_min
+dips = [dip_metrics(SystemParams(*p), DriveParams(*d), markovian=m) for p, d, m in json.load(sys.stdin)]
+identity = _golden_min(lambda x: x, 1.0, 1.0 + 2.0**-50, 0.0)
+print(json.dumps({"dips": [(dip.omega_min, dip.r_sq_min) for dip in dips], "identity": identity}))
+"""
+
+
+def _dips_in_child(cases, timeout=30.0):
+    """The child's {"dips": [(omega_min, r_sq_min) per case], "identity": (x, f(x))}.
+
+    Each search runs in a fresh interpreter, so one that never ends fails the
+    test at the timeout instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    payload = [(dataclasses.astuple(p), dataclasses.astuple(d), m) for p, d, m in cases]
+    try:
+        proc = subprocess.run([sys.executable, "-c", _CHILD_DIPS], input=json.dumps(payload),
+                              capture_output=True, text=True, timeout=timeout, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"a dip search did not end within {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return [tuple(dip) for dip in out["dips"]], tuple(out["identity"])
+
+
+def test_dip_search_ends_where_the_classic_loop_cycles(tmp_path):
+    """ROADMAP item 16: on its device both dip searches return, the dressed one
+    from a cycle of the classic loop, at the bracket's midpoint; the memoryless
+    one, which the classic loop ends, with the classic loop's bits.  The
+    identity on a one-ulp bracket at xtol 0, the other cycle _golden_min's
+    docstring names, stops at its midpoint too."""
+    path = tmp_path / "ulp_device.ini"
+    path.write_text(ULP_DEVICE_INI)
+    p, d = load_config(str(path))
+    (dressed, memoryless), identity = _dips_in_child([(p, d, False), (p, d, True)])
+    assert memoryless == _one_point_dip_metrics(p, d, True)
+    grid = response._dip_grid(p)
+    assert grid[0] <= dressed[0] <= grid[-1] and 0.0 <= dressed[1] <= 1.0
+    assert identity == (1.0 + 2.0**-51, 1.0 + 2.0**-51)
+
+
+def _classic_dip_or_none(p, d, markovian, max_steps=20_000):
+    """_one_point_dip_metrics with its loop capped at max_steps (None past them)
+    and each point's value held, so a cycle costs no _r_sq calls."""
+    held = {}
+
+    def r_sq_at(omega):
+        if omega not in held:
+            held[omega] = response._r_sq(p, d, np.array([omega]), markovian).item()
+        return held[omega]
+
+    def capped(f, a, b, xtol):
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c = b - invphi * (b - a)
+        e = a + invphi * (b - a)
+        fc, fe = f(c), f(e)
+        for _ in range(max_steps):
+            if not (b - a) > xtol:
+                x = (a + b) / 2.0
+                return x, f(x)
+            if fc < fe:
+                b, e, fe = e, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, e, fe
+                e = a + invphi * (b - a)
+                fe = f(e)
+        return None
+
+    grid = response._dip_grid(p)
+    values = response._r_sq(p, d, grid, markovian)
+    k = int(np.argmin(values))
+    found = capped(r_sq_at, float(grid[max(k - 1, 0)]), float(grid[min(k + 1, len(grid) - 1)]),
+                   response.DIP_XTOL_GAMMAS * p.gamma)
+    if found is not None and values[k] < found[1]:
+        found = float(grid[k]), float(values[k])
+    return found
+
+
+def test_ulp_regime_dips_end_and_keep_the_classic_bits():
+    """On 2,000 dips whose coarse step is 0.3 to 5 ulps of omega_m (xtol below
+    the float spacing), with kappa / omega_m = 1e-4 to 1e-2 as on item 16's
+    device, every search the capped classic loop ends returns its bits, and the
+    searches it does not end (a cycle, some 4 % of them) return as well."""
+    rng = np.random.default_rng(1600)
+    cycling = []
+    for _ in range(1000):
+        p = draw_system(rng)
+        step_ulps = 10.0 ** rng.uniform(math.log10(0.3), math.log10(5.0))
+        p = dataclasses.replace(p, kappa=p.omega_m * 10.0 ** rng.uniform(-4.0, -2.0),
+                                gamma=80.0 * step_ulps * float(np.spacing(p.omega_m)))
+        d = DriveParams(delta=-p.omega_m, g=p.kappa * rng.uniform(0.0, 1.0))
+        for markovian in (False, True):
+            want = _classic_dip_or_none(p, d, markovian)
+            if want is None:
+                cycling.append((p, d, markovian))
+            else:
+                dip = dip_metrics(p, d, markovian=markovian)
+                assert (dip.omega_min, dip.r_sq_min) == want
+    assert len(cycling) >= 20
+    dips, _ = _dips_in_child(cycling)
+    for (p, d, markovian), (omega_min, r_sq_min) in zip(cycling, dips):
+        grid = response._dip_grid(p)
+        assert grid[0] <= omega_min <= grid[-1] and 0.0 <= r_sq_min <= 1.0
+
+
+def _bare_response(p, d, omega):
+    """The memoryless reflection core written out, as the package formed it while
+    it still built chi_c^-1 and the dressed chi_b,eff^-1 on this path too:
+    (D, singular mask, r)."""
+    chi_a_inv = p.kappa / 2.0 - 1j * (omega + d.delta)
+    chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_denom = chi_a_inv * chi_b_inv + d.g**2
+        singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
+        r = 1.0 - p.kappa / (chi_a_inv + d.g**2 / chi_b_inv)
+        at_zero = chi_b_inv == 0
+        r[at_zero] = 1.0 - p.kappa * chi_b_inv[at_zero] / d_denom[at_zero]
+    return d_denom, singular, r
+
+
+def _response_cases(params, drive, n_devices, seed):
+    """(p, d, grid): the defaults and n_devices random devices at a random and at
+    each EP drive over the dip and spectrum grids, then an uncoupled line of zero
+    width whose grid holds omega_m, where D = 0 (a singular point)."""
+    cases = []
+    for p, d in _dip_cases(params, drive, n_devices, seed):
+        grids = (response._dip_grid(p), np.linspace(0.9 * p.omega_m, 1.1 * p.omega_m, 2001))
+        for d_case in (d, markovian_ep(p).drive):
+            cases += [(p, d_case, grid) for grid in grids]
+    p0 = dataclasses.replace(params, gamma=0.0)
+    grid = np.array([params.omega_m - params.kappa, params.omega_m, params.omega_m + params.kappa])
+    cases.append((p0, DriveParams(delta=-params.omega_m, g=0.0), grid))
+    return cases
+
+
+def test_memoryless_response_is_the_bare_formula(params, drive):
+    """_response for the memoryless model forms no bath term, and its D, singular
+    mask and r are the bare formulas' bit for bit, singular points included."""
+    n_singular = 0
+    for p, d, grid in _response_cases(params, drive, 20, 38):
+        chi_c_inv, chi_m_inv, d_denom, singular, r = response._response(p, d, grid, True)
+        want_d, want_singular, want_r = _bare_response(p, d, grid)
+        assert chi_c_inv is None
+        assert np.array_equal(chi_m_inv, p.gamma / 2.0 - 1j * (grid - p.omega_m))
+        assert np.array_equal(d_denom, want_d) and np.array_equal(singular, want_singular)
+        assert np.array_equal(r, want_r, equal_nan=True)
+        n_singular += int(singular.sum())
+    assert n_singular == 1
+
+
+def test_printed_r_sq_columns_are_spectrum_r_sq(params, drive):
+    """cmd_spectrum's r_sq_markovian and r_sq_nonmarkovian columns are spectrum's
+    r_sq at each curve's EP drive, bit for bit, on the defaults and 20 devices,
+    and on a grid that holds a singular point (NaN in both); the dip search's
+    inf-filled |r|^2 is the same expression."""
+    args = cli.build_parser().parse_args(["spectrum"])
+    rng = np.random.default_rng(39)
+    omegas = hz_to_rad(1e3 * np.linspace(args.omega_min, args.omega_max, args.omega_points))
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        table = cli.cmd_spectrum(args, p, drive)
+        assert table.columns == ["omega_khz", "r_sq_markovian", "r_sq_nonmarkovian"]
+        for column, ep, markovian in ((1, markovian_ep, True), (2, solve_exact_ep, False)):
+            want = spectrum(p, ep(p).drive, omegas, markovian=markovian).r_sq
+            assert np.array_equal(table.data[:, column], want)
+    # kappa / omega_m = 1e-12 at gamma = 0: at the memoryless EP, |D| = kappa^2 / 16
+    # at omega_m is below 1e-12 kappa omega_m.
+    p0 = SystemParams.from_hz(freq_hz=1e6, kappa_hz=1e-6, gamma_hz=0.0, cutoff_hz=1e6)
+    table = cli.cmd_spectrum(cli.build_parser().parse_args(["spectrum", "--markovian-only"]), p0, drive)
+    spec = spectrum(p0, markovian_ep(p0).drive, omegas, markovian=True)
+    assert spec.singular.sum() == 1
+    assert np.array_equal(table.data[:, 1], spec.r_sq, equal_nan=True)
+    for p, d, grid in _response_cases(params, drive, 4, 40):
+        for markovian in (False, True):
+            spec = spectrum(p, d, grid, markovian=markovian)
+            assert np.array_equal(response._r_sq(p, d, grid, markovian, math.nan), spec.r_sq, equal_nan=True)
+            assert np.array_equal(response._r_sq(p, d, grid, markovian), np.where(spec.singular, math.inf, spec.r_sq))
 
 
 def test_dip_metrics_memoryless_limit_degenerates(params):
