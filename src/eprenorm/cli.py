@@ -37,7 +37,6 @@ import re
 import sys
 import time
 import warnings
-from datetime import datetime, timezone
 from itertools import repeat
 from typing import NamedTuple
 
@@ -103,7 +102,7 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
         "grid": grid,
         "out": args.out,
         "version": __version__,
-        "timestamp": datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch)),
     }
 
 
@@ -271,8 +270,8 @@ def _digit_pass(table: np.ndarray, as_json: bool) -> str:
     The same bytes as _cell_rule's texts joined by _SEPARATORS.  Each cell's
     four words, ANDed with its mask row, keep the bytes of its text; one
     bytes.translate drops the rest, and the markers become the separators.
-    Rare cells leave their placeholder "%", replaced by their _cell_rule
-    texts.
+    Rare cells leave their placeholder "%", the only "%" in the bytes, which
+    their _cell_rule texts replace before the separators go in.
     """
     tables = _digit_tables()
     x = table.ravel()
@@ -280,14 +279,17 @@ def _digit_pass(table: np.ndarray, as_json: bool) -> str:
     cells = np.take(tables.words, index)
     cells &= np.take(tables.masks[int(as_json)], key, axis=0, out=index.view(np.uint64))  # index is spent
     raw = cells.tobytes().translate(None, b"\0")[1:]
+    rare = np.flatnonzero(~exact)
+    if rare.size:
+        pieces = raw.split(b"%")
+        joined = [b""] * (2 * len(pieces) - 1)
+        joined[::2] = pieces
+        joined[1::2] = map(str.encode, _cell_rule(x[rare].tolist(), as_json))
+        raw = b"".join(joined)
     cell_sep, row_sep = _SEPARATORS[as_json]
     if as_json:
         raw = raw.replace(b",", cell_sep.encode())
-    text = raw.replace(b";", row_sep.encode()).decode("ascii")
-    rare = np.flatnonzero(~exact)
-    if rare.size:
-        text = text.replace("%", "%s") % tuple(_cell_rule(x[rare].tolist(), as_json))
-    return text
+    return raw.replace(b";", row_sep.encode()).decode("ascii")
 
 
 def _table_text(data, as_json: bool) -> str:

@@ -52,13 +52,12 @@ def _require_rates(params) -> None:
     """ValueError naming every field of a parameter dataclass that is inf or nan,
     else, by its config key, every nonzero field whose magnitude lies outside
     RATE_RANGE_HZ (as_hz_dict lists the fields in declaration order)."""
-    names = [f.name for f in fields(params)]
-    values = [getattr(params, name) for name in names]
-    bad = [name for name, value in zip(names, values) if not math.isfinite(value)]
+    by_name = vars(params)  # the fields in declaration order, as __init__ set them
+    bad = [name for name, value in by_name.items() if not math.isfinite(value)]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be finite")
     low, high = _RATE_RANGE
-    outside = [value != 0.0 and not low <= abs(value) <= high for value in values]
+    outside = [value != 0.0 and not low <= abs(value) <= high for value in by_name.values()]
     if any(outside):
         keys = params.as_hz_dict().items()
         bad = [f"{key} = {_hz_text(hz)} Hz" for out, (key, hz) in zip(outside, keys) if out]

@@ -298,6 +298,62 @@ def test_digit_pass_matches_reference_on_both_sides_of_the_crossover(tmp_path, c
         _assert_same_text(text, reference)
 
 
+def _rare_cells():
+    """Cells the digit pass hands to _cell_rule: nan, +-inf, subnormals, 1e12 to
+    1e15 in magnitude and values within 2.5e-4 of a rounding tie of the 12-digit
+    mantissa, each with both signs but nan."""
+    rng = np.random.default_rng(37)
+    ties = (rng.integers(10**11, 10**12, 12) + 0.5 + rng.uniform(-2.4e-4, 2.4e-4, 12)) / 10.0 ** rng.integers(0, 15, 12)
+    cells = np.concatenate([
+        [math.inf, 5e-324, 2.2250738585072e-308, 1e-310, 1e12, 3.7e13, 999999999999999.0, 1e15],
+        10.0 ** rng.uniform(12.0, 15.0, 8),
+        ties,
+    ])
+    return np.concatenate([[math.nan], cells, np.negative(cells)])
+
+
+def _joined_cells(table, as_json):
+    """_cell_rule's texts of a (rows, columns) table joined by _SEPARATORS."""
+    cell_sep, row_sep = cli._SEPARATORS[as_json]
+    cells = cli._cell_rule(table.ravel().tolist(), as_json)
+    width = table.shape[1]
+    return row_sep.join(cell_sep.join(cells[i : i + width]) for i in range(0, len(cells), width))
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+def test_digit_pass_puts_rare_cells_in_place(as_json):
+    """_digit_pass gives _cell_rule's texts joined by _SEPARATORS for blocks whose
+    rare cells come first, last, side by side (across a row's end too) and fill the
+    whole block, between 9-digit fixed-notation cells; and "%" is a byte of no cell
+    text but a rare cell's placeholder, so the placeholders are the only "%"."""
+    rng = np.random.default_rng(38)
+    rare = _rare_cells()
+    assert not cli._cell_words(rare, 1)[2].any()  # every one takes the rare route
+    width = 7
+    fixed = rng.integers(10**8, 10**9, 40 * width) / 10.0 ** rng.integers(0, 13, 40 * width)
+    tables = []
+    for start in (0, fixed.size - len(rare), width - 3, 5 * width - 1):
+        cells = fixed.copy()
+        cells[start : start + len(rare)] = rare
+        tables.append(cells.reshape(-1, width))
+    for k in (1, 2):
+        cells = fixed.copy()
+        cells[::k * 9] = rng.choice(rare, cells[::k * 9].size)
+        tables.append(cells.reshape(-1, width))
+    tables.append(np.resize(rare, (6, width)))
+    tables.append(rare[:1].reshape(1, 1))
+    for table in tables:
+        text = cli._digit_pass(table, as_json)
+        assert text == _joined_cells(table, as_json)
+    tables_ = cli._digit_tables()
+    words = tables_.words.view(np.uint8).reshape(-1, 8)
+    assert [tuple(at) for at in np.argwhere(words == ord("%"))] == [(10_000, 7), (10_001, 7)]
+    # Byte 7 of a cell is its marker word's placeholder slot: only the rare row keeps it.
+    kept = tables_.masks.view(np.uint8).reshape(2, cli._RARE_KEY + 1, 32)[:, :, 7]
+    assert not kept[:, : cli._RARE_KEY].any() and kept[:, cli._RARE_KEY].all()
+    assert "%" not in "".join(cli._SEPARATORS[as_json])
+
+
 def test_format_runs_per_rare_cell_at_the_crossover_and_per_cell_below(monkeypatch):
     """At DIGIT_PASS_MIN_CELLS cells and above, format and _json_cell run once
     per rare cell and never for a flag or fixed-notation cell; below it,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -896,6 +897,17 @@ def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch,
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"eprenorm: error: {error}")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epoch", [0, 951782400, 1756080000, cli.MAX_EPOCH])
+def test_manifest_timestamp_is_the_datetime_utc_form(monkeypatch, epoch):
+    """The manifest's time.strftime stamp equals datetime's UTC form at the epoch,
+    on a leap day (2000-02-29) and at the last accepted second."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(epoch))
+    p, d = load_config(None)
+    args = cli.build_parser().parse_args(["ep"])
+    stamp = cli._manifest(args, p, d, {})["timestamp"]
+    assert stamp == datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 @pytest.mark.parametrize(

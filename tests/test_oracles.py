@@ -719,6 +719,41 @@ def test_dressed_dip_depth_is_r_sq_at_the_printed_location(params):
         assert d_depth <= 1e-6
 
 
+@functools.cache
+def _cooperativity_errors(params):
+    """Relative errors of the spectrum summary's (c, c_eff), the cooperativities at
+    the exact EP drive as cmd_spectrum takes them, on the defaults and 20 devices,
+    against 4 g^2 / (kappa gamma) and 4 g^2 / (kappa gamma_eff) at the mpmath EP's g,
+    with gamma_eff = gamma omega_m^2 / (omega_m^2 + Omega_c^2), the bath's spectral
+    density at the mechanical frequency."""
+    rng = np.random.default_rng(1901)
+    rows = []
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        _, _, g, _ = _mp_exceptional_point(p)
+        coop = cooperativity(p, solve_exact_ep(p).drive)
+        with mp.workdps(ORACLE_DPS):
+            g, kappa, gamma, omega_m, omega_c = (mp.mpf(x) for x in (g, p.kappa, p.gamma, p.omega_m, p.omega_c))
+            c = 4 * g**2 / (kappa * gamma)
+            c_eff = 4 * g**2 / (kappa * gamma * omega_m**2 / (omega_m**2 + omega_c**2))
+            rows.append((float(abs(coop.c - c) / c), float(abs(coop.c_eff - c_eff) / c_eff)))
+    return rows
+
+
+def test_bare_cooperativity_is_exact(params):
+    """cooperativity.c is within 2e-15 (relative) of the mpmath value, on the
+    defaults and 20 devices (4.3e-16 at most; 7.9e-16 over 200 more), the
+    exact EP's g carrying full double precision: all 12 printed digits hold."""
+    for c_err, _ in _cooperativity_errors(params):
+        assert c_err <= 2e-15
+
+
+def test_renormalized_cooperativity_is_exact(params):
+    """cooperativity.c_eff is within 2e-15 (relative) of the mpmath value, on the
+    defaults and 20 devices (5.7e-16 at most; 9.1e-16 over 200 more)."""
+    for _, c_eff_err in _cooperativity_errors(params):
+        assert c_eff_err <= 2e-15
+
+
 KERNEL_DPS = 50
 
 

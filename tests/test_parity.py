@@ -28,9 +28,10 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     """Beside the 950 resolved-sideband and edge runs, the corpus runs ep, eigs
     and petermann on the two over-damped devices that test_epsolver pins and
     on at least 20 seeded over-damped draws, the gamma_zero edge's memoryless
-    spectrum, the five golden argv on the fast_bath, slow_bath and tiny_gamma
-    edges and eigs and petermann on a coupling grid up to about 1.7e308 rad/s,
-    each as CSV and as JSON: 1,142 runs."""
+    spectrum, the five golden argv on the fast_bath, slow_bath, tiny_gamma and
+    kappa_equals_gamma edges, eigs --markovian-ref from g = 0 on the last of
+    them and eigs and petermann on a coupling grid up to about 1.7e308 rad/s,
+    each as CSV and as JSON: 1,154 runs."""
     assert parity.OVERDAMPED_PINNED == {"cycle": _OVERDAMPED_CYCLE, "other_ep": _OVERDAMPED_OTHER_EP}
     ids = [run["id"] for run in parity.build_corpus(str(tmp_path))]
     assert len(ids) == len(set(ids))
@@ -40,12 +41,13 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     new = {f"overdamped-{name}-{command}-{fmt}" for name in devices for command in ("ep", "eigs", "petermann")
            for fmt in ("csv", "json")}
     new |= {f"edge-gamma_zero-spectrum-markovian-only-{fmt}" for fmt in ("csv", "json")}
-    new |= {f"edge-{edge}-{name}-{fmt}" for edge in ("fast_bath", "slow_bath", "tiny_gamma")
+    new |= {f"edge-{edge}-{name}-{fmt}" for edge in ("fast_bath", "slow_bath", "tiny_gamma", "kappa_equals_gamma")
             for name in CASES for fmt in ("csv", "json")}
+    new |= {f"edge-kappa_equals_gamma-eigs-from-zero-{fmt}" for fmt in ("csv", "json")}
     new |= {f"top-of-range-{command}-{fmt}" for command in ("eigs", "petermann") for fmt in ("csv", "json")}
     assert new <= set(ids)
     assert len(set(ids) - new) == 950
-    assert len(ids) == 1142
+    assert len(ids) == 1154
 
 
 @pytest.mark.parametrize("name", ["ep.csv", "ep.json", "eigs.csv", "eigs.json"])

@@ -721,3 +721,207 @@ def test_drift_builders_are_exactly_symmetric(params, drive):
 def test_sweep_rejects_short_grid(params):
     with pytest.raises(ValueError):
         sweep_eigs(params, -params.omega_m, [hz_to_rad(50e3)])
+
+
+# The ordering and kernel written with reductions and sorts along the mode axis of row-major
+# (N, n) arrays, one Python call per row to compose the continuity steps, and the stack built
+# from two drifts.  They define the bits that the column arithmetic of spectral must keep.
+_REF_PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
+_REF_COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, p in _REF_PERMS.items()}
+_REF_PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
+_REF_PAIR_MODES = {n: (np.arange(n) == i[:, None]) | (np.arange(n) == j[:, None]) for n, (i, j) in _REF_PAIRS.items()}
+_REF_FAR = 3 - _REF_PAIRS[3][0] - _REF_PAIRS[3][1]
+_REF_PREVIOUS = {n: np.array([max(i - 1, 0) for i in range(n)]) for n in (2, 3)}
+_REF_CUBE_ROOTS = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+_REF_SIGNS = np.array([1.0, -1.0])
+
+
+def _rowwise_mode_order(lams):
+    flat = lams.reshape(-1, lams.shape[-1])
+    rows = np.arange(len(flat))[:, None]
+    by_imag = np.argsort(flat.imag, axis=-1)
+    imag = flat.imag[rows, by_imag] * 0.5
+    scale = np.abs(flat).max(axis=-1) * 0.5
+    tier = np.cumsum(imag - imag[:, _REF_PREVIOUS[flat.shape[-1]]] > spectral.IMAG_TIE_RTOL * scale[:, None], axis=-1)
+    return by_imag[rows, np.lexsort((flat.real[rows, by_imag], tier), axis=-1)].reshape(lams.shape)
+
+
+def _rowwise_defective(lams):
+    iu, ju = _REF_PAIRS[lams.shape[-1]]
+    gaps = np.abs(lams[..., iu] - lams[..., ju])
+    near = gaps.min(axis=-1) < spectral.DEGENERACY_RTOL * np.abs(lams).max(axis=-1)
+    return _REF_PAIR_MODES[lams.shape[-1]][gaps.argmin(axis=-1)] & near[..., None]
+
+
+def _rowwise_continuity_order(lams):
+    n = lams.shape[1]
+    perms, compose = _REF_PERMS[n], _REF_COMPOSE[n]
+    scaled = lams * 0.0625
+    dist = np.abs(scaled[1:, :, None] - scaled[:-1, None, :])
+    steps = dist[:, perms, np.arange(n)].sum(axis=-1).argmin(axis=-1).tolist()
+    return perms[list(itertools.accumulate(steps, lambda order, step: compose[order][step], initial=0))]
+
+
+def _rowwise_charpoly(lam, m00, m11, m22, s01, s02, s12, triple):
+    d0, d1, d2 = lam - m00, lam - m11, lam - m22
+    c0, c1, c2 = d1 * d2 - s12, d0 * d2 - s02, d0 * d1 - s01
+    return d0 * c0 - d1 * s02 - d2 * s01 + triple, (c0, c1, c2)
+
+
+def _rowwise_closed_eigvals(stack):
+    _, exponent = np.frexp(np.abs(stack.view(float)).max(axis=(-2, -1)))
+    m = np.ldexp(stack.view(float), -exponent[:, None, None]).view(complex)
+    if stack.shape[-1] == 2:
+        a, b, c = m[:, 0, 0, None], m[:, 1, 1, None], m[:, 0, 1, None]
+        lams = (a + b) / 2.0 + np.sqrt(((a - b) / 2.0) ** 2 + c * c) * _REF_SIGNS
+        return np.ldexp(lams.view(float), exponent[:, None]).view(complex), None, None
+    m00, m11, m22 = m[:, 0, 0, None], m[:, 1, 1, None], m[:, 2, 2, None]
+    m01, m02, m12 = m[:, 0, 1, None], m[:, 0, 2, None], m[:, 1, 2, None]
+    entries = (m00, m11, m22, m01 * m01, m02 * m02, m12 * m12, -2.0 * m01 * m02 * m12)
+    mean = (m00 + m11 + m22) / 3.0
+    q, (c0, c1, c2) = _rowwise_charpoly(mean, *entries)
+    p = c0 + c1 + c2
+    s = np.sqrt(q * q / 4.0 + p * p * p / 27.0)
+    w = (np.where((q.conj() * s).real > 0.0, -s, s) - q / 2.0) ** (1.0 / 3.0) * _REF_CUBE_ROOTS
+    starts = w - p / (3.0 * np.where(w == 0.0, 1.0, w)) + mean
+    iu, ju = _REF_PAIRS[3]
+    rows = np.arange(len(stack))
+    closest = np.abs(starts[:, iu] - starts[:, ju]).argmin(axis=-1)
+    x = starts[rows, _REF_FAR[closest], None]
+    c = (starts[rows, iu[closest], None] + starts[rows, ju[closest], None]) / 2.0
+    pc, (c0, c1, c2) = _rowwise_charpoly(c, *entries)
+    y = c - x
+    y = np.where(y == 0.0, 1.0, y)
+    uv = pc / y
+    half = (c0 + c1 + c2 - uv) / (2.0 * y)
+    lams = np.concatenate([x, c - half + np.sqrt(half * half - uv) * _REF_SIGNS], axis=-1)
+    defective = _rowwise_defective(lams)
+    det, (c0, c1, c2) = _rowwise_charpoly(lams, *entries)
+    slope = c0 + c1 + c2
+    simple = slope != 0.0
+    ks = np.divide(np.abs(c0) + np.abs(c1) + np.abs(c2), np.abs(slope), out=np.full(slope.shape, np.inf), where=simple)
+    step = np.divide(det, slope, out=np.zeros_like(det), where=simple & ~defective)
+    lams -= step
+    for _ in range(8):
+        small = np.abs(step) > 1e-3 * np.abs(lams)
+        if not small.any():
+            break
+        det, (c0, c1, c2) = _rowwise_charpoly(lams, *entries)
+        slope = c0 + c1 + c2
+        step = np.divide(det, slope, out=np.zeros_like(det), where=small & (slope != 0.0))
+        lams -= step
+    ks *= ks
+    return np.ldexp(lams.view(float), exponent[:, None]).view(complex), ks, defective
+
+
+def _two_drift_stack(p, delta, gs):
+    m0 = drift_nonmarkovian(p, DriveParams(delta=delta, g=0.0))
+    dm = drift_nonmarkovian(p, DriveParams(delta=delta, g=1.0)) - m0
+    return m0 + gs[:, None, None] * dm
+
+
+def _rowwise_sweep(p, delta, gs):
+    """(lambdas, petermann, divergent, markovian) of sweep_eigs(..., markovian_ref=True) from the references."""
+    stack = _two_drift_stack(p, delta, gs)
+    rows = np.arange(len(gs))[:, None]
+
+    def branch_order(lams):
+        order = _rowwise_mode_order(lams)
+        return rows, order[rows, _rowwise_continuity_order(lams[rows, order])]
+
+    lams, ks, defective = _rowwise_closed_eigvals(stack)
+    mk = _rowwise_closed_eigvals(stack[:, :2, :2])[0]
+    order = branch_order(lams)
+    return lams[order], ks[order], (defective | ~(ks < spectral.DIVERGENT_K))[order], mk[branch_order(mk)]
+
+
+def _assert_same_bits(got, want):
+    """Equal shape, dtype and bytes, so a signed zero counts."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_kernel_and_ordering_match_references(p, delta, gs):
+    """_drift_stack, _closed_eigvals, _mode_order, _defective, _continuity_order and
+    sweep_eigs bit for bit against the row-wise references, on the 3x3 stack and its 2x2 block."""
+    stack = spectral._drift_stack(p, delta, gs)
+    _assert_same_bits(stack, _two_drift_stack(p, delta, gs))
+    for block in (stack, stack[:, :2, :2]):
+        want = _rowwise_closed_eigvals(block)
+        got = spectral._closed_eigvals(block)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                _assert_same_bits(g, w)
+        order = _rowwise_mode_order(want[0])
+        # The kernel flags its scaled roots; a gap of these unscaled ones overflows at the top of the range.
+        with np.errstate(over="ignore"):
+            flags = _rowwise_defective(want[0])
+        ordered = np.take_along_axis(want[0], order, axis=-1)
+        continued = _rowwise_continuity_order(ordered)
+        # The kernel's own (mode-major) layout, and the same values row-major.
+        for lams, ordered in ((got[0], np.take_along_axis(got[0], order, axis=-1)), (want[0], ordered)):
+            _assert_same_bits(spectral._mode_order(lams), order)
+            with np.errstate(over="ignore"):
+                _assert_same_bits(spectral._defective(lams), flags)
+            _assert_same_bits(spectral._continuity_order(ordered), continued)
+    sweep = sweep_eigs(p, delta, gs, markovian_ref=True)
+    for g, w in zip((sweep.lambdas, sweep.petermann, sweep.divergent, sweep.markovian), _rowwise_sweep(p, delta, gs)):
+        _assert_same_bits(g, w)
+
+
+def test_column_arithmetic_matches_rowwise_references_on_devices(params):
+    """The defaults and 20 devices, each at both calibrations on a grid from g = 0
+    through its EP, and on the EP's own neighbourhood with the EP itself in it."""
+    rng = np.random.default_rng(3737)
+    for p in [params] + [draw_system(rng) for _ in range(20)]:
+        for ep in _calibrations(p):
+            for grid in (np.linspace(0.0, 2.0, 201), np.append(np.linspace(0.9, 1.1, 40), 1.0)):
+                _assert_kernel_and_ordering_match_references(p, ep.delta_ep, np.sort(grid * ep.g_ep))
+
+
+def test_column_arithmetic_matches_rowwise_references_on_random_sweeps(params):
+    """1,000 random sweeps of 2 to 500 rows, log-uniform: a device of 21, a detuning
+    within 20 % of the memoryless EP's, and sorted random couplings up to 3 g_ep,
+    some from g = 0."""
+    rng = np.random.default_rng(4242)
+    devices = [(p, markovian_ep(p)) for p in [params] + [draw_system(rng) for _ in range(20)]]
+    for k in range(1000):
+        p, mk = devices[k % len(devices)]
+        gs = np.sort(rng.uniform(0.0, 3.0, int(np.exp(rng.uniform(np.log(2.0), np.log(501.0)))))) * mk.g_ep
+        if k % 5 == 0:
+            gs[0] = 0.0
+        _assert_kernel_and_ordering_match_references(p, mk.delta_ep * rng.uniform(0.8, 1.2), gs)
+
+
+def test_column_arithmetic_matches_rowwise_references_on_cli_grids(params):
+    """The golden eigs --markovian-ref grid (40 to 60 kHz in 41 points at delta = -omega_m,
+    across the memoryless EP), the top-of-range grid (0 to 2.7e304 kHz in 3 points) and a
+    sweep from g = 0 at kappa = gamma, whose first memoryless row is an exact double root."""
+    _assert_kernel_and_ordering_match_references(params, -params.omega_m, hz_to_rad(np.linspace(40.0, 60.0, 41) * 1e3))
+    _assert_kernel_and_ordering_match_references(params, -params.omega_m, hz_to_rad(np.linspace(0.0, 2.7e304, 3) * 1e3))
+    tied = SystemParams(omega_m=params.omega_m, kappa=params.kappa, gamma=params.kappa, omega_c=params.omega_c)
+    gs = hz_to_rad(np.linspace(0.0, 60.0, 401) * 1e3)
+    [[first, second]] = spectral._closed_eigvals(spectral._drift_stack(tied, -tied.omega_m, gs[:2])[:1, :2, :2])[0]
+    assert first == second
+    _assert_kernel_and_ordering_match_references(tied, -tied.omega_m, gs)
+
+
+def test_one_row_orderings_match_rowwise_references(params):
+    """eigensystem's one-row (n,) inputs to _mode_order and _defective: LAPACK's
+    eigenvalues of drifts of 20 devices at random drives and at their EPs, rows
+    with exact ties in Im, in Re and in both, and a row whose Im gap is exactly
+    the tie tolerance (max|lam| = 1), which counts as tied."""
+    rng = np.random.default_rng(515)
+    rows = []
+    for p in [params] + [draw_system(rng) for _ in range(20)]:
+        drives = [draw_drive(rng, p) for _ in range(10)] + [ep.drive for ep in _calibrations(p)]
+        for d in drives:
+            rows += [np.linalg.eigvals(drift_nonmarkovian(p, d)), np.linalg.eigvals(drift_markovian(p, d))]
+    lam, mu = complex(-1.0, 2.0), complex(-3.0, 2.0)
+    rows += [np.array(r, dtype=complex) for r in ([lam, lam, mu], [mu, lam, lam], [lam, mu, lam], [lam, lam],
+                                                  [0.0, -0.0, 0.0], [complex(1.0, -0.0), complex(-1.0, 0.0)],
+                                                  [1.0, complex(-0.5, 2.0 * (spectral.IMAG_TIE_RTOL * 0.5))])]
+    for lams in rows:
+        _assert_same_bits(spectral._mode_order(lams), _rowwise_mode_order(lams))
+        _assert_same_bits(spectral._defective(lams), _rowwise_defective(lams))

@@ -15,9 +15,10 @@ the side's own directory written as <side> in them.  The corpus is:
   bench/workloads.py, with its static argv; the scan probe is centred on the
   device's first-order g_ep estimate, so no run depends on a side's output;
 - the five golden argv of tests/test_golden.py at the default configuration;
-- the same five argv on each edge config of EDGE_CONFIGS, and spectrum
+- the same five argv on each edge config of EDGE_CONFIGS, spectrum
   --markovian-only on the gamma_zero edge, the one argv that reaches the
-  dip search at gamma = 0;
+  dip search at gamma = 0, and eigs --markovian-ref --g-min 0 on the
+  kappa_equals_gamma edge, whose first row holds an exact double root;
 - eigs --markovian-ref and petermann --delta-mode markovian at the default
   configuration on TOP_OF_RANGE_GRID, a coupling grid that reaches the top
   of the double range;
@@ -92,6 +93,10 @@ EDGE_CONFIGS = {
     # A line so narrow that the dip bracket is about one ulp of omega_m: float
     # granularity, not the golden section's xtol, ends the dip search.
     "tiny_gamma": "[mechanics]\ngamma_hz = 1e-8\n",
+    # kappa = gamma: at delta = -omega_m and g = 0 the memoryless block's two
+    # eigenvalues are one exact double root, so the ordering's tie rules decide
+    # row 0 of an eigs --markovian-ref sweep from g = 0.
+    "kappa_equals_gamma": "[mechanics]\ngamma_hz = 2e5\n[cavity]\nkappa_hz = 2e5\n",
 }
 # Over-damped devices (kappa >> omega_m) in rad/s, as tests/test_epsolver.py pins
 # them (a test keeps the two equal): plain Newton cycles on the first, and on the
@@ -164,6 +169,9 @@ def build_corpus(directory: str) -> list:
     runs += both_formats("edge-gamma_zero-spectrum-markovian-only",
                          ["--config", os.path.join(directory, "gamma_zero.ini"), *GOLDEN_ARGV["spectrum"],
                           "--markovian-only"])
+    runs += both_formats("edge-kappa_equals_gamma-eigs-from-zero",
+                         ["--config", os.path.join(directory, "kappa_equals_gamma.ini"), "eigs", "--markovian-ref",
+                          "--g-min", "0"])
     for name, (freq_hz, kappa_hz, gamma_hz, cutoff_hz) in overdamped_devices().items():
         path = os.path.join(directory, f"overdamped-{name}.ini")
         g_hz = (kappa_hz - gamma_hz) / 4.0
