@@ -207,8 +207,15 @@ def memory_kernel_smooth(p: SystemParams, t: float) -> float:
     return -(p.gamma * p.omega_c / 2.0) * math.exp(-p.omega_c * abs(t))
 
 
+# drift_nonmarkovian's change per unit coupling g: -i at (a, b) and (b, a), every real part +0.0,
+# as drift(g=1) - drift(g=0) has them (a literal -1j is complex(-0.0, -1.0)).
+_COUPLING = np.array([[0, complex(0.0, -1.0), 0], [complex(0.0, -1.0), 0, 0], [0, 0, 0]])
+
+
 def drift_nonmarkovian(p: SystemParams, d: DriveParams) -> np.ndarray:
-    """Three-mode drift (3x3 complex array), auxiliary bath mode c bordered onto (a, b)."""
+    """Three-mode drift (3x3 complex array), auxiliary bath mode c bordered onto (a, b).
+
+    It is linear in d.g, changing by _COUPLING per unit g."""
     gc = p.g_c
     return np.array(
         [

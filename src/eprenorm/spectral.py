@@ -52,12 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, permutations
-from operator import getitem, itemgetter
 
 import numpy as np
 
 from .charpoly import cubic_roots  # noqa: F401  (alias kept: bench/tests traces it as spectral.cubic_roots)
-from .model import DriveParams, SystemParams, _array_rows, drift_nonmarkovian
+from .model import _COUPLING, DriveParams, SystemParams, _array_rows, drift_nonmarkovian
 
 # A Petermann factor at or beyond this (or nan) counts as numerically divergent, in both K routes.
 DIVERGENT_K = 1e30
@@ -68,12 +67,8 @@ IMAG_TIE_RTOL = 1e-9
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
 # _COMPOSE[n][i][j] indexes _PERMS[n][j][_PERMS[n][i]]: order i, then step j (0 is the identity).
+# _COMPOSE[2][i][j] is i ^ j, which _continuity_order composes as a running parity.
 _COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, p in _PERMS.items()}
-# The three-mode orders as states: _STATES[i] is a list whose entry j is the state of order
-# _COMPOSE[3][i][j] and whose last entry is i, so getitem(state, step) composes a step.
-_STATES = [[] for _ in _PERMS[3]]
-for _i, _row in enumerate(_COMPOSE[3]):
-    _STATES[_i] += [_STATES[j] for j in _row] + [_i]
 # _MATCHED[n][j, q]: the distance entry i * n + j, i = _PERMS[n][q][j], that permutation q takes for mode j.
 _MATCHED = {n: (p * n + np.arange(n)).T for n, p in _PERMS.items()}
 _PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
@@ -84,8 +79,6 @@ _FAR = 3 - _PAIRS[3][0] - _PAIRS[3][1]
 # The three branches of Cardano's cube root and the two signs of the quadratic formula, one row each.
 _CUBE_ROOTS = np.array([[1.0], [complex(-0.5, 0.75**0.5)], [complex(-0.5, -(0.75**0.5))]])
 _SIGNS = np.array([[1.0], [-1.0]])
-# drift_nonmarkovian's change per unit coupling: -i at (a, b) and (b, a), every real part +0.0.
-_COUPLING = np.array([[0, complex(0.0, -1.0), 0], [complex(0.0, -1.0), 0, 0], [0, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,8 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     (d_0 + d_1) + d_2.  Distances are taken on lams / 16, exact above the
     subnormals, so no finite input overflows: a part of a difference is at
     most DBL_MAX / 8, and three distances sum below DBL_MAX.  For n = 2 the
-    composed order is the running parity of the swaps; for n = 3 the steps
-    walk the _STATES automaton of the _COMPOSE table.
+    composed order is the running parity of the swaps; for n = 3 each step
+    is composed through the _COMPOSE table.
     """
     n = lams.shape[1]
     perms = _PERMS[n]
@@ -247,12 +240,12 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     dist = np.abs(scaled[:, None, 1:] - scaled[None, :, :-1]).reshape(n * n, -1)
     cost = reduce(np.add, dist[_MATCHED[n]])
     steps = cost.argmin(axis=0)
-    order = np.zeros(len(lams), np.intp)
     if n == 2:
+        order = np.zeros(len(lams), np.intp)
         np.bitwise_xor.accumulate(steps, out=order[1:])
-    elif steps.any():  # where no step moves a branch, every row keeps order 0
-        states = accumulate(steps.tolist(), getitem, initial=_STATES[0])
-        order = np.fromiter(map(itemgetter(-1), states), np.intp, len(lams))
+    else:
+        compose = _COMPOSE[n]
+        order = np.fromiter(accumulate(steps.tolist(), lambda o, s: compose[o][s], initial=0), np.intp, len(lams))
     return perms[order]
 
 
@@ -314,10 +307,7 @@ def _closed_eigvals(stack: np.ndarray):
     which is at least 1 and inf where p'(lam_k) is 0.  No division by zero
     or invalid operation happens on finite input, so no np.errstate is set.
     """
-    # The largest real or imaginary part of each row, reduced over an entry-major copy: one
-    # call spans every row, where a reduction over each row's own entries makes one per row.
-    parts = np.ascontiguousarray(stack.view(float).reshape(len(stack), -1).T)
-    _, exponent = np.frexp(np.abs(parts).max(axis=0))
+    _, exponent = np.frexp(np.abs(stack.view(float)).max(axis=(-2, -1)))
     m = np.ldexp(stack.view(float), -exponent[:, None, None]).view(complex)
     # Mode-major from here: row k of an (n, N) array is mode k of every matrix, and each (N,) entry broadcasts.
     if stack.shape[-1] == 2:
