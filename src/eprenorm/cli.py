@@ -107,26 +107,10 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
 
 
 def _json_cell(text: str) -> str:
-    """JSON form of one ".12g" text: json.dumps(float(text)), laid out from the text.
-
-    A ".12g" text has at most 12 significant digits, and every decimal with
-    at most 15 is recovered exactly from its double, so repr(float(text))
-    has the digits of the text itself and only the layout can differ.  The
-    text is thus its own JSON form, except that:
-    - inf, -inf and nan become null;
-    - a text with no point and no exponent gains ".0" (40 -> 40.0, -0 -> -0.0);
-    - exponents 12 to 15 take repr(float(text)), because ".12g" switches
-      to e-notation at 1e12 where repr waits until 1e16;
-    - so do exponents below -307, where a double may be subnormal and
-      carry fewer than 12 digits.
-    """
-    if "e" in text:
-        exponent = int(text[text.index("e") + 1 :])
-        return repr(float(text)) if 12 <= exponent <= 15 or exponent < -307 else text
-    if "." in text:
-        return text
-    # inf, -inf and nan end in f or n; anything else is a whole number.
-    return "null" if text[-1] in "fn" else text + ".0"
+    """JSON form of one ".12g" text: json.dumps(float(text)), which is repr(float(text)), or null
+    where the value is not finite."""
+    value = float(text)
+    return repr(value) if math.isfinite(value) else "null"
 
 
 def _cell_rule(values, as_json: bool) -> list:
@@ -152,26 +136,6 @@ _SEPARATORS = {False: (",", "\n"), True: (",\n      ", "\n    ],\n    [\n      "
 # The digit pass's mask rows: row (sign, e + 5, last) of a (2, 17, 13) grid, for sign 0 or 1,
 # exponent e in -5 to 11 and last nonzero digit place last in 0 to 12, then one for rare cells.
 _RARE_KEY = 2 * 17 * 13
-
-
-class _DigitTables(NamedTuple):
-    """The digit pass's lookup tables.
-
-    - words: (10,002,) 8-byte words.  Word g < 10,000 holds the 4-digit
-      group g, each digit followed by a point slot: "d.d.d.d.".  Words
-      10,000 and 10,001 are a cell's first word: its marker, "," within a
-      row or ";" at a row's start, then "-0.000" and the rare-cell
-      placeholder "%".
-    - places: (3, 10,000), the place in a 12-digit mantissa of the last
-      nonzero digit of g as its first, second or third group; 0 where g = 0.
-    - masks: (2, 443, 4), the mask rows of CSV and of JSON (see _digit_masks).
-    - powers: 10**k for the exponent index e + 5 = 0 to 16; each is exact.
-    """
-
-    words: np.ndarray
-    places: np.ndarray
-    masks: np.ndarray
-    powers: np.ndarray
 
 
 def _digit_masks():
@@ -210,17 +174,31 @@ def _digit_masks():
     return (rows * np.uint8(0xFF)).view(np.uint64)
 
 
-@functools.cache
-def _digit_tables() -> _DigitTables:
-    """The digit pass's tables, built by its first call: a process that prints only small tables never builds them."""
+def _digit_words():
+    """The digit pass's words and places.
+
+    - words: (10,002,) 8-byte words.  Word g < 10,000 holds the 4-digit
+      group g, each digit followed by a point slot: "d.d.d.d.".  Words
+      10,000 and 10,001 are a cell's first word: its marker, "," within a
+      row or ";" at a row's start, then "-0.000" and the rare-cell
+      placeholder "%".
+    - places: (3, 10,000), the place in a 12-digit mantissa of the last
+      nonzero digit of g as its first, second or third group; 0 where g = 0.
+    """
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)  # digits[:, g] are g's four
     words = np.full((10_002, 8), ord("."), dtype=np.uint8)
     words[:10_000, ::2] = digits.T + ord("0")
     words[10_000:] = np.frombuffer(b",-0.000%;-0.000%", np.uint8).reshape(2, 8)
     last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
     places = np.where(last > 0, last + np.array([[0], [4], [8]], dtype=np.uint8), 0)
-    powers = np.array([float(10**k) for k in range(16, -1, -1)])
-    return _DigitTables(words.view(np.uint64).ravel(), places, _digit_masks(), powers)
+    return words.view(np.uint64).ravel(), places
+
+
+# The digit pass's tables, built at import (see _digit_words and _digit_masks, whose (2, 443, 4)
+# rows are CSV's and JSON's); _POWERS holds 10**k, each exact, for the exponent index e + 5 = 0 to 16.
+_WORDS, _PLACES = _digit_words()
+_MASKS = _digit_masks()
+_POWERS = np.array([float(10**k) for k in range(16, -1, -1)])
 
 
 def _cell_words(x: np.ndarray, cols: int):
@@ -238,13 +216,12 @@ def _cell_words(x: np.ndarray, cols: int):
     Those cells, the non-finite ones and those outside the range are rare,
     and take the rare row; a zero is exact, as m = 0 at e = 0.
     """
-    tables = _digit_tables()
     size = np.abs(x)
     fixed = (size >= 1e-4) & (size < 1e11)
     # log10 + 5 is positive, so truncation floors it: e + 5 in 0 to 16.
     e = (np.log10(np.where(fixed, size, 1.0)) + 5.0).astype(np.intp)
     y = np.where(fixed, size, 0.0)
-    y *= tables.powers[e]
+    y *= _POWERS[e]
     m = np.rint(y)
     exact = (fixed & (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5 - 2.5e-4)) | (size == 0.0)
     index = np.empty((x.size, 4), np.int64)  # int64, so that it views as the uint64 mask rows
@@ -257,8 +234,8 @@ def _cell_words(x: np.ndarray, cols: int):
     mid = low // 10_000
     low -= mid * 10_000
     index[:, 1], index[:, 2], index[:, 3] = high, mid, low
-    last = np.maximum(np.take(tables.places[0], high), np.take(tables.places[1], mid))
-    np.maximum(last, np.take(tables.places[2], low), out=last)
+    last = np.maximum(np.take(_PLACES[0], high), np.take(_PLACES[1], mid))
+    np.maximum(last, np.take(_PLACES[2], low), out=last)
     key = (np.signbit(x) * 17 + e) * 13 + last  # row (sign, e + 5, last)
     key[~exact] = _RARE_KEY
     return index, key, exact
@@ -273,11 +250,10 @@ def _digit_pass(table: np.ndarray, as_json: bool) -> str:
     Rare cells leave their placeholder "%", the only "%" in the bytes, which
     their _cell_rule texts replace before the separators go in.
     """
-    tables = _digit_tables()
     x = table.ravel()
     index, key, exact = _cell_words(x, table.shape[1])
-    cells = np.take(tables.words, index)
-    cells &= np.take(tables.masks[int(as_json)], key, axis=0, out=index.view(np.uint64))  # index is spent
+    cells = np.take(_WORDS, index)
+    cells &= np.take(_MASKS[int(as_json)], key, axis=0, out=index.view(np.uint64))  # index is spent
     raw = cells.tobytes().translate(None, b"\0")[1:]
     rare = np.flatnonzero(~exact)
     if rare.size:
@@ -318,8 +294,8 @@ def _null_non_finite(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None):
-    """Write one artifact to --out or stdout; with --quiet and no --out, build nothing.
+def _emit(args, manifest: dict, table: Table):
+    """Write one Table's artifact to --out or stdout; with --quiet and no --out, build nothing.
 
     Text: the manifest as "# key = value" comment lines (parameters at 12
     significant digits, grid entries as "# grid.key"); with columns, a CSV
@@ -329,20 +305,18 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
     "columns", "rows": null, **summary}, each non-finite float null, and the
     table's text block from _table_text in place of that null: a top-level
     key is the only text at indent 2 on its own line, and JSON escapes every
-    newline inside a string.  _table_text lays out a table of fewer than
-    DIGIT_PASS_MIN_CELLS cells through _cell_rule, which states the cell
-    rule, a larger one by _digit_pass in one byte pass.
+    newline inside a string.
     """
     if args.quiet and not args.out:
         return
-    if columns is not None:
-        rows = _table_text(data, args.json)
+    if table.columns is not None:
+        rows = _table_text(table.data, args.json)
     if args.json:
-        doc = _null_non_finite({"manifest": manifest, **(summary or {})})
-        if columns is not None:
-            doc.update(columns=list(columns), rows=None)
+        doc = _null_non_finite({"manifest": manifest, **(table.summary or {})})
+        if table.columns is not None:
+            doc.update(columns=list(table.columns), rows=None)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if columns is not None:
+        if table.columns is not None:
             text = text.replace('\n  "rows": null', '\n  "rows": ' + rows, 1)
     else:
         lines = [
@@ -352,11 +326,11 @@ def _emit(args, manifest: dict, columns=None, data=None, footer=(), summary=None
             *(f"# {key} = {value:.12g}" for key, value in sorted(manifest["params_hz"].items())),
             *(f"# grid.{key} = {value}" for key, value in sorted(manifest["grid"].items())),
         ]
-        if columns is not None:
-            lines.append(",".join(columns))
+        if table.columns is not None:
+            lines.append(",".join(table.columns))
             if rows:
                 lines.append(rows)
-        lines += footer
+        lines += table.footer
         text = "\n".join(lines) + "\n"
     if args.out:
         # Under a non-UTF-8 locale a non-ASCII argv path arrives surrogate-escaped; write back its own bytes.
@@ -633,7 +607,7 @@ def main(argv=None) -> int:
             p, d = load_config(args.config)
             table = command(args, p, d)
             manifest = _manifest(args, p, d, table.grid)
-            _emit(args, manifest, table.columns, table.data, table.footer, table.summary)
+            _emit(args, manifest, table)
         except SolverFailure as exc:
             sys.stderr.write(f"eprenorm: solver failure: {exc}\n")
             return EXIT_SOLVER

@@ -90,21 +90,23 @@ class Cooperativity:
     c_eff: float
 
 
-def _inverse_chis(p: SystemParams, d: DriveParams, omega):
-    """chi_a^-1 and the bare chi_b^-1, elementwise in omega."""
-    return p.kappa / 2.0 - 1j * (omega + d.delta), p.gamma / 2.0 - 1j * (omega - p.omega_m)
+def _chis(p: SystemParams, d: DriveParams, omega, markovian: bool):
+    """(chi_a^-1, the bare chi_b^-1, chi_c^-1, chi_m^-1, D), elementwise in omega.
 
-
-def _dressed(p: SystemParams, omega, chi_b_inv):
-    """chi_c^-1 and the bath-dressed chi_b,eff^-1 = chi_b^-1 - g_c^2 / chi_c^-1, elementwise in omega."""
-    chi_c_inv = p.omega_c - 1j * omega
-    return chi_c_inv, chi_b_inv - p.g_c**2 / chi_c_inv
-
-
-def _denominator(chi_a_inv, chi_m_inv, g: float):
-    """D = chi_a^-1 * chi_m^-1 + G^2; the product overflows to inf past |omega| ~ 1e154,
-    so callers hold np.errstate(over="ignore")."""
-    return chi_a_inv * chi_m_inv + g**2
+    chi_m^-1 is the bare chi_b^-1 (markovian) or the bath-dressed
+    chi_b,eff^-1 = chi_b^-1 - g_c^2 / chi_c^-1; the memoryless model forms no
+    bath term, and its chi_c^-1 is None.  D = chi_a^-1 * chi_m^-1 + G^2; the
+    product overflows to inf past |omega| ~ 1e154, which is left silent.
+    """
+    chi_a_inv = p.kappa / 2.0 - 1j * (omega + d.delta)
+    chi_b_inv = p.gamma / 2.0 - 1j * (omega - p.omega_m)
+    chi_c_inv, chi_m_inv = None, chi_b_inv
+    if not markovian:
+        chi_c_inv = p.omega_c - 1j * omega
+        chi_m_inv = chi_b_inv - p.g_c**2 / chi_c_inv
+    with np.errstate(over="ignore"):
+        d_denom = chi_a_inv * chi_m_inv + d.g**2
+    return chi_a_inv, chi_b_inv, chi_c_inv, chi_m_inv, d_denom
 
 
 def _d_form(p: SystemParams, chi_m_inv, d_denom):
@@ -119,10 +121,7 @@ def _eta(p: SystemParams, omega, chi_c_inv):
 
 def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities:
     """Inverse susceptibilities and derived quantities, elementwise in (complex) omega."""
-    chi_a_inv, chi_b_inv = _inverse_chis(p, d, omega)
-    chi_c_inv, chi_b_eff_inv = _dressed(p, omega, chi_b_inv)
-    with np.errstate(over="ignore"):
-        d_denom = _denominator(chi_a_inv, chi_b_eff_inv, d.g)
+    chi_a_inv, chi_b_inv, chi_c_inv, chi_b_eff_inv, d_denom = _chis(p, d, omega, False)
     return Susceptibilities(
         chi_a_inv=chi_a_inv,
         chi_b_inv=chi_b_inv,
@@ -135,17 +134,11 @@ def susceptibilities(p: SystemParams, d: DriveParams, omega) -> Susceptibilities
 
 def _response(p: SystemParams, d: DriveParams, omega: np.ndarray, markovian: bool):
     """The reflection core over a 1-d array of real omega: (chi_c^-1, chi_m^-1, D,
-    singular mask, susceptibility-sum r), each computed once.  chi_m^-1 is the bare
-    (markovian) or bath-dressed mechanical inverse susceptibility; the memoryless
-    model forms no bath term, and its chi_c^-1 is None.  r is unmasked; where
-    chi_m^-1 = 0 it takes the D-form, whose value (1 for G != 0) the sum form
-    cannot reach through G^2 / 0."""
-    chi_a_inv, chi_m_inv = _inverse_chis(p, d, omega)
-    chi_c_inv = None
-    if not markovian:
-        chi_c_inv, chi_m_inv = _dressed(p, omega, chi_m_inv)
+    singular mask, susceptibility-sum r), each computed once, the first three as
+    _chis forms them.  r is unmasked; where chi_m^-1 = 0 it takes the D-form, whose
+    value (1 for G != 0) the sum form cannot reach through G^2 / 0."""
+    chi_a_inv, _, chi_c_inv, chi_m_inv, d_denom = _chis(p, d, omega, markovian)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_denom = _denominator(chi_a_inv, chi_m_inv, d.g)
         singular = np.abs(d_denom) < 1e-12 * p.kappa * p.omega_m
         r = 1.0 - p.kappa / (chi_a_inv + d.g**2 / chi_m_inv)
         if not chi_m_inv.all():  # the mask is formed only when some chi_m^-1 = 0

@@ -66,9 +66,9 @@ DEGENERACY_RTOL = 1e-3
 IMAG_TIE_RTOL = 1e-9
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
-# _COMPOSE[n][i][j] indexes _PERMS[n][j][_PERMS[n][i]]: order i, then step j (0 is the identity).
-# _COMPOSE[2][i][j] is i ^ j, which _continuity_order composes as a running parity.
-_COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, p in _PERMS.items()}
+# _COMPOSE[i][j] indexes _PERMS[3][j][_PERMS[3][i]]: order i, then step j (0 is the identity).
+# Two modes need no table: their composed order is the running parity of the swaps.
+_COMPOSE = [[_PERMS[3].tolist().index(b[a].tolist()) for b in _PERMS[3]] for a in _PERMS[3]]
 # _MATCHED[n][j, q]: the distance entry i * n + j, i = _PERMS[n][q][j], that permutation q takes for mode j.
 _MATCHED = {n: (p * n + np.arange(n)).T for n, p in _PERMS.items()}
 _PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
@@ -244,8 +244,7 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
         order = np.zeros(len(lams), np.intp)
         np.bitwise_xor.accumulate(steps, out=order[1:])
     else:
-        compose = _COMPOSE[n]
-        order = np.fromiter(accumulate(steps.tolist(), lambda o, s: compose[o][s], initial=0), np.intp, len(lams))
+        order = np.fromiter(accumulate(steps.tolist(), lambda o, s: _COMPOSE[o][s], initial=0), np.intp, len(lams))
     return perms[order]
 
 

@@ -54,7 +54,7 @@ def _emitted(tmp_path, capsys, out_name, as_json, columns, data, footer, summary
     out = None if out_name is None else str(tmp_path / out_name)
     args = argparse.Namespace(json=as_json, out=out, quiet=False)
     manifest = _manifest(out)
-    cli._emit(args, manifest, columns, data, footer, summary)
+    cli._emit(args, manifest, cli.Table({}, columns, data, footer, summary))
     text = capsys.readouterr().out if out is None else (tmp_path / out_name).read_text()
     return text, _reference(manifest, columns, data, footer, summary, as_json)
 
@@ -345,11 +345,10 @@ def test_digit_pass_puts_rare_cells_in_place(as_json):
     for table in tables:
         text = cli._digit_pass(table, as_json)
         assert text == _joined_cells(table, as_json)
-    tables_ = cli._digit_tables()
-    words = tables_.words.view(np.uint8).reshape(-1, 8)
+    words = cli._WORDS.view(np.uint8).reshape(-1, 8)
     assert [tuple(at) for at in np.argwhere(words == ord("%"))] == [(10_000, 7), (10_001, 7)]
     # Byte 7 of a cell is its marker word's placeholder slot: only the rare row keeps it.
-    kept = tables_.masks.view(np.uint8).reshape(2, cli._RARE_KEY + 1, 32)[:, :, 7]
+    kept = cli._MASKS.view(np.uint8).reshape(2, cli._RARE_KEY + 1, 32)[:, :, 7]
     assert not kept[:, : cli._RARE_KEY].any() and kept[:, cli._RARE_KEY].all()
     assert "%" not in "".join(cli._SEPARATORS[as_json])
 

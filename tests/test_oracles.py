@@ -1,7 +1,8 @@
 """Oracles that share no code with the package: the exceptional point solved
-at 40 digits in mpmath, the characteristic cubic expanded in sympy, the
-Petermann factor from a general dense eigendecomposition and, up the EP's
-peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
+at 40 digits in mpmath, with its third root and |p''| there, the memoryless
+and perturbative routes' own formulas at 40 digits, the characteristic
+cubic expanded in sympy, the Petermann factor from a general dense
+eigendecomposition and, up the EP's peak, from 60-digit mpmath eigenvectors, the EP's first-order memory
 shift by implicit differentiation in sympy, every coalescence of the cubic
 over real (delta, g^2) from a sympy resultant, the square-root and inverse
 laws of the hybrid gap and of K next to the EP, the law K = C / gamma at
@@ -33,6 +34,7 @@ import sympy as sp
 from draws import draw_drive, draw_system
 from eprenorm import (
     SystemParams,
+    certify_order_two,
     cooperativity,
     dip_metrics,
     eigensystem,
@@ -48,7 +50,7 @@ from eprenorm.errors import NoConvergence
 from test_parity import parity
 
 ORACLE_DPS = 40
-DRAW_SEEDS = range(6)
+DRAW_SEEDS = range(20)
 
 
 def _mp_exceptional_point(p: SystemParams):
@@ -90,14 +92,34 @@ def _mp_exceptional_point(p: SystemParams):
         return complex(mp.mpc(x, y) * unit), float(delta * unit), float(g * unit), float(residual)
 
 
+def _mp_drift(p: SystemParams, delta, g):
+    """The drift matrix M at (delta, g), in mpmath at the working precision."""
+    omega_m, kappa, gamma, omega_c, delta, g = (mp.mpf(v) for v in (p.omega_m, p.kappa, p.gamma, p.omega_c, delta, g))
+    g_c = mp.sqrt(gamma * omega_c / 2)
+    return mp.matrix([
+        [1j * delta - kappa / 2, -1j * g, 0],
+        [-1j * g, -(1j * omega_m + gamma / 2), -g_c],
+        [0, -g_c, -omega_c],
+    ])
+
+
+def _ep_devices(params):
+    """The defaults and the DRAW_SEEDS devices of test_exact_ep_matches_mpmath_oracle."""
+    return [params, *(draw_system(np.random.default_rng(seed)) for seed in DRAW_SEEDS)]
+
+
 @pytest.mark.parametrize("seed", [None, *DRAW_SEEDS])
 def test_exact_ep_matches_mpmath_oracle(seed, params):
-    """solve_exact_ep agrees with the 40-digit root to 1e-13 relative in
-    lambda, delta and g each.
+    """solve_exact_ep agrees with the 40-digit root to 2e-15 relative in
+    lambda, delta and g each, and lambda_3 with the 40-digit eigenvalue of M
+    at that root farthest from it to 2e-15 of |lambda_3| (at most 4.0e-16
+    and 6.2e-16 measured here and on 200 more devices).
 
     Newton runs until its step is within 1e-8 of |lambda| and then takes
     that step, so all three carry full double precision; g is held to its
-    own size although it is only a few percent of omega_m.
+    own size although it is only a few percent of omega_m.  The imaginary
+    part of lambda_3 is a difference near zero, so its own relative error is
+    larger (5.7e-13 at most over the 200).
     """
     p = params if seed is None else draw_system(np.random.default_rng(seed))
     lam, delta, g, residual = _mp_exceptional_point(p)
@@ -105,9 +127,74 @@ def test_exact_ep_matches_mpmath_oracle(seed, params):
     assert g > 0.0 and delta < 0.0
 
     sol = solve_exact_ep(p)
-    assert abs(sol.lambda_ep - lam) <= 1e-13 * abs(lam)
-    assert abs(sol.delta_ep - delta) <= 1e-13 * abs(delta)
-    assert abs(sol.g_ep - g) <= 1e-13 * g
+    assert abs(sol.lambda_ep - lam) <= 2e-15 * abs(lam)
+    assert abs(sol.delta_ep - delta) <= 2e-15 * abs(delta)
+    assert abs(sol.g_ep - g) <= 2e-15 * g
+    with mp.workdps(ORACLE_DPS):
+        lam_3 = max(mp.eig(_mp_drift(p, delta, g), left=False, right=False), key=lambda v: abs(v - lam))
+        assert abs(sol.lambda_3 - lam_3) <= 2e-15 * abs(lam_3)
+
+
+@pytest.mark.parametrize("seed", [None, *DRAW_SEEDS])
+def test_order_certificate_against_mpmath(seed, params):
+    """certify_order_two at the exact EP: |p''| within 2e-15 relative of
+    |6 lambda - 2 tr M| at the 40-digit root (5.5e-16 at most here and on 200
+    more devices).  |p| and |p'| are rounding residuals with no correct
+    digits, below 2e-15 |p''| s^2 and 2e-15 |p''| s, s = max(|lambda|, omega_m)
+    (at most 2.2e-16 and 3.5e-16 measured), far inside CERT_RTOL = 1e-8."""
+    p = params if seed is None else draw_system(np.random.default_rng(seed))
+    lam, delta, g, _ = _mp_exceptional_point(p)
+    sol = solve_exact_ep(p)
+    cert = certify_order_two(p, sol)
+    with mp.workdps(ORACLE_DPS):
+        m = _mp_drift(p, delta, g)
+        ddp = abs(6 * mp.mpc(lam) - 2 * (m[0, 0] + m[1, 1] + m[2, 2]))
+        assert abs(cert.ddp_mag - ddp) <= 2e-15 * ddp
+    s = max(abs(sol.lambda_ep), p.omega_m)
+    assert cert.p_mag <= 2e-15 * cert.ddp_mag * s**2
+    assert cert.dp_mag <= 2e-15 * cert.ddp_mag * s
+
+
+def test_markovian_ep_is_its_formula_at_40_digits(params):
+    """markovian_ep's delta = -omega_m, g = (kappa - gamma)/4 and lambda_ep =
+    -(kappa + gamma)/4 - i omega_m each take one rounding of their 40-digit
+    values, at most 1.1e-16 relative, on the defaults and 20 devices."""
+    for p in _ep_devices(params):
+        mk = markovian_ep(p)
+        with mp.workdps(ORACLE_DPS):
+            omega_m, kappa, gamma = (mp.mpf(v) for v in (p.omega_m, p.kappa, p.gamma))
+            refs = (-omega_m, (kappa - gamma) / 4, -(kappa + gamma) / 4 - 1j * omega_m)
+            for got, ref in zip((mk.delta_ep, mk.g_ep, mk.lambda_ep), refs):
+                assert abs(got - ref) <= 2**-53 * abs(ref)
+
+
+def test_perturbative_ep_is_its_formula_at_40_digits(params):
+    """perturbative_ep against its own formulas at 40 digits, on the defaults
+    and 20 devices: delta = -omega_eff and g = (kappa - gamma_eff)/4, with
+    omega_eff = omega_m (1 - gamma Omega_c / (2 (Omega_c^2 + omega_m^2))) and
+    gamma_eff = gamma omega_m^2 / (Omega_c^2 + omega_m^2), within 1e-15
+    relative (1.6e-16 at most here and on 200 more devices), and lambda_ep,
+    the midpoint of the two closest eigenvalues of M there, within 5e-15 of
+    |lambda_ep| (1.3e-15).  The printed shifts, perturbative minus
+    markovian, are within 1e-15 of omega_m (delta) and of the markovian g
+    (g), 2.0e-16 at most; relative to the shifts themselves, a few percent
+    of those, that is 1.6e-13 and 1.5e-14."""
+    for p in _ep_devices(params):
+        mk, pert = markovian_ep(p), perturbative_ep(p)
+        with mp.workdps(ORACLE_DPS):
+            omega_m, kappa, gamma, omega_c = (mp.mpf(v) for v in (p.omega_m, p.kappa, p.gamma, p.omega_c))
+            den = omega_c**2 + omega_m**2
+            delta = -omega_m * (1 - gamma * omega_c / (2 * den))
+            g = (kappa - gamma * omega_m**2 / den) / 4
+            lams = mp.eig(_mp_drift(p, delta, g), left=False, right=False)
+            i, j = min(itertools.combinations(range(3), 2), key=lambda ij: abs(lams[ij[0]] - lams[ij[1]]))
+            lam = (lams[i] + lams[j]) / 2
+            assert abs(pert.delta_ep - delta) <= 1e-15 * abs(delta)
+            assert abs(pert.g_ep - g) <= 1e-15 * g
+            assert abs(pert.lambda_ep - lam) <= 5e-15 * abs(lam)
+            g_mk = (kappa - gamma) / 4
+            assert abs((pert.delta_ep - mk.delta_ep) - (delta + omega_m)) <= 1e-15 * omega_m
+            assert abs((pert.g_ep - mk.g_ep) - (g - g_mk)) <= 1e-15 * g_mk
 
 
 CENSUS_DPS = 50

@@ -474,12 +474,37 @@ def _continuity_reference(lams):
     return np.array(list(itertools.accumulate(steps, lambda order, step: step[order], initial=perms[0])))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_composition_table_composes_permutations(n):
-    perms, table = spectral._PERMS[n], spectral._COMPOSE[n]
-    np.testing.assert_array_equal(perms[0], np.arange(n))
+def test_composition_table_composes_permutations():
+    """The three-mode table; two modes compose by parity, which
+    test_continuity_order_matches_array_composition_on_random_stacks covers."""
+    perms, table = spectral._PERMS[3], spectral._COMPOSE
+    np.testing.assert_array_equal(perms[0], np.arange(3))
     for i, j in itertools.product(range(len(perms)), repeat=2):
         np.testing.assert_array_equal(perms[table[i][j]], perms[j][perms[i]])
+
+
+# (p, s, t) for rows [0, -1, 1] and [p, i s, i t].  Both hybrid points lie on the bisector of -1 and 1,
+# so the identity and the (0, 2, 1) swap both cost p + sqrt(1 + s^2) + sqrt(1 + t^2) in exact
+# arithmetic, with the two roots in different places.  On these draws (d_0 + d_1) + d_2 rounds the
+# swap's cost below the identity's, where the reversed fold (d_2 + d_1) + d_0 ties them.
+_FOLD_DRAWS = [
+    (0.23442623538492244, 0.8447933159032436, 2.3265801062592986),
+    (0.28173200576063423, 1.2176246242714361, 1.7284284669186973),
+    (0.19619073940496912, 2.3434013924487633, 1.6379093828762425),
+    (0.14848400626287217, 1.9641185523633455, 0.7766881071632633),
+]
+
+
+@pytest.mark.parametrize("p, s, t", _FOLD_DRAWS)
+def test_continuity_cost_sums_modes_in_order(p, s, t):
+    """A permutation's cost is (d_0 + d_1) + d_2, as _continuity_order states: on
+    these two rows that fold alone picks the swap over the identity."""
+    lams = np.array([[0.0, -1.0, 1.0], [p, 1j * s, 1j * t]])
+    swap = [0, 2, 1]
+    d_identity, d_swap = (np.abs(lams[1, order] * 0.0625 - lams[0] * 0.0625).tolist() for order in ([0, 1, 2], swap))
+    assert (d_swap[0] + d_swap[1]) + d_swap[2] < (d_identity[0] + d_identity[1]) + d_identity[2]
+    assert (d_swap[2] + d_swap[1]) + d_swap[0] == (d_identity[2] + d_identity[1]) + d_identity[0]
+    np.testing.assert_array_equal(spectral._continuity_order(lams), [[0, 1, 2], swap])
 
 
 def test_continuity_order_matches_array_composition_on_random_stacks():
