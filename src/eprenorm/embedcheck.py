@@ -15,6 +15,7 @@ difference measures nothing but integrator error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,12 +101,13 @@ def _order_steps(p: SystemParams, d: DriveParams, t_final: float) -> int:
     return n
 
 
-def _stability_polynomial(arr, n_steps: int, t_final: float) -> np.ndarray:
+def _stability_polynomial(arr, n_steps, t_final: float) -> np.ndarray:
     """One classical RK4 step of dy/dt = arr @ y, h = t_final/n_steps, as a matrix.
 
     For a constant linear generator the four RK4 stages collapse exactly
     into the stability polynomial P = sum_{j<=4} (h*arr)^j / j! (Horner
-    form), so a step is y_{k+1} = P @ y_k.
+    form), so a step is y_{k+1} = P @ y_k.  arr may be a stack (s, 3, 3) and
+    n_steps an (s, 1, 1) array of each one's steps; each P has its own bits.
     """
     ha = (t_final / n_steps) * arr
     eye = np.eye(3)
@@ -116,36 +118,49 @@ def _order_endpoints(arr, y0, n: int, t_final: float) -> np.ndarray:
     """Last rows of the n-, 2n- and 4n-step RK4 runs to t_final, as a (3, 3) array,
     without stepping: row k is P_{h/2^k}^{2^k n} @ y0, h = t_final/n.
 
-    The stack P_h, P_{h/2}^2, P_{h/4}^4 (each advances by h) is raised to the
-    n-th power by repeated squaring, O(log n) batched 3x3 products.
-    matrix_power(P, 2^k n) starts with those k squarings, so each row has its
-    bits, but at n = 3, whose numpy shortcut multiplies in another order.
+    One Horner form and stacked squarings make P_h, P_{h/2}^2, P_{h/4}^4 (each
+    advances by h), raised to the n-th power by repeated squaring, O(log n)
+    batched 3x3 products.  matrix_power(P, 2^k n) starts with those k
+    squarings, so each row has its bits, but at n = 3, whose numpy shortcut
+    multiplies in another order.
     """
-    pows = np.stack([np.linalg.matrix_power(_stability_polynomial(arr, k * n, t_final), k) for k in (1, 2, 4)])
+    pows = _stability_polynomial(arr, np.array([n, 2 * n, 4 * n])[:, None, None], t_final)
+    pows[1:] = pows[1:] @ pows[1:]
+    pows[2] = pows[2] @ pows[2]
     return np.linalg.matrix_power(pows, n) @ np.asarray(y0, dtype=complex)
 
 
-def _rk4_propagate(arr, y0, n_steps: int, t_final: float) -> Trajectory:
-    """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps.
+def _rk4_propagate(arrs, y0s, n_steps: int, t_final: float) -> np.ndarray:
+    """Classical RK4 for dy/dt = arr @ y, stepped as y_{k+1} = P @ y_k, h = t_final/n_steps,
+    for each generator of the stack arrs (s, 3, 3) from its row of y0s (s, 3);
+    returns the amplitudes, (s, n_steps + 1, 3).
 
-    P (_stability_polynomial) is formed once, and the trajectory doubles in
-    length per iteration: once rows 0..m-1 are known, rows m..m+k-1 are
-    y_{m+j} = P^m @ y_j, one product with k = min(m, n_steps + 1 - m), and
-    P^m is then squared to P^2m.  That is ceil(log2(n_steps + 1)) iterations;
-    only the rounding order differs from stepping P one row at a time.
+    The stack of P (_stability_polynomial) is formed once, and the runs
+    double in length per iteration: once rows 0..m-1 are known, rows
+    m..m+k-1 are y_{m+j} = P^m @ y_j, one product with k = min(m, n_steps + 1 - m),
+    and P^m is then squared to P^2m.  That is ceil(log2(n_steps + 1))
+    iterations; only the rounding order differs from stepping P one row at a
+    time, and a run has the same bits in any stack.
     """
-    power = _stability_polynomial(arr, n_steps, t_final)
-    amps = np.empty((n_steps + 1, 3), dtype=complex)
-    amps[0] = y0
+    power = _stability_polynomial(arrs, n_steps, t_final)
+    amps = np.empty((len(arrs), n_steps + 1, 3), dtype=complex)
+    amps[:, 0] = y0s
     m = 1
     while m <= n_steps:
-        rows = amps[m : 2 * m]  # k rows: the slice stops at row n_steps
-        np.dot(amps[: len(rows)], power.T, out=rows)
+        rows = amps[:, m : 2 * m]  # k rows: the slice stops at row n_steps
+        np.matmul(amps[:, : rows.shape[1]], power.mT, out=rows)
         m *= 2
         if m <= n_steps:
             power = power @ power
-    times = np.linspace(0.0, t_final, n_steps + 1)
-    return Trajectory(times=times, amps=amps)
+    return amps
+
+
+def _accumulator_drift(p: SystemParams, d: DriveParams) -> np.ndarray:
+    """drift_nonmarkovian with the accumulator's couplings: gamma*Omega_c/2 from u to b, 1 from b to u."""
+    arr = drift_nonmarkovian(p, d)
+    arr[1, 2] = p.gamma * p.omega_c / 2.0
+    arr[2, 1] = 1.0
+    return arr
 
 
 def integrate_pseudomode(
@@ -153,7 +168,8 @@ def integrate_pseudomode(
 ) -> Trajectory:
     """Integrate the three-mode system (a, b, c) from init with fixed-step RK4."""
     n_steps = _check_step(p, d, t_final, dt)
-    return _rk4_propagate(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n_steps, t_final)
+    amps = _rk4_propagate(drift_nonmarkovian(p, d)[None], [(init[0], init[1], init[2])], n_steps, t_final)
+    return Trajectory(times=np.linspace(0.0, t_final, n_steps + 1), amps=amps[0])
 
 
 def integrate_nonmarkovian(
@@ -162,15 +178,11 @@ def integrate_nonmarkovian(
     """Integrate the two-mode system with the memory convolution held in u.
 
     The returned third column is the accumulator u, which maps onto the
-    auxiliary mode as c = -g_c * u.  The generator is drift_nonmarkovian with
-    its two bath couplings replaced by the accumulator's: gamma*Omega_c/2
-    feeding u into b, and 1 feeding b into u.
+    auxiliary mode as c = -g_c * u.  The generator is _accumulator_drift.
     """
     n_steps = _check_step(p, d, t_final, dt)
-    arr = drift_nonmarkovian(p, d)
-    arr[1, 2] = p.gamma * p.omega_c / 2.0
-    arr[2, 1] = 1.0
-    return _rk4_propagate(arr, (init_ab[0], init_ab[1], 0.0), n_steps, t_final)
+    amps = _rk4_propagate(_accumulator_drift(p, d)[None], [(init_ab[0], init_ab[1], 0.0)], n_steps, t_final)
+    return Trajectory(times=np.linspace(0.0, t_final, n_steps + 1), amps=amps[0])
 
 
 def compare_embeddings(
@@ -180,13 +192,17 @@ def compare_embeddings(
 
     The three-mode run starts with c(0) = 0 so the embedding is exact and
     any deviation is integrator error; the result is normalized by the peak
-    amplitude norm of the convolution run.
+    amplitude norm of the convolution run.  Both runs are one stack through
+    _rk4_propagate, each with its public integrator's bits, and each norm is
+    folded from the columns in the order np.linalg.norm(..., axis=1) sums.
     """
-    pm = integrate_pseudomode(p, d, (init_ab[0], init_ab[1], 0.0), t_final, dt)
-    direct = integrate_nonmarkovian(p, d, init_ab, t_final, dt)
-    diff = np.linalg.norm(pm.amps[:, :2] - direct.amps[:, :2], axis=1)
-    scale = float(np.max(np.linalg.norm(direct.amps[:, :2], axis=1)))
-    worst = float(np.max(diff))
+    y0 = (init_ab[0], init_ab[1], 0.0)
+    n_steps = _check_step(p, d, t_final, dt)
+    arrs = np.stack([drift_nonmarkovian(p, d), _accumulator_drift(p, d)])
+    amps = _rk4_propagate(arrs, (y0, y0), n_steps, t_final)
+    sq = np.stack([amps[0, :, :2] - amps[1, :, :2], amps[1, :, :2]]).view(float)  # re a, im a, re b, im b
+    sq *= sq
+    worst, scale = np.sqrt(np.max((sq[..., 0] + sq[..., 1]) + (sq[..., 2] + sq[..., 3]), axis=1)).tolist()
     if scale == 0.0:
         return 0.0 if worst == 0.0 else math.inf
     return worst / scale
@@ -212,6 +228,19 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
     return math.log2(ratio), ratio
 
 
+@functools.cache
+def _kernel_weights() -> np.ndarray:
+    """The kernel check's weight table: trapezoid weights times cos(x) on the nodes
+    x_k = k * KERNEL_WINDOW / (KERNEL_POINTS // 2) of [0, KERNEL_WINDOW], in units
+    of Omega_c.  Built on first use and read-only, as every call shares it."""
+    nodes = np.linspace(0.0, KERNEL_WINDOW, KERNEL_POINTS // 2 + 1)
+    weights = np.cos(nodes)
+    weights *= KERNEL_WINDOW / (KERNEL_POINTS // 2)
+    weights[[0, -1]] /= 2.0
+    weights.flags.writeable = False
+    return weights
+
+
 def kernel_fourier_error(p: SystemParams) -> float:
     """Consistency of the smooth memory kernel with the bath spectral function.
 
@@ -229,28 +258,20 @@ def kernel_fourier_error(p: SystemParams) -> float:
     [0, KERNEL_WINDOW*Omega_c] of (I(w) - gamma) cos(wt): KERNEL_POINTS // 2
     + 1 real nodes (KERNEL_POINTS is odd, so w = 0 is a node of both).
 
-    A node array is 160 KB, past glibc's default mmap and trim thresholds
-    (128 KiB), so temporaries of that size can grow the heap by more than
-    the trim threshold and have it trimmed again when they are freed, each
-    call then paying fresh page faults.  The fewer live at once, the rarer
-    that is, so the function holds three node arrays at most: the nodes,
-    spectral_density's result (which becomes the integrand) and one phase
-    buffer, which takes the cosine and then the node spacings.  The
-    trapezoid rule is np.trapezoid's own expression,
-    (diff(x) * (y[1:] + y[:-1]) / 2).sum(), evaluated into those buffers.
+    At t = 1/Omega_c the phase w_k t of node w_k = x_k Omega_c is x_k itself,
+    the same for every device, and so are the trapezoid weights in units of
+    Omega_c.  Their product is _kernel_weights, one table of 20,001 floats
+    (160,008 bytes) built on the first call, and the rule is Omega_c times one
+    dot product of the integrand with it.  I(w) is still spectral_density on
+    the device's own nodes, so the check tests the package's I(w) against
+    memory_kernel_smooth; the phase and the weights differ from the device's
+    own w_k t and node spacings only in rounding.
     """
     t = 1.0 / p.omega_c
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
-    omega = np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1)
-    integrand = spectral_density(p, omega)
+    integrand = spectral_density(p, np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1))
     integrand -= p.gamma
-    phase = np.multiply(omega, t)
-    integrand *= np.cos(phase, out=phase)
-    steps = np.subtract(omega[1:], omega[:-1], out=phase[:-1])
-    pair_sums = np.add(integrand[1:], integrand[:-1], out=omega[:-1])
-    steps *= pair_sums
-    steps /= 2.0
-    smooth = float(steps.sum()) / math.pi
+    smooth = p.omega_c * float(np.dot(integrand, _kernel_weights())) / math.pi
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

@@ -184,8 +184,8 @@ def spectral_density(p: SystemParams, omega):
     omega is a float or an array; a float gives a float.  For a float array
     the quotient is formed in place in the fresh w^2 array, against the fresh
     denominator, so a call allocates two arrays rather than four: on the
-    kernel check's grid each is past glibc's heap trim threshold (see
-    embedcheck.kernel_fourier_error).  Other inputs, such as integer arrays,
+    kernel check's 20,001 nodes each is past glibc's default heap trim
+    threshold (128 KiB).  Other inputs, such as integer arrays,
     take the allocating form; both give the same bits.
     """
     w2 = omega * omega

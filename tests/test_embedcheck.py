@@ -371,6 +371,93 @@ def test_order_endpoints_are_matrix_powers_bit_for_bit(params, drive):
     assert exact >= 9 * len(cases) and rounded >= 3
 
 
+def _doubled_run(arr, y0, n_steps, t_final):
+    """Reference: one run's doubling propagation as the single-run form wrote it,
+    rows m..m+k-1 of one (n_steps + 1, 3) array filled by np.dot with P^m."""
+    power = embedcheck._stability_polynomial(arr, n_steps, t_final)
+    amps = np.empty((n_steps + 1, 3), dtype=complex)
+    amps[0] = y0
+    m = 1
+    while m <= n_steps:
+        rows = amps[m : 2 * m]
+        np.dot(amps[: len(rows)], power.T, out=rows)
+        m *= 2
+        if m <= n_steps:
+            power = power @ power
+    return amps
+
+
+def _compare_reference(p, d, init_ab, t_final, dt):
+    """Reference: compare_embeddings as two public integrator runs and row norms."""
+    pm = integrate_pseudomode(p, d, (init_ab[0], init_ab[1], 0.0), t_final, dt)
+    direct = integrate_nonmarkovian(p, d, init_ab, t_final, dt)
+    worst = float(np.max(np.linalg.norm(pm.amps[:, :2] - direct.amps[:, :2], axis=1)))
+    scale = float(np.max(np.linalg.norm(direct.amps[:, :2], axis=1)))
+    if scale == 0.0:
+        return 0.0 if worst == 0.0 else math.inf
+    return worst / scale
+
+
+def _order_endpoints_reference(arr, y0, n, t_final):
+    """Reference: _order_endpoints with one Horner form and one matrix_power per step size."""
+    pows = np.stack([np.linalg.matrix_power(embedcheck._stability_polynomial(arr, k * n, t_final), k)
+                     for k in (1, 2, 4)])
+    return np.linalg.matrix_power(pows, n) @ np.asarray(y0, dtype=complex)
+
+
+def _bit_identity_cases(params, drive):
+    cases = [(params, drive)]
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    return cases
+
+
+def test_stacked_comparison_matches_two_runs_bit_for_bit(params, drive):
+    """compare_embeddings propagates both generators as one stack and folds its
+    norms from the columns; each run and the result keep the bits of two
+    single runs and np.linalg.norm, on the defaults and 20 devices, at the CLI's
+    default grid (dt = L/2 to 20/kappa), one step, and a t_final that is not a
+    multiple of dt.  Each public integrator, a stack of one, keeps the bits of
+    the single-run np.dot form too."""
+    init_ab = (1.0, 0.5 - 0.5j)
+    for p, d in _bit_identity_cases(params, drive):
+        limit = embedcheck._resolution_limit(p, d)
+        acc = drift_nonmarkovian(p, d)
+        acc[1, 2] = p.gamma * p.omega_c / 2.0
+        acc[2, 1] = 1.0
+        for t_final, dt in ((20.0 / p.kappa, limit / 2.0), (limit, limit), (1000.5 * limit / 2.0, limit / 2.0)):
+            n_steps = embedcheck._check_step(p, d, t_final, dt)
+            err = compare_embeddings(p, d, init_ab, t_final, dt)
+            assert err == _compare_reference(p, d, init_ab, t_final, dt), (p, t_final)
+            assert 0.0 <= err < 1e-6
+            y0 = (*init_ab, 0.25j)
+            runs = [(integrate_pseudomode(p, d, y0, t_final, dt), drift_nonmarkovian(p, d), y0),
+                    (integrate_nonmarkovian(p, d, init_ab, t_final, dt), acc, (*init_ab, 0.0))]
+            for run, arr, y0 in runs:
+                assert len(run.times) == n_steps + 1
+                assert np.array_equal(run.amps, _doubled_run(arr, y0, n_steps, t_final))
+
+
+def test_stacked_order_pass_matches_per_step_size_powers_bit_for_bit(params, drive):
+    """_order_endpoints forms its three P in one stacked Horner form and squares
+    them as a stack; the endpoints keep the bits of one Horner form and one
+    matrix_power per step size, on the defaults and 20 devices, at t_final =
+    20/kappa and at n = 1, 2 and 3 (n = 3 being matrix_power's shortcut)."""
+    y0 = (1.0, 0.5 - 0.5j, 0.25j)
+    ns = set()
+    for p, d in _bit_identity_cases(params, drive):
+        arr = drift_nonmarkovian(p, d)
+        limit = embedcheck._resolution_limit(p, d)
+        for t_final in (20.0 / p.kappa, limit, 2.0 * limit, 3.0 * limit):
+            n = embedcheck._order_steps(p, d, t_final)
+            ns.add(n)
+            ends = embedcheck._order_endpoints(arr, y0, n, t_final)
+            assert np.array_equal(ends, _order_endpoints_reference(arr, y0, n, t_final)), (p, n)
+    assert {1, 2, 3} <= ns
+
+
 def test_convergence_order_builds_no_trajectory(params, drive, monkeypatch):
     """The order check reads endpoints from propagator powers, never from a stepped run."""
 
@@ -484,11 +571,27 @@ def _kernel_error_trapezoid(p):
     return abs(smooth - memory_kernel_smooth(p, t)) / (p.gamma * p.omega_c / 2.0)
 
 
-def test_kernel_check_is_the_trapezoid_rule_bit_for_bit(params):
-    """Evaluating the rule into reused buffers changes no bit of the check."""
+def test_kernel_check_is_the_trapezoid_rule_to_rounding(params):
+    """The weight table's dot product is np.trapezoid's rule on the device's own
+    phases and node spacings to within 1e-11 (relative), on the defaults and 20
+    devices: the two differ only in rounding, 4.5e-12 at most over 200 devices,
+    against a key that is itself a cancellation, eps * e^-1 / 7.6e-5 ~ 1e-12."""
     rng = np.random.default_rng(35)
     for p in [params, *(draw_system(rng) for _ in range(20))]:
-        assert kernel_fourier_error(p) == _kernel_error_trapezoid(p)
+        assert math.isclose(kernel_fourier_error(p), _kernel_error_trapezoid(p), rel_tol=1e-11, abs_tol=0.0)
+
+
+def test_kernel_weights_are_one_read_only_table():
+    """The weight table is built once, is read-only, and holds the trapezoid
+    weights times cos(x) on the nodes x_k = omega_k / Omega_c."""
+    weights = embedcheck._kernel_weights()
+    assert embedcheck._kernel_weights() is weights
+    assert not weights.flags.writeable
+    assert weights.shape == (embedcheck.KERNEL_POINTS // 2 + 1,)
+    nodes = np.linspace(0.0, embedcheck.KERNEL_WINDOW, len(weights))
+    step = np.full(len(weights), nodes[1])
+    step[[0, -1]] /= 2.0
+    np.testing.assert_allclose(weights, step * np.cos(nodes), rtol=0.0, atol=1e-16)
 
 
 def test_kernel_check_holds_three_node_arrays_at_most(params):

@@ -10,8 +10,10 @@ the memoryless calibration with C from the same implicit differentiation,
 the dip depths from the two-photon-resonance law of the cooperativity:
 exact for the memoryless dip, and to first order in kappa/omega_m for the
 dressed one, the printed dip locations and depths against the minimum of
-|r|^2 solved in 40-digit mpmath, and the sweeps' closed-form eigenvalues
-against 50-digit mpmath ones of the same double matrices.
+|r|^2 solved in 40-digit mpmath, embedcheck's kernel key against the 30-digit
+trapezoid rule and its order check against 40-digit powers of the RK4
+stability polynomial, and the sweeps' closed-form eigenvalues against
+50-digit mpmath ones of the same double matrices.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
 basis (a, b, c) with g_c = sqrt(gamma * Omega_c / 2), except the last,
@@ -25,6 +27,7 @@ which takes the package's drift stacks as its input:
 import dataclasses
 import functools
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -35,8 +38,10 @@ from draws import draw_drive, draw_system
 from eprenorm import (
     SystemParams,
     certify_order_two,
+    convergence_order,
     cooperativity,
     dip_metrics,
+    drift_nonmarkovian,
     eigensystem,
     markovian_ep,
     perturbative_ep,
@@ -44,8 +49,9 @@ from eprenorm import (
     spectrum,
     sweep_petermann,
 )
-from eprenorm import spectral
+from eprenorm import embedcheck, spectral
 from eprenorm.charpoly import char_cubic
+from eprenorm.embedcheck import kernel_fourier_error
 from eprenorm.errors import NoConvergence
 from test_parity import parity
 
@@ -839,6 +845,97 @@ def test_renormalized_cooperativity_is_exact(params):
     defaults and 20 devices (5.7e-16 at most; 9.1e-16 over 200 more)."""
     for _, c_eff_err in _cooperativity_errors(params):
         assert c_eff_err <= 2e-15
+
+
+EMBED_DPS = 40
+
+
+@functools.cache
+def _mp_kernel_key():
+    """kernel_fourier_err in exact arithmetic, the same for every device with gamma > 0:
+    |(2/pi) T - e^-1| with T the 20,001-node trapezoid rule of cos x / (1 + x^2) on
+    [0, 50], at 30 digits.  In x = omega / Omega_c the check's integrand
+    (I(omega) - gamma) cos(omega t) at t = 1 / Omega_c is -gamma cos x / (1 + x^2),
+    and the closed form it is held to is -(gamma Omega_c / 2) e^-1."""
+    with mp.workdps(30):
+        h = mp.mpf(1) / 400
+        inner = mp.fsum(mp.cos(k * h) / (1 + (k * h) ** 2) for k in range(1, 20000))
+        rule = h * (mp.mpf(1) / 2 + inner + mp.cos(50) / (1 + 50**2) / 2)
+        return float(abs(2 / mp.pi * rule - mp.exp(-1)))
+
+
+def test_kernel_fourier_err_is_the_rule_s_truncation_error(params):
+    """kernel_fourier_err is within 1e-11 (relative) of its 30-digit value
+    7.6402255220291810e-05, on the defaults and 20 devices (4.6e-13 at the
+    defaults, 4.2e-12 at most, 4.5e-12 over 200 more): the key is a difference near 7.6e-5 of numbers near
+    e^-1, so eps * e^-1 / 7.6e-5 ~ 1e-12 bounds it, and about 11 of its 16
+    printed digits are correct."""
+    key = _mp_kernel_key()
+    assert abs(key - 7.6402255220291810e-05) <= 1e-20
+    rng = np.random.default_rng(1902)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        assert abs(kernel_fourier_error(p) - key) <= 1e-11 * key, p
+
+
+@functools.cache
+def _order_errors(params, drive):
+    """(ratio error, order error, bound) of convergence_order at the CLI's
+    default horizon 20/kappa and init (1, 1, 0), on the defaults and 20
+    devices.  The oracle takes the package's step count n and forms each
+    endpoint P^m init, m = n, 2n and 4n, from EMBED_DPS-digit powers of the RK4
+    stability polynomial P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
+    h = t_final / m.  Each double endpoint is m products with a P rounded to
+    eps, so the bound on the ratio's relative error is 4n eps |y_4n| / |y_2n - y_4n|."""
+    rng = np.random.default_rng(1903)
+    cases = [(params, drive)]
+    for _ in range(20):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    rows = []
+    for p, d in cases:
+        t_final = 20.0 / p.kappa
+        init = (1.0, 1.0, 0.0)
+        n = embedcheck._order_steps(p, d, t_final)
+        order, ratio = convergence_order(p, d, init, t_final)
+        ends = embedcheck._order_endpoints(drift_nonmarkovian(p, d), init, n, t_final)
+        eps = np.finfo(float).eps
+        bound = 4 * n * eps * float(np.linalg.norm(ends[2]) / np.linalg.norm(ends[1] - ends[2]))
+        with mp.workdps(EMBED_DPS):
+            m_drift = _mp_drift(p, d.delta, d.g)
+            y0 = mp.matrix(list(init))
+            mp_ends = []
+            for m in (n, 2 * n, 4 * n):
+                hm = mp.mpf(t_final) / m * m_drift
+                eye = mp.eye(3)
+                step = eye + hm * (eye + hm * (eye + hm * (eye + hm / 4) / 3) / 2)
+                mp_ends.append(step**m * y0)
+            mp_ratio = mp.norm(mp_ends[0] - mp_ends[1]) / mp.norm(mp_ends[1] - mp_ends[2])
+            rows.append((float(abs(ratio - mp_ratio) / mp_ratio), float(abs(order - mp.log(mp_ratio, 2))), bound))
+    return rows
+
+
+def test_order_ratio_matches_mpmath_powers(params, drive):
+    """order_ratio is within 4n eps |y_4n| / |y_2n - y_4n| (relative) of the
+    ratio of EMBED_DPS-digit endpoint differences, on the defaults and 20
+    devices (0.12 of that bound at most, 0.25 over 200 more).  That is 2.0e-5 at
+    the defaults (4 of 12 printed digits correct), 7.9e-3 at most here and
+    4.3e-2 over the 200: the three endpoints agree to 1e-8 to 1e-11 of their
+    size, and each carries rounding from up to 4n products."""
+    rows = _order_errors(params, drive)
+    for ratio_err, _, bound in rows:
+        assert ratio_err <= bound
+    assert rows[0][0] <= 1e-4
+
+
+def test_order_estimate_matches_mpmath_powers(params, drive):
+    """order_estimate = log2(order_ratio) is within bound / ln 2 of the
+    EMBED_DPS-digit value, on the defaults and 20 devices: 2.9e-5 at the
+    defaults (5 of 12 printed digits correct), 1.1e-2 at most here and 0.063
+    over 200 more, where only the leading digit is sure."""
+    rows = _order_errors(params, drive)
+    for _, order_err, bound in rows:
+        assert order_err <= bound / math.log(2.0)
+    assert rows[0][1] <= 1e-4
 
 
 KERNEL_DPS = 50
