@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .embedcheck import _resolution_limit, compare_embeddings, convergence_order, kernel_fourier_error
-from .epsolver import certify_order_two, markovian_ep, perturbative_ep, solve_exact_ep
+from .epsolver import _perturbative_drive, certify_order_two, markovian_ep, solve_exact_ep
 from .errors import ConfigError, OrderCheckFailed, SolverFailure, ToolkitError
 from .model import DriveParams, SystemParams, hz_to_rad, rad_to_hz
 from .response import _r_sq, cooperativity, dip_metrics
@@ -372,19 +372,20 @@ def _khz(value_rad):
 
 
 def cmd_ep(args, p: SystemParams, d: DriveParams) -> Table:
-    """Markovian, perturbative and exact EP coordinates plus the order check."""
+    """Markovian, perturbative and exact EP coordinates plus the order check; the
+    perturbative route prints its coordinates alone, so it runs no eigen-solve."""
     mk = markovian_ep(p)
-    pert = perturbative_ep(p)
+    pert = _perturbative_drive(p)
     exact = solve_exact_ep(p)
     cert = certify_order_two(p, exact)
 
     table = {
         "markovian_delta_khz": _khz(mk.delta_ep),
         "markovian_g_khz": _khz(mk.g_ep),
-        "perturbative_delta_khz": _khz(pert.delta_ep),
-        "perturbative_g_khz": _khz(pert.g_ep),
-        "shift_delta_khz": _khz(pert.delta_ep - mk.delta_ep),
-        "shift_g_khz": _khz(pert.g_ep - mk.g_ep),
+        "perturbative_delta_khz": _khz(pert.delta),
+        "perturbative_g_khz": _khz(pert.g),
+        "shift_delta_khz": _khz(pert.delta - mk.delta_ep),
+        "shift_g_khz": _khz(pert.g - mk.g_ep),
         "exact_delta_khz": _khz(exact.delta_ep),
         "exact_g_khz": _khz(exact.g_ep),
         "lambda_ep_re_khz": _khz(exact.lambda_ep.real),

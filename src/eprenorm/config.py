@@ -36,12 +36,13 @@ _KEY_VALUE = re.compile(r"([^=:]+)[=:](.*)")
 def _read_values(path: str, values: dict) -> None:
     """Set values[section][key] from the INI file at path (grammar in the module docstring)."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            content = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            content = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
+    if "\r" in content:  # text mode's newline rule: \r\n and a lone \r each end a line
+        content = content.replace("\r\n", "\n").replace("\r", "\n")
     section, seen = None, set()
-    # Split at \n alone: open() has already turned \r\n and \r into \n.
     for lineno, line in enumerate(content.split("\n"), start=1):
         text = line.strip()
         if not text or text[0] in "#;":

@@ -112,23 +112,28 @@ def mech_renorm(p: SystemParams) -> MechRenorm:
     )
 
 
+def _perturbative_drive(p: SystemParams) -> DriveParams:
+    """perturbative_ep's coordinates as a drive, with no eigen-solve: markovian_ep's
+    delta = -omega_m and g = (kappa - gamma)/4 with omega_m -> omega_eff and
+    gamma -> gamma_eff, under markovian_ep's kappa > gamma guard and _ep_drive's rule."""
+    markovian_ep(p)  # the kappa > gamma guard
+    ren = mech_renorm(p)
+    return _ep_drive(-ren.omega_eff, (p.kappa - ren.gamma_eff) / 4.0)
+
+
 def perturbative_ep(p: SystemParams) -> EpSolution:
     """Memoryless exceptional point at the renormalized mechanics of mech_renorm.
 
-    The coordinates are markovian_ep's, delta = -omega_m and
-    g = (kappa - gamma)/4, with omega_m -> omega_eff and gamma -> gamma_eff,
-    which carries the leading corrections in gamma.  lambda_ep is the
-    midpoint of the two closest eigenvalues of drift_nonmarkovian at these
-    coordinates, so it is a double root only to first order in gamma.
+    The coordinates are _perturbative_drive's, which carry the leading
+    corrections in gamma.  lambda_ep is the midpoint of the two closest
+    eigenvalues of drift_nonmarkovian at these coordinates, so it is a double
+    root only to first order in gamma.
     """
-    markovian_ep(p)  # the kappa > gamma guard
-    ren = mech_renorm(p)
-    delta = -ren.omega_eff
-    g = (p.kappa - ren.gamma_eff) / 4.0
-    lams = np.linalg.eigvals(drift_nonmarkovian(p, _ep_drive(delta, g))).tolist()
+    d = _perturbative_drive(p)
+    lams = np.linalg.eigvals(drift_nonmarkovian(p, d)).tolist()
     i, j = min(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(lams[ij[0]] - lams[ij[1]]))
     lam = (lams[i] + lams[j]) / 2.0
-    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
+    return EpSolution(lam, d.delta, d.g, third_root_viete(p, d.delta, lam))
 
 
 def _double_root(p: SystemParams, lam: complex):

@@ -51,12 +51,18 @@ def _hz_text(hz: float) -> str:
 def _require_rates(params) -> None:
     """ValueError naming every field of a parameter dataclass that is inf or nan,
     else, by its config key, every nonzero field whose magnitude lies outside
-    RATE_RANGE_HZ (as_hz_dict lists the fields in declaration order)."""
+    RATE_RANGE_HZ (as_hz_dict lists the fields in declaration order).  Valid
+    fields pass in one loop; the lists that name a bad field are built only then."""
     by_name = vars(params)  # the fields in declaration order, as __init__ set them
+    low, high = _RATE_RANGE
+    for value in by_name.values():
+        if not (math.isfinite(value) and (value == 0.0 or low <= abs(value) <= high)):
+            break
+    else:
+        return
     bad = [name for name, value in by_name.items() if not math.isfinite(value)]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be finite")
-    low, high = _RATE_RANGE
     outside = [value != 0.0 and not low <= abs(value) <= high for value in by_name.values()]
     if any(outside):
         keys = params.as_hz_dict().items()

@@ -371,11 +371,11 @@ def _sweep(p: SystemParams, delta: float, g_grid, markovian_ref: bool) -> Sweep:
         raise ValueError(f"sweep grid must be 1-D, got shape {gs.shape}")
     if len(gs) < 2:
         raise ValueError("sweep grid needs at least 2 points")
-    finite = np.isfinite(gs)
-    if not finite.all():
-        bad = int(finite.argmin())
-        raise ValueError(f"coupling g must be finite: grid point {bad} is {float(gs[bad])!r} rad/s")
-    if np.any(gs < 0):
+    if not (0.0 <= gs.min() and gs.max() < np.inf):  # each fails at a nan
+        finite = np.isfinite(gs)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise ValueError(f"coupling g must be finite: grid point {bad} is {float(gs[bad])!r} rad/s")
         raise ValueError("coupling g must be non-negative")
     stack = _drift_stack(p, delta, gs)
     lams, ks, defective = _closed_eigvals(stack)

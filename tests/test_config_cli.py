@@ -13,11 +13,13 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprenorm import cli, config, embedcheck, load_config
+from draws import draw_system
+from eprenorm import cli, config, embedcheck, load_config, markovian_ep, perturbative_ep
 from eprenorm.cli import MAX_GRID_POINTS, main
 from eprenorm.config import DEFAULT_VALUES_HZ
 from eprenorm.errors import ConfigError, OrderCheckFailed
@@ -310,6 +312,51 @@ def test_cli_non_physical_ep_exits_2(tmp_path, capsys, ini, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"eprenorm: solver failure: {message}")
     assert captured.err.count("\n") == 1
+
+
+def _system_ini(p: SystemParams) -> str:
+    """An INI text of p's four rates in Hz (repr), with the default drive."""
+    sections = {}
+    for key, hz in p.as_hz_dict().items():
+        section, name = key.split(".")
+        sections.setdefault(section, []).append(f"{name} = {hz!r}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the overshoot device is not sideband-resolved
+def test_cli_ep_prints_perturbative_coordinates_without_an_eigen_solve(tmp_path, capsys, monkeypatch, params):
+    """ep prints perturbative_ep's coordinates and never forms its lambda: with
+    np.linalg.eigvals raising, ep exits 0, and its perturbative_* and shift_*
+    values are, bit for bit, those formed from perturbative_ep and markovian_ep,
+    on the defaults and 20 devices.  The overshoot device still exits 2 naming
+    its detuning."""
+    rng = np.random.default_rng(40)
+    runs = []
+    for k, device in enumerate([params, *(draw_system(rng) for _ in range(20))]):
+        path = _write(tmp_path, _system_ini(device), name=f"device{k}.ini")
+        p, _ = load_config(path)
+        pert, mk = perturbative_ep(p), markovian_ep(p)
+        expected = {
+            "perturbative_delta_khz": cli._khz(pert.delta_ep),
+            "perturbative_g_khz": cli._khz(pert.g_ep),
+            "shift_delta_khz": cli._khz(pert.delta_ep - mk.delta_ep),
+            "shift_g_khz": cli._khz(pert.g_ep - mk.g_ep),
+        }
+        runs.append((path, expected))
+
+    def no_eigen_solve(*args, **kwargs):
+        raise AssertionError("ep ran an eigen-solve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigen_solve)
+    for path, expected in runs:
+        assert main(["--config", path, "ep"]) == 0
+        printed = _kv_lines(capsys.readouterr().out)
+        for key, value in expected.items():
+            assert float(printed[key]).hex() == value.hex(), (path, key)
+    assert main(["--config", _write(tmp_path, _OVERSHOOT_INI), "ep"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "eprenorm: solver failure: exceptional point needs g > 0 and delta < 0: drive.detuning_hz = 125000 Hz"
+    )
 
 
 def test_cli_resolved_sideband_warning_is_one_line(tmp_path, capsys):

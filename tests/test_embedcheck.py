@@ -440,6 +440,26 @@ def test_stacked_comparison_matches_two_runs_bit_for_bit(params, drive):
                 assert np.array_equal(run.amps, _doubled_run(arr, y0, n_steps, t_final))
 
 
+def test_comparison_folds_each_amplitude_before_the_two(params, drive, monkeypatch):
+    """compare_embeddings folds a row's squared parts as (re a^2 + im a^2) +
+    (re b^2 + im b^2).  Crafted runs whose largest row rounds differently under
+    (re a^2 + re b^2) + (im a^2 + im b^2) give that fold's value, not the other's."""
+    pseudo = np.array([[0.5, 0.5, 0.0], [0.3 + 0.8j, 0.6 + 0.4j, 0.0]])
+    accum = np.array([[0.5, 0.5, 0.0], [0.1 + 1.0j, 0.3 + 0.7j, 0.0]])
+    monkeypatch.setattr(embedcheck, "_rk4_propagate", lambda *args: np.stack([pseudo, accum]))
+
+    def fold(a, b, per_amplitude):
+        if per_amplitude:
+            return math.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
+        return math.sqrt((a.real * a.real + b.real * b.real) + (a.imag * a.imag + b.imag * b.imag))
+
+    (a, b), (a_ref, b_ref) = pseudo[1, :2] - accum[1, :2], accum[1, :2]
+    code = fold(a, b, True) / fold(a_ref, b_ref, True)
+    assert code != fold(a, b, False) / fold(a_ref, b_ref, False)  # the two folds round apart here
+    dt = embedcheck._resolution_limit(params, drive) / 2.0
+    assert compare_embeddings(params, drive, (1.0, 1.0), 10.0 * dt, dt) == code
+
+
 def test_stacked_order_pass_matches_per_step_size_powers_bit_for_bit(params, drive):
     """_order_endpoints forms its three P in one stacked Horner form and squares
     them as a stack; the endpoints keep the bits of one Horner form and one

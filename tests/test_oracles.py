@@ -11,8 +11,9 @@ the dip depths from the two-photon-resonance law of the cooperativity:
 exact for the memoryless dip, and to first order in kappa/omega_m for the
 dressed one, the printed dip locations and depths against the minimum of
 |r|^2 solved in 40-digit mpmath, embedcheck's kernel key against the 30-digit
-trapezoid rule and its order check against 40-digit powers of the RK4
-stability polynomial, and the sweeps' closed-form eigenvalues against
+trapezoid rule, its order check against 40-digit powers of the RK4
+stability polynomial and its comparison against the exact 0 of similar
+generators, and the sweeps' closed-form eigenvalues against
 50-digit mpmath ones of the same double matrices.
 
 Each writes the three-mode drift matrix out from the physics, in the mode
@@ -38,6 +39,7 @@ from draws import draw_drive, draw_system
 from eprenorm import (
     SystemParams,
     certify_order_two,
+    compare_embeddings,
     convergence_order,
     cooperativity,
     dip_metrics,
@@ -936,6 +938,38 @@ def test_order_estimate_matches_mpmath_powers(params, drive):
     for _, order_err, bound in rows:
         assert order_err <= bound / math.log(2.0)
     assert rows[0][1] <= 1e-4
+
+
+def _cli_comparison(p, d):
+    """compare_embeddings at the CLI's defaults: init (1, 1), t_final = 20/kappa, dt = L/2."""
+    return compare_embeddings(p, d, (1.0, 1.0), 20.0 / p.kappa, embedcheck._resolution_limit(p, d) / 2.0)
+
+
+def test_max_rel_err_is_rounding_of_zero(params, drive):
+    """max_rel_err is 0 in exact arithmetic: the accumulator's generator is
+    D M D^-1 with D = diag(1, 1, -1/g_c), checked here against M at EMBED_DPS
+    digits; RK4's polynomial keeps the similarity and D leaves (a, b, 0) alone,
+    so both runs have the same (a, b) at every step.  Every printed digit is
+    rounding: the key is within 1e-14 of 0 on the defaults and 20 devices at
+    the CLI's default grid (1.2e-16 at the defaults, 8.0e-16 at most, 2.2e-15
+    over 200 more), and exactly 0 at gamma = 0, where g_c = 0 leaves (a, b)
+    apart from the third mode in both generators."""
+    rng = np.random.default_rng(1904)
+    cases = [(params, drive)]
+    for _ in range(20):
+        p = draw_system(rng)
+        cases.append((p, draw_drive(rng, p)))
+    for p, d in cases:
+        with mp.workdps(EMBED_DPS):
+            scale = [1, 1, -1 / mp.sqrt(mp.mpf(p.gamma) * mp.mpf(p.omega_c) / 2)]
+            m_drift = _mp_drift(p, d.delta, d.g)
+            acc = embedcheck._accumulator_drift(p, d)
+            for i, j in itertools.product(range(3), repeat=2):
+                similar = scale[i] * m_drift[i, j] / scale[j]
+                assert abs(acc[i, j] - similar) <= 1e-15 * abs(similar), (p, i, j)
+        assert 0.0 <= _cli_comparison(p, d) <= 1e-14, p
+        assert _cli_comparison(dataclasses.replace(p, gamma=0.0), d) == 0.0, p
+    assert _cli_comparison(params, drive) <= 1e-15
 
 
 KERNEL_DPS = 50

@@ -333,6 +333,14 @@ def test_sweeps_reject_non_finite_coupling(params, value):
             sweep(params, -params.omega_m, grid)
 
 
+def test_sweeps_name_a_non_finite_point_before_a_negative_one(params):
+    """The finite check comes first: a grid holding a negative point and, after it, a nan names the nan."""
+    grid = np.array([-hz_to_rad(1e3), np.nan, hz_to_rad(60e3)])
+    for sweep in (sweep_eigs, sweep_petermann):
+        with pytest.raises(ValueError, match="coupling g must be finite: grid point 1 is nan rad/s"):
+            sweep(params, -params.omega_m, grid)
+
+
 def test_sweeps_run_without_lapack(params, monkeypatch):
     """Both sweeps, the memoryless reference included, take their eigenvalues
     from the closed-form kernel: no LAPACK eigensolver is called."""
