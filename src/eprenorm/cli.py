@@ -18,7 +18,11 @@ stated by _cell_rule: a table of fewer than DIGIT_PASS_MIN_CELLS cells takes
 it cell by cell, a larger one takes _digit_pass, which prints the same bytes
 from arrays of bytes, with no Python object per cell, and sends only its rare
 cells (non-finite, outside 1e-4 <= |x| < 1e11, or within 2.5e-4 of a rounding
-tie) to the rule.
+tie) to the rule, writing their texts into their own cells' bytes.  It runs in
+blocks of at most _DIGIT_BLOCK_CELLS cells and frees each block's arrays once
+spent, so its memory beyond the text itself does not grow with the table and
+stays under glibc's heap trim threshold: the heap is not handed back and
+faulted in again on every table.
 --quiet without --out builds no artifact.
 main(argv) may be called repeatedly in one process; the parser is built on
 the first call and reused.  Exit codes: 0 success, 1 invalid configuration,
@@ -126,11 +130,14 @@ def _cell_rule(values, as_json: bool) -> list:
 # Tables of at least this many cells take _digit_pass; smaller ones take _cell_rule cell by cell.
 # Below it the pass's fixed cost, some 40 numpy calls, outweighs the format calls it saves.
 DIGIT_PASS_MIN_CELLS = 200
-# The digit pass takes a large table in blocks of rows of at most this many cells (or one row),
-# so that its (cells, 4) arrays of 8-byte words stay under 128 KiB, glibc's default mmap
-# threshold: larger ones are mapped and unmapped, with page faults, on every block, and raise the
-# threshold for the process, which grows its heap.  Its memory then does not grow with the table.
-_DIGIT_BLOCK_CELLS = 4000
+# The digit pass takes a table in blocks of rows of at most this many cells (or one row), and
+# frees each array of a block once it is spent: a block's transient peak is about 75 bytes per
+# cell, 200 kB here.  What matters is that peak against glibc's heap trim threshold (128 KiB,
+# raised to twice the largest mmap chunk the process has freed).  Blocks of 4,000 cells that held
+# every array to their end peaked near 550 kB, past it, so each table handed the heap top back
+# and faulted it in again: 33 to 116 minor faults per sweep op, against none at this size.  At
+# 2,700 a default 401-row table 13 columns wide takes two blocks, not two and a one-row third.
+_DIGIT_BLOCK_CELLS = 2700
 # The separators (between cells, between rows) of a table's text block, in CSV and in JSON.
 _SEPARATORS = {False: (",", "\n"), True: (",\n      ", "\n    ],\n    [\n      ")}
 # The digit pass's mask rows: row (sign, e + 5, last) of a (2, 17, 13) grid, for sign 0 or 1,
@@ -141,16 +148,16 @@ _RARE_KEY = 2 * 17 * 13
 def _digit_masks():
     """The digit pass's mask rows, CSV's then JSON's, as 0xff or 0 bytes ANDed in 8-byte words.
 
-    A cell's 32 bytes are its marker, "-", "0.000", the rare-cell
-    placeholder, then its 12 mantissa digits, each followed by a point.
-    Row (sign, e + 5, last) keeps:
+    A cell's 32 bytes are its marker, "-", "0.000", an unused byte, then its
+    12 mantissa digits, each followed by a point.  Row (sign, e + 5, last)
+    keeps:
     - the marker, and the "-" if sign;
     - for e < 0, "0." and -e - 1 zeros, then digits 1 to last;
     - for e >= 0, digits 1 to max(last, e + 1), with the point after digit
       e + 1 when a digit follows it; in JSON a whole number (last <= e + 1)
       keeps one digit more, a zero: 40 -> 40.0.
     last = 0 is a zero mantissa, shown as one 0.  The rare row keeps the
-    marker and the placeholder.
+    marker and the 24 digit bytes, which hold the cell's _cell_rule text.
     """
     as_json = np.arange(2)[:, None, None, None, None]
     sign = np.arange(2)[:, None, None, None]
@@ -170,7 +177,7 @@ def _digit_masks():
     )
     rows = np.zeros((2, _RARE_KEY + 1, 32), dtype=np.uint8)
     rows[:, :_RARE_KEY] = keep.reshape(2, _RARE_KEY, 32)
-    rows[:, _RARE_KEY, [0, 7]] = 1
+    rows[:, _RARE_KEY, 0] = rows[:, _RARE_KEY, 8:] = 1
     return (rows * np.uint8(0xFF)).view(np.uint64)
 
 
@@ -180,15 +187,14 @@ def _digit_words():
     - words: (10,002,) 8-byte words.  Word g < 10,000 holds the 4-digit
       group g, each digit followed by a point slot: "d.d.d.d.".  Words
       10,000 and 10,001 are a cell's first word: its marker, "," within a
-      row or ";" at a row's start, then "-0.000" and the rare-cell
-      placeholder "%".
+      row or ";" at a row's start, then "-0.000" and an unused NUL.
     - places: (3, 10,000), the place in a 12-digit mantissa of the last
       nonzero digit of g as its first, second or third group; 0 where g = 0.
     """
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)  # digits[:, g] are g's four
     words = np.full((10_002, 8), ord("."), dtype=np.uint8)
     words[:10_000, ::2] = digits.T + ord("0")
-    words[10_000:] = np.frombuffer(b",-0.000%;-0.000%", np.uint8).reshape(2, 8)
+    words[10_000:] = np.frombuffer(b",-0.000\0;-0.000\0", np.uint8).reshape(2, 8)
     last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
     places = np.where(last > 0, last + np.array([[0], [4], [8]], dtype=np.uint8), 0)
     return words.view(np.uint64).ravel(), places
@@ -224,62 +230,78 @@ def _cell_words(x: np.ndarray, cols: int):
     y *= _POWERS[e]
     m = np.rint(y)
     exact = (fixed & (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5 - 2.5e-4)) | (size == 0.0)
+    del size, fixed, y  # each array is freed once spent, which keeps the block's peak low
+    m *= exact
+    # m is a whole number below 1e12 and 1e8 and 1e4 are exact, so each quotient's floor and
+    # each difference is exact: the three 4-digit groups of m.
+    high = np.floor(m / 1e8)
+    m -= high * 1e8
+    mid = np.floor(m / 1e4)
+    m -= mid * 1e4
     index = np.empty((x.size, 4), np.int64)  # int64, so that it views as the uint64 mask rows
     index[:, 0] = 10_000
     index[::cols, 0] = 10_001
-    m *= exact
-    low = m.astype(np.intp)
-    high = low // 100_000_000
-    low -= high * 100_000_000
-    mid = low // 10_000
-    low -= mid * 10_000
-    index[:, 1], index[:, 2], index[:, 3] = high, mid, low
-    last = np.maximum(np.take(_PLACES[0], high), np.take(_PLACES[1], mid))
-    np.maximum(last, np.take(_PLACES[2], low), out=last)
+    index[:, 1], index[:, 2], index[:, 3] = high, mid, m
+    del high, mid, m
+    last = np.maximum(np.take(_PLACES[0], index[:, 1]), np.take(_PLACES[1], index[:, 2]))
+    np.maximum(last, np.take(_PLACES[2], index[:, 3]), out=last)
     key = (np.signbit(x) * 17 + e) * 13 + last  # row (sign, e + 5, last)
     key[~exact] = _RARE_KEY
     return index, key, exact
 
 
+def _digit_block(x: np.ndarray, cols: int, as_json: bool) -> bytes:
+    """The bytes of the cells x of a block of rows cols wide, each after its marker, with no NUL.
+
+    Each cell's four words, ANDed with its mask row, keep the bytes of its
+    text; a rare cell's 24 digit bytes are its _cell_rule text, NUL-padded.
+    One bytes.translate drops the NULs.
+    """
+    index, key, exact = _cell_words(x, cols)
+    cells = np.take(_WORDS, index)
+    # mode="clip" lets take write into out without a buffer; every key is in range.
+    cells &= np.take(_MASKS[int(as_json)], key, axis=0, out=index.view(np.uint64), mode="clip")
+    del index, key
+    rare = np.flatnonzero(~exact)
+    if rare.size:
+        texts = np.array(_cell_rule(x[rare].tolist(), as_json), dtype="S24")
+        cells.view(np.uint8).reshape(-1, 32)[rare, 8:] = texts.view(np.uint8).reshape(-1, 24)
+    raw = cells.tobytes()
+    del cells
+    return raw.translate(None, b"\0")
+
+
 def _digit_pass(table: np.ndarray, as_json: bool) -> str:
     """The text block of a (rows, columns) table, built with no Python object per cell.
 
-    The same bytes as _cell_rule's texts joined by _SEPARATORS.  Each cell's
-    four words, ANDed with its mask row, keep the bytes of its text; one
-    bytes.translate drops the rest, and the markers become the separators.
-    Rare cells leave their placeholder "%", the only "%" in the bytes, which
-    their _cell_rule texts replace before the separators go in.
+    The same bytes as _cell_rule's texts joined by _SEPARATORS.  The table
+    goes through _digit_block in blocks of rows of at most _DIGIT_BLOCK_CELLS
+    cells, whose transient arrays are freed before the next block starts; the
+    markers of the joined blocks become the separators, once per table.
     """
-    x = table.ravel()
-    index, key, exact = _cell_words(x, table.shape[1])
-    cells = np.take(_WORDS, index)
-    cells &= np.take(_MASKS[int(as_json)], key, axis=0, out=index.view(np.uint64))  # index is spent
-    raw = cells.tobytes().translate(None, b"\0")[1:]
-    rare = np.flatnonzero(~exact)
-    if rare.size:
-        pieces = raw.split(b"%")
-        joined = [b""] * (2 * len(pieces) - 1)
-        joined[::2] = pieces
-        joined[1::2] = map(str.encode, _cell_rule(x[rare].tolist(), as_json))
-        raw = b"".join(joined)
+    cols = table.shape[1]
+    rows = max(1, _DIGIT_BLOCK_CELLS // cols)
+    blocks = [_digit_block(table[i : i + rows].ravel(), cols, as_json) for i in range(0, len(table), rows)]
+    raw = b"".join(blocks)[1:]  # no separator goes before the table's first cell
+    del blocks  # from here each step frees the bytes before it: at most two copies of the text live
     cell_sep, row_sep = _SEPARATORS[as_json]
     if as_json:
         raw = raw.replace(b",", cell_sep.encode())
-    return raw.replace(b";", row_sep.encode()).decode("ascii")
+    raw = raw.replace(b";", row_sep.encode())
+    return raw.decode("ascii")
 
 
 def _table_text(data, as_json: bool) -> str:
     """A table's rows as one text block: its CSV lines, or the "rows" value of its JSON document.
 
-    A table of at least DIGIT_PASS_MIN_CELLS cells takes _digit_pass, in
-    blocks of rows, a smaller one _cell_rule; both give the same bytes.
+    A table of at least DIGIT_PASS_MIN_CELLS cells takes _digit_pass, a
+    smaller one _cell_rule; both give the same bytes.
     """
     table = np.asarray(data, dtype=float)
-    cell_sep, row_sep = _SEPARATORS[as_json]
     if table.size >= DIGIT_PASS_MIN_CELLS:
-        rows = max(1, _DIGIT_BLOCK_CELLS // table.shape[1])
-        text = row_sep.join([_digit_pass(table[i : i + rows], as_json) for i in range(0, len(table), rows)])
+        text = _digit_pass(table, as_json)
     else:
+        cell_sep, row_sep = _SEPARATORS[as_json]
         cells = _cell_rule(table.ravel().tolist(), as_json)
         text = row_sep.join(map(cell_sep.join, zip(*[iter(cells)] * table.shape[1])))
     if as_json:
@@ -317,7 +339,9 @@ def _emit(args, manifest: dict, table: Table):
             doc.update(columns=list(table.columns), rows=None)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if table.columns is not None:
-            text = text.replace('\n  "rows": null', '\n  "rows": ' + rows, 1)
+            # One join, not a replace whose argument is itself a copy of the rows' text.
+            head, tail = text.split('\n  "rows": null', 1)
+            text = "".join([head, '\n  "rows": ', rows, tail])
     else:
         lines = [
             "# eprenorm manifest",

@@ -271,7 +271,12 @@ def kernel_fourier_error(p: SystemParams) -> float:
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
-    integrand = spectral_density(p, np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1))
+    # The integrand is formed in the node array, a quarter at a time, with the same bits: three
+    # node-sized arrays live at once put the heap top past glibc's trim threshold after every
+    # check, which handed it back and faulted it in again on the next.
+    integrand = np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1)
+    for part in np.array_split(integrand, 4):
+        part[:] = spectral_density(p, part)
     integrand -= p.gamma
     smooth = p.omega_c * float(np.dot(integrand, _kernel_weights())) / math.pi
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

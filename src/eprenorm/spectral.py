@@ -231,7 +231,7 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     subnormals, so no finite input overflows: a part of a difference is at
     most DBL_MAX / 8, and three distances sum below DBL_MAX.  For n = 2 the
     composed order is the running parity of the swaps; for n = 3 each step
-    is composed through the _COMPOSE table.
+    that moves is composed through the _COMPOSE table.
     """
     n = lams.shape[1]
     perms = _PERMS[n]
@@ -244,7 +244,10 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
         order = np.zeros(len(lams), np.intp)
         np.bitwise_xor.accumulate(steps, out=order[1:])
     else:
-        order = np.fromiter(accumulate(steps.tolist(), lambda o, s: _COMPOSE[o][s], initial=0), np.intp, len(lams))
+        # Only the steps that move compose; a row takes the order composed over the moves before it.
+        moves = steps.nonzero()[0]
+        orders = np.fromiter(accumulate(steps[moves].tolist(), lambda o, s: _COMPOSE[o][s], initial=0), np.intp)
+        order = orders[np.searchsorted(moves, np.arange(len(lams)))]
     return perms[order]
 
 

@@ -5,6 +5,7 @@ import argparse
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,8 +325,8 @@ def _joined_cells(table, as_json):
 def test_digit_pass_puts_rare_cells_in_place(as_json):
     """_digit_pass gives _cell_rule's texts joined by _SEPARATORS for blocks whose
     rare cells come first, last, side by side (across a row's end too) and fill the
-    whole block, between 9-digit fixed-notation cells; and "%" is a byte of no cell
-    text but a rare cell's placeholder, so the placeholders are the only "%"."""
+    whole block, between 9-digit fixed-notation cells; and a rare cell's text fits
+    the slot that its mask row keeps."""
     rng = np.random.default_rng(38)
     rare = _rare_cells()
     assert not cli._cell_words(rare, 1)[2].any()  # every one takes the rare route
@@ -345,12 +346,61 @@ def test_digit_pass_puts_rare_cells_in_place(as_json):
     for table in tables:
         text = cli._digit_pass(table, as_json)
         assert text == _joined_cells(table, as_json)
-    words = cli._WORDS.view(np.uint8).reshape(-1, 8)
-    assert [tuple(at) for at in np.argwhere(words == ord("%"))] == [(10_000, 7), (10_001, 7)]
-    # Byte 7 of a cell is its marker word's placeholder slot: only the rare row keeps it.
-    kept = cli._MASKS.view(np.uint8).reshape(2, cli._RARE_KEY + 1, 32)[:, :, 7]
-    assert not kept[:, : cli._RARE_KEY].any() and kept[:, cli._RARE_KEY].all()
-    assert "%" not in "".join(cli._SEPARATORS[as_json])
+    # The rare row keeps a cell's marker (byte 0) and its 24 digit bytes (8 to 31), and nothing else.
+    kept = cli._MASKS.view(np.uint8).reshape(2, cli._RARE_KEY + 1, 32)[:, cli._RARE_KEY]
+    slot = (np.arange(32) == 0) | (np.arange(32) >= 8)
+    assert (kept == np.where(slot, 0xFF, 0)).all()
+    # Every rare cell's _cell_rule text fits those 24 bytes, with no NUL for translate to drop
+    # and no marker byte for the separators to replace.
+    texts = [text.encode() for text in cli._cell_rule(rare.tolist(), as_json)]
+    assert max(map(len, texts)) <= 24 and not any(set(text) & set(b"\0,;") for text in texts)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+@pytest.mark.parametrize("width", [3, 7, 13])
+def test_digit_pass_puts_rare_cells_at_block_edges(as_json, width):
+    """Rare cells as the first and the last cell of each block of _DIGIT_BLOCK_CELLS
+    cells (whole rows) in a three-block table: _digit_pass still gives _cell_rule's
+    texts joined by _SEPARATORS, across every block boundary."""
+    rng = np.random.default_rng(39)
+    block = cli._DIGIT_BLOCK_CELLS // width * width
+    cells = rng.integers(10**8, 10**9, 3 * block) / 10.0 ** rng.integers(0, 13, 3 * block)
+    edges = np.arange(0, cells.size + 1, block)
+    rare = _rare_cells()
+    cells[edges[:-1]] = rare[: len(edges) - 1]
+    cells[edges[1:] - 1] = rare[-(len(edges) - 1) :]
+    table = cells.reshape(-1, width)
+    assert not cli._cell_words(cells, width)[2][np.r_[edges[:-1], edges[1:] - 1]].any()
+    assert cli._digit_pass(table, as_json) == _joined_cells(table, as_json)
+
+
+def _sweep_sized_tables():
+    """The bench's table shapes: eigs --markovian-ref (401 x 11), petermann --delta-mode
+    both (401 x 13, K and 0/1 flag columns) and spectrum (2001 x 3)."""
+    rng = np.random.default_rng(40)
+    g = np.linspace(40.0, 60.0, 401)
+    flags = rng.integers(0, 2, (401, 3)).astype(float)
+    k = 10.0 ** rng.uniform(0.0, 4.0, (401, 3))
+    yield np.column_stack([g, k, flags, k[::-1], flags[::-1]])
+    yield np.column_stack([g, rng.standard_normal((401, 10)) * 10.0 ** rng.uniform(-1.0, 3.0, 10)])
+    yield np.column_stack([np.linspace(900.0, 1100.0, 2001), rng.uniform(0.0, 1.0, (2001, 2))])
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+def test_table_text_peak_memory_is_bounded(as_json):
+    """The traced peak of _table_text on the bench's table shapes stays under 300 kB:
+    198 to 279 kB measured, where blocks of 4,000 cells that held every array to
+    the end of the block peaked at 548 to 594 kB.  numpy registers its buffers
+    with tracemalloc, so the peak is deterministic."""
+    for table in _sweep_sized_tables():
+        cli._table_text(table, as_json)
+        tracemalloc.start()
+        try:
+            cli._table_text(table, as_json)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300_000, (table.shape, peak)
 
 
 def test_format_runs_per_rare_cell_at_the_crossover_and_per_cell_below(monkeypatch):

@@ -730,6 +730,29 @@ def test_cli_grid_size_bound(capsys):
     assert f"--omega-points must be between 1 and {MAX_GRID_POINTS}" in err
 
 
+def test_cli_grid_size_bound_is_the_documented_one(capsys):
+    """README caps the point counts at 100000: that many probe points run, one
+    more exits 1 naming the bound."""
+    assert main(["--quiet", "spectrum", "--omega-points", "100000"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["--quiet", "spectrum", "--omega-points", "100001"]) == 1
+    assert capsys.readouterr().err == "eprenorm: error: --omega-points must be between 1 and 100000\n"
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at_limit", "above_limit"])
+def test_cli_embedcheck_status_turns_at_the_documented_limit(capsys, monkeypatch, above):
+    """README's status rule: PASS while max_rel_err is at most 1e-5, FAIL with
+    exit code 3 beyond it, here with compare_embeddings returning the limit
+    itself and the next float above it."""
+    err = np.nextafter(1e-5, math.inf) if above else 1e-5
+    monkeypatch.setattr(cli, "compare_embeddings", lambda *args: err)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    assert main(["--json", "embedcheck", "--t-final", "2e-6"]) == (3 if above else 0)
+    report = json.loads(capsys.readouterr().out)["embedcheck"]
+    assert report["max_rel_err"] == err
+    assert report["status"] == ("FAIL" if above else "PASS")
+
+
 def _exit_code(argv):
     """main's return code, or the code of the SystemExit argparse raises."""
     try:

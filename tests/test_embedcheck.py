@@ -615,7 +615,9 @@ def test_kernel_weights_are_one_read_only_table():
 
 
 def test_kernel_check_holds_three_node_arrays_at_most(params):
-    """The traced peak of the kernel check is at most three node arrays plus 64 KiB."""
+    """The traced peak of the kernel check is at most three node arrays, and in
+    fact one and a half plus 16 KiB: the integrand is formed in the node array a
+    quarter at a time (241,067 bytes measured at the defaults)."""
     node_array = (embedcheck.KERNEL_POINTS // 2 + 1) * 8
     kernel_fourier_error(params)
     tracemalloc.start()
@@ -624,7 +626,7 @@ def test_kernel_check_holds_three_node_arrays_at_most(params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * node_array + 64 * 1024
+    assert peak <= 1.5 * node_array + 16 * 1024
 
 
 def test_trajectory_validation():

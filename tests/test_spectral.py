@@ -527,6 +527,32 @@ def test_continuity_order_matches_array_composition_on_random_stacks():
                 np.testing.assert_array_equal(spectral._continuity_order(stack), _continuity_reference(stack))
 
 
+@pytest.mark.parametrize("n_rows", [2, 3, 401])
+def test_continuity_order_composes_only_the_moving_steps(n_rows):
+    """Three modes whose raw rows are fixed branches in a chosen layout per row:
+    a step moves exactly where the layout changes.  With no step moving, every
+    step moving, and moves only at row 1 and at the last row, the order equals
+    the row-by-row reference and tracks every row back to row 0's layout."""
+    branches = np.array([0.0, 10.0 + 1.0j, -5.0 + 20.0j])
+    perms = spectral._PERMS[3]
+    rng = np.random.default_rng(41)
+    edges = np.full(n_rows, 3)
+    edges[0], edges[-1] = 0, 5
+    layouts = {
+        "none": np.zeros(n_rows, np.intp),
+        "every": np.cumsum(rng.integers(1, len(perms), n_rows)) % len(perms),
+        "row_1_and_last": edges,
+    }
+    for name, layout in layouts.items():
+        moves = np.flatnonzero(np.diff(layout))
+        expected = {"none": [], "every": np.arange(n_rows - 1), "row_1_and_last": sorted({0, n_rows - 2})}[name]
+        np.testing.assert_array_equal(moves, expected, err_msg=name)
+        raw = branches[perms[layout]]
+        order = spectral._continuity_order(raw)
+        np.testing.assert_array_equal(order, _continuity_reference(raw), err_msg=name)
+        np.testing.assert_array_equal(np.take_along_axis(raw, order, axis=-1), np.resize(raw[0], raw.shape), err_msg=name)
+
+
 def test_continuity_order_matches_array_composition_on_sweeps(params):
     """The two calibrations' three-mode and two-mode sweeps, defaults and random
     devices: the rows the sweeps hand _continuity_order (the closed-form
