@@ -25,9 +25,14 @@ stays under glibc's heap trim threshold: the heap is not handed back and
 faulted in again on every table.
 --quiet without --out builds no artifact.
 main(argv) may be called repeatedly in one process; the parser is built on
-the first call and reused.  Exit codes: 0 success, 1 invalid configuration,
-arguments, output path or SOURCE_DATE_EPOCH, or a warning raised as an
-error, 2 solver failure, 3 failed numerical check.
+the first call and reused.  Plain argv ([global option]* command [command
+option]*, each option exact and each value the next token) are read by
+_plain_args off tables built once from that parser's own actions and
+defaults, into the Namespace parse_args would return; help, errors,
+abbreviations, --flag=value and "--" still go through argparse.  Exit
+codes: 0 success, 1 invalid configuration, arguments, output path or
+SOURCE_DATE_EPOCH, or a warning raised as an error, 2 solver failure, 3
+failed numerical check.
 """
 
 from __future__ import annotations
@@ -615,13 +620,123 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# The actions that store their const and take no value: the flags _plain_args reads.
+_STORE_CONST = (argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction)
+# An option string that begins like a negative number: with one, argparse may read a value such as -1 as an option.
+_NEGATIVE_LOOKALIKE = re.compile(r"-[\d.]")
+
+
+def _option_table(parser, main, command_action=None):
+    """(options, defaults, negative) of one parser of main's grammar, or None when
+    the parser has what _plain_args does not read: a positional (other than main's
+    command_action), a required option, prefix characters other than "-", argument
+    files, or a string default that its type would convert.
+
+    options maps each exact option string of a store action (one value, no
+    choices) or a store_const action (no value), outside any mutually exclusive
+    group, to (dest, type function or None, const), unless the string abbreviates
+    two of main's own options: main's parser reads every token of argv and
+    stops there as ambiguous.  defaults is what parse_known_args starts from.
+    negative is the parser's negative-number match, or None where some option
+    string of either parser begins like a negative number.
+    """
+    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
+        return None
+    grouped = {action for group in parser._mutually_exclusive_groups for action in group._group_actions}
+    strings = [string for action in (*main._actions, *parser._actions) for string in action.option_strings]
+    negative = None if any(map(_NEGATIVE_LOOKALIKE.match, strings)) else parser._negative_number_matcher.match
+    options, defaults = {}, {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if action is command_action:
+            continue
+        if action.required or not action.option_strings or (isinstance(action.default, str) and action.type):
+            return None
+        if action in grouped or action.choices is not None or getattr(action, "deprecated", False):
+            continue
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            entry = (action.dest, parser._registry_get("type", action.type, action.type), None)
+        elif type(action) in _STORE_CONST:
+            entry = (action.dest, None, action.const)
+        else:
+            continue
+        options.update((string, entry) for string in action.option_strings
+                       if len(main._get_option_tuples(string)) < 2)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, negative
+
+
+@functools.lru_cache(maxsize=1)
+def _plain_tables(parser):
+    """The option table of parser and {command: (command dest, option table)} of its
+    subcommands (see _option_table); empty where argparse alone can read argv."""
+    commands = next((action for action in parser._actions if isinstance(action, argparse._SubParsersAction)), None)
+    table = None if commands is None else _option_table(parser, parser, commands)
+    if table is None:
+        return ({}, {}, None), {}
+    subtables = {name: _option_table(sub, parser) for name, sub in commands.choices.items() if name[:1] != "-"}
+    return table, {name: (commands.dest, sub) for name, sub in subtables.items() if sub is not None}
+
+
+def _plain_args(argv):
+    """The shared parser's parse_args(argv) for plain argv, read off its own tables,
+    or None, where main() hands argv to parse_args.
+
+    Plain argv are [global option]* command [command option]*: each option an
+    exact option string of its parser's table (so never -h or --help), each
+    value the next token, starting with "-" only where it reads as a negative
+    number, and converting through its type.  Anything else, help,
+    abbreviations, --flag=value, "--", a missing command or value and every
+    error among them, is argparse's to read and to word.
+    """
+    (options, values, negative), commands = _plain_tables(_shared_parser())
+    values = dict(values)
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        if not isinstance(token, str):
+            return None
+        entry = options.get(token)
+        if entry is None:
+            if command is not None or token not in commands:
+                return None
+            command = token
+            dest, (options, defaults, negative) = commands[token]
+            # parse_args sets the command, then lays the subparser's own namespace over it.
+            values[dest] = command
+            values.update(defaults)
+            continue
+        dest, convert, const = entry
+        if convert is None:
+            values[dest] = const
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or (value[:1] == "-" and not (negative and negative(value))):
+            return None
+        try:
+            values[dest] = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if command is None:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) would set them one setattr at a time
+    return args
+
+
 def _warning_line(message, category, filename, lineno, file=None, line=None):
     """warnings.showwarning for main: one "eprenorm: warning:" line on stderr."""
     sys.stderr.write(f"eprenorm: warning: {message}\n")
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    # Both readers may read argv, so an iterator is read once, into a list of the caller's own.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _shared_parser().parse_args(argv)
     # Looked up per call, so a rebinding of cli.cmd_* (tracing, tests) takes effect.
     command = globals()[f"cmd_{args.command}"]
     # A shown warning (the resolved-sideband one) prints as one line; one the filters raise

@@ -261,8 +261,9 @@ def kernel_fourier_error(p: SystemParams) -> float:
     At t = 1/Omega_c the phase w_k t of node w_k = x_k Omega_c is x_k itself,
     the same for every device, and so are the trapezoid weights in units of
     Omega_c.  Their product is _kernel_weights, one table of 20,001 floats
-    (160,008 bytes) built on the first call, and the rule is Omega_c times one
-    dot product of the integrand with it.  I(w) is still spectral_density on
+    (160,008 bytes) built on the first call, and the rule is Omega_c times the
+    pairwise sum of the integrand weighted by it, whose bits do not depend on
+    how many threads BLAS runs.  I(w) is still spectral_density on
     the device's own nodes, so the check tests the package's I(w) against
     memory_kernel_smooth; the phase and the weights differ from the device's
     own w_k t and node spacings only in rounding.
@@ -278,5 +279,8 @@ def kernel_fourier_error(p: SystemParams) -> float:
     for part in np.array_split(integrand, 4):
         part[:] = spectral_density(p, part)
     integrand -= p.gamma
-    smooth = p.omega_c * float(np.dot(integrand, _kernel_weights())) / math.pi
+    # Weighted in place and summed by numpy's pairwise reduction: np.dot would hand a vector this
+    # long to BLAS, which splits it across its threads, so its last bits followed the thread count.
+    integrand *= _kernel_weights()
+    smooth = p.omega_c * float(np.add.reduce(integrand)) / math.pi
     return abs(smooth - memory_kernel_smooth(p, t)) / amp

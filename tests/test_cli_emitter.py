@@ -1,16 +1,23 @@
-"""The CLI's one emitter against a plain json.dumps / format reference, and
-reuse of the parser across main() calls in one process."""
+"""The CLI's one emitter against a plain json.dumps / format reference, reuse
+of the parser across main() calls in one process, and main()'s reading of
+plain argv off the parser's own tables against parse_args."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprenorm import cli
+from test_parity import parity
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 40.0, 1e-7, 2.5e15, 1e16, -1.0 / 3.0, 1.0]
 
@@ -551,3 +558,200 @@ def test_main_reuses_one_parser_with_identical_bytes(capsys, monkeypatch):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _argparse_reading(argv):
+    """The shared parser's parse_args(argv), or None where it exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._shared_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _items(args):
+    """A Namespace's attributes with each value's type and repr: 401 and 401.0, or 0.0
+    and -0.0, differ here, though == holds them equal."""
+    return sorted((key, type(value).__name__, repr(value)) for key, value in vars(args).items())
+
+
+_GRAMMAR = cli.build_parser()
+_SUBPARSERS = next(action for action in _GRAMMAR._actions if isinstance(action, argparse._SubParsersAction))
+# Each parser's option strings other than help, each with whether it takes a value.
+_OPTIONS_OF = {name: [(string, action.nargs != 0) for action in parser._actions for string in action.option_strings
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, parser in [(None, _GRAMMAR), *_SUBPARSERS.choices.items()]}
+# Tokens beside the exact option strings and commands: abbreviations (--omega-m and --g-m are
+# ambiguous), --flag=value, the end of options, a lone dash and strings that read as no option.
+_ODD = ["--g-mi", "--g-m", "--con", "--js", "--omega-m", "--delta", "--mark", "--g-min=45", "--json=1",
+        "--config=a.ini", "--", "-", "-x", ""]
+_VALUES = ["45", "5", "0", "-1e3", "-.5", "-5", "-1e", "-x", "", "inf", "nan", "-inf", "1e-9", "x",
+           "value:-2e6", "both", "exact", "markovian", "ep", "-h", "--json", "a.ini"]
+_TOKENS = sorted({"-h", "--help", *(string for options in _OPTIONS_OF.values() for string, _ in options),
+                  *_SUBPARSERS.choices, *_ODD, *_VALUES})
+
+
+# A value token: a number half the time.
+_VALUE = st.one_of(st.sampled_from(["45", "5", "-1e3", "-.5", "-5", "1e-9"]), st.sampled_from(_VALUES))
+
+
+def _tokens(draw, options):
+    """Up to three of the (option string, takes a value) options, each followed by
+    a value token where it takes one."""
+    tokens = []
+    for string, takes_value in draw(st.lists(st.sampled_from(options), max_size=3)) if options else ():
+        tokens += [string, draw(_VALUE)] if takes_value else [string]
+    return tokens
+
+
+@st.composite
+def _argv(draw):
+    """[global option]* command [command option]*, then, each half the time, one
+    token of any kind inserted and one token deleted anywhere."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS.choices)))
+    argv = [*_tokens(draw, _OPTIONS_OF[None]), command, *_tokens(draw, _OPTIONS_OF[command])]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(argv=_argv())
+def test_plain_args_read_what_parse_args_reads(argv):
+    """Over every option string, every command, abbreviations, --flag=value, -h,
+    --, negative numbers and strings that look like options: wherever the table
+    reading accepts argv, its Namespace is parse_args', each value of the same
+    type, and the drawn list is left as it was."""
+    drawn = list(argv)
+    plain = cli._plain_args(argv)
+    assert argv == drawn
+    if plain is not None:
+        want = _argparse_reading(argv)
+        assert want is not None and _items(plain) == _items(want)
+
+
+PLAIN_ARGV = [
+    ["--config", "a.ini", "ep"],
+    ["--config", "a.ini", "petermann", "--g-min", "49.0", "--g-max", "51.0", "--g-points", "5"],
+    ["--config", "a.ini", "--json", "petermann", "--delta-mode", "both", "--g-min", "40", "--g-max", "60"],
+    ["--config", "a.ini", "--json", "eigs", "--markovian-ref", "--g-min", "40", "--g-max", "60"],
+    ["--config", "a.ini", "--json", "spectrum", "--omega-min", "900.5", "--omega-max", "1100"],
+    ["--config", "a.ini", "--json", "embedcheck", "--dt", "1e-9", "--t-final", "1e-6"],
+    ["--quiet", "--out", "-1", "--quiet", "eigs", "--g-min", "-1e3", "--g-points", "-5", "--delta-mode", ""],
+    ["spectrum", "--markovian-only", "--omega-points", "11", "--omega-min", "-.5"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV)
+def test_plain_args_take_the_plain_forms(argv):
+    """The forms the benchmark runs, and plain forms with repeated options and
+    negative or empty values, are read off the tables, equal to parse_args."""
+    plain = cli._plain_args(argv)
+    assert plain is not None and _items(plain) == _items(_argparse_reading(argv))
+
+
+@pytest.mark.parametrize("argv", [["--config", 1, "ep"], [1, "ep"], [["ep"]], ["eigs", "--g-min", None]])
+def test_plain_args_leave_tokens_that_are_not_strings_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def _toy_grammar():
+    """A grammar with what the package's own lacks: a choices option, a mutually
+    exclusive pair, a count and an append action, an option string that looks
+    like a negative number, a sub option that abbreviates two main options, a
+    set_defaults dest, and subcommands with a required option, a string default
+    to convert, a positional and a name that starts with a dash."""
+    parser = cli._Parser(prog="toy")
+    parser.add_argument("--n", type=int, default=1)
+    parser.add_argument("--mode", choices=["a", "b"])
+    pair = parser.add_mutually_exclusive_group()
+    pair.add_argument("--left", action="store_true")
+    pair.add_argument("--right", action="store_true")
+    parser.add_argument("--count", action="count", default=0)
+    parser.add_argument("--alpha-one")
+    parser.add_argument("--alpha-two")
+    parser.add_argument("-5", dest="five", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run")
+    run.add_argument("--x", type=float, default=0.0)
+    run.add_argument("--tag", action="append")
+    run.add_argument("--alpha")
+    run.set_defaults(handler="run")
+    sub.add_parser("need").add_argument("--must", required=True)
+    sub.add_parser("conv").add_argument("--scale", type=float, default="2.5")
+    sub.add_parser("pos").add_argument("name", nargs="*", default=None)
+    sub.add_parser("-dash")
+    return parser
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["--n", "3", "--alpha-one", "a", "run", "--x", "1", "--x", "2"], True),
+    (["--mode", "a", "run"], False),
+    (["--left", "--right", "run"], False),
+    (["--count", "run"], False),
+    (["run", "--tag", "t"], False),
+    (["run", "--alpha", "1"], False),
+    (["--n", "-3", "run"], False),
+    (["need", "--must", "1"], False),
+    (["conv"], False),
+    (["pos"], False),
+    (["pos", "n"], False),
+    (["-dash"], False),
+])
+def test_plain_args_leave_what_they_do_not_read_to_argparse(monkeypatch, argv, plain):
+    """On a grammar with the actions, options and subcommands the table reading
+    does not read, it reads the plain forms as parse_args does and hands the
+    rest to argparse, whose reading may differ from a plain one: --alpha is an
+    ambiguous option to the main parser, -3 an option, as -5 is one, -dash an
+    option, not a command, and the positional's value [] where no token fills it."""
+    parser = _toy_grammar()
+    monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+    got = cli._plain_args(argv)
+    if plain:
+        assert got is not None and _items(got) == _items(_argparse_reading(argv))
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("setting, value", [({"prefix_chars": "-+"}, "+x"), ({"fromfile_prefix_chars": "@"}, "@args")],
+                         ids=["prefix_chars", "fromfile_prefix_chars"])
+def test_plain_args_leave_other_prefixes_and_argument_files_to_argparse(monkeypatch, setting, value):
+    """Where + is a prefix character, +x is an option, not a value; where @ marks
+    an argument file, @args is that file's arguments."""
+    parser = cli._Parser(prog="toy", **setting)
+    parser.add_argument("--n")
+    parser.add_subparsers(dest="command", required=True).add_parser("run")
+    monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+    assert cli._plain_args(["--n", value, "run"]) is None
+
+
+def test_argv_forms_print_argparse_bytes(capsys, monkeypatch):
+    """Each argv form of tools/parity.py, run in one process after calls read off
+    the tables, prints what parse_args alone prints: the same exit code, stdout
+    and stderr, byte for byte."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    plain = ["--json", "eigs", "--g-points", "6", "--delta-mode", "value:-1000"]
+    assert cli._plain_args(plain) is not None
+    forms = [*parity.ARGV_FORMS.values(), plain]
+    read = []
+    for argv in forms:
+        _run(plain, capsys)
+        read.append(_run(argv, capsys))
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert [_run(argv, capsys) for argv in forms] == read
+    assert read[0][0] == 0 and read[0][1].startswith("usage: eprenorm ")
+
+
+def test_main_reads_sys_argv_and_leaves_the_callers_list(capsys, monkeypatch):
+    """main(None) reads sys.argv[1:], a tuple or an iterator reads as its list, and
+    the caller's list is not changed."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1756080000")
+    argv = ["--json", "eigs", "--g-points", "6"]
+    listed = _run(argv, capsys)
+    assert argv == ["--json", "eigs", "--g-points", "6"] and listed[0] == 0
+    monkeypatch.setattr(sys, "argv", ["eprenorm", *argv])
+    assert _run(None, capsys) == listed
+    assert _run(tuple(argv), capsys) == listed
+    assert _run(iter(argv), capsys) == listed

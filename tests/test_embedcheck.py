@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,6 +603,36 @@ def test_kernel_check_is_the_trapezoid_rule_to_rounding(params):
     rng = np.random.default_rng(35)
     for p in [params, *(draw_system(rng) for _ in range(20))]:
         assert math.isclose(kernel_fourier_error(p), _kernel_error_trapezoid(p), rel_tol=1e-11, abs_tol=0.0)
+
+
+_KERNEL_BITS_CHILD = """
+import numpy as np
+from draws import draw_system
+from eprenorm import SystemParams
+from eprenorm.embedcheck import kernel_fourier_error
+rng = np.random.default_rng(36)
+devices = [SystemParams.from_hz(freq_hz=1e6, kappa_hz=0.2e6, gamma_hz=5e3, cutoff_hz=1e6)]
+devices += [draw_system(rng) for _ in range(20)]
+print(" ".join(float.hex(kernel_fourier_error(p)) for p in devices))
+"""
+
+
+def test_kernel_check_bits_do_not_depend_on_blas_threads():
+    """kernel_fourier_err has the same bits under one BLAS thread and under two, on
+    the defaults and 20 devices.  A dot product of the 20,001 nodes would not:
+    OpenBLAS splits a ddot that long across its threads, and under two threads
+    186 of 301 devices (the defaults and 300 draws) gave other last bits than
+    under one."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_BITS_CHILD], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout.split())
+    assert len(bits[0]) == 21 and bits[0] == bits[1]
 
 
 def test_kernel_weights_are_one_read_only_table():

@@ -31,7 +31,8 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     spectrum, the five golden argv on the fast_bath, slow_bath, tiny_gamma and
     kappa_equals_gamma edges, eigs --markovian-ref from g = 0 on the last of
     them and eigs and petermann on a coupling grid up to about 1.7e308 rad/s,
-    each as CSV and as JSON: 1,154 runs."""
+    each as CSV and as JSON: 1,154 runs.  Beside those, each argv form of
+    ARGV_FORMS runs once."""
     assert parity.OVERDAMPED_PINNED == {"cycle": _OVERDAMPED_CYCLE, "other_ep": _OVERDAMPED_OTHER_EP}
     ids = [run["id"] for run in parity.build_corpus(str(tmp_path))]
     assert len(ids) == len(set(ids))
@@ -45,9 +46,10 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
             for name in CASES for fmt in ("csv", "json")}
     new |= {f"edge-kappa_equals_gamma-eigs-from-zero-{fmt}" for fmt in ("csv", "json")}
     new |= {f"top-of-range-{command}-{fmt}" for command in ("eigs", "petermann") for fmt in ("csv", "json")}
-    assert new <= set(ids)
-    assert len(set(ids) - new) == 950
-    assert len(ids) == 1154
+    forms = {f"argv-{name}" for name in parity.ARGV_FORMS}
+    assert new <= set(ids) and forms <= set(ids)
+    assert len(set(ids) - new - forms) == 950
+    assert len(ids) == 1154 + len(forms) == 1173
 
 
 @pytest.mark.parametrize("name", ["ep.csv", "ep.json", "eigs.csv", "eigs.json"])

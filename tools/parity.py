@@ -26,7 +26,12 @@ the side's own directory written as <side> in them.  The corpus is:
   strongly over-damped devices of OVERDAMPED_PINNED and on OVERDAMPED_DRAWS
   seeded draws over OVERDAMPED_RANGES, each g grid centred on the device's
   memoryless g_ep;
-- every run once as CSV and once as JSON.
+- every run above once as CSV and once as JSON;
+- the argv forms of ARGV_FORMS, once each at the default configuration:
+  help and each command's help, an abbreviation, --flag=value, negative
+  values, a repeated option, and the usage errors of a missing or bad value,
+  an unknown flag, a second command, --json after the command and an empty
+  argv, so that argparse's help, usage and error bytes are compared too.
 
 The report gives the number of runs whose exit code, stdout and stderr are
 byte-identical.  For every other run it names the changed exit code, the
@@ -71,6 +76,24 @@ GOLDEN_ARGV = {
     "petermann": ["petermann", "--g-points", "41", "--delta-mode", "both"],
     "spectrum": ["spectrum", "--omega-points", "201"],
     "embedcheck": ["embedcheck"],
+}
+# Argv forms beyond the plain [global option]* command [command option]* (run as they stand).
+ARGV_FORMS = {
+    "help": ["-h"],
+    **{f"{command}-help": [command, "-h"] for command in GOLDEN_ARGV},
+    "abbreviation": ["eigs", "--g-mi", "45", "--g-points", "5"],
+    "equals": ["eigs", "--g-min=45", "--g-points", "5"],
+    "negative-exponent": ["eigs", "--g-min", "-1e3"],
+    "negative-fraction": ["petermann", "--g-min", "-.5"],
+    "negative-detuning": ["petermann", "--delta-mode", "value:-2e6", "--g-points", "2"],
+    "repeated": ["eigs", "--g-points", "41", "--g-points", "5"],
+    "missing-value": ["eigs", "--g-points"],
+    "bad-int": ["eigs", "--g-points", "x"],
+    "infinite": ["eigs", "--g-min", "inf"],
+    "unknown-flag": ["eigs", "--bogus-flag"],
+    "second-command": ["ep", "ep"],
+    "json-after-command": ["ep", "--json"],
+    "empty": [],
 }
 # Couplings 0 to 2.7e304 kHz, about 1.7e308 rad/s: branch ordering and tracking must not overflow.
 TOP_OF_RANGE_GRID = ["--g-min", "0", "--g-max", "2.7e304", "--g-points", "3"]
@@ -181,6 +204,7 @@ def build_corpus(directory: str) -> list:
         window = ["--g-min", repr(0.8 * g_hz / 1e3), "--g-max", repr(1.2 * g_hz / 1e3), "--g-points", "41"]
         for argv in (["ep"], ["eigs", "--delta-mode", "exact", *window], ["petermann", "--delta-mode", "both", *window]):
             runs += both_formats(f"overdamped-{name}-{argv[0]}", ["--config", path, *argv])
+    runs += [{"id": f"argv-{name}", "argv": argv} for name, argv in ARGV_FORMS.items()]
     return runs
 
 
