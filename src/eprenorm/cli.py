@@ -27,12 +27,13 @@ faulted in again on every table.
 main(argv) may be called repeatedly in one process; the parser is built on
 the first call and reused.  Plain argv ([global option]* command [command
 option]*, each option exact and each value the next token) are read by
-_plain_args off tables built once from that parser's own actions and
-defaults, into the Namespace parse_args would return; help, errors,
-abbreviations, --flag=value and "--" still go through argparse.  Exit
-codes: 0 success, 1 invalid configuration, arguments, output path or
-SOURCE_DATE_EPOCH, or a warning raised as an error, 2 solver failure, 3
-failed numerical check.
+_plain_args off tables built on first use from that parser's store and
+store_true actions, the only option kinds build_parser() declares (a test
+pins its grammar to them), into the Namespace parse_args would return;
+help, errors, abbreviations, --flag=value and "--" still go through
+argparse.  Exit codes: 0 success, 1 invalid configuration, arguments,
+output path or SOURCE_DATE_EPOCH, or a warning raised as an error, 2
+solver failure, 3 failed numerical check.
 """
 
 from __future__ import annotations
@@ -72,13 +73,17 @@ EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
 
+# A token that reads as a negative number, such as -1e3 or -.5: a value, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 1, not 2, and which reads
     a value such as -1e3 as a negative number, not an option, as it reads -1000."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -102,9 +107,10 @@ def _manifest(args, p: SystemParams, d: DriveParams, grid: dict) -> dict:
     raw = os.environ.get("SOURCE_DATE_EPOCH", "").strip()
     if raw and not (raw.isascii() and raw.isdigit()):
         raise ConfigError(f"SOURCE_DATE_EPOCH={raw!r} is not a whole number of seconds (ASCII digits only)")
-    if raw and (len(raw.lstrip("0")) > len(str(MAX_EPOCH)) or int(raw) > MAX_EPOCH):
+    digits = raw.lstrip("0") or "0"  # int() refuses a string past 4,300 digits, zeros included
+    if len(digits) > len(str(MAX_EPOCH)) or int(digits) > MAX_EPOCH:
         raise ConfigError(f"SOURCE_DATE_EPOCH={raw} is out of range (at most {MAX_EPOCH})")
-    epoch = int(raw) if raw else int(time.time())
+    epoch = int(digits) if raw else int(time.time())
     return {
         "command": args.command,
         "params_hz": {**p.as_hz_dict(), **d.as_hz_dict()},
@@ -620,68 +626,25 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# The actions that store their const and take no value: the flags _plain_args reads.
-_STORE_CONST = (argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction)
-# An option string that begins like a negative number: with one, argparse may read a value such as -1 as an option.
-_NEGATIVE_LOOKALIKE = re.compile(r"-[\d.]")
-
-
-def _option_table(parser, main, command_action=None):
-    """(options, defaults, negative) of one parser of main's grammar, or None when
-    the parser has what _plain_args does not read: a positional (other than main's
-    command_action), a required option, prefix characters other than "-", argument
-    files, or a string default that its type would convert.
-
-    options maps each exact option string of a store action (one value, no
-    choices) or a store_const action (no value), outside any mutually exclusive
-    group, to (dest, type function or None, const), unless the string abbreviates
-    two of main's own options: main's parser reads every token of argv and
-    stops there as ambiguous.  defaults is what parse_known_args starts from.
-    negative is the parser's negative-number match, or None where some option
-    string of either parser begins like a negative number.
-    """
-    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
-        return None
-    grouped = {action for group in parser._mutually_exclusive_groups for action in group._group_actions}
-    strings = [string for action in (*main._actions, *parser._actions) for string in action.option_strings]
-    negative = None if any(map(_NEGATIVE_LOOKALIKE.match, strings)) else parser._negative_number_matcher.match
-    options, defaults = {}, {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        if action is command_action:
-            continue
-        if action.required or not action.option_strings or (isinstance(action.default, str) and action.type):
-            return None
-        if action in grouped or action.choices is not None or getattr(action, "deprecated", False):
-            continue
-        if type(action) is argparse._StoreAction and action.nargs is None:
-            entry = (action.dest, parser._registry_get("type", action.type, action.type), None)
-        elif type(action) in _STORE_CONST:
-            entry = (action.dest, None, action.const)
-        else:
-            continue
-        options.update((string, entry) for string in action.option_strings
-                       if len(main._get_option_tuples(string)) < 2)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults, negative
-
-
-@functools.lru_cache(maxsize=1)
-def _plain_tables(parser):
-    """The option table of parser and {command: (command dest, option table)} of its
-    subcommands (see _option_table); empty where argparse alone can read argv."""
-    commands = next((action for action in parser._actions if isinstance(action, argparse._SubParsersAction)), None)
-    table = None if commands is None else _option_table(parser, parser, commands)
-    if table is None:
-        return ({}, {}, None), {}
-    subtables = {name: _option_table(sub, parser) for name, sub in commands.choices.items() if name[:1] != "-"}
-    return table, {name: (commands.dest, sub) for name, sub in subtables.items() if sub is not None}
+@functools.cache
+def _plain_tables():
+    """{None: the main parser's table, command: its subparser's table} of the shared
+    parser, each (options, defaults): options maps each option string of a store
+    or store_true action to (dest, type or None, takes a value), and defaults is
+    what parse_known_args starts from."""
+    main = _shared_parser()
+    commands = next(action for action in main._actions if isinstance(action, argparse._SubParsersAction))
+    tables = {}
+    for name, parser in [(None, main), *commands.choices.items()]:
+        actions = [action for action in parser._actions if action.default is not argparse.SUPPRESS]  # not help
+        options = {string: (action.dest, action.type, action.nargs is None)
+                   for action in actions for string in action.option_strings}
+        tables[name] = options, {action.dest: action.default for action in actions}
+    return tables
 
 
 def _plain_args(argv):
-    """The shared parser's parse_args(argv) for plain argv, read off its own tables,
+    """The shared parser's parse_args(argv) for plain argv, read off _plain_tables,
     or None, where main() hands argv to parse_args.
 
     Plain argv are [global option]* command [command option]*: each option an
@@ -689,9 +652,12 @@ def _plain_args(argv):
     value the next token, starting with "-" only where it reads as a negative
     number, and converting through its type.  Anything else, help,
     abbreviations, --flag=value, "--", a missing command or value and every
-    error among them, is argparse's to read and to word.
+    error among them, is argparse's to read and to word.  The tables read
+    store and store_true options alone, the two kinds build_parser() declares;
+    test_build_parser_declares_only_what_plain_args_reads pins its grammar to them.
     """
-    (options, values, negative), commands = _plain_tables(_shared_parser())
+    tables = _plain_tables()
+    options, values = tables[None]
     values = dict(values)
     command = None
     tokens = iter(argv)
@@ -700,23 +666,23 @@ def _plain_args(argv):
             return None
         entry = options.get(token)
         if entry is None:
-            if command is not None or token not in commands:
+            if command is not None or token not in tables:
                 return None
             command = token
-            dest, (options, defaults, negative) = commands[token]
+            options, defaults = tables[token]
             # parse_args sets the command, then lays the subparser's own namespace over it.
-            values[dest] = command
+            values["command"] = command
             values.update(defaults)
             continue
-        dest, convert, const = entry
-        if convert is None:
-            values[dest] = const
+        dest, convert, takes_value = entry
+        if not takes_value:
+            values[dest] = True
             continue
         value = next(tokens, None)
-        if not isinstance(value, str) or (value[:1] == "-" and not (negative and negative(value))):
+        if not isinstance(value, str) or (value[:1] == "-" and not _NEGATIVE_NUMBER.match(value)):
             return None
         try:
-            values[dest] = convert(value)
+            values[dest] = convert(value) if convert else value
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
     if command is None:

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -657,74 +658,37 @@ def test_plain_args_leave_tokens_that_are_not_strings_to_argparse(argv):
     assert cli._plain_args(argv) is None
 
 
-def _toy_grammar():
-    """A grammar with what the package's own lacks: a choices option, a mutually
-    exclusive pair, a count and an append action, an option string that looks
-    like a negative number, a sub option that abbreviates two main options, a
-    set_defaults dest, and subcommands with a required option, a string default
-    to convert, a positional and a name that starts with a dash."""
-    parser = cli._Parser(prog="toy")
-    parser.add_argument("--n", type=int, default=1)
-    parser.add_argument("--mode", choices=["a", "b"])
-    pair = parser.add_mutually_exclusive_group()
-    pair.add_argument("--left", action="store_true")
-    pair.add_argument("--right", action="store_true")
-    parser.add_argument("--count", action="count", default=0)
-    parser.add_argument("--alpha-one")
-    parser.add_argument("--alpha-two")
-    parser.add_argument("-5", dest="five", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run")
-    run.add_argument("--x", type=float, default=0.0)
-    run.add_argument("--tag", action="append")
-    run.add_argument("--alpha")
-    run.set_defaults(handler="run")
-    sub.add_parser("need").add_argument("--must", required=True)
-    sub.add_parser("conv").add_argument("--scale", type=float, default="2.5")
-    sub.add_parser("pos").add_argument("name", nargs="*", default=None)
-    sub.add_parser("-dash")
-    return parser
-
-
-@pytest.mark.parametrize("argv, plain", [
-    (["--n", "3", "--alpha-one", "a", "run", "--x", "1", "--x", "2"], True),
-    (["--mode", "a", "run"], False),
-    (["--left", "--right", "run"], False),
-    (["--count", "run"], False),
-    (["run", "--tag", "t"], False),
-    (["run", "--alpha", "1"], False),
-    (["--n", "-3", "run"], False),
-    (["need", "--must", "1"], False),
-    (["conv"], False),
-    (["pos"], False),
-    (["pos", "n"], False),
-    (["-dash"], False),
-])
-def test_plain_args_leave_what_they_do_not_read_to_argparse(monkeypatch, argv, plain):
-    """On a grammar with the actions, options and subcommands the table reading
-    does not read, it reads the plain forms as parse_args does and hands the
-    rest to argparse, whose reading may differ from a plain one: --alpha is an
-    ambiguous option to the main parser, -3 an option, as -5 is one, -dash an
-    option, not a command, and the positional's value [] where no token fills it."""
-    parser = _toy_grammar()
-    monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
-    got = cli._plain_args(argv)
-    if plain:
-        assert got is not None and _items(got) == _items(_argparse_reading(argv))
-    else:
-        assert got is None
-
-
-@pytest.mark.parametrize("setting, value", [({"prefix_chars": "-+"}, "+x"), ({"fromfile_prefix_chars": "@"}, "@args")],
-                         ids=["prefix_chars", "fromfile_prefix_chars"])
-def test_plain_args_leave_other_prefixes_and_argument_files_to_argparse(monkeypatch, setting, value):
-    """Where + is a prefix character, +x is an option, not a value; where @ marks
-    an argument file, @args is that file's arguments."""
-    parser = cli._Parser(prog="toy", **setting)
-    parser.add_argument("--n")
-    parser.add_subparsers(dest="command", required=True).add_parser("run")
-    monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
-    assert cli._plain_args(["--n", value, "run"]) is None
+def test_build_parser_declares_only_what_plain_args_reads():
+    """_plain_args reads store and store_true options off tables and stores each as
+    parse_args would only where the grammar has no more than that: every action of
+    the main parser and of each subparser is the help action, the one subparsers
+    action (dest "command", which _plain_args and main read) or a store (one value, no choices, not required, no string default to
+    convert) or store_true option, with no mutually exclusive group, set_defaults
+    entry, other prefix character or argument file; no option string reads as a
+    negative number, so a value such as -1 is never an option; and no command's
+    option string abbreviates two global ones, which the main parser, reading every
+    token, would stop at as ambiguous."""
+    main = cli.build_parser()
+    commands = [action for action in main._actions if isinstance(action, argparse._SubParsersAction)]
+    assert len(commands) == 1 and commands[0].dest == "command"
+    assert not any(name.startswith("-") for name in commands[0].choices)
+    global_strings = [string for action in main._actions for string in action.option_strings]
+    for parser in [main, *commands[0].choices.values()]:
+        assert isinstance(parser, cli._Parser) and parser._defaults == {}
+        assert not parser._mutually_exclusive_groups
+        assert parser.prefix_chars == "-" and parser.fromfile_prefix_chars is None
+        for action in parser._actions:
+            assert not getattr(action, "deprecated", False)  # Python 3.13's option that warns when used
+            if type(action) is argparse._StoreAction:
+                assert action.option_strings and action.nargs is None and action.choices is None
+                assert not action.required and not (isinstance(action.default, str) and action.type)
+            else:
+                assert (type(action) in (argparse._HelpAction, argparse._StoreTrueAction)
+                        or (parser is main and action is commands[0]))
+            for string in action.option_strings:
+                # Nor begins like one: argparse reads a value -1 as an abbreviation of an option -1x.
+                assert not cli._NEGATIVE_NUMBER.match(string) and not re.match(r"-[\d.]", string)
+                assert parser is main or sum(other.startswith(string) for other in global_strings) < 2
 
 
 def test_argv_forms_print_argparse_bytes(capsys, monkeypatch):

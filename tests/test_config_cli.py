@@ -925,6 +925,8 @@ def test_cli_embedcheck_fast_drive_rate_sets_the_step(tmp_path, capsys, ini):
         (None, "100000000000000000000", "SOURCE_DATE_EPOCH=100000000000000000000 is out of range", None),
         (None, "300000000000", "SOURCE_DATE_EPOCH=300000000000 is out of range", None),
         (None, "9" * 5000, f"SOURCE_DATE_EPOCH={'9' * 5000} is out of range", None),
+        (None, "0" * 5000 + "1", None, "1970-01-01T00:00:01Z"),
+        (None, "0" * 5000, None, "1970-01-01T00:00:00Z"),
         (None, "253402300799", None, "9999-12-31T23:59:59Z"),
         (None, "\u00b2", "SOURCE_DATE_EPOCH='\u00b2' is not a whole number of seconds", None),
         (None, "abc", "SOURCE_DATE_EPOCH='abc' is not a whole number of seconds", None),
@@ -940,6 +942,8 @@ def test_cli_embedcheck_fast_drive_rate_sets_the_step(tmp_path, capsys, ini):
         "epoch_overflow",
         "epoch_past_9999",
         "epoch_5000_digits",
+        "epoch_5000_leading_zeros",
+        "epoch_5000_zeros",
         "epoch_last",
         "epoch_superscript_two",
         "epoch_letters",
@@ -954,8 +958,8 @@ def test_cli_boundary_failures_exit_1(tmp_path, capsys, monkeypatch, out, epoch,
     """An unwritable --out path, a SOURCE_DATE_EPOCH past 9999-12-31T23:59:59Z
     or one that is not ASCII digits after stripping exits 1 with a one-line
     message instead of a traceback, so an artifact asked to be pinned is never
-    stamped with the clock; an unset or blank value stamps the current time
-    (pinned to 0 here)."""
+    stamped with the clock; leading zeros, however many, pad the value they
+    precede; an unset or blank value stamps the current time (pinned to 0 here)."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     monkeypatch.setattr(time, "time", lambda: 0.0)
     argv = ["ep"] if out is None else ["--out", str(tmp_path / out), "ep"]

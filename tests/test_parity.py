@@ -49,7 +49,7 @@ def test_corpus_reaches_over_damped_devices_and_the_gamma_zero_dip(tmp_path):
     forms = {f"argv-{name}" for name in parity.ARGV_FORMS}
     assert new <= set(ids) and forms <= set(ids)
     assert len(set(ids) - new - forms) == 950
-    assert len(ids) == 1154 + len(forms) == 1173
+    assert len(ids) == 1154 + len(forms) == 1178
 
 
 @pytest.mark.parametrize("name", ["ep.csv", "ep.json", "eigs.csv", "eigs.json"])

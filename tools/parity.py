@@ -29,9 +29,12 @@ the side's own directory written as <side> in them.  The corpus is:
 - every run above once as CSV and once as JSON;
 - the argv forms of ARGV_FORMS, once each at the default configuration:
   help and each command's help, an abbreviation, --flag=value, negative
-  values, a repeated option, and the usage errors of a missing or bad value,
-  an unknown flag, a second command, --json after the command and an empty
-  argv, so that argparse's help, usage and error bytes are compared too.
+  values, a repeated option, a repeated flag, and the usage errors of a
+  missing or bad value, an unknown flag, a second command, --json after the
+  command, an empty argv, "--" before or after the command, an option where
+  a value belongs and a value "-1e" that reads as neither a number nor an
+  option string, so that argparse's help, usage and error bytes are
+  compared too.
 
 The report gives the number of runs whose exit code, stdout and stderr are
 byte-identical.  For every other run it names the changed exit code, the
@@ -94,6 +97,11 @@ ARGV_FORMS = {
     "second-command": ["ep", "ep"],
     "json-after-command": ["ep", "--json"],
     "empty": [],
+    "end-of-options-first": ["--", "ep"],
+    "end-of-options-last": ["ep", "--"],
+    "option-as-value": ["--config", "--json", "ep"],
+    "repeated-flag": ["--json", "--json", "ep"],
+    "bare-exponent": ["eigs", "--g-min", "-1e"],
 }
 # Couplings 0 to 2.7e304 kHz, about 1.7e308 rad/s: branch ordering and tracking must not overflow.
 TOP_OF_RANGE_GRID = ["--g-min", "0", "--g-max", "2.7e304", "--g-points", "3"]
