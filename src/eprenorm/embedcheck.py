@@ -216,7 +216,8 @@ def convergence_order(p: SystemParams, d: DriveParams, init, t_final: float):
     4n run checked against MAX_STEPS before any work starts.  Each endpoint
     is P^m @ init (_order_endpoints), so no trajectory is stepped or stored.
     Returns (order, ratio) with ratio = |y_h - y_h/2| / |y_h/2 - y_h/4| and
-    order = log2(ratio), near 4 for RK4.
+    order = log2(ratio), near 4 for RK4; (inf, inf) where y_h/2 = y_h/4,
+    as for a zero init.
     """
     n = _order_steps(p, d, t_final)
     ends = _order_endpoints(drift_nonmarkovian(p, d), (init[0], init[1], init[2]), n, t_final)

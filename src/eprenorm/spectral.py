@@ -66,9 +66,8 @@ DEGENERACY_RTOL = 1e-3
 IMAG_TIE_RTOL = 1e-9
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (2, 3)}
-# _COMPOSE[i][j] indexes _PERMS[3][j][_PERMS[3][i]]: order i, then step j (0 is the identity).
-# Two modes need no table: their composed order is the running parity of the swaps.
-_COMPOSE = [[_PERMS[3].tolist().index(b[a].tolist()) for b in _PERMS[3]] for a in _PERMS[3]]
+# _COMPOSE[n][i][j] indexes _PERMS[n][j][_PERMS[n][i]]: order i, then step j (0 is the identity).
+_COMPOSE = {n: [[p.tolist().index(b[a].tolist()) for b in p] for a in p] for n, p in _PERMS.items()}
 # _MATCHED[n][j, q]: the distance entry i * n + j, i = _PERMS[n][q][j], that permutation q takes for mode j.
 _MATCHED = {n: (p * n + np.arange(n)).T for n, p in _PERMS.items()}
 _PAIRS = {n: np.triu_indices(n, 1) for n in (2, 3)}
@@ -229,38 +228,33 @@ def _continuity_order(lams: np.ndarray) -> np.ndarray:
     (branch tracking).  A permutation's distance sums its modes in order,
     (d_0 + d_1) + d_2.  Distances are taken on lams / 16, exact above the
     subnormals, so no finite input overflows: a part of a difference is at
-    most DBL_MAX / 8, and three distances sum below DBL_MAX.  For n = 2 the
-    composed order is the running parity of the swaps; for n = 3 each step
-    that moves is composed through the _COMPOSE table.
+    most DBL_MAX / 8, and three distances sum below DBL_MAX.  Each step that
+    moves is composed through the _COMPOSE[n] table, for 2 modes as for 3.
     """
     n = lams.shape[1]
-    perms = _PERMS[n]
+    compose = _COMPOSE[n]
     scaled = np.multiply(lams.T, 0.0625, order="C")  # mode-major, so each difference below runs along the grid
     # dist[i * n + j, r] = |lam_i of row r + 1 - lam_j of row r| (scaled), and cost[q, r] that of _PERMS[n][q].
     dist = np.abs(scaled[:, None, 1:] - scaled[None, :, :-1]).reshape(n * n, -1)
     cost = reduce(np.add, dist[_MATCHED[n]])
     steps = cost.argmin(axis=0)
-    if n == 2:
-        order = np.zeros(len(lams), np.intp)
-        np.bitwise_xor.accumulate(steps, out=order[1:])
-    else:
-        # Only the steps that move compose; a row takes the order composed over the moves before it.
-        moves = steps.nonzero()[0]
-        orders = np.fromiter(accumulate(steps[moves].tolist(), lambda o, s: _COMPOSE[o][s], initial=0), np.intp)
-        order = orders[np.searchsorted(moves, np.arange(len(lams)))]
-    return perms[order]
+    # Only the steps that move compose; a row takes the order composed over the moves before it.
+    moves = steps.nonzero()[0]
+    orders = np.fromiter(accumulate(steps[moves].tolist(), lambda o, s: compose[o][s], initial=0), np.intp)
+    return _PERMS[n][orders[np.searchsorted(moves, np.arange(len(lams)))]]
 
 
 def _charpoly(lam, m00, m11, m22, s01, s02, s12, triple):
-    """(det(lam - M), its three diagonal cofactors) for symmetric 3x3 rows of M, in cofactor form.
+    """(det(lam - M), d det / d lam, its three diagonal cofactors) for symmetric 3x3 rows of M, in cofactor form.
 
     Each entry argument holds one entry of every matrix, (N,): the diagonal
     m_ii, the squared off-diagonal entries s_ij = m_ij^2 and triple = -2 m01
-    m02 m12; lam is (N,) or mode-major (n, N).  The cofactors sum to d det / d lam.
+    m02 m12; lam is (N,) or mode-major (n, N).  The derivative is the sum of
+    the cofactors, (c0 + c1) + c2.
     """
     d0, d1, d2 = lam - m00, lam - m11, lam - m22
     c0, c1, c2 = d1 * d2 - s12, d0 * d2 - s02, d0 * d1 - s01
-    return d0 * c0 - d1 * s02 - d2 * s01 + triple, (c0, c1, c2)
+    return d0 * c0 - d1 * s02 - d2 * s01 + triple, c0 + c1 + c2, (c0, c1, c2)
 
 
 def _closed_eigvals(stack: np.ndarray):
@@ -283,13 +277,13 @@ def _closed_eigvals(stack: np.ndarray):
     the row scale: a pair far smaller than x (a fast bath's hybrid modes)
     keeps its own relative accuracy, and a defective pair's midpoint is
     exact to rounding, where Cardano's start is off by sqrt(eps) of the
-    scale.  defective is _defective of these roots.  Every root outside a
-    defective pair then takes one Newton step on p from its accurate start;
-    a defective pair takes none, as a Newton step from a double root moves
-    it by noise.  A start is good to eps of the row scale only, so a root
+    scale.  defective is _defective of these roots.  One loop of at most 9
+    Newton steps on p follows.  The first step moves every root outside a
+    defective pair (a step from a double root moves it by noise), and each
+    later one the roots that the step before moved by more than 1e-3 of
+    themselves.  A start is good to eps of the row scale only, so a root
     far below that scale (a slow bath's, or the bath's beside a huge
-    coupling) takes further steps, at most 8, while its last one moved it by
-    more than 1e-3 of itself.
+    coupling) takes the later steps.
 
     Each root is then accurate to about 1e-14 of the row's largest |lam|,
     and each outside a defective pair to its own magnitude, down to a root
@@ -321,8 +315,7 @@ def _closed_eigvals(stack: np.ndarray):
     entries = (m00, m11, m22, m01 * m01, m02 * m02, m12 * m12, -2.0 * m01 * m02 * m12)
     # t = lam - mean solves t^3 + p t + q = 0, with q = det(mean - M) and p its lam-derivative there.
     mean = (m00 + m11 + m22) / 3.0
-    q, (c0, c1, c2) = _charpoly(mean, *entries)
-    p = c0 + c1 + c2
+    q, p, _ = _charpoly(mean, *entries)
     s = np.sqrt(q * q / 4.0 + p * p * p / 27.0)
     w = (np.where((q.conj() * s).real > 0.0, -s, s) - q / 2.0) ** (1.0 / 3.0) * _CUBE_ROOTS
     starts = w - p / (3.0 * np.where(w == 0.0, 1.0, w)) + mean  # w = 0 only where p = q = 0
@@ -331,27 +324,24 @@ def _closed_eigvals(stack: np.ndarray):
     closest = np.abs(starts[iu] - starts[ju]).argmin(axis=0)
     x = starts[_FAR[closest], rows]
     c = (starts[iu[closest], rows] + starts[ju[closest], rows]) / 2.0
-    pc, (c0, c1, c2) = _charpoly(c, *entries)
+    pc, slope, _ = _charpoly(c, *entries)
     y = c - x
     y = np.where(y == 0.0, 1.0, y)  # a triple root: p(c) = p'(c) = 0 whatever y is
     uv = pc / y
-    half = (c0 + c1 + c2 - uv) / (2.0 * y)  # (u + v) / 2
+    half = (slope - uv) / (2.0 * y)  # (u + v) / 2
     lams = np.concatenate([x[None], c - half + np.sqrt(half * half - uv) * _SIGNS])
     defective = _defective(lams.T).T  # mode-major, as lams
-    det, (c0, c1, c2) = _charpoly(lams, *entries)
-    slope = c0 + c1 + c2
-    simple = slope != 0.0
-    ks = np.divide(np.abs(c0) + np.abs(c1) + np.abs(c2), np.abs(slope), out=np.full(slope.shape, np.inf), where=simple)
-    step = np.divide(det, slope, out=np.zeros_like(det), where=simple & ~defective)
-    lams -= step
-    for _ in range(8):
-        small = np.abs(step) > 1e-3 * np.abs(lams)
-        if not small.any():
-            break
-        det, (c0, c1, c2) = _charpoly(lams, *entries)
-        slope = c0 + c1 + c2
-        step = np.divide(det, slope, out=np.zeros_like(det), where=small & (slope != 0.0))
+    det, slope, (c0, c1, c2) = _charpoly(lams, *entries)
+    ks = np.divide(np.abs(c0) + np.abs(c1) + np.abs(c2), np.abs(slope), out=np.full(slope.shape, np.inf), where=slope != 0.0)
+    moving = ~defective & (slope != 0.0)
+    for _ in range(9):
+        step = np.divide(det, slope, out=np.zeros_like(det), where=moving)
         lams -= step
+        moving = np.abs(step) > 1e-3 * np.abs(lams)
+        if not moving.any():
+            break
+        det, slope = _charpoly(lams, *entries)[:2]
+        moving &= slope != 0.0
     ks *= ks
     return _unscaled(lams, exponent), ks.T, defective.T
 

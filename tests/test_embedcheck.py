@@ -483,7 +483,8 @@ def test_stacked_order_pass_matches_per_step_size_powers_bit_for_bit(params, dri
 
 
 def test_convergence_order_builds_no_trajectory(params, drive, monkeypatch):
-    """The order check reads endpoints from propagator powers, never from a stepped run."""
+    """The order check reads endpoints from propagator powers, never from a stepped run.
+    A zero init has equal endpoints, so no differences: it reads (inf, inf)."""
 
     def no_trajectory(*args):
         raise AssertionError("the order check stepped a trajectory")
@@ -492,6 +493,7 @@ def test_convergence_order_builds_no_trajectory(params, drive, monkeypatch):
     order, ratio = convergence_order(params, drive, (1.0, 1.0, 0.0), 20.0 / params.kappa)
     assert abs(order - 4.0) <= 0.05
     assert 12.0 <= ratio <= 20.0
+    assert convergence_order(params, drive, (0.0, 0.0, 0.0), 20.0 / params.kappa) == (math.inf, math.inf)
 
 
 def test_runs_end_at_t_final(params, drive):

@@ -437,27 +437,30 @@ def _mp_petermann(m):
 
 def test_petermann_up_the_peak_matches_mpmath_eigenvectors(params):
     """Above K_ORACLE_MAX the dense oracle runs out of digits; 60-digit
-    eigenvectors carry K to 5e8 along delta_ep.  Both K routes of the
-    package are held to them: eigensystem's right vectors and the sweep's
-    adjugate of lam - M.  The K error grows as eps * K^2 (the eigenvector
-    condition number times K); the worst case measured on this path is
-    51 eps K^2, for either route."""
-    sol = solve_exact_ep(params)
-    offsets = np.logspace(-9, -2, 15)
+    eigenvectors carry K to 5e8 along delta_ep, on the defaults and 20
+    draw_system devices.  Both K routes of the package are held to them:
+    eigensystem's right vectors and the sweep's adjugate of lam - M, the K
+    that petermann prints.  The K error grows as eps * K^2 (the eigenvector
+    condition number times K); the worst cases measured here are 12 eps K^2
+    for the sweep and 117 eps K^2 for eigensystem, both at K near 51."""
+    offsets = np.logspace(-9, -2, 8)
     eps = np.finfo(float).eps
-    grid = sol.g_ep * np.concatenate([1.0 - offsets[::-1], 1.0 + offsets])
-    sweep = sweep_petermann(params, sol.delta_ep, grid)
+    rng = np.random.default_rng(1903)
     k_max = 0.0
-    for g, lams, ks in zip(grid, sweep.lambdas, sweep.petermann):
-        m = _drift(params, sol.delta_ep, g)
-        lams_mp, ks_mp = _mp_petermann(m)
-        es = eigensystem(m)
-        routes = [*zip(es.lambdas, es.petermann), *zip(lams, ks)]
-        assert len(routes) == 2 * len(lams_mp)
-        for lam, k in routes:
-            k_mp = ks_mp[np.argmin(np.abs(lams_mp - lam))]
-            assert abs(k - k_mp) <= 1e3 * eps * k_mp**2
-            k_max = max(k_max, k_mp)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        sol = solve_exact_ep(p)
+        grid = sol.g_ep * np.concatenate([1.0 - offsets[::-1], 1.0 + offsets])
+        sweep = sweep_petermann(p, sol.delta_ep, grid)
+        for g, lams, ks in zip(grid, sweep.lambdas, sweep.petermann):
+            m = _drift(p, sol.delta_ep, g)
+            lams_mp, ks_mp = _mp_petermann(m)
+            es = eigensystem(m)
+            routes = [*zip(es.lambdas, es.petermann), *zip(lams, ks)]
+            assert len(routes) == 2 * len(lams_mp)
+            for lam, k in routes:
+                k_mp = ks_mp[np.argmin(np.abs(lams_mp - lam))]
+                assert abs(k - k_mp) <= 1e3 * eps * k_mp**2, (p, g)
+                k_max = max(k_max, k_mp)
     assert k_max > 1e8
 
 

@@ -1,9 +1,12 @@
 """The README runs against, and documents, the package root, the fields of
-EpSolution, Sweep, Eigensystem and Spectrum, and the embedcheck bounds."""
+EpSolution, Sweep, Eigensystem and Spectrum, the embedcheck bounds and the
+test settings' report of a failing property test."""
 
 import ast
 import dataclasses
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -106,3 +109,23 @@ def test_spectrum_fields_are_the_documented_ones():
     assert match is not None
     named = re.findall(r"`(\w+)`", match.group(1))
     assert named == [field.name for field in dataclasses.fields(Spectrum)]
+
+
+def test_failing_property_test_prints_its_falsifying_example(tmp_path):
+    """README's test settings let hypothesis report a failure: a failing @given test run
+    under pyproject.toml exits 1 with its falsifying example, not in an INTERNALERROR."""
+    section = re.search(r"^## Install and test\n(.*?)(?=^## )", README.read_text(), re.M | re.S)
+    assert section is not None
+    assert "a failing property test\nprints its falsifying example" in section.group(1)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(README.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

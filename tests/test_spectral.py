@@ -482,11 +482,10 @@ def _continuity_reference(lams):
     return np.array(list(itertools.accumulate(steps, lambda order, step: step[order], initial=perms[0])))
 
 
-def test_composition_table_composes_permutations():
-    """The three-mode table; two modes compose by parity, which
-    test_continuity_order_matches_array_composition_on_random_stacks covers."""
-    perms, table = spectral._PERMS[3], spectral._COMPOSE
-    np.testing.assert_array_equal(perms[0], np.arange(3))
+@pytest.mark.parametrize("n", [2, 3])
+def test_composition_table_composes_permutations(n):
+    perms, table = spectral._PERMS[n], spectral._COMPOSE[n]
+    np.testing.assert_array_equal(perms[0], np.arange(n))
     for i, j in itertools.product(range(len(perms)), repeat=2):
         np.testing.assert_array_equal(perms[table[i][j]], perms[j][perms[i]])
 
