@@ -13,6 +13,7 @@ determinant reproduces p up to the factor (lambda + Omega_c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,10 @@ class CubicPoly:
         return 6.0 * lam + 2.0 * self.c2
 
 
-@dataclass(frozen=True)
-class FactorTriple:
-    """The factor values (f, g, h) at one complex frequency."""
+class FactorTriple(NamedTuple):
+    """The factor values (f, g, h) at one complex frequency.  A named tuple, which
+    costs a fraction of a frozen dataclass to build: epsolver's Newton builds one
+    per residual evaluation and unpacks it."""
 
     f: complex
     g: complex
@@ -54,7 +56,7 @@ def factors(p: SystemParams, lam: complex) -> FactorTriple:
     """Evaluate f, g and h = g*f - g_c^2 at lam."""
     f = lam + 1j * p.omega_m + p.gamma / 2.0
     g = lam + p.omega_c
-    return FactorTriple(f=f, g=g, h=g * f - p.g_c**2)
+    return FactorTriple(f, g, g * f - p.g_c**2)
 
 
 def self_energy(p: SystemParams, lam: complex) -> complex:

@@ -448,9 +448,9 @@ def _grid(args, axis: str, min_points: int):
     # Couplings are magnitudes; probe frequencies may be negative.
     if axis == "g" and lo < 0:
         raise ConfigError("--g-min must be non-negative")
-    bounds = {f"--{axis}-min": lo, f"--{axis}-max": hi, f"the --{axis}-min/max span": hi - lo}
-    for flag, value in bounds.items():
+    for flag, value in (("min", lo), ("max", hi), (None, hi - lo)):
         if not math.isfinite(hz_to_rad(value * 1e3)):
+            flag = f"--{axis}-{flag}" if flag else f"the --{axis}-min/max span"
             raise ConfigError(f"{flag} = {value!r} kHz is not finite in rad/s")
     grid_rad = hz_to_rad(np.linspace(lo, hi, n) * 1e3)
     meta = {f"{axis}_min_khz": lo, f"{axis}_max_khz": hi, f"{axis}_points": n}
@@ -507,7 +507,7 @@ def cmd_petermann(args, p: SystemParams, d: DriveParams) -> Table:
         roles = _branch_roles(sweep.lambdas[0].tolist(), p.omega_c)
         blocks += [sweep.petermann[:, roles], sweep.divergent[:, roles]]
         grid[f"delta_khz.{name}"] = f"{_khz(delta):.12g}"
-    return Table(grid, columns, np.hstack(blocks))
+    return Table(grid, columns, np.concatenate(blocks, axis=1))
 
 
 def cmd_spectrum(args, p: SystemParams, d: DriveParams) -> Table:

@@ -87,20 +87,24 @@ class OrderCertificate:
     ddp_mag: float
 
 
+def _markovian_lambda(p: SystemParams) -> complex:
+    """markovian_ep's lambda_ep, under its kappa > gamma guard (NoMarkovianEp)."""
+    if p.kappa <= p.gamma:
+        raise NoMarkovianEp(f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}")
+    return -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
+
+
 def markovian_ep(p: SystemParams) -> EpSolution:
     """Closed-form exceptional point of the memoryless two-mode block.
 
     lambda_ep is the double root of the reduced quadratic
     (lam + kappa/2 - i*delta)(lam + gamma/2 + i*omega_m) + G^2, not of the
     full cubic.  Raises NoMarkovianEp unless kappa > gamma; the other two EP
-    routes start from this one and share that guard.
+    routes start from this one's lambda_ep (_markovian_lambda) and share that guard.
     """
-    if p.kappa <= p.gamma:
-        raise NoMarkovianEp(f"needs kappa > gamma, got kappa = {p.kappa!r}, gamma = {p.gamma!r}")
+    lam = _markovian_lambda(p)
     delta = -p.omega_m
-    g = (p.kappa - p.gamma) / 4.0
-    lam = -(p.kappa + p.gamma) / 4.0 - 1j * p.omega_m
-    return EpSolution(lam, delta, g, third_root_viete(p, delta, lam))
+    return EpSolution(lam, delta, (p.kappa - p.gamma) / 4.0, third_root_viete(p, delta, lam))
 
 
 def mech_renorm(p: SystemParams) -> MechRenorm:
@@ -116,7 +120,7 @@ def _perturbative_drive(p: SystemParams) -> DriveParams:
     """perturbative_ep's coordinates as a drive, with no eigen-solve: markovian_ep's
     delta = -omega_m and g = (kappa - gamma)/4 with omega_m -> omega_eff and
     gamma -> gamma_eff, under markovian_ep's kappa > gamma guard and _ep_drive's rule."""
-    markovian_ep(p)  # the kappa > gamma guard
+    _markovian_lambda(p)  # the kappa > gamma guard
     ren = mech_renorm(p)
     return _ep_drive(-ren.omega_eff, (p.kappa - ren.gamma_eff) / 4.0)
 
@@ -142,16 +146,16 @@ def _double_root(p: SystemParams, lam: complex):
     g_sq = h^2/den and t = lam + kappa/2 + g*h/den; the derivatives in lam
     use f' = g' = 1, h' = f + g and den' = 2g.
     """
-    fac = factors(p, lam)
-    den = fac.g**2 + p.g_c**2
+    f, g, h = factors(p, lam)
+    den = g**2 + p.g_c**2
     scale = max(abs(lam), p.omega_c) ** 2
     if abs(den) < 1e-12 * scale:
         return None
-    g_sq = fac.h**2 / den
-    gh = fac.g * fac.h / den
-    dh = fac.f + fac.g
-    d_g_sq = 2.0 * (fac.h * dh - fac.g * g_sq) / den
-    dt = 1.0 + (fac.h + fac.g * dh - 2.0 * fac.g * gh) / den
+    g_sq = h**2 / den
+    gh = g * h / den
+    dh = f + g
+    d_g_sq = 2.0 * (h * dh - g * g_sq) / den
+    dt = 1.0 + (h + g * dh - 2.0 * g * gh) / den
     return g_sq, lam + p.kappa / 2.0 + gh, d_g_sq, dt
 
 
@@ -194,9 +198,9 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
     iteration fails and, through _ep_drive, NonPhysicalEp unless the double
     root has a real g > 0 and a real delta < 0.
     """
-    mk = markovian_ep(p)  # the kappa > gamma guard, seeded or not
+    mk_lambda = _markovian_lambda(p)  # the kappa > gamma guard, seeded or not
     if seed is None:
-        seed = mk.lambda_ep  # unchecked: |mk.lambda_ep| > omega_m, past the range at its top
+        seed = mk_lambda  # unchecked: |mk_lambda| > omega_m, past the range at its top
     elif not (cmath.isfinite(seed) and abs(seed) <= _RATE_RANGE[1]):
         raise ValueError(f"seed must be finite with |seed| <= {_RATE_RANGE[1]!r} rad/s, got {seed!r}")
     lam, coords = seed, _double_root(p, seed)
@@ -215,7 +219,7 @@ def solve_exact_ep(p: SystemParams, seed: complex | None = None) -> EpSolution:
         step = complex(r1 * dt.imag + r2 * ds.real, r1 * dt.real - r2 * ds.imag) / det
         trial = _double_root(p, lam + step)
         if abs(step) <= STEP_RTOL * abs(lam):
-            if _residual_norm(trial) <= _residual_norm(coords):
+            if _residual_norm(trial) <= math.hypot(r1, r2):  # coords' own residual norm
                 lam, coords = lam + step, trial
             g_sq, t = coords[:2]
             delta = (-1j * t).real

@@ -449,14 +449,14 @@ def test_cli_any_rates_exit_cleanly(tmp_path_factory, rates, red, command):
             load_config(str(path))
 
 
-def _checkout_python(*args, **environ):
+def _checkout_python(*args, timeout=120, **environ):
     """A fresh interpreter run with this checkout's src/ first on its PYTHONPATH
-    and the environment variables of environ set."""
+    and the environment variables of environ set, killed after timeout seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **environ, "PYTHONPATH": pythonpath}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
 
 
@@ -1018,16 +1018,72 @@ def test_cli_config_text_errors_name_the_path(tmp_path, capsys, ini, message):
 def test_cli_unreadable_config_exits_1(tmp_path, capsys, monkeypatch):
     """A config file that exists but cannot be opened is an error, not the defaults."""
     path = _write(tmp_path, "[mechanics]\nfreq_hz = 2e6\n")
+    os_open = os.open
 
     def denied(file, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", file)
+        if file == path:
+            raise PermissionError(13, "Permission denied", file)
+        return os_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(config, "open", denied, raising=False)
+    monkeypatch.setattr(config.os, "open", denied)
     assert main(["--config", path, "ep"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"eprenorm: error: {path}: cannot read config file: ")
     assert "Permission denied" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling_symlink", "path_through_a_file", "character_device"])
+def test_cli_config_path_to_no_regular_file_is_not_found(tmp_path, capsys, monkeypatch, kind):
+    """A directory, a dangling symlink, a path through a regular file (a.ini/x)
+    and a character device each exit 1 with the one "config file not found"
+    line, and none of them is opened."""
+    regular = Path(_write(tmp_path, "[mechanics]\nfreq_hz = 2e6\n", "a.ini"))
+    path = {"directory": tmp_path / "configs", "dangling_symlink": tmp_path / "link.ini",
+            "path_through_a_file": regular / "x", "character_device": Path(os.devnull)}[kind]
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "dangling_symlink":
+        path.symlink_to(tmp_path / "nowhere.ini")
+
+    def refused(file, *args, **kwargs):
+        raise AssertionError(f"opened {file}")
+
+    monkeypatch.setattr(config.os, "open", refused)
+    assert main(["--config", str(path), "ep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eprenorm: error: config file not found: {path}\n"
+
+
+def test_cli_config_fifo_is_not_found_and_does_not_block(tmp_path):
+    """A FIFO with no writer is not a regular file: exit 1, "config file not
+    found", without waiting for a writer.  It runs in a fresh interpreter with
+    a timeout, so a read that blocks fails the test rather than hanging it."""
+    fifo = tmp_path / "params.ini"
+    os.mkfifo(fifo)
+    proc = _checkout_python("-m", "eprenorm", "--config", str(fifo), "ep", timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"eprenorm: error: config file not found: {fifo}\n"
+
+
+@pytest.mark.parametrize("kind", ["empty", "crlf"])
+def test_cli_config_empty_and_crlf_files(tmp_path, capsys, monkeypatch, kind):
+    """An empty file is the built-in defaults and a file with \\r\\n line endings
+    reads as its \\n twin: exit 0, no stderr and the same bytes as the reference."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    text = "" if kind == "empty" else "[mechanics]\nfreq_hz = 2e6\n\n[cavity]\nkappa_hz = 0.25e6\n"
+    path = tmp_path / "params.ini"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    reference = [] if kind == "empty" else ["--config", _write(tmp_path, text, "lf.ini")]
+    outputs = []
+    for argv in (["--config", str(path), "ep"], [*reference, "ep"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == "" and outputs[0] == outputs[1]
+    if kind == "crlf":
+        assert "# mechanics.freq_hz = 2000000\n" in outputs[0].out
 
 
 def test_out_artifact_is_utf8_under_an_ascii_locale(tmp_path):

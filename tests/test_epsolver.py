@@ -248,6 +248,24 @@ def test_exact_ep_evaluates_three_double_roots_at_defaults(params, monkeypatch):
     assert len(calls) == 3
 
 
+def test_double_root_reads_the_factors_of_factors(params):
+    """_double_root's (g_sq, t, g_sq', t') are, bit for bit, the expressions of
+    its docstring over factors(p, lam), the one statement of f, g and h: on the
+    defaults and 20 draw_system devices, at the default seed (the memoryless
+    lambda_ep) and at the converged lambda_ep."""
+    rng = np.random.default_rng(2047)
+    for p in [params, *(draw_system(rng) for _ in range(20))]:
+        for lam in (markovian_ep(p).lambda_ep, solve_exact_ep(p).lambda_ep):
+            fac = factors(p, lam)
+            f, g, h = fac.f, fac.g, fac.h
+            den = g**2 + p.g_c**2
+            g_sq, gh, dh = h**2 / den, g * h / den, f + g
+            want = (g_sq, lam + p.kappa / 2.0 + gh, 2.0 * (h * dh - g * g_sq) / den,
+                    1.0 + (h + g * dh - 2.0 * g * gh) / den)
+            got = epsolver._double_root(p, lam)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+
+
 def _far_seed(p):
     """A real seed at -0.9 Omega_c, far from the memoryless coalescence value."""
     return complex(-0.9 * p.omega_c, 0.0)

@@ -31,6 +31,7 @@ import pytest
 from eprenorm import charpoly, cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 SOURCE_DATE_EPOCH = "1756080000"
 
 CASES = {
@@ -148,6 +149,21 @@ def _assert_matches_golden(capsys, monkeypatch, name, as_json):
 @pytest.mark.parametrize("name", list(CASES))
 def test_artifact_matches_golden(capsys, monkeypatch, name, as_json):
     _assert_matches_golden(capsys, monkeypatch, name, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_argv_print_the_same_bytes_through_the_shipped_config(capsys, monkeypatch, name, as_json):
+    """The goldens run on the built-in defaults and read no file; each of their
+    argv prints the same bytes, exit code and stderr with --config
+    configs/default.ini, which holds the same values, as without it."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", SOURCE_DATE_EPOCH)
+    argv = ["--json", *CASES[name]] if as_json else CASES[name]
+    runs = []
+    for config in ([], ["--config", str(SHIPPED_CONFIG)]):
+        runs.append((cli.main([*config, *argv]), capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0][1].out
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])

@@ -781,6 +781,21 @@ def test_sweep_rejects_short_grid(params):
         sweep_eigs(params, -params.omega_m, [hz_to_rad(50e3)])
 
 
+@pytest.mark.parametrize(
+    "delta, message",
+    [(math.inf, "delta must be finite"), (math.nan, "delta must be finite"),
+     (-1e40, "drive.detuning_hz = -1.59155e+39 Hz: a nonzero rate must lie within")],
+    ids=["inf", "nan", "past_the_range"],
+)
+def test_sweep_rejects_a_detuning_that_is_no_rate(params, delta, message):
+    """The drift stack's g = 0 drive is the sweeps' one check of delta: a detuning
+    that is not finite or lies past the rate range is DriveParams' ValueError."""
+    grid = np.linspace(hz_to_rad(40e3), hz_to_rad(60e3), 5)
+    for sweep in (sweep_petermann, sweep_eigs):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(params, delta, grid)
+
+
 # The ordering and kernel written with reductions and sorts along the mode axis of row-major
 # (N, n) arrays, one Python call per row to compose the continuity steps, and the stack built
 # from two drifts.  They define the bits that the column arithmetic of spectral must keep.
