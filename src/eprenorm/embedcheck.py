@@ -273,8 +273,8 @@ def kernel_fourier_error(p: SystemParams) -> float:
     amp = p.gamma * p.omega_c / 2.0
     if amp == 0.0:
         return 0.0
-    # The integrand is formed in the node array, a quarter at a time, with the same bits: three
-    # node-sized arrays live at once put the heap top past glibc's trim threshold after every
+    # The integrand is formed in the node array, a quarter at a time, with the same bits: formed
+    # whole, its node-sized temporaries put the heap top past glibc's trim threshold after every
     # check, which handed it back and faulted it in again on the next.
     integrand = np.linspace(0.0, KERNEL_WINDOW * p.omega_c, KERNEL_POINTS // 2 + 1)
     for part in np.array_split(integrand, 4):

@@ -187,20 +187,10 @@ class DriveParams:
 def spectral_density(p: SystemParams, omega):
     """Bath spectral function gamma * w^2 / (w^2 + Omega_c^2), even in w.
 
-    omega is a float or an array; a float gives a float.  For a float array
-    the quotient is formed in place in the fresh w^2 array, against the fresh
-    denominator, so a call allocates two arrays rather than four: on the
-    kernel check's 20,001 nodes each is past glibc's default heap trim
-    threshold (128 KiB).  Other inputs, such as integer arrays,
-    take the allocating form; both give the same bits.
+    omega is a float or an array; a float gives a float.
     """
     w2 = omega * omega
-    den = w2 + p.omega_c * p.omega_c
-    if isinstance(w2, np.ndarray) and w2.dtype == den.dtype:
-        w2 *= p.gamma
-        w2 /= den
-        return w2
-    return p.gamma * w2 / den
+    return p.gamma * w2 / (w2 + p.omega_c * p.omega_c)
 
 
 def memory_kernel_smooth(p: SystemParams, t: float) -> float:

@@ -1,15 +1,18 @@
-"""tools/benchab.py's parser and summary on canned bench/run.py output; no bench is run."""
+"""tools/benchab.py's parser and summary on canned bench/run.py output, and the side specs
+both A/B tools take; no bench is run."""
 
-import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("benchab", ROOT / "tools" / "benchab.py")
-benchab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(benchab)
+# benchab imports its sibling parity as a script does, from its own directory.
+sys.path.insert(0, str(ROOT / "tools"))
+import benchab  # noqa: E402
+import parity  # noqa: E402
 
 MACHINE = ("nproc=2 python=3.11.7 numpy=2.4.6 OMP_NUM_THREADS=unset OPENBLAS_NUM_THREADS=unset "
            "MKL_NUM_THREADS=unset BLIS_NUM_THREADS=unset EPRENORM_THREADS=unset; shared VM, only our "
@@ -95,3 +98,24 @@ def test_summary_of_one_pair_has_no_iqr():
     summary = benchab.summarize([{"order": "AB", "a": run, "b": run}])
     assert summary["latency_p50_ref"]["a_iqr"] is None and summary["latency_p50_ref"]["b_wins"] == 0
 
+
+def test_setup_side_takes_this_checkout_as_a_source_tree(tmp_path):
+    side = benchab.setup_side(str(ROOT), str(tmp_path), "a")
+    root = Path(side["root"])
+    assert (root / "src" / "eprenorm" / "__init__.py").is_file()
+    assert (root / "bench" / "run.py").is_file()
+    assert side["src_sha256"] == benchab._source_digest(str(ROOT / "src"))
+    assert side["spec"] == str(ROOT)
+
+
+@pytest.mark.parametrize("tool", [parity, benchab], ids=["parity", "benchab"])
+@pytest.mark.parametrize("spec", ["", "no-such-tree-or-revision"], ids=["directory", "neither"])
+def test_a_spec_that_is_no_tree_and_no_revision_exits_2(tool, spec, tmp_path, capsys):
+    """A directory without src/eprenorm, and a name that is no directory and no
+    revision, are refused by the one shared error: exit code 2, the spec named."""
+    bad = os.path.join(tmp_path, spec)
+    argv = [bad, str(ROOT)] + (["--label", "x", "--seed", "1", "--out", str(tmp_path)] if tool is benchab else [])
+    assert tool.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad!r} is neither a directory holding src/eprenorm nor a git revision" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))

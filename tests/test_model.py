@@ -219,7 +219,7 @@ def test_spectral_density_shape(params):
     ids=["float", "float_array", "int_array", "0d_array"],
 )
 def test_spectral_density_is_its_formula_bit_for_bit(params, omega):
-    """The in-place form gives gamma * w^2 / (w^2 + Omega_c^2) bit for bit, the
+    """spectral_density gives gamma * w^2 / (w^2 + Omega_c^2) bit for bit, the
     formula's own type (a float for a float), and leaves its argument untouched."""
     p = params
     before = np.copy(omega)

@@ -2,18 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/benchab.py A B --label 47 --seed 77 --seconds 8
+    python3 tools/benchab.py A B --label 47 --seed 77
 
 A and B are each a source tree (a directory holding src/eprenorm) or a git
-revision of this repository, which is unpacked with ``git archive <rev> src |
-tar -x``, as tools/parity.py does.  Each side is set up in its own temporary
-root: the side's src/ and a copy of this checkout's bench/, which the tool
-never edits, so both sides run the same harness (bench/run.py imports
-eprenorm from the src/ beside its own directory).  Bytecode is compiled for
-both roots before the first run.
+revision of this repository, which tools/parity.py's own code unpacks.  Each
+side is set up in its own temporary root: the side's src/ and a copy of this
+checkout's bench/, which the tool never edits, so both sides run the same
+harness (bench/run.py imports eprenorm from the src/ beside its own
+directory).  Bytecode is compiled for both roots before the first run.
 
 The plan is fixed: 10 pairs on scan, then 5 on sweep and 5 on selfcheck.
-Each pair runs ``bench/run.py --workload W --seed S --seconds T`` once per
+Each pair runs ``bench/run.py --workload W --seed S --seconds 8`` once per
 side, each in a fresh interpreter; the first pair runs A first, the second
 B first, and so on alternating (pair k, counted from 1 as the progress
 lines count it, runs A first when k is odd).  From each run it keeps the end-to-end metrics of the last
@@ -29,6 +28,8 @@ metric's better direction (null for ref_ms, the machine's speed probe).
 A = B runs one version against itself: the A/A mode, whose spread is the
 noise floor of each metric on the machine.  The tool records numbers; it
 does not judge them.  Exit code 0 when every run completed, 2 otherwise.
+Every run lasts the same SECONDS, so every BENCH_*.json it writes compares
+with every other.
 """
 
 from __future__ import annotations
@@ -43,12 +44,15 @@ import subprocess
 import sys
 import tempfile
 
+import parity  # tools/parity.py: python3 puts a script's own directory first on sys.path
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PLAN = (("scan", 10), ("sweep", 5), ("selfcheck", 5))
+SECONDS = 8.0  # bench/run.py --seconds of every run
 # Metrics where a larger value is better; ref_ms measures the machine, not the code.
 HIGHER_IS_BETTER = ("throughput_ops_per_kref", "throughput_ops_per_s")
 NO_DIRECTION = ("ref_ms",)
-# bench/run.py's own budget beyond --seconds: its RUN_SLACK_S plus five set-up probes of 15 s.
+# bench/run.py's own budget beyond its run time: its RUN_SLACK_S plus five set-up probes of 15 s.
 RUN_SLACK_S = 140.0
 
 
@@ -132,37 +136,26 @@ def _source_digest(src: str) -> str:
 def setup_side(spec: str, scratch: str, label: str) -> dict:
     """A root holding the side's src/ and a copy of this checkout's bench/, and its provenance."""
     root = os.path.join(scratch, label)
-    src = os.path.join(root, "src")
     ignore = shutil.ignore_patterns("__pycache__")
-    if os.path.isdir(os.path.join(spec, "src", "eprenorm")):
-        tree = os.path.abspath(spec)
-        shutil.copytree(os.path.join(tree, "src"), src, ignore=ignore)
+    tree, revision = parity._side_tree(spec, scratch, label)  # a revision's src/ is unpacked into root
+    if revision is None:
+        shutil.copytree(os.path.join(tree, "src"), os.path.join(root, "src"), ignore=ignore)
         revision = _git("rev-parse", "HEAD", cwd=tree)
         dirty = None if revision is None else bool(_git("status", "--porcelain", "--", "src", cwd=tree))
-        side = {"spec": spec, "revision": revision, "dirty": dirty}
     else:
-        revision = _git("rev-parse", "--verify", "--quiet", f"{spec}^{{commit}}")
-        if revision is None:
-            raise BenchABError(f"{spec!r} is neither a source tree nor a git revision")
-        os.makedirs(root)
-        archive = subprocess.Popen(["git", "-C", ROOT, "archive", revision, "src"], stdout=subprocess.PIPE)
-        untar = subprocess.run(["tar", "-x", "-C", root], stdin=archive.stdout)
-        archive.stdout.close()
-        if archive.wait() != 0 or untar.returncode != 0:
-            raise BenchABError(f"cannot unpack revision {spec!r}")
-        side = {"spec": spec, "revision": revision, "dirty": False}
+        dirty = False
     shutil.copytree(os.path.join(ROOT, "bench"), os.path.join(root, "bench"), ignore=ignore)
-    subprocess.run([sys.executable, "-m", "compileall", "-q", src, os.path.join(root, "bench")], check=True)
-    side.update(root=root, src_sha256=_source_digest(src))
-    return side
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=root, check=True)
+    return {"spec": spec, "revision": revision, "dirty": dirty, "root": root,
+            "src_sha256": _source_digest(os.path.join(root, "src"))}
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int) -> dict:
     """One bench/run.py run in a fresh interpreter under root, parsed."""
     argv = [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", repr(seconds)]
+            "--seed", str(seed), "--seconds", repr(SECONDS)]
     try:
-        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=seconds + RUN_SLACK_S)
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=SECONDS + RUN_SLACK_S)
     except subprocess.TimeoutExpired:
         raise BenchABError(f"{workload} run under {root} timed out") from None
     if proc.returncode != 0:
@@ -176,13 +169,10 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="source tree or git revision (the side compared to it)")
     parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
     parser.add_argument("--seed", type=int, required=True, help="bench/run.py --seed")
-    parser.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds (default 8)")
     parser.add_argument("--out", default=ROOT, help="directory of the output file (default the checkout root)")
     args = parser.parse_args(argv)
-    if args.seconds <= 0:
-        parser.error("--seconds must be positive")
 
-    report = {"label": args.label, "seed": args.seed, "seconds": args.seconds, "machine": None, "workloads": {}}
+    report = {"label": args.label, "seed": args.seed, "seconds": SECONDS, "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="benchab-") as scratch:
         try:
             sides = {label: setup_side(spec, scratch, label) for label, spec in (("a", args.a), ("b", args.b))}
@@ -190,14 +180,14 @@ def main(argv=None) -> int:
                 pairs = []
                 for k in range(count):
                     order = "ab" if k % 2 == 0 else "ba"
-                    runs = {side: run_once(sides[side]["root"], workload, args.seed, args.seconds) for side in order}
+                    runs = {side: run_once(sides[side]["root"], workload, args.seed) for side in order}
                     report["machine"] = report["machine"] or runs["a"]["machine"]
                     pairs.append({"order": order.upper(), "a": runs["a"], "b": runs["b"]})
                     a, b = runs["a"]["metrics"], runs["b"]["metrics"]
                     print(f"{workload} pair {k + 1}/{count} ({order.upper()}): latency_p50_ref "
                           f"A {a['latency_p50_ref']:.4f} B {b['latency_p50_ref']:.4f}", flush=True)
                 report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
-        except BenchABError as exc:
+        except (BenchABError, parity.SideError) as exc:
             print(f"benchab: {exc}", file=sys.stderr)
             return 2
         report["a"], report["b"] = ({key: value for key, value in side.items() if key != "root"}

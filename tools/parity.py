@@ -404,22 +404,28 @@ def compare_runs(a: dict, b: dict) -> list:
     return lines + compare(a["out"], b["out"])
 
 
-def _side_tree(spec: str, scratch: str, label: str) -> str:
-    """Directory holding src/eprenorm for a source tree or a git revision."""
+class SideError(Exception):
+    """A side spec that is neither a source tree nor a git revision, or a revision that cannot be unpacked."""
+
+
+def _side_tree(spec: str, scratch: str, label: str) -> tuple:
+    """(directory holding src/eprenorm, commit) for a git revision, unpacked into scratch/label;
+    (the tree itself, None) for a source tree."""
     if os.path.isdir(os.path.join(spec, "src", "eprenorm")):
-        return os.path.abspath(spec)
+        return os.path.abspath(spec), None
     rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{spec}^{{commit}}"],
                          capture_output=True, text=True)
     if rev.returncode != 0:
-        raise SystemExit(f"parity: {spec!r} is neither a source tree nor a git revision")
+        raise SideError(f"{spec!r} is neither a directory holding src/eprenorm nor a git revision")
+    commit = rev.stdout.strip()
     tree = os.path.join(scratch, label)
     os.makedirs(tree)
-    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev.stdout.strip(), "src"], stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit, "src"], stdout=subprocess.PIPE)
     untar = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
-        raise SystemExit(f"parity: cannot unpack revision {spec!r}")
-    return tree
+        raise SideError(f"cannot unpack revision {spec!r}")
+    return tree, commit
 
 
 def main(argv=None) -> int:
@@ -429,9 +435,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         try:
-            trees = {label: _side_tree(spec, scratch, label) for label, spec in (("A", args.a), ("B", args.b))}
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
+            trees = {label: _side_tree(spec, scratch, label)[0] for label, spec in (("A", args.a), ("B", args.b))}
+        except SideError as exc:
+            print(f"parity: {exc}", file=sys.stderr)
             return 2
         corpus_path = os.path.join(scratch, "corpus.json")
         with open(corpus_path, "w") as fh:
